@@ -1,165 +1,8 @@
-"""Hot numeric kernels: CSR matvec and an adaptive RK45 propagation loop.
+"""Stub kept for the benchmark worker, not used by the package.
 
-The sparse time-evolution path spends essentially all of its time here, so
-the kernels are compiled with numba when it is importable.  Setting the
-environment variable ``LSW_NO_NUMBA=1`` selects the pure-numpy fallback
-instead; ``benchmarks/bench_kernels.py`` compares the two paths.
-
-Both implementations run the same Dormand-Prince 5(4) scheme with the same
-floating-point operation order, so their trajectories agree to roundoff.
+``perfbench/worker.py`` imports this module and reports ``USING_NUMBA`` in
+its environment line.  Propagation runs through
+``scipy.sparse.linalg.expm_multiply`` in ``lsw.dynamics``.
 """
 
-import os
-
-import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-_DISABLED = os.environ.get("LSW_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-USING_NUMBA = numba is not None and not _DISABLED
-
-# Dormand-Prince 5(4) tableau; the fifth-order weights equal the last stage
-# row, so the final stage doubles as the first stage of the next step.
-_A = np.zeros((7, 7))
-_A[1, 0] = 1 / 5
-_A[2, :2] = (3 / 40, 9 / 40)
-_A[3, :3] = (44 / 45, -56 / 15, 32 / 9)
-_A[4, :4] = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
-_A[5, :5] = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
-_A[6, :6] = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_ERR = _A[6] - _B4  # fifth-minus-fourth order weights
-
-STATUS_OK = 0
-STATUS_STEP_UNDERFLOW = 1
-STATUS_MAX_STEPS = 2
-
-
-def csr_matvec_numpy(indptr, indices, data, x):
-    """y = A @ x for CSR data, vectorized via segmented reduction."""
-    n = indptr.size - 1
-    y = np.zeros(n, dtype=np.complex128)
-    if data.size == 0:
-        return y
-    products = data * x[indices]
-    counts = np.diff(indptr)
-    nonempty = counts > 0
-    starts = indptr[:-1][nonempty]
-    y[nonempty] = np.add.reduceat(products, starts)
-    return y
-
-
-def _csr_matvec_loop(indptr, indices, data, x):
-    n = indptr.size - 1
-    y = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        acc = 0.0 + 0.0j
-        for ptr in range(indptr[i], indptr[i + 1]):
-            acc += data[ptr] * x[indices[ptr]]
-        y[i] = acc
-    return y
-
-
-def _build_rk45(matvec):
-    a = _A
-    err_w = _ERR
-
-    def rk45(indptr, indices, data, y0, times, rtol, atol, max_steps):
-        n = y0.size
-        n_out = times.size
-        out = np.empty((n_out, n), dtype=np.complex128)
-        out[0] = y0
-        y = y0.copy()
-        k = np.empty((7, n), dtype=np.complex128)
-        k[0] = matvec(indptr, indices, data, y)
-
-        # initial step from the relative sizes of state and derivative
-        ynorm = 0.0
-        fnorm = 0.0
-        for i in range(n):
-            ynorm += abs(y[i]) ** 2
-            fnorm += abs(k[0, i]) ** 2
-        ynorm = np.sqrt(ynorm / n) + atol
-        fnorm = np.sqrt(fnorm / n) + 1e-300
-        span = times[n_out - 1] - times[0]
-        h = min(1e-2 * ynorm / fnorm, span)
-        if h <= 0.0:
-            h = span / 100.0
-
-        t = times[0]
-        steps = 0
-        for idx in range(1, n_out):
-            target = times[idx]
-            while t < target:
-                remaining = target - t
-                clipped = h >= remaining
-                h_use = remaining if clipped else h
-                # stages 2..7; stage 7 evaluates at the candidate solution
-                for stage in range(1, 7):
-                    ytmp = y.copy()
-                    for prev in range(stage):
-                        coeff = a[stage, prev]
-                        if coeff != 0.0:
-                            ytmp += (h_use * coeff) * k[prev]
-                    k[stage] = matvec(indptr, indices, data, ytmp)
-                ynew = y.copy()
-                for prev in range(6):
-                    coeff = a[6, prev]
-                    if coeff != 0.0:
-                        ynew += (h_use * coeff) * k[prev]
-                # weighted rms of the embedded error estimate
-                errsum = 0.0
-                for i in range(n):
-                    e = (
-                        err_w[0] * k[0, i]
-                        + err_w[2] * k[2, i]
-                        + err_w[3] * k[3, i]
-                        + err_w[4] * k[4, i]
-                        + err_w[5] * k[5, i]
-                        + err_w[6] * k[6, i]
-                    )
-                    scale = atol + rtol * max(abs(y[i]), abs(ynew[i]))
-                    ratio = abs(h_use * e) / scale
-                    errsum += ratio * ratio
-                err = np.sqrt(errsum / n)
-                if err <= 1.0:
-                    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.2))
-                    t = target if clipped else t + h_use
-                    y = ynew
-                    k[0] = k[6].copy()
-                    grown = h_use * factor
-                    h = h if (clipped and h > grown) else grown
-                else:
-                    factor = min(1.0, max(0.2, 0.9 * err**-0.2))
-                    h = h_use * factor
-                    if h < 1e-14 * max(abs(t), 1.0):
-                        return out, STATUS_STEP_UNDERFLOW, steps
-                steps += 1
-                if steps >= max_steps:
-                    return out, STATUS_MAX_STEPS, steps
-            out[idx] = y
-        return out, STATUS_OK, steps
-
-    return rk45
-
-
-rk45_csr_numpy = _build_rk45(csr_matvec_numpy)
-
-if numba is not None:
-    csr_matvec_numba = numba.njit(cache=True)(_csr_matvec_loop)
-    rk45_csr_numba = numba.njit(cache=False)(_build_rk45(csr_matvec_numba))
-else:  # pragma: no cover
-    csr_matvec_numba = None
-    rk45_csr_numba = None
-
-if USING_NUMBA:
-    csr_matvec = csr_matvec_numba
-    rk45_csr = rk45_csr_numba
-else:
-    csr_matvec = csr_matvec_numpy
-    rk45_csr = rk45_csr_numpy
+USING_NUMBA = False

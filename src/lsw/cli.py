@@ -153,8 +153,6 @@ class Run:
         self.n_points = int(times.get("n_points", 201))
         tol = cfg.get("tolerances", {}) or {}
         self.zero_tol = float(tol.get("zero_tol", 1e-9))
-        self.rtol = float(tol.get("rtol", 1e-9))
-        self.atol = float(tol.get("atol", 1e-12))
         self.epsilons = [float(e) for e in cfg.get("epsilons", [1e-2, 1e-3, 1e-4])]
         if not 1 <= self.order <= sw.MAX_ORDER:
             raise ValidationError(f"order must be in [1, {sw.MAX_ORDER}]")
@@ -181,22 +179,25 @@ def _model_kind(cfg):
     return model["kind"], model
 
 
+def _superradiance_params(mcfg):
+    """Superradiance parameters from a model section (`sqrt_n_g` or `g`)."""
+    n = int(mcfg.get("n_spins", 2))
+    gamma = float(mcfg.get("gamma", 1.0))
+    omega = float(mcfg.get("omega", 0.0))
+    if "sqrt_n_g" in mcfg:
+        return models.SuperradianceParams.from_sqrt_n_g(
+            n, float(mcfg["sqrt_n_g"]), gamma=gamma, omega=omega
+        )
+    return models.SuperradianceParams(
+        n_spins=n, g=float(mcfg.get("g", 0.1)), gamma=gamma, omega=omega
+    )
+
+
 def _build_model(run):
     """Return a dict with l0, v, initial state and observables for the task."""
     kind, mcfg = _model_kind(run.cfg)
     if kind == "superradiance":
-        n = int(mcfg.get("n_spins", 2))
-        gamma = float(mcfg.get("gamma", 1.0))
-        omega = float(mcfg.get("omega", 0.0))
-        if "sqrt_n_g" in mcfg:
-            params = models.SuperradianceParams.from_sqrt_n_g(
-                n, float(mcfg["sqrt_n_g"]), gamma=gamma, omega=omega
-            )
-        else:
-            params = models.SuperradianceParams(
-                n_spins=n, g=float(mcfg.get("g", 0.1)), gamma=gamma, omega=omega
-            )
-        model = models.superradiance_model(params)
+        model = models.superradiance_model(_superradiance_params(mcfg))
         return {
             "kind": kind,
             "l0": model.l0,
@@ -335,7 +336,7 @@ def _task_effective(run):
 def _task_evolve(run):
     built = _build_model(run)
     gen = built["l0"] + run.epsilon * built["v"]
-    traj = dynamics.evolve(gen, built["rho0"], run.times, rtol=run.rtol, atol=run.atol)
+    traj = dynamics.evolve(gen, built["rho0"], run.times)
     header = ["time"] + [f"re_{k}" for k in built["observables"]] + [
         f"im_{k}" for k in built["observables"]
     ]
@@ -369,13 +370,11 @@ def _task_compare(run):
     mu0[0, 0] = 1.0
 
     def exact():
-        traj = dynamics.evolve(
-            gen_exact, model.initial_state, times, rtol=run.rtol, atol=run.atol
-        )
+        traj = dynamics.evolve(gen_exact, model.initial_state, times)
         return dynamics.emission_intensity(traj, model.iz_full, gen_exact)
 
     def reduced(mat):
-        traj = dynamics.evolve(mat, mu0, times, rtol=run.rtol, atol=run.atol)
+        traj = dynamics.evolve(mat, mu0, times)
         return dynamics.emission_intensity(traj, model.iz, mat)
 
     with ThreadPoolExecutor(max_workers=run.workers()) as pool:
@@ -403,18 +402,7 @@ def _task_compare(run):
 def _ancilla_from_config(run):
     kind, mcfg = _model_kind(run.cfg)
     if kind == "superradiance":
-        n = int(mcfg.get("n_spins", 2))
-        gamma = float(mcfg.get("gamma", 1.0))
-        omega = float(mcfg.get("omega", 0.0))
-        if "sqrt_n_g" in mcfg:
-            params = models.SuperradianceParams.from_sqrt_n_g(
-                n, float(mcfg["sqrt_n_g"]), gamma=gamma, omega=omega
-            )
-        else:
-            params = models.SuperradianceParams(
-                n_spins=n, g=float(mcfg.get("g", 0.1)), gamma=gamma, omega=omega
-            )
-        return models.superradiance_ancilla(params)
+        return models.superradiance_ancilla(_superradiance_params(mcfg))
     if kind == "random-ancilla":
         return models.random_ancilla_model(
             int(mcfg.get("dimension", 2)),

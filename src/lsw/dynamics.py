@@ -3,14 +3,14 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
+import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .exceptions import ToleranceNotMetError, ValidationError
-from .superop import devectorize, to_csr, to_dense, vectorize
+from .superop import devectorize, to_csr, vectorize
 
-DENSE_LIMIT = 1024  # matrix-exponential stepping up to this superoperator dim
+# expm_multiply does not fail on very stiff input, it runs (nearly) forever;
+# propagations with ||G||_1 * t_max above this are refused up front
+MAX_NORM_TIME = 1e6
 
 
 @dataclass
@@ -19,7 +19,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (n_times, d**2)
-    generator_tag: str = ""
 
     @property
     def hdim(self):
@@ -45,25 +44,13 @@ def _validate_times(times):
     return times
 
 
-def evolve(
-    generator,
-    rho0,
-    times,
-    rtol=1e-9,
-    atol=1e-12,
-    dense_limit=DENSE_LIMIT,
-    force=None,
-    max_steps=10_000_000,
-    tag="",
-):
+def evolve(generator, rho0, times):
     """Propagate rho0 under a fixed generator, landing exactly on `times`.
 
-    Dense path (dimension up to ``dense_limit``): one matrix exponential
-    per distinct step size.  Sparse path: adaptive embedded Runge-Kutta
-    5(4) on the generator matvec with the given tolerances; steps are
-    clipped so every requested time is hit exactly.
-
-    ``force`` may be "dense" or "sparse" to override the size policy.
+    Uses the action of the matrix exponential (Al-Mohy & Higham 2011,
+    ``scipy.sparse.linalg.expm_multiply``), exact to double precision for a
+    time-independent generator.  A uniform grid is one call; any other grid
+    is one call per interval.
     """
     times = _validate_times(times)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -71,45 +58,29 @@ def evolve(
     if abs(trace - 1.0) > 1e-8:
         raise ValidationError(f"initial state has trace {trace:.6g}, expected 1")
     y0 = vectorize(rho0)
-    dim = y0.size
-
-    use_dense = dim <= dense_limit and not sp.issparse(generator)
-    if force == "dense":
-        use_dense = True
-    elif force == "sparse":
-        use_dense = False
-
-    if use_dense:
-        g = to_dense(generator)
-        states = np.empty((times.size, dim), dtype=complex)
-        states[0] = y0
-        props = {}
-        y = y0
-        for i in range(1, times.size):
-            dt = times[i] - times[i - 1]
-            key = round(dt, 12)
-            if key not in props:
-                props[key] = expm(g * dt)
-            y = props[key] @ y
-            states[i] = y
-        return Trajectory(times=times, states=states, generator_tag=tag or "dense")
-
     g = to_csr(generator)
-    out, status, _ = _kernels.rk45_csr(
-        g.indptr,
-        g.indices,
-        g.data.astype(np.complex128),
-        y0,
-        times,
-        float(rtol),
-        float(atol),
-        int(max_steps),
-    )
-    if status == _kernels.STATUS_STEP_UNDERFLOW:
-        raise ToleranceNotMetError("step size underflow in adaptive integration")
-    if status == _kernels.STATUS_MAX_STEPS:
-        raise ToleranceNotMetError(f"integration exceeded {max_steps} steps")
-    return Trajectory(times=times, states=out, generator_tag=tag or "sparse")
+    t_max = times[-1]
+    scale = spla.norm(g, 1) * t_max
+    if scale > MAX_NORM_TIME:
+        raise ToleranceNotMetError(
+            f"||G||_1 * t_max = {scale:.3g} exceeds {MAX_NORM_TIME:.0e}; "
+            "the generator is too stiff to propagate over this span"
+        )
+
+    # an overflow shows up as a non-finite state, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if times.size > 1 and np.array_equal(times, np.linspace(0.0, t_max, times.size)):
+            states = spla.expm_multiply(
+                g, y0, start=0.0, stop=t_max, num=times.size, endpoint=True
+            )
+        else:
+            states = np.empty((times.size, y0.size), dtype=complex)
+            states[0] = y0
+            for i, dt in enumerate(np.diff(times), start=1):
+                states[i] = spla.expm_multiply(dt * g, states[i - 1])
+    if not np.all(np.isfinite(states)):
+        raise ToleranceNotMetError("propagation produced a non-finite state")
+    return Trajectory(times=times, states=states)
 
 
 def emission_intensity(traj, op, generator):
@@ -118,11 +89,8 @@ def emission_intensity(traj, op, generator):
     The sign makes decay from a polarized state register as positive
     emitted intensity.
     """
-    op = np.asarray(op, dtype=complex)
-    derivs = (generator @ traj.states.T).T if not sp.issparse(generator) else (
-        generator.dot(traj.states.T)
-    ).T
-    flat = op.T.reshape(-1)
+    derivs = (generator @ traj.states.T).T
+    flat = np.asarray(op, dtype=complex).T.reshape(-1)
     return -np.real(derivs @ flat)
 
 

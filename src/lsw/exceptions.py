@@ -64,7 +64,7 @@ class NonProductSlowSpaceError(LswError):
 
 
 class ToleranceNotMetError(LswError):
-    """Adaptive integration could not satisfy the error tolerances."""
+    """Propagation was refused as too stiff or produced a non-finite state."""
 
 
 class InhomogeneousUnsupportedError(LswError):

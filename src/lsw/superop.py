@@ -34,10 +34,6 @@ def devectorize(v):
     return v.reshape(d, d)
 
 
-def is_sparse(m):
-    return sp.issparse(m)
-
-
 def to_dense(m):
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
@@ -165,11 +161,6 @@ def lindblad_superop(spec, sparse="auto"):
         if fill_ratio(v) >= SPARSE_FILL_THRESHOLD:
             v = to_dense(v)
     return l0, v
-
-
-def apply_superop(g, rho):
-    """Apply a superoperator matrix to an operator, returning an operator."""
-    return devectorize(g @ vectorize(rho))
 
 
 def kossakowski_matrix(g):

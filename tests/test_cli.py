@@ -52,6 +52,27 @@ def test_spectrum_deterministic_bytes(tmp_path):
     assert cli.main(["spectrum", "--config", cfg]) == 0
     assert (tmp_path / "rnd_spectrum.csv").read_bytes() == first
 
+    # expm_multiply estimates matrix-power norms with scipy's onenormest,
+    # which draws from the global RNG; the trajectory must not depend on it
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2,
+                      "gamma": 1.0, "omega": 0.2},
+            "times": {"t_max": 400.0, "n_points": 41},
+            "output": str(tmp_path / "evo"),
+        },
+        name="evolve.yaml",
+    )
+    outputs = []
+    for seed in (1, 2, 3):
+        np.random.seed(seed)
+        assert cli.main(["evolve", "--config", cfg]) == 0
+        outputs.append((tmp_path / "evo_trajectory.csv").read_bytes())
+    # the runs did draw from it, so the seeds were exercised
+    assert np.random.randint(2**31) != np.random.RandomState(3).randint(2**31)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
 
 def test_effective_outputs(tmp_path):
     cfg = write_config(
