@@ -60,21 +60,19 @@ def _fmt(x):
 def _write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
     return path
 
 
 def _matrix_rows(m):
     """Row-major (row, col, re, im) records of a matrix."""
     m = np.asarray(m)
-    rows = []
     for i in range(m.shape[0]):
         for j in range(m.shape[1]):
-            rows.append((i, j, float(m[i, j].real), float(m[i, j].imag)))
-    return rows
+            yield (i, j, float(m[i, j].real), float(m[i, j].imag))
 
 
 def _build_symbols(defs):
@@ -281,18 +279,17 @@ def _task_spectrum(run):
     return [path]
 
 
-def _series_for(run, built):
+def _generators_for(run, built):
     l0 = _require_dense_tractable(built["l0"], run.task)
     v = to_dense(built["v"])
     sd = decompose(l0, zero_tol=run.zero_tol)
-    gen = sw.generator_terms(sd, v, run.order)
-    series = sw.correction_terms(gen, sd, v, epsilon=run.epsilon)
-    return sd, gen, series
+    return sd, v, sw.generator_terms(sd, v, run.order)
 
 
 def _task_effective(run):
     built = _build_model(run)
-    sd, _, series = _series_for(run, built)
+    sd, v, gen = _generators_for(run, built)
+    series = sw.correction_terms(gen, sd, v, epsilon=run.epsilon)
     paths = []
     for n in range(1, run.order + 1):
         mat = series.slow_terms[n - 1]
@@ -461,8 +458,7 @@ def _task_ancilla_qrt(run):
 
 def _task_decoupling_scan(run):
     built = _build_model(run)
-    sd, gen, _ = _series_for(run, built)
-    v = to_dense(built["v"])
+    sd, v, gen = _generators_for(run, built)
 
     def residual(eps):
         return sw.decoupling_residual(sd, v, gen, eps, run.order)

@@ -18,6 +18,7 @@ from .exceptions import (
     NotPositiveError,
     SingularBlochMatrixError,
 )
+from .operators import hermitian_basis
 from .spectral import decompose, fast_inverse
 from .superop import (
     devectorize,
@@ -94,74 +95,59 @@ class BlochSystem:
     seed_count: int
 
 
-def _real_project(vec, basis_vecs):
-    """Coefficients and residual of vec against an R-orthonormal basis."""
-    coeffs = np.array([np.vdot(b, vec).real for b in basis_vecs])
-    residual = vec - sum(c * b for c, b in zip(coeffs, basis_vecs)) if basis_vecs else vec
-    return coeffs, residual
-
-
 def close_operator_set(l0, seed_ops, tol=CLOSURE_TOL):
     """Close the seed operators under the adjoint evolution.
 
-    Iteratively adjoins adjoint-evolution images, orthonormalizing over the
-    real span of (sigma-expectation-free) Hermitian operators; that span is
-    invariant, so in finite dimension the loop always terminates, at the
-    latest once the full traceless basis is reached.
+    Works in real coordinates over the orthonormal Hermitian basis F, where
+    the adjoint generator is the real matrix A = Re(F^H L0^dag F) and the
+    real Hilbert-Schmidt product is a dot product.  The seed deviations,
+    then the image of each basis vector in turn, are orthonormalized with
+    two projection passes against a basis whose first row is the direction
+    of sigma; since Tr(X sigma) = <sigma, X>, that row keeps every later
+    vector a deviation and is dropped at the end.  The deviation space is
+    invariant, so the loop ends at the latest once it is spanned.
     """
     l0 = to_dense(l0)
     dim = int(round(l0.shape[0] ** 0.5))
     sigma = steady_state(l0)
-    eye = np.eye(dim, dtype=complex)
-    adjoint = l0.conj().T
+    frame = np.array(hermitian_basis(dim, traceless=False)).reshape(dim * dim, dim * dim)
+    adjoint = (frame.conj() @ l0.conj().T @ frame.T).real
 
     means = np.array([np.trace(np.asarray(a) @ sigma).real for a in seed_ops])
-    deltas = [np.asarray(a, dtype=complex) - m * eye for a, m in zip(seed_ops, means)]
+    deltas = [np.asarray(a, dtype=complex) - m * np.eye(dim) for a, m in zip(seed_ops, means)]
+    seeds = (np.reshape(deltas, (-1, dim * dim)) @ frame.conj().T).real
+    scale = max(np.linalg.norm(seeds, axis=1), default=1.0) or 1.0
 
-    basis_vecs, basis_ops = [], []
-    scale = max([np.linalg.norm(d) for d in deltas], default=1.0) or 1.0
+    basis = np.zeros((dim * dim, dim * dim))
+    basis[0] = (vectorize(sigma) @ frame.conj().T).real / np.linalg.norm(sigma)
+    size = 1
 
-    def adjoin(op):
-        v = vectorize(op)
-        _, res = _real_project(v, basis_vecs)
-        norm = np.linalg.norm(res)
+    def adjoin(vec):
+        nonlocal size
+        for _ in range(2):
+            vec = vec - basis[:size].T @ (basis[:size] @ vec)
+        norm = np.linalg.norm(vec)
         if norm > tol * scale:
-            basis_vecs.append(res / norm)
-            basis_ops.append(devectorize(res / norm))
-            return True
-        return False
+            basis[size] = vec / norm
+            size += 1
 
-    for d in deltas:
-        adjoin(d)
-    cursor = 0
-    while cursor < len(basis_vecs):
-        if len(basis_vecs) >= dim * dim - 1:
-            break  # full deviation space reached, closed by construction
-        image = devectorize(adjoint @ basis_vecs[cursor])
-        image = image - np.trace(image @ sigma) * eye
-        adjoin(image)
+    for vec in seeds:
+        adjoin(vec)
+    cursor = 1
+    while cursor < size < dim * dim:  # size == dim**2: deviation space spanned
+        adjoin(adjoint @ basis[cursor])
         cursor += 1
 
-    n = len(basis_vecs)
-    bloch = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        image = adjoint @ basis_vecs[i]
-        coeffs, _ = _real_project(image, basis_vecs)
-        bloch[i, :] = coeffs
-    covariance = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            covariance[i, j] = np.trace(basis_ops[i] @ basis_ops[j] @ sigma)
-    seed_coeffs = np.zeros((n, len(deltas)))
-    for a, d in enumerate(deltas):
-        coeffs, res = _real_project(vectorize(d), basis_vecs)
-        seed_coeffs[:, a] = coeffs
+    coords = basis[1:size]
+    flat = coords @ frame
+    ops = flat.reshape(-1, dim, dim)
+    covariance = flat @ (ops @ sigma).transpose(0, 2, 1).reshape(len(ops), dim * dim).T
     return BlochSystem(
-        ops=basis_ops,
-        bloch=bloch,
+        ops=list(ops),
+        bloch=coords @ adjoint.T @ coords.T,
         steady_means=means,
         covariance=covariance,
-        seed_coeffs=seed_coeffs,
+        seed_coeffs=coords @ seeds.T,
         sigma=sigma,
         seed_count=len(deltas),
     )
@@ -278,16 +264,20 @@ def effective_master_equation_2(model):
                     - sandwich_superop(sij, eye)
                     - sandwich_superop(eye, sij)
                 )
-    h_induced = np.zeros((ds, ds), dtype=complex)
-    ham = cm.hamiltonian_part
-    for i, si in enumerate(system_ops):
-        for j, sj in enumerate(system_ops):
-            h_induced = h_induced + ham[i, j] * (si @ sj)
-    h_induced = 0.5 * (h_induced + h_induced.conj().T)
-    second = second + hamiltonian_superop(h_induced)
+    second = second + hamiltonian_superop(_induced_hamiltonian(cm, system_ops))
     return EffectiveMasterEquation(
         first_order=first, second_order=second, coefficient=cm, bloch=bs
     )
+
+
+def _induced_hamiltonian(cm, system_ops):
+    """Hermitized sum_ij ham_ij S_i S_j of the coefficient matrix."""
+    h = sum(
+        cm.hamiltonian_part[i, j] * (si @ sj)
+        for i, si in enumerate(system_ops)
+        for j, sj in enumerate(system_ops)
+    )
+    return 0.5 * (h + h.conj().T)
 
 
 def lindblad_decomposition(cm, system_ops, tol=1e-9):
@@ -295,8 +285,8 @@ def lindblad_decomposition(cm, system_ops, tol=1e-9):
 
     Returns (jumps, h_eff) with jumps a list of (rate, operator) in the
     normalization where the generator is sum_a rate_a * D[op_a] plus
-    -i[h_eff, .].  Rates in [-tol, 0) are clamped to zero; anything below
-    -tol signals an upstream bug and raises NotPositiveError.
+    -i[h_eff, .].  Rates in [-tol, tol] are dropped as zero; anything
+    below -tol signals an upstream bug and raises NotPositiveError.
     """
     system_ops = [np.asarray(s, dtype=complex) for s in system_ops]
     half = 0.5 * cm.dissipation
@@ -306,16 +296,8 @@ def lindblad_decomposition(cm, system_ops, tol=1e-9):
         rate = float(kappa[alpha])
         if rate < -tol:
             raise NotPositiveError(f"dissipation eigenvalue {rate:.3e} below -{tol:.1e}")
-        rate = max(rate, 0.0)
-        if rate == 0.0:
+        if rate <= tol:
             continue
         op = sum(u[i, alpha].conjugate() * system_ops[i] for i in range(len(system_ops)))
         jumps.append((2.0 * rate, op))
-    ds = system_ops[0].shape[0]
-    h_eff = np.zeros((ds, ds), dtype=complex)
-    ham = cm.hamiltonian_part
-    for i, si in enumerate(system_ops):
-        for j, sj in enumerate(system_ops):
-            h_eff = h_eff + ham[i, j] * (si @ sj)
-    h_eff = 0.5 * (h_eff + h_eff.conj().T)
-    return jumps, h_eff
+    return jumps, _induced_hamiltonian(cm, system_ops)

@@ -36,8 +36,7 @@ class SpectralData:
     gap: float
     condition: float
     zero_tol: float
-    _p: np.ndarray = field(default=None, repr=False)
-    _q: np.ndarray = field(default=None, repr=False)
+    _pq: "Projectors" = field(default=None, repr=False)  # assigned once, whole
     _finv: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -100,10 +99,10 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT):
 
 def projectors(sd):
     """Spectral projectors P (slow) and Q = 1 - P; generally non-orthogonal."""
-    if sd._p is None:
-        sd._p = sd.right[:, sd.slow] @ sd.left[sd.slow, :]
-        sd._q = np.eye(sd.dim, dtype=complex) - sd._p
-    return Projectors(p=sd._p, q=sd._q, slow_dim=sd.slow_dim)
+    if sd._pq is None:
+        p = sd.right[:, sd.slow] @ sd.left[sd.slow, :]
+        sd._pq = Projectors(p=p, q=np.eye(sd.dim, dtype=complex) - p, slow_dim=sd.slow_dim)
+    return sd._pq
 
 
 def fast_inverse(sd):

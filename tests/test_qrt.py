@@ -98,13 +98,19 @@ def test_close_operator_set_driven_qubit_bloch_matrix():
 
 
 def test_close_operator_set_random_single_seed():
-    model = models.random_ancilla_model(3, 1, seed=2)
-    bs = close_operator_set(model.l0, [model.couplings[0][0]])
-    adjoint = model.l0.conj().T
-    for i, op in enumerate(bs.ops):
-        image = adjoint @ vectorize(op)
-        recon = sum(bs.bloch[i, k] * vectorize(bs.ops[k]) for k in range(len(bs.ops)))
-        assert np.abs(image - recon).max() < 1e-10
+    # dimension 16 closes onto all 255 deviation directions
+    for dim in (3, 16):
+        model = models.random_ancilla_model(dim, 1, seed=2)
+        bs = close_operator_set(model.l0, [model.couplings[0][0]])
+        vecs = np.array([vectorize(op) for op in bs.ops])
+        images = vecs @ model.l0.conj()  # row i is L0^dag applied to op i
+        assert np.abs(images - bs.bloch @ vecs).max() < 1e-10
+        # orthonormal under the real Hilbert-Schmidt product, Hermitian,
+        # and zero-mean in the steady state
+        gram = (vecs.conj() @ vecs.T).real
+        assert np.abs(gram - np.eye(len(vecs))).max() < 1e-12
+        assert max(np.abs(op - op.conj().T).max() for op in bs.ops) < 1e-12
+        assert max(abs(np.trace(op @ bs.sigma)) for op in bs.ops) < 1e-12
 
 
 def test_identity_couplings_give_zero_coefficient_matrix():
@@ -165,15 +171,32 @@ def test_singular_bloch_matrix_rejected():
         coefficient_matrix(bs)
 
 
-@pytest.mark.parametrize("dim,seed", [(2, 1), (3, 2), (4, 3)])
-def test_two_route_equality_random_models(dim, seed):
-    model = models.random_ancilla_model(dim, 2, seed=seed)
+# the last three have the shape of the qrt-mix benchmark: three couplings
+# and a three-level system, at ancilla dimensions where the closure used to
+# lose orthogonality
+TWO_ROUTE_CASES = [
+    (2, 1, 2, 2),
+    (3, 2, 2, 2),
+    (4, 3, 2, 2),
+    (8, 4, 3, 3),
+    (12, 5, 3, 3),
+    (16, 6, 3, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "dim,seed,n_couplings,dim_system",
+    TWO_ROUTE_CASES,
+    ids=[f"{dim}-{seed}" for dim, seed, _, _ in TWO_ROUTE_CASES],
+)
+def test_two_route_equality_random_models(dim, seed, n_couplings, dim_system):
+    model = models.random_ancilla_model(dim, n_couplings, seed=seed, dim_system=dim_system)
     ops = [a for a, _ in model.couplings]
     bs = close_operator_set(model.l0, ops)
     cm = coefficient_matrix(bs)
     sigma = steady_state(model.l0)
     oracle = coefficient_matrix_resolvent_oracle(model.l0, sigma, ops)
-    assert np.abs(cm.a_matrix - oracle).max() < 1e-8
+    assert np.abs(cm.a_matrix - oracle).max() < 1e-10
 
 
 def test_dissipation_positivity_many_models():

@@ -1,3 +1,8 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,7 +18,7 @@ from lsw.spectral import (
     resolvent_apply,
     spectral_norm,
 )
-from lsw.superop import hat_apply, to_dense, vectorize
+from lsw.superop import hat_apply, lindblad_superop, to_dense, vectorize
 
 
 def vec_dn_dn():
@@ -88,6 +93,31 @@ def test_all_slow_projector_is_identity():
     sd = decompose(np.zeros((4, 4), dtype=complex))
     pq = projectors(sd)
     assert np.abs(pq.p - np.eye(4)).max() < 1e-12
+
+
+def test_projectors_first_calls_race_free():
+    # eight threads make the first projectors() call on a fresh decomposition
+    # at once, with thread switches forced every microsecond; each must get
+    # both P and Q, never a half-filled cache
+    l0, _ = lindblad_superop(models.random_lindblad_model(5, 2, 0), sparse=False)
+    base = decompose(to_dense(l0))  # never asked for projectors: copies start empty
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(200):
+                sd, barrier = replace(base), threading.Barrier(8)
+
+                def first_call(sd=sd, barrier=barrier):
+                    barrier.wait(timeout=10)
+                    return projectors(sd)
+
+                futures = [pool.submit(first_call) for _ in range(8)]
+                for future in futures:
+                    pq = future.result(timeout=10)
+                    assert pq.p is not None and pq.q is not None
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_fast_inverse_eigenvalues(qubit_table):
