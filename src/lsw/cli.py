@@ -25,7 +25,7 @@ from .exceptions import (
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators
-from .spectral import check_perturbative_limit, decompose
+from .spectral import as_operand, check_perturbative_limit, decompose
 from .superop import LindbladSpec, lindblad_superop, to_csr, to_dense
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
@@ -34,19 +34,30 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# full eigendecompositions are dense; refuse configs that would densify
-# something enormous instead of crashing on the allocation
-DENSE_SPECTRAL_LIMIT = 4500
+# spectral tasks hold D x D superoperators, dense ones for models whose L0
+# does not factor; refuse configs past this size instead of crashing on an
+# allocation
+SPECTRAL_DIM_LIMIT = 4500
 
 
-def _require_dense_tractable(obj, task):
+def _require_tractable(obj, task):
     dim = obj.shape[0]
-    if dim > DENSE_SPECTRAL_LIMIT:
+    if dim > SPECTRAL_DIM_LIMIT:
         raise ValidationError(
-            f"task {task!r} needs a dense eigendecomposition; superoperator "
-            f"dimension {dim} exceeds {DENSE_SPECTRAL_LIMIT} (reduce the model size)"
+            f"task {task!r}: superoperator dimension {dim} exceeds the spectral "
+            f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
         )
-    return to_dense(obj)
+
+
+def _decomposed(run, built):
+    """Size check, then L0's eigensystem and V in the chosen backend's storage.
+
+    The product backend is taken when the model names a factorization and
+    L0 acts on its ancilla factor only; only the dense backend densifies V.
+    """
+    _require_tractable(built["l0"], run.task)
+    sd = decompose(built["l0"], zero_tol=run.zero_tol, dims=built.get("dims"))
+    return sd, as_operand(sd, built["v"])
 
 
 def _fmt(x):
@@ -203,6 +214,7 @@ def _build_model(run):
             "rho0": model.initial_state,
             "observables": {"iz": model.iz_full},
             "model": model,
+            "dims": model.dims,
         }
     if kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
@@ -253,8 +265,7 @@ def _build_model(run):
 
 def _task_spectrum(run):
     built = _build_model(run)
-    l0 = _require_dense_tractable(built["l0"], run.task)
-    sd = decompose(l0, zero_tol=run.zero_tol)
+    sd, _ = _decomposed(run, built)
     report = check_perturbative_limit(sd, built["v"], run.epsilon)
     rows = []
     flags = {int(i): "slow" for i in sd.slow}
@@ -280,9 +291,7 @@ def _task_spectrum(run):
 
 
 def _generators_for(run, built):
-    l0 = _require_dense_tractable(built["l0"], run.task)
-    v = to_dense(built["v"])
-    sd = decompose(l0, zero_tol=run.zero_tol)
+    sd, v = _decomposed(run, built)
     return sd, v, sw.generator_terms(sd, v, run.order)
 
 
@@ -354,9 +363,7 @@ def _task_compare(run):
     model = built["model"]
     gen_exact = to_csr(model.l0 + model.v)
     times = run.times
-    l0 = _require_dense_tractable(model.l0, run.task)
-    v = to_dense(model.v)
-    sd = decompose(l0, zero_tol=run.zero_tol)
+    sd, v = _decomposed(run, built)
     gen = sw.generator_terms(sd, v, 3)
     series = sw.correction_terms(gen, sd, v)
     red2 = sw.reduced_effective(series, sd, model.dims, 2, cumulative=True).matrix

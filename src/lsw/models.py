@@ -16,6 +16,7 @@ from .operators import spin_operators, tensor
 from .qrt import AncillaModel
 from .superop import (
     LindbladSpec,
+    factor_order,
     hamiltonian_superop,
     lindblad_superop,
     sandwich_superop,
@@ -205,15 +206,9 @@ def eigenbasis_blocks(model):
     dsq = dn * dn
     v = to_dense(model.v)
 
-    # permute row-stacked full indices (i a)(j b) -> electron pair (i j)
-    # slow, nuclear pair (a b) fast
-    i_idx, a_idx, j_idx, b_idx = np.unravel_index(
-        np.arange((da * dn) ** 2), (da, dn, da, dn)
-    )
-    perm = ((i_idx * da + j_idx) * dsq) + (a_idx * dn + b_idx)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    v_fact = v[np.ix_(inv, inv)]
+    # electron pair (i j) as the outer index, nuclear pair (a b) inner
+    order = factor_order(da, dn)
+    v_fact = v[np.ix_(order, order)]
 
     blocks = np.empty((4, 4), dtype=object)
     for i in range(4):

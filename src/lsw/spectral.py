@@ -4,40 +4,59 @@ The slow set collects eigenvalues at zero (relative tolerance), the fast
 set everything else.  Left eigenvectors are rows of the inverse of the
 right-eigenvector matrix, which enforces biorthonormality and completeness
 up to inversion error and avoids any eigenvector pairing ambiguity.
+
+Two backends build the same :class:`SpectralData`.  The dense one
+diagonalizes the full D x D generator.  The product one serves a
+generator that acts on an ancilla factor only, L0 = L_A (x) 1_S: it
+diagonalizes the d_A**2 x d_A**2 block L_A and lifts every D x D object
+(eigenvectors, projectors, fast inverse) to a sparse kron with the
+subsystem identity.  The input decides: given ``dims``, ``decompose``
+takes the product backend exactly when the lift of L_A reproduces L0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import DefectiveOperatorError, EmptySlowSpaceError, ZeroGapError
-from .superop import to_dense
+from .superop import compact, factor_order, to_csr, to_dense
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e8
 
 
-@dataclass
+@dataclass(frozen=True)
+class Projectors:
+    p: object
+    q: object
+    slow_dim: int
+
+
+@dataclass(frozen=True)
 class SpectralData:
-    """Eigensystem of L0 with the slow/fast partition.
+    """Eigensystem of L0 with the slow/fast partition, built whole.
 
     ``left @ right == identity`` by construction; ``gap`` is the smallest
     modulus among fast eigenvalues (+inf when the fast set is empty).
+    ``backend`` is ``"dense"`` (ndarrays) or ``"product"`` (CSR matrices
+    for every D x D member); ``pq`` and ``finv`` are the projectors and the
+    fast inverse.
     """
 
-    operator: np.ndarray
+    operator: object
     eigenvalues: np.ndarray
-    right: np.ndarray  # columns are right eigenvectors
-    left: np.ndarray  # rows are left eigenvectors
+    right: object  # columns are right eigenvectors
+    left: object  # rows are left eigenvectors
     slow: np.ndarray  # indices of zero modes
     fast: np.ndarray
     gap: float
     condition: float
     zero_tol: float
-    _pq: "Projectors" = field(default=None, repr=False)  # assigned once, whole
-    _finv: np.ndarray = field(default=None, repr=False)
+    pq: Projectors
+    finv: object
+    backend: str
 
     @property
     def dim(self):
@@ -48,26 +67,8 @@ class SpectralData:
         return self.slow.size
 
 
-@dataclass
-class Projectors:
-    p: np.ndarray
-    q: np.ndarray
-    slow_dim: int
-
-
-def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT):
-    """Diagonalize a generator and split its spectrum at zero.
-
-    Raises
-    ------
-    DefectiveOperatorError
-        If the right-eigenvector matrix has condition number above
-        ``cond_limit`` (no usable biorthonormal system).
-    EmptySlowSpaceError
-        If no eigenvalue is classified as zero; either ``zero_tol`` is too
-        small or the input is not a trace-preserving generator.
-    """
-    l0 = to_dense(l0)
+def _eig(l0, zero_tol, cond_limit):
+    """Eigensystem of a dense generator and its zero/non-zero split."""
     w, right = np.linalg.eig(l0)
     condition = np.linalg.cond(right)
     if not np.isfinite(condition) or condition > cond_limit:
@@ -84,6 +85,90 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT):
         )
     fast = np.flatnonzero(mods > zero_tol * scale)
     gap = float(mods[fast].min()) if fast.size else np.inf
+    return w, right, left, slow, fast, gap, float(condition)
+
+
+def _split_operators(w, right, left, slow, fast, gap):
+    """Slow projector, its complement and the fast inverse of one eigensystem."""
+    if fast.size and gap <= 0:
+        raise ZeroGapError("fast eigenvalues reach down to zero modulus")
+    dim = w.size
+    p = right[:, slow] @ left[slow, :]
+    if fast.size == 0:
+        finv = np.zeros((dim, dim), dtype=complex)
+    else:
+        finv = (right[:, fast] / w[fast]) @ left[fast, :]
+    return p, np.eye(dim, dtype=complex) - p, finv
+
+
+def _lift(a, n, rows, cols):
+    """a (x) 1_n as CSR, its row and column indices mapped through rows, cols."""
+    m = sp.kron(a, sp.identity(n, dtype=complex), format="coo")
+    return sp.csr_matrix((m.data, (rows[m.row], cols[m.col])), shape=m.shape)
+
+
+def _product(l0, dims, zero_tol, cond_limit):
+    """SpectralData from the eigensystem of L_A, or None unless L0 = L_A (x) 1_S.
+
+    L_A is read off the subsystem pair (0 0) of the permuted L0; the lift
+    of L_A must then reproduce every entry of L0 exactly.
+    """
+    dim_a, dim_s = dims
+    n = dim_s * dim_s
+    if dim_a * dim_a * n != l0.shape[0]:
+        return None
+    order = factor_order(dim_a, dim_s)
+    l0 = to_csr(l0)
+    corner = order[::n]
+    block = l0[corner][:, corner].toarray()
+    if (_lift(block, n, order, order) != l0).nnz:
+        return None
+    w, right, left, slow, fast, gap, condition = _eig(block, zero_tol, cond_limit)
+    p, q, finv = _split_operators(w, right, left, slow, fast, gap)
+    same = np.arange(l0.shape[0])
+    full_slow = (slow[:, None] * n + np.arange(n)).ravel()
+    return SpectralData(
+        operator=l0,
+        eigenvalues=np.repeat(w, n),
+        right=_lift(right, n, order, same),
+        left=_lift(left, n, same, order),
+        slow=full_slow,
+        fast=(fast[:, None] * n + np.arange(n)).ravel(),
+        gap=gap,
+        condition=condition,
+        zero_tol=zero_tol,
+        pq=Projectors(
+            p=_lift(p, n, order, order),
+            q=_lift(q, n, order, order),
+            slow_dim=full_slow.size,
+        ),
+        finv=_lift(finv, n, order, order),
+        backend="product",
+    )
+
+
+def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT, dims=None):
+    """Diagonalize a generator and split its spectrum at zero.
+
+    ``dims = (dim_ancilla, dim_system)`` names a factorization of the
+    Hilbert space; when L0 acts on the ancilla factor only, the product
+    backend is used, otherwise (and without ``dims``) the dense one.
+
+    Raises
+    ------
+    DefectiveOperatorError
+        If the right-eigenvector matrix has condition number above
+        ``cond_limit`` (no usable biorthonormal system).
+    EmptySlowSpaceError
+        If no eigenvalue is classified as zero; either ``zero_tol`` is too
+        small or the input is not a trace-preserving generator.
+    """
+    sd = None if dims is None else _product(l0, dims, zero_tol, cond_limit)
+    if sd is not None:
+        return sd
+    l0 = to_dense(l0)
+    w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol, cond_limit)
+    p, q, finv = _split_operators(w, right, left, slow, fast, gap)
     return SpectralData(
         operator=l0,
         eigenvalues=w,
@@ -92,29 +177,31 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT):
         slow=slow,
         fast=fast,
         gap=gap,
-        condition=float(condition),
+        condition=condition,
         zero_tol=zero_tol,
+        pq=Projectors(p=p, q=q, slow_dim=slow.size),
+        finv=finv,
+        backend="dense",
     )
+
+
+def as_operand(sd, a):
+    """A superoperator in the storage of sd's backend.
+
+    Dense on the dense backend; CSR on the product backend unless it is as
+    full as ``superop.SPARSE_FILL_THRESHOLD`` (see ``superop.compact``).
+    """
+    return compact(to_csr(a)) if sd.backend == "product" else to_dense(a)
 
 
 def projectors(sd):
     """Spectral projectors P (slow) and Q = 1 - P; generally non-orthogonal."""
-    if sd._pq is None:
-        p = sd.right[:, sd.slow] @ sd.left[sd.slow, :]
-        sd._pq = Projectors(p=p, q=np.eye(sd.dim, dtype=complex) - p, slow_dim=sd.slow_dim)
-    return sd._pq
+    return sd.pq
 
 
 def fast_inverse(sd):
     """Inverse of L0 restricted to the fast space, zero on the slow space."""
-    if sd._finv is None:
-        if sd.fast.size and sd.gap <= 0:
-            raise ZeroGapError("fast eigenvalues reach down to zero modulus")
-        if sd.fast.size == 0:
-            sd._finv = np.zeros((sd.dim, sd.dim), dtype=complex)
-        else:
-            sd._finv = (sd.right[:, sd.fast] / sd.eigenvalues[sd.fast]) @ sd.left[sd.fast, :]
-    return sd._finv
+    return sd.finv
 
 
 def resolvent_apply(sd, a):
@@ -123,10 +210,8 @@ def resolvent_apply(sd, a):
     Returns Q L0inv A P - P A L0inv Q; for block-off-diagonal X this is the
     unique block-off-diagonal solution of [solution, L0] = A.
     """
-    pq = projectors(sd)
-    finv = fast_inverse(sd)
-    a = np.asarray(a)
-    return finv @ (a @ pq.p) - (pq.p @ a) @ finv
+    p = sd.pq.p
+    return compact(sd.finv @ (a @ p) - (p @ a) @ sd.finv)
 
 
 def eigen_blocks(sd, a):
@@ -135,10 +220,10 @@ def eigen_blocks(sd, a):
     Returns (a_pp, a_pq, a_qp, a_qq) with a_pq the slow-row/fast-column
     block ⟨l_slow| A |r_fast⟩ and so on.
     """
-    a = to_dense(a)
+    a = as_operand(sd, a)
     ls, lf = sd.left[sd.slow, :], sd.left[sd.fast, :]
     rs, rf = sd.right[:, sd.slow], sd.right[:, sd.fast]
-    return ls @ a @ rs, ls @ a @ rf, lf @ a @ rs, lf @ a @ rf
+    return tuple(to_dense(x) for x in (ls @ a @ rs, ls @ a @ rf, lf @ a @ rs, lf @ a @ rf))
 
 
 def spectral_norm(a):

@@ -42,6 +42,33 @@ def to_csr(m):
     return m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
 
 
+def zeros_like(m):
+    """All-zero superoperator of the same shape and storage as m."""
+    return sp.csr_matrix(m.shape, dtype=complex) if sp.issparse(m) else np.zeros_like(m)
+
+
+def compact(m):
+    """m in the cheaper storage for products: dense once it is as full as
+    ``SPARSE_FILL_THRESHOLD``, since sparse products of full matrices cost
+    far more than dense ones."""
+    if sp.issparse(m) and fill_ratio(m) >= SPARSE_FILL_THRESHOLD:
+        return m.toarray()
+    return m
+
+
+def factor_order(dim_a, dim_s):
+    """Row-stacked operators on A (x) S reordered with the ancilla pair outer.
+
+    Entry ((i * dim_a + j) * dim_s + a) * dim_s + b is the vec index of
+    |i a><j b|.  In this order a generator acting on the ancilla only is
+    L_A (x) 1, block by block.
+    """
+    i, j, a, b = np.unravel_index(
+        np.arange((dim_a * dim_s) ** 2), (dim_a, dim_a, dim_s, dim_s)
+    )
+    return (i * dim_s + a) * dim_a * dim_s + j * dim_s + b
+
+
 def fill_ratio(m):
     if sp.issparse(m):
         return m.nnz / (m.shape[0] * m.shape[1])
@@ -87,15 +114,13 @@ def hat_apply(generator, target):
     """Commutator map attached to a superoperator: returns [target, generator].
 
     This is the matrix the decoupling recursion composes; both arguments are
-    superoperator matrices of equal shape.
+    superoperator matrices of equal shape, dense or sparse.
     """
-    generator = np.asarray(generator)
-    target = np.asarray(target)
     if generator.shape != target.shape:
         raise DimensionMismatchError(
             f"hat_apply on shapes {generator.shape} vs {target.shape}"
         )
-    return target @ generator - generator @ target
+    return compact(target @ generator - generator @ target)
 
 
 def trace_functional(d):

@@ -20,9 +20,8 @@ from .exceptions import (
     OrderUnavailableError,
     ZeroGapError,
 )
-from .operators import partial_trace_left
-from .spectral import eigen_blocks, projectors, resolvent_apply, spectral_norm
-from .superop import hat_apply, to_dense, vectorize
+from .spectral import as_operand, eigen_blocks, resolvent_apply, spectral_norm
+from .superop import hat_apply, to_dense, vectorize, zeros_like
 
 MAX_ORDER = 8
 
@@ -46,8 +45,8 @@ def _compositions(total, parts):
 
 def split_blocks(sd, v):
     """Block-diagonal and block-off-diagonal parts of a superoperator."""
-    pq = projectors(sd)
-    v = to_dense(v)
+    pq = sd.pq
+    v = as_operand(sd, v)
     v_diag = pq.p @ v @ pq.p + pq.q @ v @ pq.q
     return v_diag, v - v_diag
 
@@ -63,7 +62,7 @@ class SWGenerator:
         order = self.nmax if order is None else order
         if order > self.nmax:
             raise OrderUnavailableError(f"order {order} > computed nmax {self.nmax}")
-        s = np.zeros_like(self.terms[0])
+        s = zeros_like(self.terms[0])
         for n in range(1, order + 1):
             s += epsilon**n * self.terms[n - 1]
         return s
@@ -127,7 +126,7 @@ def correction_terms(gen, sd, v, epsilon=1.0):
     v_diag, v_off = split_blocks(sd, v)
     corrections = [v_diag]
     for n in range(2, gen.nmax + 1):
-        w = np.zeros_like(v_diag)
+        w = zeros_like(v_diag)
         for p, coeff in _TANH_HALF.items():
             if p > n - 1:
                 continue
@@ -135,7 +134,7 @@ def correction_terms(gen, sd, v, epsilon=1.0):
                 w = w + coeff * _chain(gen.terms, ks, v_off)
         corrections.append(w)
     ls, rs = sd.left[sd.slow, :], sd.right[:, sd.slow]
-    slow_terms = [ls @ w @ rs for w in corrections]
+    slow_terms = [to_dense(ls @ w @ rs) for w in corrections]
     return EffectiveSeries(
         corrections=corrections,
         slow_terms=slow_terms,
@@ -183,13 +182,13 @@ def decoupling_residual(sd, v, gen, epsilon, order):
     """Norm of the slow/fast coupling left after the truncated transform.
 
     Builds S(eps) through the requested order, conjugates L0 + eps V with
-    exp(+-S) (scaling-and-squaring exponentials), and returns the sum of
-    spectral norms of the two off-diagonal blocks.
+    exp(+-S) (scaling-and-squaring exponentials; both are densified for
+    it), and returns the sum of spectral norms of the two off-diagonal blocks.
     """
-    s = gen.total(epsilon, order)
-    l_full = sd.operator + epsilon * to_dense(v)
+    s = to_dense(gen.total(epsilon, order))
+    l_full = to_dense(sd.operator + epsilon * as_operand(sd, v))
     transformed = expm(-s) @ l_full @ expm(s)
-    pq = projectors(sd)
+    pq = sd.pq
     return spectral_norm(pq.p @ transformed @ pq.q) + spectral_norm(pq.q @ transformed @ pq.p)
 
 
@@ -223,7 +222,7 @@ def reduced_effective(series, sd, dims, order, epsilon=None, cumulative=True, to
         )
     if dim_a * dim_a * dim_s * dim_s != sd.dim:
         raise NonProductSlowSpaceError("dims do not factor the full space")
-    pq = projectors(sd)
+    pq = sd.pq
 
     # extract the fixed ancilla state from the projector's action
     trial = np.kron(np.eye(dim_a, dtype=complex) / dim_a, _unit(dim_s, 0, 0))
@@ -235,27 +234,20 @@ def reduced_effective(series, sd, dims, order, epsilon=None, cumulative=True, to
     sigma = sigma / trace
 
     # verify P chi = sigma (x) Tr_A(chi) on the subsystem units
-    embed = np.empty((sd.dim, dim_s * dim_s), dtype=complex)
-    for k in range(dim_s):
-        for l in range(dim_s):
-            unit_vec = vectorize(np.kron(sigma, _unit(dim_s, k, l)))
-            col = k * dim_s + l
-            embed[:, col] = unit_vec
-            if np.linalg.norm(pq.p @ unit_vec - unit_vec) > tol * max(
-                1.0, np.linalg.norm(unit_vec)
-            ):
-                raise NonProductSlowSpaceError(
-                    "slow projector does not fix the product-state basis"
-                )
+    # (column k * dim_s + l is vec(sigma (x) |k><l|))
+    eye = np.eye(dim_s, dtype=complex)
+    embed = np.einsum("ij,ak,bl->iajbkl", sigma, eye, eye).reshape(sd.dim, -1)
+    drift = np.linalg.norm(pq.p @ embed - embed, axis=0)
+    if np.any(drift > tol * np.maximum(1.0, np.linalg.norm(embed, axis=0))):
+        raise NonProductSlowSpaceError("slow projector does not fix the product-state basis")
 
-    # effective generator embedded in the full space, then traced down
+    # effective generator applied to the embedded units, then traced down
     ls, rs = sd.left[sd.slow, :], sd.right[:, sd.slow]
     slow_mat = effective_liouvillian(series, order, epsilon=epsilon, cumulative=cumulative)
-    full = rs @ slow_mat @ ls
-    reduced = np.empty((dim_s * dim_s, dim_s * dim_s), dtype=complex)
-    for col in range(dim_s * dim_s):
-        w = (full @ embed[:, col]).reshape(dim_a * dim_s, dim_a * dim_s)
-        reduced[:, col] = partial_trace_left(w, dim_a, dim_s).reshape(-1)
+    images = rs @ (slow_mat @ (ls @ embed))
+    reduced = np.einsum(
+        "iaibc->abc", images.reshape(dim_a, dim_s, dim_a, dim_s, -1)
+    ).reshape(dim_s * dim_s, -1)
     return ReducedEffective(matrix=reduced, ancilla_state=sigma, embed=embed)
 
 

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import yaml
 
-from lsw import cli, models
+from lsw import cli, models, spectral
 from lsw.superop import to_dense
+from lsw.sw import match_eigenvalues
 
 
 def write_config(tmp_path, payload, name="run.yaml"):
@@ -16,6 +19,44 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def read_columns(path):
+    header, rows = read_csv(Path(path))
+    return {h: np.array([float(r[i]) for r in rows]) for i, h in enumerate(header)}
+
+
+def read_matrix(path):
+    c = read_columns(path)
+    n = int(c["row"].max()) + 1
+    m = np.zeros((n, int(c["col"].max()) + 1), dtype=complex)
+    m[c["row"].astype(int), c["col"].astype(int)] = c["re"] + 1j * c["im"]
+    return m
+
+
+def run_on_backend(monkeypatch, task, cfg, out, dense):
+    """Run a CLI task, on the dense backend if asked; return the backends used."""
+    real = spectral.decompose
+    used = []
+
+    def recorded(l0, zero_tol, dims):
+        sd = real(l0, zero_tol=zero_tol, dims=None if dense else dims)
+        used.append(sd.backend)
+        return sd
+
+    monkeypatch.setattr(cli, "decompose", recorded)
+    assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.undo()
+    return used
+
+
+def run_both_backends(tmp_path, monkeypatch, task, payload):
+    """Output prefixes of a superradiance task run on the product and the dense backend."""
+    cfg = write_config(tmp_path, payload)
+    product, dense = tmp_path / "product", tmp_path / "dense"
+    assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["product"]
+    assert run_on_backend(monkeypatch, task, cfg, dense, dense=True) == ["dense"]
+    return f"{product}_", f"{dense}_"
 
 
 def test_spectrum_decaying_qubit(tmp_path):
@@ -286,3 +327,78 @@ def test_oversized_spectral_task_exits_2(tmp_path):
     )
     assert cli.main(["spectrum", "--config", cfg]) == 2
     assert not list(tmp_path.glob("huge*"))
+
+
+def test_compare_product_backend_matches_dense(tmp_path, monkeypatch):
+    product, dense = run_both_backends(
+        tmp_path,
+        monkeypatch,
+        "compare",
+        {
+            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2},
+            "times": {"t_max": 400.0, "n_points": 41},
+        },
+    )
+    got, want = read_columns(product + "compare.csv"), read_columns(dense + "compare.csv")
+    for name in ("intensity_exact", "intensity_order2", "intensity_order2plus3"):
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max()
+
+
+def test_decoupling_scan_product_backend_matches_dense(tmp_path, monkeypatch):
+    product, dense = run_both_backends(
+        tmp_path,
+        monkeypatch,
+        "decoupling-scan",
+        {
+            "model": {"kind": "superradiance", "n_spins": 4, "g": 1.0, "gamma": 1.0, "omega": 0.2},
+            "order": 4,
+            "epsilons": [0.08, 0.04, 0.02],
+        },
+    )
+    got, want = read_columns(product + "decoupling.csv"), read_columns(dense + "decoupling.csv")
+    assert np.abs(got["residual"] / want["residual"] - 1).max() <= 1e-10
+    assert abs(got["fitted_slope"][0] - want["fitted_slope"][0]) <= 1e-6
+
+
+def test_spectrum_product_backend_matches_dense(tmp_path, monkeypatch):
+    product, dense = run_both_backends(
+        tmp_path,
+        monkeypatch,
+        "spectrum",
+        {"model": {"kind": "superradiance", "n_spins": 4, "g": 0.1, "gamma": 1.0, "omega": 0.2}},
+    )
+    spectra = []
+    for prefix in (product, dense):
+        _, rows = read_csv(Path(prefix + "spectrum.csv"))
+        spectra.append(np.array([float(r[1]) + 1j * float(r[2]) for r in rows]))
+        slow = np.array([r[3] == "slow" for r in rows])
+        assert slow.sum() == 25  # N=4: the nuclear operator space
+        assert np.abs(spectra[-1][slow]).max() < 1e-12 < np.abs(spectra[-1][~slow]).min()
+    got, want = spectra
+    assert np.abs(match_eigenvalues(want, got) - want).max() <= 1e-12
+
+
+def test_effective_product_backend_matches_dense(tmp_path, monkeypatch):
+    # the per-order matrices are written in each backend's own slow basis,
+    # so what must agree is their spectra and the basis-free diagnostics
+    order = 3
+    product, dense = run_both_backends(
+        tmp_path,
+        monkeypatch,
+        "effective",
+        {
+            "model": {"kind": "superradiance", "n_spins": 2, "g": 0.1, "gamma": 1.0, "omega": 0.2},
+            "order": order,
+        },
+    )
+    totals = {product: 0, dense: 0}
+    for n in range(1, order + 1):
+        for prefix in totals:
+            totals[prefix] = totals[prefix] + read_matrix(f"{prefix}effective_order{n}.csv")
+        want = np.linalg.eigvals(totals[dense])
+        got = match_eigenvalues(want, np.linalg.eigvals(totals[product]))
+        assert np.abs(got - want).max() <= 1e-10
+    assert read_columns(product + "effective_diagnostics.csv")["trace_residual"].max() < 1e-9
+    got = read_columns(product + "effective_psd.csv")["kossakowski_eigmin"][0]
+    want = read_columns(dense + "effective_psd.csv")["kossakowski_eigmin"][0]
+    assert abs(got - want) <= 1e-10

@@ -14,22 +14,33 @@ ROOT = Path(__file__).resolve().parent.parent
 DISTRIBUTIONS = {"yaml": "pyyaml"}
 
 
-def third_party_imports():
+def third_party_imports(directory):
     names = set()
-    for path in (ROOT / "src" / "lsw").rglob("*.py"):
+    for path in directory.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    names -= set(sys.stdlib_module_names) | {"lsw"}
+    local = {path.stem for path in directory.glob("*.py")}
+    names -= set(sys.stdlib_module_names) | {"lsw"} | local
     return {DISTRIBUTIONS.get(name, name) for name in names}
+
+
+def declared(deps):
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
 
 
 def test_declared_dependencies_match_imports():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    declared = {
-        re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
-        for dep in project["dependencies"]
-    }
-    assert third_party_imports() == declared
+    assert third_party_imports(ROOT / "src" / "lsw") == declared(project["dependencies"])
+
+
+def test_test_imports_are_declared():
+    # the suite may import the runtime dependencies and the `test` extra only
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    allowed = declared(project["dependencies"]) | declared(
+        project["optional-dependencies"]["test"]
+    )
+    assert third_party_imports(ROOT / "tests") <= allowed
+    assert "hypothesis" in third_party_imports(ROOT / "tests")

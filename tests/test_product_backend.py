@@ -1,0 +1,125 @@
+"""The product spectral backend against the dense one.
+
+For L0 = L_A (x) 1_S every quantity of the decoupling recursion is a
+basis-independent D x D object (S_n, W_n, the full-space slow generator)
+or a spectrum, so the two backends must agree on it although their
+eigenvector bases differ.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_hermitian
+from lsw import models
+from lsw.spectral import as_operand, decompose
+from lsw.superop import hamiltonian_superop, lindblad_superop, to_dense
+from lsw.sw import (
+    closed_form_slow_orders,
+    correction_terms,
+    effective_liouvillian,
+    generator_terms,
+    match_eigenvalues,
+    reduced_effective,
+)
+
+TOL = 1e-10
+
+
+def ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling):
+    """Random L_A (x) 1_S on A (x) S plus a Hermitian V of unit norm.
+
+    The lift is written out entrywise, L0[(i a)(j b), (k c)(l d)] =
+    L_A[(i j), (k l)] delta_ac delta_bd, so it is exactly a product.  V
+    comes from a random Hermitian on the whole space, or from a flip-flop
+    plus z-type coupling whose superoperator is sparse enough to stay CSR
+    on the product backend.
+    """
+    rng = np.random.default_rng(seed)
+    l_a, _ = lindblad_superop(models.random_lindblad_model(dim_a, 2, seed), sparse=False)
+    eye = np.eye(dim_s)
+    dim = (dim_a * dim_s) ** 2
+    l0 = np.einsum(
+        "ijkl,ac,bd->iajbkcld", l_a.reshape((dim_a,) * 4), eye, eye
+    ).reshape(dim, dim)
+    if sparse_coupling:
+        flip_a, flip_s = np.eye(dim_a, k=1), np.eye(dim_s, k=1)
+        h_v = rng.standard_normal() * np.kron(flip_a, flip_s.T)
+        z_a, z_s = np.diag(rng.standard_normal(dim_a)), np.diag(np.arange(dim_s))
+        h_v = h_v + h_v.T + np.kron(z_a, z_s)
+    else:
+        h_v = random_hermitian(rng, dim_a * dim_s)
+    return l0, hamiltonian_superop(h_v / np.linalg.norm(h_v, 2))
+
+
+def assert_close(got, want):
+    got, want = to_dense(got), to_dense(want)
+    assert np.abs(got - want).max() <= TOL * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    dim_a=st.integers(2, 4),
+    dim_s=st.integers(2, 3),
+    order=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    sparse_coupling=st.booleans(),
+)
+def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_coupling):
+    l0, v = ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling)
+    dims = (dim_a, dim_s)
+    runs = {}
+    for use_dims in (dims, None):
+        sd = decompose(l0, dims=use_dims)
+        op = as_operand(sd, v)
+        gen = generator_terms(sd, op, order)
+        series = correction_terms(gen, sd, op)
+        rs, ls = sd.right[:, sd.slow], sd.left[sd.slow, :]
+        full_slow = rs @ effective_liouvillian(series, order) @ ls
+        closed = [rs @ x @ ls for x in closed_form_slow_orders(sd, op)]
+        reduced = reduced_effective(series, sd, dims, order).matrix
+        # each eigenvalue belongs to its own right vector
+        right = to_dense(sd.right)
+        assert_close(sd.operator @ right, right * sd.eigenvalues)
+        runs[sd.backend] = (sd, gen, series, full_slow, closed, reduced)
+    assert set(runs) == {"product", "dense"}
+    (sd_p, gen_p, ser_p, full_p, closed_p, red_p) = runs["product"]
+    (sd_d, gen_d, ser_d, full_d, closed_d, red_d) = runs["dense"]
+    for c_p, c_d in zip(closed_p, closed_d):
+        assert_close(c_p, c_d)
+    for s_p, s_d in zip(gen_p.terms, gen_d.terms):
+        assert_close(s_p, s_d)
+    for w_p, w_d in zip(ser_p.corrections, ser_d.corrections):
+        assert_close(w_p, w_d)
+    assert_close(full_p, full_d)
+    assert_close(red_p, red_d)
+    matched = match_eigenvalues(sd_d.eigenvalues, sd_p.eigenvalues)
+    assert np.abs(matched - sd_d.eigenvalues).max() <= TOL * max(
+        1.0, np.abs(sd_d.eigenvalues).max()
+    )
+    assert sd_p.slow_dim == sd_d.slow_dim and abs(sd_p.gap - sd_d.gap) <= TOL
+
+
+def test_model_that_does_not_factor_takes_dense_path():
+    spec = models.random_lindblad_model(6, 2, seed=9)
+    l0, _ = lindblad_superop(spec, sparse=False)
+    with_dims = decompose(l0, dims=(2, 3))
+    plain = decompose(l0)
+    assert with_dims.backend == plain.backend == "dense"
+    for name in ("eigenvalues", "right", "left", "slow", "fast", "finv"):
+        assert np.array_equal(getattr(with_dims, name), getattr(plain, name))
+    assert np.array_equal(with_dims.pq.p, plain.pq.p)
+    assert with_dims.gap == plain.gap and with_dims.condition == plain.condition
+
+
+def test_superradiance_model_takes_product_path():
+    p = models.SuperradianceParams(n_spins=3, g=0.1, gamma=1.0, omega=0.2)
+    for sparse in (False, True):
+        m = models.superradiance_model(p, sparse=sparse)
+        sd = decompose(m.l0, dims=m.dims)
+        assert sd.backend == "product"
+        assert sd.slow_dim == m.dims[1] ** 2 and sd.dim == m.l0.shape[0]
+        eye = np.eye(sd.dim)
+        assert np.abs(to_dense(sd.left @ sd.right) - eye).max() < 1e-12
+        assert np.abs(to_dense(sd.pq.p @ sd.pq.p - sd.pq.p)).max() < 1e-12
+        assert np.abs(to_dense(sd.finv @ sd.operator - sd.pq.q)).max() < 1e-12

@@ -96,11 +96,11 @@ def test_all_slow_projector_is_identity():
 
 
 def test_projectors_first_calls_race_free():
-    # eight threads make the first projectors() call on a fresh decomposition
-    # at once, with thread switches forced every microsecond; each must get
-    # both P and Q, never a half-filled cache
+    # eight threads make the first projectors() call on a fresh copy of a
+    # decomposition at once, with thread switches forced every microsecond;
+    # each must get both P and Q
     l0, _ = lindblad_superop(models.random_lindblad_model(5, 2, 0), sparse=False)
-    base = decompose(to_dense(l0))  # never asked for projectors: copies start empty
+    base = decompose(to_dense(l0))  # built whole, projectors included: copies share them
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
