@@ -52,11 +52,13 @@ def _require_tractable(obj, task):
 def _decomposed(run, built):
     """Size check, then L0's eigensystem and V in the chosen backend's storage.
 
-    The product backend is taken when the model names a factorization and
-    L0 acts on its ancilla factor only; only the dense backend densifies V.
+    The model declares ``factor = (block, dim_s)`` with L0 = block (x) 1_S;
+    a subsystem dimension above 1 selects the product backend, and only
+    the dense backend densifies V.
     """
     _require_tractable(built["l0"], run.task)
-    sd = decompose(built["l0"], zero_tol=run.zero_tol, dims=built.get("dims"))
+    block, dim_s = built["factor"]
+    sd = decompose(block, zero_tol=run.zero_tol, dim_s=dim_s)
     return sd, as_operand(sd, built["v"])
 
 
@@ -203,7 +205,7 @@ def _superradiance_params(mcfg):
 
 
 def _build_model(run):
-    """Return a dict with l0, v, initial state and observables for the task."""
+    """Return a dict with l0, its declared factor, v, initial state and observables."""
     kind, mcfg = _model_kind(run.cfg)
     if kind == "superradiance":
         model = models.superradiance_model(_superradiance_params(mcfg))
@@ -214,7 +216,7 @@ def _build_model(run):
             "rho0": model.initial_state,
             "observables": {"iz": model.iz_full},
             "model": model,
-            "dims": model.dims,
+            "factor": (model.l_a, model.dims[1]),
         }
     if kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
@@ -226,6 +228,7 @@ def _build_model(run):
         return {
             "kind": kind,
             "l0": l0,
+            "factor": (l0, 1),
             "v": np.zeros_like(to_dense(l0)),
             "rho0": rho0,
             "observables": {"excited": jp @ jm},
@@ -238,7 +241,14 @@ def _build_model(run):
         )
         l0, v = lindblad_superop(spec, sparse=False)
         rho0 = np.eye(spec.hdim, dtype=complex) / spec.hdim
-        return {"kind": kind, "l0": l0, "v": v, "rho0": rho0, "observables": {}}
+        return {
+            "kind": kind,
+            "l0": l0,
+            "factor": (l0, 1),
+            "v": v,
+            "rho0": rho0,
+            "observables": {},
+        }
     if kind == "custom":
         spec, symbols = _custom_spec(mcfg)
         l0, v = lindblad_superop(spec, sparse=False)
@@ -255,10 +265,10 @@ def _build_model(run):
         return {
             "kind": kind,
             "l0": l0,
+            "factor": (l0, 1),
             "v": v,
             "rho0": rho0,
             "observables": observables,
-            "symbols": symbols,
         }
     raise ValidationError(f"unknown model kind {kind!r}")
 

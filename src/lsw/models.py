@@ -18,6 +18,7 @@ from .superop import (
     LindbladSpec,
     factor_order,
     hamiltonian_superop,
+    lift,
     lindblad_superop,
     sandwich_superop,
     to_dense,
@@ -60,7 +61,8 @@ class SuperradianceParams:
 
 @dataclass
 class SuperradianceModel:
-    l0: object
+    l_a: np.ndarray  # electron block of L0
+    l0: object  # lift of l_a to the full space (CSR)
     v: object
     iz: np.ndarray
     iplus: np.ndarray
@@ -82,12 +84,13 @@ def collective_ops(n_spins):
     return jp / root, jm / root, jz / root
 
 
-def superradiance_model(params, sparse="auto"):
+def superradiance_model(params):
     """Assemble the collective-decay model.
 
     The unperturbed part acts on the electron factor only: decay at rate
-    gamma and detuning omega on the excited-state projector.  The
-    perturbation is -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].
+    gamma and detuning omega on the excited-state projector, so L0 is the
+    lift of the electron block.  The perturbation is
+    -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].
     """
     if not params.homogeneous:
         raise InhomogeneousUnsupportedError(
@@ -99,27 +102,26 @@ def superradiance_model(params, sparse="auto"):
     sp_, sm_, ne = _qubit_ops()
     ip, im, iz = collective_ops(n)
     dn = n + 1
-    eye_n = np.eye(dn, dtype=complex)
 
-    h0 = params.omega * tensor(ne, eye_n)
+    l_a, _ = decaying_qubit(params.gamma, params.omega)
     coupling = params.g * (
         0.5 * (tensor(sp_, im) + tensor(sm_, ip)) + tensor(ne, iz)
     )
     spec = LindbladSpec(
         hdim=2 * dn,
-        hamiltonian=h0,
-        jumps=[(params.gamma, tensor(sm_, eye_n))],
+        hamiltonian=np.zeros((2 * dn, 2 * dn), dtype=complex),
         perturbations=[coupling],
         epsilon=1.0,
     )
-    l0, v = lindblad_superop(spec, sparse=sparse)
+    _, v = lindblad_superop(spec)
 
     electron_steady = np.zeros((2, 2), dtype=complex)
     electron_steady[1, 1] = 1.0  # the decay dark state
     polarized = np.zeros((dn, dn), dtype=complex)
     polarized[0, 0] = 1.0  # highest-weight state m = N/2 comes first
     return SuperradianceModel(
-        l0=l0,
+        l_a=l_a,
+        l0=lift(l_a, dn),
         v=v,
         iz=iz,
         iplus=ip,
@@ -144,16 +146,7 @@ def superradiance_ancilla(params):
     ip, im, iz = collective_ops(n)
     ix = 0.5 * (ip + im)
     iy = (ip - im) / 2j
-    l0_el = to_dense(
-        lindblad_superop(
-            LindbladSpec(
-                hdim=2,
-                hamiltonian=params.omega * ne,
-                jumps=[(params.gamma, sm_)],
-            ),
-            sparse=False,
-        )[0]
-    )
+    l0_el, _ = decaying_qubit(params.gamma, params.omega)
     couplings = [(0.5 * sx, ix), (0.5 * sy, iy), (ne, iz)]
     return AncillaModel(l0=l0_el, couplings=couplings, epsilon=params.g)
 

@@ -10,8 +10,9 @@ diagonalizes the full D x D generator.  The product one serves a
 generator that acts on an ancilla factor only, L0 = L_A (x) 1_S: it
 diagonalizes the d_A**2 x d_A**2 block L_A and lifts every D x D object
 (eigenvectors, projectors, fast inverse) to a sparse kron with the
-subsystem identity.  The input decides: given ``dims``, ``decompose``
-takes the product backend exactly when the lift of L_A reproduces L0.
+subsystem identity.  The model declares the factorization: it hands
+``decompose`` its block L_A and the subsystem dimension; nothing about
+the structure of L0 is detected from its entries.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import DefectiveOperatorError, EmptySlowSpaceError, ZeroGapError
-from .superop import compact, factor_order, to_csr, to_dense
+from .superop import compact, lift, to_csr, to_dense
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e8
@@ -101,58 +102,12 @@ def _split_operators(w, right, left, slow, fast, gap):
     return p, np.eye(dim, dtype=complex) - p, finv
 
 
-def _lift(a, n, rows, cols):
-    """a (x) 1_n as CSR, its row and column indices mapped through rows, cols."""
-    m = sp.kron(a, sp.identity(n, dtype=complex), format="coo")
-    return sp.csr_matrix((m.data, (rows[m.row], cols[m.col])), shape=m.shape)
-
-
-def _product(l0, dims, zero_tol, cond_limit):
-    """SpectralData from the eigensystem of L_A, or None unless L0 = L_A (x) 1_S.
-
-    L_A is read off the subsystem pair (0 0) of the permuted L0; the lift
-    of L_A must then reproduce every entry of L0 exactly.
-    """
-    dim_a, dim_s = dims
-    n = dim_s * dim_s
-    if dim_a * dim_a * n != l0.shape[0]:
-        return None
-    order = factor_order(dim_a, dim_s)
-    l0 = to_csr(l0)
-    corner = order[::n]
-    block = l0[corner][:, corner].toarray()
-    if (_lift(block, n, order, order) != l0).nnz:
-        return None
-    w, right, left, slow, fast, gap, condition = _eig(block, zero_tol, cond_limit)
-    p, q, finv = _split_operators(w, right, left, slow, fast, gap)
-    same = np.arange(l0.shape[0])
-    full_slow = (slow[:, None] * n + np.arange(n)).ravel()
-    return SpectralData(
-        operator=l0,
-        eigenvalues=np.repeat(w, n),
-        right=_lift(right, n, order, same),
-        left=_lift(left, n, same, order),
-        slow=full_slow,
-        fast=(fast[:, None] * n + np.arange(n)).ravel(),
-        gap=gap,
-        condition=condition,
-        zero_tol=zero_tol,
-        pq=Projectors(
-            p=_lift(p, n, order, order),
-            q=_lift(q, n, order, order),
-            slow_dim=full_slow.size,
-        ),
-        finv=_lift(finv, n, order, order),
-        backend="product",
-    )
-
-
-def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT, dims=None):
+def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT, dim_s=1):
     """Diagonalize a generator and split its spectrum at zero.
 
-    ``dims = (dim_ancilla, dim_system)`` names a factorization of the
-    Hilbert space; when L0 acts on the ancilla factor only, the product
-    backend is used, otherwise (and without ``dims``) the dense one.
+    Returns the spectral data of ``l0 (x) 1_S`` for a subsystem of Hilbert
+    dimension ``dim_s``: the dense backend for ``dim_s == 1``, otherwise the
+    product backend, whose D x D members are CSR lifts of ``l0``'s.
 
     Raises
     ------
@@ -163,25 +118,29 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT, dims
         If no eigenvalue is classified as zero; either ``zero_tol`` is too
         small or the input is not a trace-preserving generator.
     """
-    sd = None if dims is None else _product(l0, dims, zero_tol, cond_limit)
-    if sd is not None:
-        return sd
     l0 = to_dense(l0)
     w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol, cond_limit)
     p, q, finv = _split_operators(w, right, left, slow, fast, gap)
+    n = dim_s * dim_s
+
+    def lifted(a, vec_rows=True, vec_cols=True):
+        return a if n == 1 else lift(a, dim_s, vec_rows, vec_cols)
+
+    # eigenvector k of l0 lifts to the n eigenvectors k * n + (subsystem pair)
+    full_slow = (slow[:, None] * n + np.arange(n)).ravel()
     return SpectralData(
-        operator=l0,
-        eigenvalues=w,
-        right=right,
-        left=left,
-        slow=slow,
-        fast=fast,
+        operator=lifted(l0),
+        eigenvalues=np.repeat(w, n),
+        right=lifted(right, vec_cols=False),
+        left=lifted(left, vec_rows=False),
+        slow=full_slow,
+        fast=(fast[:, None] * n + np.arange(n)).ravel(),
         gap=gap,
         condition=condition,
         zero_tol=zero_tol,
-        pq=Projectors(p=p, q=q, slow_dim=slow.size),
-        finv=finv,
-        backend="dense",
+        pq=Projectors(p=lifted(p), q=lifted(q), slow_dim=full_slow.size),
+        finv=lifted(finv),
+        backend="dense" if n == 1 else "product",
     )
 
 

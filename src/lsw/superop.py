@@ -69,6 +69,20 @@ def factor_order(dim_a, dim_s):
     return (i * dim_s + a) * dim_a * dim_s + j * dim_s + b
 
 
+def lift(a, dim_s, vec_rows=True, vec_cols=True):
+    """a (x) 1_S as CSR, for a block a on the ancilla pair of A (x) S.
+
+    The kron with the identity on the dim_s**2 subsystem pairs lists every
+    index in :func:`factor_order`; rows and columns marked ``vec`` are
+    mapped back to row-stacked vec indices, the others keep that order.
+    """
+    m = sp.kron(a, sp.identity(dim_s * dim_s, dtype=complex), format="coo")
+    order = factor_order(math.isqrt(a.shape[0]), dim_s)
+    rows = order[m.row] if vec_rows else m.row
+    cols = order[m.col] if vec_cols else m.col
+    return sp.csr_matrix((m.data, (rows, cols)), shape=m.shape)
+
+
 def fill_ratio(m):
     if sp.issparse(m):
         return m.nnz / (m.shape[0] * m.shape[1])
@@ -198,12 +212,7 @@ def kossakowski_matrix(g):
     eigenvalue is the structural diagnostic reported by the CLI.
     """
     g = to_dense(g)
-    dsq = g.shape[0]
-    d = math.isqrt(dsq)
-    basis = hermitian_basis(d, traceless=True)
-    n = len(basis)
-    chi = np.empty((n, n), dtype=complex)
-    for i, fi in enumerate(basis):
-        for j, fj in enumerate(basis):
-            chi[i, j] = np.vdot(np.kron(fi, fj.conj()), g)
-    return chi
+    d = math.isqrt(g.shape[0])
+    f = np.array(hermitian_basis(d, traceless=True)).reshape(-1, d, d)
+    # chi_ij = <F_i (x) conj(F_j), G>, one contraction over the four indices of G
+    return np.einsum("iac,jbd,abcd->ij", f.conj(), f, g.reshape(d, d, d, d), optimize=True)

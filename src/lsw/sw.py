@@ -198,7 +198,6 @@ class ReducedEffective:
 
     matrix: np.ndarray  # acts on the subsystem's vectorized operator space
     ancilla_state: np.ndarray  # the fixed ancilla factor of the slow space
-    embed: np.ndarray  # columns map subsystem units into the full vec space
 
 
 def _unit(dim, k, l):
@@ -248,7 +247,7 @@ def reduced_effective(series, sd, dims, order, epsilon=None, cumulative=True, to
     reduced = np.einsum(
         "iaibc->abc", images.reshape(dim_a, dim_s, dim_a, dim_s, -1)
     ).reshape(dim_s * dim_s, -1)
-    return ReducedEffective(matrix=reduced, ancilla_state=sigma, embed=embed)
+    return ReducedEffective(matrix=reduced, ancilla_state=sigma)
 
 
 def match_eigenvalues(reference, candidates):

@@ -47,7 +47,7 @@ def model_fleet():
     fleet.append(("decaying_qubit", superop.to_dense(l0), None))
     for n in (1, 2, 4):
         p = models.SuperradianceParams(n_spins=n, g=0.1, gamma=1.0, omega=0.2)
-        m = models.superradiance_model(p, sparse=False)
+        m = models.superradiance_model(p)
         fleet.append((f"superradiance_n{n}", superop.to_dense(m.l0), superop.to_dense(m.v)))
     for dim, seed in ((2, 3), (3, 5), (4, 7)):
         spec = models.random_lindblad_model(dim, 2, seed)

@@ -57,7 +57,7 @@ def _second_order_worst_rel_error(rate_fn, shift_fn):
                 p = models.SuperradianceParams(
                     n_spins=2, g=g, gamma=gamma, omega=omega
                 )
-                m = models.superradiance_model(p, sparse=False)
+                m = models.superradiance_model(p)
                 sd = decompose(to_dense(m.l0))
                 gen = sw.generator_terms(sd, to_dense(m.v), 2)
                 series = sw.correction_terms(gen, sd, to_dense(m.v))
@@ -110,7 +110,7 @@ def test_criterion_3_third_order_closed_form():
     worst = 0.0
     for n_spins in (2, 4, 8):
         p = models.SuperradianceParams(n_spins=n_spins, g=0.06, gamma=1.1, omega=0.35)
-        m = models.superradiance_model(p, sparse=False)
+        m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
         gen = sw.generator_terms(sd, to_dense(m.v), 3)
         series = sw.correction_terms(gen, sd, to_dense(m.v))
@@ -124,7 +124,7 @@ def test_criterion_3_third_order_closed_form():
 def test_criterion_4_decoupling_residual_scaling():
     start = time.perf_counter()
     p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = sw.generator_terms(sd, to_dense(m.v), 3)
     eps = np.array([1e-2, 1e-3, 1e-4])
@@ -260,7 +260,7 @@ def test_criterion_8_zero_detuning_regrouping():
     rels = []
     for gr in ratios:
         p = models.SuperradianceParams(n_spins=2, g=gr, gamma=1.0, omega=0.0)
-        m = models.superradiance_model(p, sparse=False)
+        m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
         gen = sw.generator_terms(sd, to_dense(m.v), 3)
         series = sw.correction_terms(gen, sd, to_dense(m.v))

@@ -1,10 +1,11 @@
+import time
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from lsw import cli, models, spectral
-from lsw.superop import to_dense
+from lsw.superop import lift, to_dense
 from lsw.sw import match_eigenvalues
 
 
@@ -39,8 +40,10 @@ def run_on_backend(monkeypatch, task, cfg, out, dense):
     real = spectral.decompose
     used = []
 
-    def recorded(l0, zero_tol, dims):
-        sd = real(l0, zero_tol=zero_tol, dims=None if dense else dims)
+    def recorded(block, zero_tol, dim_s):
+        if dense:  # the same L0, handed over whole
+            block, dim_s = to_dense(lift(block, dim_s)), 1
+        sd = real(block, zero_tol=zero_tol, dim_s=dim_s)
         used.append(sd.backend)
         return sd
 
@@ -135,6 +138,23 @@ def test_effective_outputs(tmp_path):
         assert float(row[1]) < 1e-9  # trace functional annihilated
 
 
+def test_effective_eight_spins_finishes(tmp_path):
+    # d = 18: the Kossakowski diagnostic contracts a (d**2 - 1)**2 block
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 8, "g": 0.1, "gamma": 1.0, "omega": 0.2},
+            "order": 2,
+            "output": str(tmp_path / "eff"),
+        },
+    )
+    start = time.perf_counter()
+    assert cli.main(["effective", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 60.0
+    eigmin = read_columns(tmp_path / "eff_effective_psd.csv")["kossakowski_eigmin"]
+    assert np.isfinite(eigmin).all()
+
+
 def test_evolve_custom_model_with_expressions(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -192,7 +212,7 @@ def test_custom_model_matches_builtin_spectrum(tmp_path):
     }
     built = cli._build_model(cli.Run("spectrum", cfg_custom))
     p = models.SuperradianceParams(n_spins=n, g=0.1, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     assert np.abs(to_dense(built["l0"]) - to_dense(m.l0)).max() < 1e-12
     assert np.abs(to_dense(built["v"]) - to_dense(m.v)).max() < 1e-12
 

@@ -37,7 +37,7 @@ def test_qubit_decay_analytic():
 
 def test_dense_and_sparse_paths_agree():
     p = models.SuperradianceParams.from_sqrt_n_g(4, 0.2, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     gen = to_dense(m.l0 + m.v)
     times = np.linspace(0, 10, 21)
     y0 = vectorize(m.initial_state)
@@ -66,7 +66,7 @@ def test_intensity_matches_finite_difference():
     # pure collective decay: intensity equals the loss rate of <Iz>, checked
     # against a centered finite difference of the expectation value
     p = models.SuperradianceParams(n_spins=4, g=0.1, gamma=1.0, omega=0.0)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     rate, _ = models.second_order_rates(p)
     gen = models.collective_decay_generator(m, rate, 0.0)
     dn = m.dims[1]
@@ -89,7 +89,7 @@ def test_intensity_matches_finite_difference():
 
 def test_collective_burst_appears_for_eight_spins():
     p = models.SuperradianceParams.from_sqrt_n_g(8, 0.2, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     gen = to_dense(m.l0 + m.v)
     times = np.linspace(0.0, 1200.0, 241)
     traj = evolve(gen, m.initial_state, times)

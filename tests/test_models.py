@@ -18,7 +18,7 @@ from lsw.sw import correction_terms, generator_terms, reduced_effective
 
 def test_model_dimensions_and_eigenvalue_multiplicity():
     p = models.SuperradianceParams(n_spins=1, g=0.1, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     assert m.dims == (2, 2)
     assert to_dense(m.l0).shape == (16, 16)
     eigs = np.linalg.eigvals(to_dense(m.l0))
@@ -30,7 +30,7 @@ def test_eigenbasis_blocks_match_printed_matrix():
     # entrywise comparison of the perturbation blocks in the electron
     # eigenbasis against the explicit flip/z vertex structure
     p = models.SuperradianceParams(n_spins=1, g=0.37, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     blocks = models.eigenbasis_blocks(m)
     g = p.g
     dn = m.dims[1]
@@ -61,7 +61,7 @@ def test_eigenbasis_blocks_match_printed_matrix():
 
 def test_slow_block_vanishes():
     p = models.SuperradianceParams(n_spins=2, g=0.2, gamma=1.0, omega=0.1)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     blocks = models.eigenbasis_blocks(m)
     assert np.abs(blocks[0, 0]).max() < 1e-12
 
@@ -69,7 +69,7 @@ def test_slow_block_vanishes():
 def test_blocks_consistent_with_hermiticity_conservation(rng):
     # V(mu^dagger) = (V mu)^dagger on the full space
     p = models.SuperradianceParams(n_spins=2, g=0.2, gamma=1.0, omega=0.1)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     v = to_dense(m.v)
     d = 2 * m.dims[1]
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -80,7 +80,7 @@ def test_blocks_consistent_with_hermiticity_conservation(rng):
 
 def test_zero_coupling_kills_all_orders():
     p = models.SuperradianceParams(n_spins=2, g=0.0, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     assert np.abs(to_dense(m.v)).max() == 0.0
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 3)
@@ -97,7 +97,7 @@ def test_inhomogeneous_rejected():
 
 def test_initial_state_polarized_dark():
     p = models.SuperradianceParams(n_spins=3, g=0.1)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     rho0 = m.initial_state
     assert abs(np.trace(rho0) - 1) < 1e-14
     # electron in the decay dark state, nuclei at maximal Iz = (N/2)/sqrt(N)
@@ -127,7 +127,7 @@ def test_random_lindblad_generator_properties():
 @pytest.mark.parametrize("g", [0.02, 0.1])
 def test_second_order_grid_matches_derived_closed_form(gamma, omega, g):
     p = models.SuperradianceParams(n_spins=2, g=g, gamma=gamma, omega=omega)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 2)
     series = correction_terms(gen, sd, to_dense(m.v))
@@ -146,7 +146,7 @@ def _slow_spectrum_deviation(vertex):
     for gamma in (0.5, 1.0, 2.0):
         for omega in (0.0, 0.2, 1.0):
             p = models.SuperradianceParams(n_spins=1, g=g, gamma=gamma, omega=omega)
-            m = models.superradiance_model(p, sparse=False)
+            m = models.superradiance_model(p)
             w = np.linalg.eigvals(to_dense(m.l0) + to_dense(m.v))
             slow = w[np.argsort(np.abs(w))[1:4]]  # drop the steady state
             lam = vertex * g
@@ -172,7 +172,7 @@ def test_full_spectrum_matches_half_g_vertex_closed_form():
 @pytest.mark.parametrize("n_spins", [1, 2, 4])
 def test_third_order_matches_eigenvalue_assembly(n_spins):
     p = models.SuperradianceParams(n_spins=n_spins, g=0.08, gamma=1.3, omega=0.4)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 3)
     series = correction_terms(gen, sd, to_dense(m.v))
@@ -186,7 +186,7 @@ def test_regrouped_form_deviation_scales_quadratically():
     ratios = (0.05, 0.02, 0.01)
     for gr in ratios:
         p = models.SuperradianceParams(n_spins=2, g=gr, gamma=1.0, omega=0.0)
-        m = models.superradiance_model(p, sparse=False)
+        m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
         gen = generator_terms(sd, to_dense(m.v), 3)
         series = correction_terms(gen, sd, to_dense(m.v))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian
 from lsw import models
 from lsw.spectral import as_operand, decompose
-from lsw.superop import hamiltonian_superop, lindblad_superop, to_dense
+from lsw.superop import LindbladSpec, hamiltonian_superop, lift, lindblad_superop, to_dense
 from lsw.sw import (
     closed_form_slow_orders,
     correction_terms,
@@ -26,22 +26,33 @@ from lsw.sw import (
 TOL = 1e-10
 
 
-def ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling):
-    """Random L_A (x) 1_S on A (x) S plus a Hermitian V of unit norm.
+def ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling, assembled):
+    """Random block L_A, the full L0 = L_A (x) 1_S, and a Hermitian V of unit norm.
 
-    The lift is written out entrywise, L0[(i a)(j b), (k c)(l d)] =
-    L_A[(i j), (k l)] delta_ac delta_bd, so it is exactly a product.  V
+    The full L0 is either the lift written out entrywise,
+    L0[(i a)(j b), (k c)(l d)] = L_A[(i j), (k l)] delta_ac delta_bd, so it is
+    exactly a product, or assembled by ``lindblad_superop`` from H_A (x) 1 and
+    complex jumps L_k (x) 1, which rounds differently in the last bit.  V
     comes from a random Hermitian on the whole space, or from a flip-flop
     plus z-type coupling whose superoperator is sparse enough to stay CSR
     on the product backend.
     """
     rng = np.random.default_rng(seed)
-    l_a, _ = lindblad_superop(models.random_lindblad_model(dim_a, 2, seed), sparse=False)
+    spec = models.random_lindblad_model(dim_a, 2, seed)
+    l_a, _ = lindblad_superop(spec, sparse=False)
     eye = np.eye(dim_s)
     dim = (dim_a * dim_s) ** 2
-    l0 = np.einsum(
-        "ijkl,ac,bd->iajbkcld", l_a.reshape((dim_a,) * 4), eye, eye
-    ).reshape(dim, dim)
+    if assembled:
+        full = LindbladSpec(
+            hdim=dim_a * dim_s,
+            hamiltonian=np.kron(spec.hamiltonian, eye),
+            jumps=[(rate, np.kron(op, eye)) for rate, op in spec.jumps],
+        )
+        l0, _ = lindblad_superop(full, sparse=False)
+    else:
+        l0 = np.einsum(
+            "ijkl,ac,bd->iajbkcld", l_a.reshape((dim_a,) * 4), eye, eye
+        ).reshape(dim, dim)
     if sparse_coupling:
         flip_a, flip_s = np.eye(dim_a, k=1), np.eye(dim_s, k=1)
         h_v = rng.standard_normal() * np.kron(flip_a, flip_s.T)
@@ -49,7 +60,7 @@ def ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling):
         h_v = h_v + h_v.T + np.kron(z_a, z_s)
     else:
         h_v = random_hermitian(rng, dim_a * dim_s)
-    return l0, hamiltonian_superop(h_v / np.linalg.norm(h_v, 2))
+    return l_a, l0, hamiltonian_superop(h_v / np.linalg.norm(h_v, 2))
 
 
 def assert_close(got, want):
@@ -64,13 +75,15 @@ def assert_close(got, want):
     order=st.integers(1, 8),
     seed=st.integers(0, 2**16),
     sparse_coupling=st.booleans(),
+    assembled=st.booleans(),
 )
-def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_coupling):
-    l0, v = ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling)
+def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_coupling, assembled):
+    l_a, l0, v = ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling, assembled)
+    if not assembled:
+        assert np.array_equal(to_dense(lift(l_a, dim_s)), l0)
     dims = (dim_a, dim_s)
     runs = {}
-    for use_dims in (dims, None):
-        sd = decompose(l0, dims=use_dims)
+    for sd in (decompose(l_a, dim_s=dim_s), decompose(l0)):
         op = as_operand(sd, v)
         gen = generator_terms(sd, op, order)
         series = correction_terms(gen, sd, op)
@@ -100,26 +113,14 @@ def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_couplin
     assert sd_p.slow_dim == sd_d.slow_dim and abs(sd_p.gap - sd_d.gap) <= TOL
 
 
-def test_model_that_does_not_factor_takes_dense_path():
-    spec = models.random_lindblad_model(6, 2, seed=9)
-    l0, _ = lindblad_superop(spec, sparse=False)
-    with_dims = decompose(l0, dims=(2, 3))
-    plain = decompose(l0)
-    assert with_dims.backend == plain.backend == "dense"
-    for name in ("eigenvalues", "right", "left", "slow", "fast", "finv"):
-        assert np.array_equal(getattr(with_dims, name), getattr(plain, name))
-    assert np.array_equal(with_dims.pq.p, plain.pq.p)
-    assert with_dims.gap == plain.gap and with_dims.condition == plain.condition
-
-
 def test_superradiance_model_takes_product_path():
     p = models.SuperradianceParams(n_spins=3, g=0.1, gamma=1.0, omega=0.2)
-    for sparse in (False, True):
-        m = models.superradiance_model(p, sparse=sparse)
-        sd = decompose(m.l0, dims=m.dims)
-        assert sd.backend == "product"
-        assert sd.slow_dim == m.dims[1] ** 2 and sd.dim == m.l0.shape[0]
-        eye = np.eye(sd.dim)
-        assert np.abs(to_dense(sd.left @ sd.right) - eye).max() < 1e-12
-        assert np.abs(to_dense(sd.pq.p @ sd.pq.p - sd.pq.p)).max() < 1e-12
-        assert np.abs(to_dense(sd.finv @ sd.operator - sd.pq.q)).max() < 1e-12
+    m = models.superradiance_model(p)
+    sd = decompose(m.l_a, dim_s=m.dims[1])
+    assert sd.backend == "product"
+    assert (sd.operator != m.l0).nnz == 0
+    assert sd.slow_dim == m.dims[1] ** 2 and sd.dim == m.l0.shape[0]
+    eye = np.eye(sd.dim)
+    assert np.abs(to_dense(sd.left @ sd.right) - eye).max() < 1e-12
+    assert np.abs(to_dense(sd.pq.p @ sd.pq.p - sd.pq.p)).max() < 1e-12
+    assert np.abs(to_dense(sd.finv @ sd.operator - sd.pq.q)).max() < 1e-12

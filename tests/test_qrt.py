@@ -234,7 +234,7 @@ def test_effective_generator_matches_block_route():
     from lsw.sw import correction_terms, generator_terms, reduced_effective
 
     p = models.SuperradianceParams(n_spins=2, g=0.15, gamma=1.0, omega=0.3)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = dec(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 2)
     series = correction_terms(gen, sd, to_dense(m.v))
@@ -286,7 +286,7 @@ def test_lindblad_decomposition_superradiance_recast():
     jumps, h_eff = lindblad_decomposition(eff.coefficient, system_ops)
     assert len(jumps) == 1
     rate, op = jumps[0]
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     derived_rate, derived_shift = models.second_order_rates(p)
     # the jump is proportional to the collective lowering operator and the
     # generator it carries has the derived rate (epsilon**2 = g**2 applied)

@@ -187,7 +187,7 @@ def test_resolvent_inverts_hat_with_l0(qubit_table, rng):
 def test_resolvent_of_v_is_minus_first_generator_term():
     # two independent formulas: R0(V) against the explicit block assembly
     p = models.SuperradianceParams(n_spins=2, g=0.3, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     pq = projectors(sd)
     finv = fast_inverse(sd)
@@ -209,7 +209,7 @@ def test_resolvent_output_block_off_diagonal(rng):
 
 def test_perturbative_limit_reports():
     p = models.SuperradianceParams.from_sqrt_n_g(4, 0.2, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     report = check_perturbative_limit(sd, m.v, epsilon=0.0)
     assert report.ok and report.perturbation_norm > 0

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from conftest import lindblad_rhs, random_density, random_hermitian
 from lsw import models
 from lsw.exceptions import DimensionMismatchError
-from lsw.operators import spin_operators
+from lsw.operators import hermitian_basis, spin_operators
 from lsw.superop import (
     LindbladSpec,
     devectorize,
@@ -172,3 +172,21 @@ def test_kossakowski_of_pure_dissipator():
     assert eigs.min() > -1e-12
     assert np.sum(eigs > 1e-12) == 1
     assert abs(eigs.max() - 0.7) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_kossakowski_recovers_coefficients(rng, d):
+    # G(rho) = sum_mn c_mn F_m rho F_n† over the traceless basis gives back c
+    basis = hermitian_basis(d, traceless=True)
+    n = len(basis)
+    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = sum(
+        c[m, k] * sandwich_superop(fm, fk.conj().T)
+        for m, fm in enumerate(basis)
+        for k, fk in enumerate(basis)
+    )
+    chi = kossakowski_matrix(g)
+    assert np.abs(chi - c).max() < 1e-12
+    # the contraction against the pairwise inner products it replaced
+    loop = np.array([[np.vdot(np.kron(fm, fk.conj()), g) for fk in basis] for fm in basis])
+    assert np.abs(chi - loop).max() < 1e-13

@@ -28,7 +28,7 @@ from lsw.sw import (
 @pytest.fixture(scope="module")
 def superradiance_n2():
     p = models.SuperradianceParams(n_spins=2, g=0.3, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     return m, sd
 
@@ -167,7 +167,7 @@ def test_decoupling_residual_zero_epsilon(superradiance_n2):
 
 def test_decoupling_residual_scaling_quick():
     p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 2)
     eps = np.array([1e-2, 1e-3])
@@ -223,7 +223,7 @@ def test_reduced_third_order_zero_detuning_commutator_form():
     # at omega=0 the third order reduces to two commutator terms with
     # coefficients 2 g^3/gamma^2 and g^3/gamma^2
     p = models.SuperradianceParams(n_spins=2, g=0.2, gamma=1.0, omega=0.0)
-    m = models.superradiance_model(p, sparse=False)
+    m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 3)
     series = correction_terms(gen, sd, to_dense(m.v))
