@@ -205,7 +205,8 @@ def _superradiance_params(mcfg):
 
 
 def _build_model(run):
-    """Return a dict with l0, its declared factor, v, initial state and observables."""
+    """Return a dict with l0, its declared factor, v, initial state and observables,
+    plus the conserved charge where the model declares one."""
     kind, mcfg = _model_kind(run.cfg)
     if kind == "superradiance":
         model = models.superradiance_model(_superradiance_params(mcfg))
@@ -217,6 +218,7 @@ def _build_model(run):
             "observables": {"iz": model.iz_full},
             "model": model,
             "factor": (model.l_a, model.dims[1]),
+            "charge": model.charge,
         }
     if kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
@@ -352,14 +354,14 @@ def _task_effective(run):
 def _task_evolve(run):
     built = _build_model(run)
     gen = built["l0"] + run.epsilon * built["v"]
-    traj = dynamics.evolve(gen, built["rho0"], run.times)
+    traj = dynamics.evolve(gen, built["rho0"], run.times, built.get("charge"))
     header = ["time"] + [f"re_{k}" for k in built["observables"]] + [
         f"im_{k}" for k in built["observables"]
     ]
-    ops = list(built["observables"].values())
+    series = [traj.expectation(op) for op in built["observables"].values()]
     rows = []
     for idx, t in enumerate(traj.times):
-        vals = [traj.expectation(op)[idx] for op in ops]
+        vals = [s[idx] for s in series]
         rows.append(
             tuple([float(t)] + [float(v.real) for v in vals] + [float(v.imag) for v in vals])
         )
@@ -384,11 +386,11 @@ def _task_compare(run):
     mu0[0, 0] = 1.0
 
     def exact():
-        traj = dynamics.evolve(gen_exact, model.initial_state, times)
+        traj = dynamics.evolve(gen_exact, model.initial_state, times, model.charge)
         return dynamics.emission_intensity(traj, model.iz_full, gen_exact)
 
     def reduced(mat):
-        traj = dynamics.evolve(mat, mu0, times)
+        traj = dynamics.evolve(mat, mu0, times, model.charges[1])
         return dynamics.emission_intensity(traj, model.iz, mat)
 
     with ThreadPoolExecutor(max_workers=run.workers()) as pool:

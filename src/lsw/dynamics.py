@@ -1,11 +1,21 @@
-"""Exact and effective time evolution, observables, emission intensity."""
+"""Exact and effective time evolution, observables, emission intensity.
+
+Propagation runs in the charge sector of the initial state.  A model may
+declare an integer charge q_i for each basis state such that its generator
+conserves the coherence order q_i - q_j of every vec component |i><j|
+(Buca & Prosen, arXiv:1203.0943): a Hamiltonian block-diagonal in q and
+jumps that each shift q by a fixed amount.  ``evolve`` then propagates only
+the components whose order occurs in rho0, after checking exactly that the
+generator maps none of them outside, and scatters the result back into
+full-size states.  Without a charge the sector is the whole space.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .exceptions import ToleranceNotMetError, ValidationError
+from .exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from .superop import devectorize, to_csr, vectorize
 
 # expm_multiply does not fail on very stiff input, it runs (nearly) forever;
@@ -19,6 +29,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (n_times, d**2)
+    sector_dim: int  # number of vec components actually propagated
 
     @property
     def hdim(self):
@@ -44,21 +55,44 @@ def _validate_times(times):
     return times
 
 
-def evolve(generator, rho0, times):
+def evolve(generator, rho0, times, charge=None):
     """Propagate rho0 under a fixed generator, landing exactly on `times`.
 
     Uses the action of the matrix exponential (Al-Mohy & Higham 2011,
     ``scipy.sparse.linalg.expm_multiply``), exact to double precision for a
-    time-independent generator.  A uniform grid is one call; any other grid
-    is one call per interval.
+    time-independent generator.
+
+    ``charge`` holds an integer per basis state (None: all zero).  Only the
+    vec components whose coherence order occurs in rho0 are propagated; a
+    generator entry that maps them to any other component means the charge
+    is not conserved and raises :class:`ValidationError`.
     """
     times = _validate_times(times)
     rho0 = np.asarray(rho0, dtype=complex)
     trace = np.trace(rho0)
     if abs(trace - 1.0) > 1e-8:
         raise ValidationError(f"initial state has trace {trace:.6g}, expected 1")
-    y0 = vectorize(rho0)
+    d = rho0.shape[0]
     g = to_csr(generator)
+    if rho0.shape != (d, d) or g.shape != (d * d, d * d):
+        raise DimensionMismatchError(
+            f"generator of shape {g.shape} does not act on states of shape {rho0.shape}"
+        )
+    charge = np.zeros(d, dtype=int) if charge is None else np.asarray(charge)
+    if charge.shape != (d,):
+        raise ValidationError(f"charge has shape {charge.shape}, expected ({d},)")
+    order = np.subtract.outer(charge, charge).reshape(-1)
+    y0 = vectorize(rho0)
+    inside = np.isin(order, order[y0 != 0])
+    keep = np.flatnonzero(inside)
+    cols = g[:, keep]
+    if cols[np.flatnonzero(~inside)].count_nonzero():
+        raise ValidationError(
+            "the generator does not conserve the declared charge: it maps the "
+            "coherence orders of the initial state to others"
+        )
+    g = cols[keep]
+    y0 = y0[keep]
     t_max = times[-1]
     scale = spla.norm(g, 1) * t_max
     if scale > MAX_NORM_TIME:
@@ -67,20 +101,24 @@ def evolve(generator, rho0, times):
             "the generator is too stiff to propagate over this span"
         )
 
+    # a uniform grid is one call, any other grid one call per interval;
     # an overflow shows up as a non-finite state, checked below
+    uniform = times.size > 1 and np.array_equal(times, np.linspace(0.0, t_max, times.size))
+    spans = [(t_max, times.size)] if uniform else [(dt, 2) for dt in np.diff(times)]
+    sector = [y0[None]]
     with np.errstate(over="ignore", invalid="ignore"):
-        if times.size > 1 and np.array_equal(times, np.linspace(0.0, t_max, times.size)):
-            states = spla.expm_multiply(
-                g, y0, start=0.0, stop=t_max, num=times.size, endpoint=True
+        for stop, num in spans:
+            sector.append(
+                spla.expm_multiply(
+                    g, sector[-1][-1], start=0.0, stop=stop, num=num, endpoint=True
+                )[1:]
             )
-        else:
-            states = np.empty((times.size, y0.size), dtype=complex)
-            states[0] = y0
-            for i, dt in enumerate(np.diff(times), start=1):
-                states[i] = spla.expm_multiply(dt * g, states[i - 1])
-    if not np.all(np.isfinite(states)):
+    sector = np.concatenate(sector)
+    if not np.all(np.isfinite(sector)):
         raise ToleranceNotMetError("propagation produced a non-finite state")
-    return Trajectory(times=times, states=states)
+    states = np.zeros((times.size, order.size), dtype=complex)
+    states[:, keep] = sector
+    return Trajectory(times=times, states=states, sector_dim=keep.size)
 
 
 def emission_intensity(traj, op, generator):

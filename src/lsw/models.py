@@ -20,6 +20,7 @@ from .superop import (
     hamiltonian_superop,
     lift,
     lindblad_superop,
+    perturbation_superop,
     sandwich_superop,
     to_dense,
 )
@@ -68,6 +69,7 @@ class SuperradianceModel:
     iplus: np.ndarray
     iminus: np.ndarray
     dims: tuple  # (electron, nuclear) Hilbert dimensions
+    charges: tuple  # (electron, nuclear) integer charge of each basis state
     initial_state: np.ndarray  # fully polarized nuclei, electron in its dark state
     electron_steady: np.ndarray
     params: SuperradianceParams
@@ -75,6 +77,11 @@ class SuperradianceModel:
     @property
     def iz_full(self):
         return tensor(np.eye(2), self.iz)
+
+    @property
+    def charge(self):
+        """Charge of each full-space basis state: the electron's plus the nuclear."""
+        return np.add.outer(*self.charges).reshape(-1)
 
 
 def collective_ops(n_spins):
@@ -91,6 +98,11 @@ def superradiance_model(params):
     gamma and detuning omega on the excited-state projector, so L0 is the
     lift of the electron block.  The perturbation is
     -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].
+
+    The model declares the charge M = s_z + I_z in integer steps: the
+    electron's excitation number plus the ladder index of I_z.  The
+    Hamiltonian conserves it and the jump s- lowers it by one, so the
+    coherence order M - M' of a state is conserved.
     """
     if not params.homogeneous:
         raise InhomogeneousUnsupportedError(
@@ -107,13 +119,6 @@ def superradiance_model(params):
     coupling = params.g * (
         0.5 * (tensor(sp_, im) + tensor(sm_, ip)) + tensor(ne, iz)
     )
-    spec = LindbladSpec(
-        hdim=2 * dn,
-        hamiltonian=np.zeros((2 * dn, 2 * dn), dtype=complex),
-        perturbations=[coupling],
-        epsilon=1.0,
-    )
-    _, v = lindblad_superop(spec)
 
     electron_steady = np.zeros((2, 2), dtype=complex)
     electron_steady[1, 1] = 1.0  # the decay dark state
@@ -122,11 +127,12 @@ def superradiance_model(params):
     return SuperradianceModel(
         l_a=l_a,
         l0=lift(l_a, dn),
-        v=v,
+        v=perturbation_superop([coupling], 2 * dn),
         iz=iz,
         iplus=ip,
         iminus=im,
         dims=(2, dn),
+        charges=(np.array([1, 0]), np.arange(n, -1, -1)),
         initial_state=tensor(electron_steady, polarized),
         electron_steady=electron_steady,
         params=params,

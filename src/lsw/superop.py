@@ -175,6 +175,33 @@ class LindbladSpec:
         return self
 
 
+def _wants_sparse(hdim, sparse):
+    return bool(sparse) if sparse != "auto" else hdim * hdim > SPARSE_AUTO_DIM
+
+
+def _auto_store(m, sparse):
+    """Under the auto policy, a sparse superoperator filled past
+    ``SPARSE_FILL_THRESHOLD`` is stored dense."""
+    if sparse == "auto" and sp.issparse(m) and fill_ratio(m) >= SPARSE_FILL_THRESHOLD:
+        return to_dense(m)
+    return m
+
+
+def perturbation_superop(perturbations, hdim, sparse="auto"):
+    """V = sum of -i[H_t, .] over the perturbation Hamiltonians H_t.
+
+    Storage follows the same policy as :func:`lindblad_superop`, so a model
+    can assemble its perturbation without an unperturbed part.
+    """
+    want_sparse = _wants_sparse(hdim, sparse)
+    if perturbations:
+        v = sum(hamiltonian_superop(h, want_sparse) for h in perturbations)
+    else:
+        shape = (hdim * hdim, hdim * hdim)
+        v = sp.csr_matrix(shape, dtype=complex) if want_sparse else np.zeros(shape, complex)
+    return _auto_store(v, sparse)
+
+
 def lindblad_superop(spec, sparse="auto"):
     """Assemble (L0, V) from a :class:`LindbladSpec`.
 
@@ -184,22 +211,11 @@ def lindblad_superop(spec, sparse="auto"):
     superoperator is both large and sufficiently empty.
     """
     spec.validate()
-    d = spec.hdim
-    want_sparse = bool(sparse) if sparse != "auto" else d * d > SPARSE_AUTO_DIM
+    want_sparse = _wants_sparse(spec.hdim, sparse)
     l0 = hamiltonian_superop(spec.hamiltonian, want_sparse)
     for rate, l in spec.jumps:
         l0 = l0 + rate * dissipator_superop(l, want_sparse)
-    if spec.perturbations:
-        v = sum(hamiltonian_superop(h, want_sparse) for h in spec.perturbations)
-    else:
-        shape = (d * d, d * d)
-        v = sp.csr_matrix(shape, dtype=complex) if want_sparse else np.zeros(shape, complex)
-    if sparse == "auto" and want_sparse:
-        if fill_ratio(l0) >= SPARSE_FILL_THRESHOLD:
-            l0 = to_dense(l0)
-        if fill_ratio(v) >= SPARSE_FILL_THRESHOLD:
-            v = to_dense(v)
-    return l0, v
+    return _auto_store(l0, sparse), perturbation_superop(spec.perturbations, spec.hdim, sparse)
 
 
 def kossakowski_matrix(g):

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from lsw import cli, models, spectral
+from lsw import cli, dynamics, models, spectral
 from lsw.superop import lift, to_dense
 from lsw.sw import match_eigenvalues
 
@@ -422,3 +422,40 @@ def test_effective_product_backend_matches_dense(tmp_path, monkeypatch):
     got = read_columns(product + "effective_psd.csv")["kossakowski_eigmin"][0]
     want = read_columns(dense + "effective_psd.csv")["kossakowski_eigmin"][0]
     assert abs(got - want) <= 1e-10
+
+
+def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2},
+            "times": {"t_max": 400.0, "n_points": 41},
+        },
+    )
+    real = dynamics.evolve
+    # N=4: the diagonal charge sector has 18 of 100 components, the
+    # reduced nuclear one 5 of 25
+    cases = (
+        ("evolve", "trajectory", [18], [100]),
+        ("compare", "compare", [5, 5, 18], [25, 25, 100]),
+    )
+    for task, suffix, sector_dims, full_dims in cases:
+        columns = {}
+        for withheld, dims in ((False, sector_dims), (True, full_dims)):
+            used = []
+
+            def recorded(generator, rho0, times, charge=None):
+                traj = real(generator, rho0, times, None if withheld else charge)
+                used.append(traj.sector_dim)
+                return traj
+
+            monkeypatch.setattr(dynamics, "evolve", recorded)
+            out = tmp_path / f"{task}_{withheld}"
+            assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
+            monkeypatch.undo()
+            assert sorted(used) == dims
+            columns[withheld] = read_columns(f"{out}_{suffix}.csv")
+        got, want = columns[False], columns[True]
+        for name in want:
+            scale = 1.0 if name.startswith("im_") else np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale

@@ -3,8 +3,11 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import random_hermitian
 from lsw import models
 from lsw.dynamics import (
     emission_intensity,
@@ -12,9 +15,9 @@ from lsw.dynamics import (
     min_state_eigenvalue,
     trace_drift,
 )
-from lsw.exceptions import ToleranceNotMetError, ValidationError
+from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
-from lsw.superop import to_dense, vectorize
+from lsw.superop import LindbladSpec, lindblad_superop, to_dense, vectorize
 
 
 def test_zero_generator_constant_trajectory(rng):
@@ -135,3 +138,70 @@ def test_unreachable_tolerance_raises():
     # e^1000 overflows: the non-finite state is the only signal
     with pytest.raises(ToleranceNotMetError, match="non-finite"):
         evolve(np.diag([100.0] * 4).astype(complex), rho0, times)
+
+
+def u1_symmetric_model(charges, seed):
+    """Random generator and initial-state draw for a U(1)-symmetric model.
+
+    The Hamiltonian is block-diagonal in the charge, one jump lowers the
+    charge by 1 and one keeps it, so every coherence order is conserved.
+    """
+    rng = np.random.default_rng(seed)
+    q = np.asarray(charges)
+    step = np.subtract.outer(q, q)  # charge change of |i><j| as an operator
+
+    def gaussian():
+        return rng.standard_normal(step.shape) + 1j * rng.standard_normal(step.shape)
+
+    spec = LindbladSpec(
+        hdim=q.size,
+        hamiltonian=random_hermitian(rng, q.size) * (step == 0),
+        jumps=[(0.5, gaussian() * (step == -1)), (0.5, gaussian() * (step == 0))],
+    )
+    l0, _ = lindblad_superop(spec, sparse=False)
+    return l0, step, rng
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    charges=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+    seed=st.integers(0, 2**16),
+    two_orders=st.booleans(),
+    uniform=st.booleans(),
+)
+def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, uniform):
+    gen, order, rng = u1_symmetric_model(charges, seed)
+    # a positive order-0 part, plus one nonzero order when asked and present
+    x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+    rho0 = (x @ x.conj().T) * (order == 0)
+    orders = [0]
+    nonzero = np.unique(order[order != 0])
+    if two_orders and nonzero.size:
+        orders.append(int(rng.choice(nonzero)))
+        rho0 = rho0 + 0.3 * x * (order == orders[1])
+    rho0 = rho0 / np.trace(rho0)
+    times = np.linspace(0.0, 3.0, 7) if uniform else np.array([0.0, 0.3, 1.1, 3.0])
+    y0 = vectorize(rho0)
+    reference = np.array([expm(gen * t) @ y0 for t in times])
+    traj = evolve(gen, rho0, times, charge=charges)
+    assert traj.sector_dim == np.isin(order, orders).sum()
+    assert np.abs(traj.states - reference).max() < 1e-10
+    whole = evolve(gen, rho0, times)
+    assert whole.sector_dim == order.size
+    assert np.abs(whole.states - reference).max() < 1e-10
+
+
+def test_wrong_charge_raises():
+    m = models.superradiance_model(models.SuperradianceParams(n_spins=2, g=0.1))
+    gen = m.l0 + m.v
+    times = np.linspace(0, 1, 3)
+    assert evolve(gen, m.initial_state, times, m.charge).sector_dim == 10
+    # the flip-flop raises the electron and lowers the nuclei, so a charge
+    # that counts the electron with the wrong sign is not conserved
+    wrong = np.add.outer(-m.charges[0], m.charges[1]).reshape(-1)
+    with pytest.raises(ValidationError, match="does not conserve"):
+        evolve(gen, m.initial_state, times, wrong)
+    with pytest.raises(ValidationError, match="charge has shape"):
+        evolve(gen, m.initial_state, times, m.charges[1])
+    with pytest.raises(DimensionMismatchError):
+        evolve(gen, m.electron_steady, times)
