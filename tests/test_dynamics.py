@@ -141,25 +141,26 @@ def test_unreachable_tolerance_raises():
 
 
 def u1_symmetric_model(charges, seed):
-    """Random generator and initial-state draw for a U(1)-symmetric model.
+    """Random U(1)-symmetric generator, the coherence order of each vec
+    component, and the generator's rng for further draws.
 
     The Hamiltonian is block-diagonal in the charge, one jump lowers the
     charge by 1 and one keeps it, so every coherence order is conserved.
     """
     rng = np.random.default_rng(seed)
     q = np.asarray(charges)
-    step = np.subtract.outer(q, q)  # charge change of |i><j| as an operator
+    order = np.subtract.outer(q, q)  # of |i><j|; as an operator, its charge change
 
     def gaussian():
-        return rng.standard_normal(step.shape) + 1j * rng.standard_normal(step.shape)
+        return rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
 
     spec = LindbladSpec(
         hdim=q.size,
-        hamiltonian=random_hermitian(rng, q.size) * (step == 0),
-        jumps=[(0.5, gaussian() * (step == -1)), (0.5, gaussian() * (step == 0))],
+        hamiltonian=random_hermitian(rng, q.size) * (order == 0),
+        jumps=[(0.5, gaussian() * (order == -1)), (0.5, gaussian() * (order == 0))],
     )
     l0, _ = lindblad_superop(spec, sparse=False)
-    return l0, step, rng
+    return l0, order, rng
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
