@@ -70,7 +70,7 @@ def evolve(generator, rho0, times, charge=None):
     times = _validate_times(times)
     rho0 = np.asarray(rho0, dtype=complex)
     trace = np.trace(rho0)
-    if abs(trace - 1.0) > 1e-8:
+    if not abs(trace - 1.0) <= 1e-8:  # NaN fails too
         raise ValidationError(f"initial state has trace {trace:.6g}, expected 1")
     d = rho0.shape[0]
     g = to_csr(generator)

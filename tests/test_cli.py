@@ -2,6 +2,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from lsw import cli, dynamics, models, spectral
@@ -60,6 +61,68 @@ def run_both_backends(tmp_path, monkeypatch, task, payload):
     assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["product"]
     assert run_on_backend(monkeypatch, task, cfg, dense, dense=True) == ["dense"]
     return f"{product}_", f"{dense}_"
+
+
+def reference_fmt(x):
+    """The per-cell formatter the columnar writer must reproduce byte for byte."""
+    if isinstance(x, (complex, np.complexfloating)):
+        return f"{x.real:.17g}{x.imag:+.17g}j"
+    if isinstance(x, (float, np.floating)):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def reference_csv(header, rows):
+    lines = [header] + [[reference_fmt(x) for x in row] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines).encode()
+
+
+def reference_matrix_rows(m):
+    return [
+        (i, j, float(m[i, j].real), float(m[i, j].imag))
+        for i in range(m.shape[0])
+        for j in range(m.shape[1])
+    ]
+
+
+def test_write_csv_matches_reference_formatter(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    floats = np.array([-0.0, nan, inf, -inf, 5e-324, 1e16, 0.1, 1 / 3, -2.5e-300, 1.0])
+    n = floats.size
+    cplx = np.array(
+        [complex(1.0, -0.0), complex(-0.0, -0.0), complex(nan, inf), 1e16 - 5e-324j]
+        + [complex(x, -x) for x in floats[4:]]
+    )
+    ints = np.arange(n, dtype=np.int64) - 3
+    py_ints = [2**40, -1, 0, 7, 2, 3, 4, 5, 6, 8]
+    labels = np.array(["slow", "fast"] * (n // 2))
+    flags = np.arange(n) % 3 == 0
+    header = ["i", "pyint", "scalar", "x", "z", "label", "flag"]
+    path = cli._write_csv(
+        tmp_path / "cells.csv", header, [ints, py_ints, 7, floats, cplx, labels, flags]
+    )
+    rows = [
+        (ints[k], py_ints[k], 7, floats[k], cplx[k], labels[k], flags[k]) for k in range(n)
+    ]
+    assert path.read_bytes() == reference_csv(header, rows)
+
+    matrix_header = ["row", "col", "re", "im"]
+    real = np.array([[1.5, -0.0, nan], [inf, 5e-324, -1e16]])
+    cplx_matrix = real.astype(complex)
+    cplx_matrix.imag = real[::-1]
+    for m in (real, cplx_matrix, np.zeros((0, 0))):
+        got = cli._write_csv(tmp_path / "m.csv", matrix_header, cli._matrix_columns(m))
+        assert got.read_bytes() == reference_csv(matrix_header, reference_matrix_rows(m))
+    assert (tmp_path / "m.csv").read_text() == "row,col,re,im\n"  # 0 x 0: header only
+    cli._write_csv(tmp_path / "m.csv", matrix_header, cli._matrix_columns(real))
+    lines = (tmp_path / "m.csv").read_text().splitlines()[1:]
+    assert len(lines) == real.size and all(line.endswith(",0") for line in lines)
+
+    # a column longer than two chunks
+    long = 2 * cli.CSV_CHUNK_ROWS + 5
+    values = np.random.default_rng(0).standard_normal(long) * np.logspace(-8, 8, long)
+    path = cli._write_csv(tmp_path / "long.csv", ["k", "v"], [np.arange(long), values])
+    assert path.read_bytes() == reference_csv(["k", "v"], zip(range(long), values))
 
 
 def test_spectrum_decaying_qubit(tmp_path):
@@ -183,6 +246,25 @@ def test_evolve_custom_model_with_expressions(tmp_path):
     assert np.abs(vals - np.exp(-times)).max() < 1e-8
 
 
+def test_custom_initial_with_zero_trace_exits_2(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {
+                "kind": "custom",
+                "dimension": 2,
+                "symbols": {"Jz": {"spin": 1, "component": "z"}},
+                "jumps": [{"rate": 1.0, "operator": "Jz"}],
+                "initial": "Jz",
+            },
+            "output": str(tmp_path / "zt"),
+        },
+    )
+    assert cli.main(["evolve", "--config", cfg]) == 2
+    assert "trace" in capsys.readouterr().err
+    assert not list(tmp_path.glob("zt*"))
+
+
 def test_custom_model_matches_builtin_spectrum(tmp_path):
     # flip-flop + z interaction written as expressions reproduces the
     # builtin generator
@@ -263,6 +345,22 @@ def test_decoupling_scan_task(tmp_path):
     assert header == ["epsilon", "residual", "fitted_slope"]
     slope = float(rows[0][2])
     assert abs(slope - 2.0) < 0.3
+
+
+@pytest.mark.parametrize("epsilons", [[0.0, 0.01, 0.001], [-0.01, 0.001], [0.01, float("nan")]])
+def test_decoupling_scan_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 2, "g": 1.0, "gamma": 1.0, "omega": 0.2},
+            "order": 1,
+            "epsilons": epsilons,
+            "output": str(tmp_path / "scan"),
+        },
+    )
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 2
+    assert "epsilons" in capsys.readouterr().err
+    assert not list(tmp_path.glob("scan*"))
 
 
 def test_invalid_order_exits_2_without_output(tmp_path):

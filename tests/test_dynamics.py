@@ -126,6 +126,13 @@ def test_validation_errors():
         evolve(l0, 2 * rho0, np.array([0.0, 1.0]))
 
 
+def test_nan_initial_state_refused():
+    l0, _ = models.decaying_qubit()
+    rho0 = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(ValidationError, match="trace"):
+        evolve(l0, rho0, np.array([0.0, 1.0]))
+
+
 def test_unreachable_tolerance_raises():
     # too stiff: expm_multiply would run for minutes, so it is refused up front
     gen = np.diag([-1e12, -1.0, -1.0, -1e12]).astype(complex)
