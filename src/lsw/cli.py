@@ -186,6 +186,8 @@ class Run:
             raise ValidationError("times.t_max must be > 0")
         if not all(math.isfinite(e) and e > 0 for e in self.epsilons):
             raise ValidationError("every entry of epsilons must be finite and > 0")
+        if task == "decoupling-scan" and len(self.epsilons) < 2:
+            raise ValidationError("decoupling-scan fits a slope: epsilons needs two or more entries")
 
     @property
     def times(self):
@@ -484,7 +486,7 @@ def _task_decoupling_scan(run):
         residuals = list(pool.map(residual, run.epsilons))
     eps = np.asarray(run.epsilons)
     res = np.asarray(residuals)
-    slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0]) if eps.size > 1 else 0.0
+    slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0])
     header = ["epsilon", "residual", "fitted_slope"]
     return [_write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])]
 

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 from .exceptions import (
     NonProductSlowSpaceError,
@@ -257,6 +256,9 @@ def match_eigenvalues(reference, candidates):
     Used to compare effective and exact slow spectra, where the assignment
     at small perturbation strength fixes the pairing.
     """
+    # imported here: scipy.optimize is slow to import and no CLI task needs it
+    from scipy.optimize import linear_sum_assignment
+
     reference = np.asarray(reference)
     candidates = np.asarray(candidates)
     cost = np.abs(reference[:, None] - candidates[None, :])

@@ -198,6 +198,8 @@ def test_criterion_7_burst_comparison():
     gen_exact = to_csr(m.l0 + m.v)
     times = np.linspace(0.0, 2000.0, 401)
     traj = dynamics.evolve(gen_exact, m.initial_state, times)
+    # without the charge the 1,156-dim space is too large to step densely
+    assert traj.stepper == "expm_multiply"
     intensity = dynamics.emission_intensity(traj, m.iz_full, gen_exact)
 
     sd = decompose(to_dense(m.l0))
@@ -239,13 +241,14 @@ def test_criterion_7_burst_comparison():
 
 def test_criterion_7_stretch_n100():
     # the N=100 burst (D=40,804) runs in the charge sector of the polarized
-    # state, dimension 402
+    # state, dimension 402, small enough to step with its dense propagator
     start = time.perf_counter()
     p = models.SuperradianceParams.from_sqrt_n_g(100, 0.2, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     gen_exact = to_csr(m.l0 + m.v)
     times = np.linspace(0.0, 40000.0, 201)
     traj = dynamics.evolve(gen_exact, m.initial_state, times, m.charge)
+    assert traj.stepper == "expm"
     intensity = dynamics.emission_intensity(traj, m.iz_full, gen_exact)
     baseline = intensity[np.searchsorted(times, 5.0)]
     elapsed = time.perf_counter() - start

@@ -36,6 +36,19 @@ def read_matrix(path):
     return m
 
 
+def record_trajectories(monkeypatch):
+    """Patch dynamics.evolve to keep every trajectory it returns."""
+    real = dynamics.evolve
+    trajs = []
+
+    def recorded(*args):
+        trajs.append(real(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(dynamics, "evolve", recorded)
+    return trajs
+
+
 def run_on_backend(monkeypatch, task, cfg, out, dense):
     """Run a CLI task, on the dense backend if asked; return the backends used."""
     real = spectral.decompose
@@ -146,7 +159,7 @@ def test_spectrum_decaying_qubit(tmp_path):
     assert len(slow_rows) == 1
 
 
-def test_spectrum_deterministic_bytes(tmp_path):
+def test_spectrum_deterministic_bytes(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path,
         {
@@ -160,25 +173,35 @@ def test_spectrum_deterministic_bytes(tmp_path):
     assert (tmp_path / "rnd_spectrum.csv").read_bytes() == first
 
     # expm_multiply estimates matrix-power norms with scipy's onenormest,
-    # which draws from the global RNG; the trajectory must not depend on it
-    cfg = write_config(
-        tmp_path,
-        {
-            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2,
-                      "gamma": 1.0, "omega": 0.2},
-            "times": {"t_max": 400.0, "n_points": 41},
-            "output": str(tmp_path / "evo"),
-        },
-        name="evolve.yaml",
+    # which draws from the global RNG; the trajectory must not depend on it.
+    # The uncharged 256-dim run over a short span takes expm_multiply, the
+    # N=4 burst steps densely and draws nothing.
+    cases = (
+        ({"kind": "random", "dimension": 16, "jumps": 2, "seed": 4}, 0.2, "expm_multiply"),
+        ({"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0,
+          "omega": 0.2}, 400.0, "expm"),
     )
-    outputs = []
-    for seed in (1, 2, 3):
-        np.random.seed(seed)
-        assert cli.main(["evolve", "--config", cfg]) == 0
-        outputs.append((tmp_path / "evo_trajectory.csv").read_bytes())
-    # the runs did draw from it, so the seeds were exercised
-    assert np.random.randint(2**31) != np.random.RandomState(3).randint(2**31)
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    for model, t_max, stepper in cases:
+        cfg = write_config(
+            tmp_path,
+            {
+                "model": model,
+                "times": {"t_max": t_max, "n_points": 41},
+                "output": str(tmp_path / "evo"),
+            },
+            name="evolve.yaml",
+        )
+        trajs, outputs = record_trajectories(monkeypatch), []
+        for seed in (1, 2, 3):
+            np.random.seed(seed)
+            assert cli.main(["evolve", "--config", cfg]) == 0
+            outputs.append((tmp_path / "evo_trajectory.csv").read_bytes())
+        monkeypatch.undo()
+        assert [t.stepper for t in trajs] == [stepper] * 3
+        # the expm_multiply runs did draw from it, so the seeds were exercised
+        drew = np.random.randint(2**31) != np.random.RandomState(3).randint(2**31)
+        assert drew == (stepper == "expm_multiply")
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_effective_outputs(tmp_path):
@@ -363,6 +386,26 @@ def test_decoupling_scan_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
     assert not list(tmp_path.glob("scan*"))
 
 
+@pytest.mark.parametrize("epsilons", [[], [0.01]])
+def test_decoupling_scan_needs_two_epsilons(tmp_path, capsys, epsilons):
+    # one residual fixes no slope; the scan must not report one
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 2, "g": 1.0, "gamma": 1.0, "omega": 0.2},
+            "order": 1,
+            "epsilons": epsilons,
+            "output": str(tmp_path / "scan"),
+        },
+    )
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 2
+    assert "two or more" in capsys.readouterr().err
+    assert not list(tmp_path.glob("scan*"))
+    # the other tasks do not read epsilons
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    assert (tmp_path / "scan_spectrum.csv").exists()
+
+
 def test_invalid_order_exits_2_without_output(tmp_path):
     out = tmp_path / "bad"
     cfg = write_config(
@@ -520,6 +563,22 @@ def test_effective_product_backend_matches_dense(tmp_path, monkeypatch):
     got = read_columns(product + "effective_psd.csv")["kossakowski_eigmin"][0]
     want = read_columns(dense + "effective_psd.csv")["kossakowski_eigmin"][0]
     assert abs(got - want) <= 1e-10
+
+
+def test_burst_sectors_step_densely(tmp_path, monkeypatch):
+    # the shipped N=16 burst and an N=24 one: each charge sector is small
+    # against ||G||_1 t_max (about 4,200 and 8,400), so every propagation,
+    # the exact one and both reduced ones, steps with its dense propagator
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "burst_compare.yaml"
+    burst = yaml.safe_load(shipped.read_text())
+    n24 = dict(burst, model=dict(burst["model"], n_spins=24))
+    n24["times"] = {"t_max": 4000.0, "n_points": 201}
+    trajs = record_trajectories(monkeypatch)
+    for task, payload in (("compare", burst), ("evolve", n24)):
+        cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / task)))
+        assert cli.main([task, "--config", cfg]) == 0
+    used = sorted((t.sector_dim, t.stepper) for t in trajs)
+    assert used == [(17, "expm"), (17, "expm"), (66, "expm"), (98, "expm")]
 
 
 def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):

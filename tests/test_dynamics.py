@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from conftest import random_hermitian
 from lsw import models
 from lsw.dynamics import (
+    DENSE_STEP_RATIO,
     emission_intensity,
     evolve,
     min_state_eigenvalue,
@@ -17,7 +18,25 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
-from lsw.superop import LindbladSpec, lindblad_superop, to_dense, vectorize
+from lsw.superop import LindbladSpec, lift, lindblad_superop, to_dense, vectorize
+
+# evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max;
+# the tests below pick inputs on both sides of that rule and check which
+# way each run took
+
+
+def decaying_qubit_with_spectator(dim_s):
+    """Qubit decay (x) 1_S, the excited-state projector and the state that
+    starts excited next to a maximally mixed spectator.  The spectator
+    multiplies the sector dimension by dim_s**2 and leaves ||G||_1 alone:
+    dim_s=1 steps densely on the grids below, dim_s=10 takes expm_multiply.
+    """
+    l0, _ = models.decaying_qubit(gamma=1.0, omega=0.0)
+    jp, jm, _ = spin_operators(1)
+    rho0 = np.zeros((2, 2), dtype=complex)
+    rho0[0, 0] = 1.0
+    spectator = np.eye(dim_s) / dim_s
+    return lift(l0, dim_s), np.kron(rho0, spectator), np.kron(jp @ jm, np.eye(dim_s))
 
 
 def test_zero_generator_constant_trajectory(rng):
@@ -28,30 +47,32 @@ def test_zero_generator_constant_trajectory(rng):
 
 
 def test_qubit_decay_analytic():
-    l0, _ = models.decaying_qubit(gamma=1.0, omega=0.0)
-    rho0 = np.zeros((2, 2), dtype=complex)
-    rho0[0, 0] = 1.0
     times = np.linspace(0, 6, 61)
-    traj = evolve(l0, rho0, times)
-    jp, jm, _ = spin_operators(1)
-    excited = traj.expectation(jp @ jm).real
-    assert np.abs(excited - np.exp(-times)).max() < 1e-9
+    for dim_s, stepper in ((1, "expm"), (10, "expm_multiply")):
+        gen, rho0, excited_op = decaying_qubit_with_spectator(dim_s)
+        traj = evolve(gen, rho0, times)
+        assert traj.stepper == stepper
+        excited = traj.expectation(excited_op).real
+        assert np.abs(excited - np.exp(-times)).max() < 1e-9
 
 
 def test_dense_and_sparse_paths_agree():
     p = models.SuperradianceParams.from_sqrt_n_g(4, 0.2, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     gen = to_dense(m.l0 + m.v)
-    times = np.linspace(0, 10, 21)
     y0 = vectorize(m.initial_state)
-    reference = np.array([expm(gen * t) @ y0 for t in times])
-    for g in (gen, sp.csr_matrix(gen)):
-        traj = evolve(g, m.initial_state, times)
-        assert np.abs(traj.states - reference).max() < 1e-10
-        assert trace_drift(traj) < 1e-8
-        for k in (0, len(times) // 2, len(times) - 1):
-            state = traj.operator(k)
-            assert np.abs(state - state.conj().T).max() < 1e-8
+    # the whole space, k = 100 and ||G||_1 = 2.12: dense from t_max = 15.7
+    for t_max, stepper in ((10.0, "expm_multiply"), (40.0, "expm")):
+        times = np.linspace(0, t_max, 21)
+        reference = np.array([expm(gen * t) @ y0 for t in times])
+        for g in (gen, sp.csr_matrix(gen)):
+            traj = evolve(g, m.initial_state, times)
+            assert traj.stepper == stepper
+            assert np.abs(traj.states - reference).max() < 1e-10
+            assert trace_drift(traj) < 1e-8
+            for k in (0, len(times) // 2, len(times) - 1):
+                state = traj.operator(k)
+                assert np.abs(state - state.conj().T).max() < 1e-8
 
 
 def test_steady_state_gives_zero_intensity():
@@ -104,14 +125,13 @@ def test_collective_burst_appears_for_eight_spins():
 
 
 def test_dense_path_non_uniform_grid():
-    l0, _ = models.decaying_qubit(gamma=1.0, omega=0.0)
-    rho0 = np.zeros((2, 2), dtype=complex)
-    rho0[0, 0] = 1.0
     times = np.array([0.0, 0.3, 0.35, 1.0, 2.7])
-    traj = evolve(l0, rho0, times)
-    jp, jm, _ = spin_operators(1)
-    excited = traj.expectation(jp @ jm).real
-    assert np.abs(excited - np.exp(-times)).max() < 1e-9
+    for dim_s, stepper in ((1, "expm"), (10, "expm_multiply")):
+        gen, rho0, excited_op = decaying_qubit_with_spectator(dim_s)
+        traj = evolve(gen, rho0, times)
+        assert traj.stepper == stepper
+        excited = traj.expectation(excited_op).real
+        assert np.abs(excited - np.exp(-times)).max() < 1e-9
 
 
 def test_validation_errors():
@@ -142,9 +162,16 @@ def test_unreachable_tolerance_raises():
     with pytest.raises(ToleranceNotMetError, match="stiff"):
         evolve(gen, rho0, times)
     assert time.perf_counter() - start < 1.0
-    # e^1000 overflows: the non-finite state is the only signal
-    with pytest.raises(ToleranceNotMetError, match="non-finite"):
-        evolve(np.diag([100.0] * 4).astype(complex), rho0, times)
+    # e^1000 overflows: the non-finite state is the only signal.  With
+    # ||G||_1 t_max = 1000, the 4-dim sector steps densely and the 400-dim
+    # one takes expm_multiply, as the decaying twin of each shows
+    for dim, stepper in ((2, "expm"), (20, "expm_multiply")):
+        rho0 = np.eye(dim, dtype=complex) / dim
+        decay = evolve(np.diag([-100.0] * dim**2).astype(complex), rho0, times)
+        assert decay.stepper == stepper
+        assert np.abs(decay.states[-1]).max() == 0.0
+        with pytest.raises(ToleranceNotMetError, match="non-finite"):
+            evolve(np.diag([100.0] * dim**2).astype(complex), rho0, times)
 
 
 def u1_symmetric_model(charges, seed):
@@ -176,8 +203,9 @@ def u1_symmetric_model(charges, seed):
     seed=st.integers(0, 2**16),
     two_orders=st.booleans(),
     uniform=st.booleans(),
+    stepper=st.sampled_from(["expm", "expm_multiply"]),
 )
-def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, uniform):
+def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, uniform, stepper):
     gen, order, rng = u1_symmetric_model(charges, seed)
     # a positive order-0 part, plus one nonzero order when asked and present
     x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
@@ -189,13 +217,29 @@ def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, unifor
         rho0 = rho0 + 0.3 * x * (order == orders[1])
     rho0 = rho0 / np.trace(rho0)
     times = np.linspace(0.0, 3.0, 7) if uniform else np.array([0.0, 0.3, 1.1, 3.0])
+    inside = np.isin(order.reshape(-1), orders)
+    spans = 1 if uniform else times.size - 1
+
+    def norm(g):
+        return np.abs(g).sum(axis=0).max()
+
+    if stepper == "expm_multiply":
+        # shrink the grid below the rule's threshold for the sector; the
+        # whole space, larger and with no smaller norm, stays below it too
+        ratio = spans * inside.sum() ** 3 / (DENSE_STEP_RATIO * norm(gen) * times[-1])
+        times = times * (0.5 * ratio)
     y0 = vectorize(rho0)
     reference = np.array([expm(gen * t) @ y0 for t in times])
     traj = evolve(gen, rho0, times, charge=charges)
-    assert traj.sector_dim == np.isin(order, orders).sum()
+    assert traj.sector_dim == inside.sum()
+    # a sector the generator barely moves may fall below the threshold
+    scale = norm(gen[np.ix_(inside, inside)]) * times[-1]
+    dense = spans * inside.sum() ** 3 <= DENSE_STEP_RATIO * scale
+    assert traj.stepper == ("expm" if dense else "expm_multiply")
     assert np.abs(traj.states - reference).max() < 1e-10
     whole = evolve(gen, rho0, times)
     assert whole.sector_dim == order.size
+    assert whole.stepper == stepper
     assert np.abs(whole.states - reference).max() < 1e-10
 
 
