@@ -447,9 +447,8 @@ def _ancilla_from_config(run):
 
 def _task_ancilla_qrt(run):
     model = _ancilla_from_config(run)
-    eff = qrt.effective_master_equation_2(model)
-    system_ops = [s for _, s in model.couplings]
-    jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, system_ops)
+    eff = qrt.effective_master_equation_2(model, zero_tol=run.zero_tol)
+    jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, eff.system_ops)
     paths = [
         _write_csv(
             run.out + "_coefficient.csv",

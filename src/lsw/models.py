@@ -314,8 +314,8 @@ def regrouped_generator(model):
 
 def random_lindblad_model(dim, n_jumps, seed):
     """Random Hermitian Hamiltonian, Gaussian jump operators, seeded."""
-    if dim < 2:
-        raise ValidationError("dim must be >= 2")
+    if dim < 2 or seed < 0:
+        raise ValidationError("random model needs dim >= 2 and seed >= 0")
     rng = np.random.default_rng(seed)
 
     def herm(d):
@@ -333,6 +333,10 @@ def random_lindblad_model(dim, n_jumps, seed):
 
 def random_ancilla_model(dim_ancilla, n_couplings, seed, dim_system=2):
     """Random dissipative ancilla with Hermitian coupling pairs."""
+    if dim_ancilla < 2 or n_couplings < 1 or dim_system < 1 or seed < 0:
+        raise ValidationError(
+            "random ancilla needs dimension >= 2, couplings >= 1, system_dimension >= 1, seed >= 0"
+        )
     rng = np.random.default_rng(seed)
 
     def herm(d):

@@ -8,7 +8,9 @@ the Bloch matrix of the closed operator set, so no fast-space inverse of
 the full generator is ever needed.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,12 +21,13 @@ from .exceptions import (
     SingularBlochMatrixError,
 )
 from .operators import hermitian_basis
-from .spectral import decompose, fast_inverse
+from .spectral import DEFAULT_ZERO_TOL, decompose, fast_inverse
 from .superop import (
     devectorize,
     hamiltonian_superop,
     sandwich_superop,
     to_dense,
+    trace_functional,
     vectorize,
 )
 
@@ -39,14 +42,6 @@ class AncillaModel:
     couplings: Sequence  # (ancilla_op, system_op) pairs
     epsilon: float = 1.0
 
-    @property
-    def dim_ancilla(self):
-        return int(round(self.l0.shape[0] ** 0.5))
-
-    @property
-    def dim_system(self):
-        return self.couplings[0][1].shape[0]
-
     def validate(self, herm_tol=1e-12):
         for i, (a, s) in enumerate(self.couplings):
             for name, op in (("ancilla", a), ("system", s)):
@@ -56,19 +51,32 @@ class AncillaModel:
         return self
 
 
-def steady_state(l0, zero_tol=1e-9, psd_tol=1e-10):
+def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, psd_tol=1e-10):
     """Unique fixed point of the generator, hermitized and trace-normalized.
 
-    Raises DegenerateSteadyStateError when the zero eigenvalue is not
-    simple, and NotPositiveError when the fixed point fails positivity.
+    No eigendecomposition: the kernel dimension counts the singular values
+    of L0 at most ``zero_tol * max(1, s_max)`` (the relative rule
+    ``decompose`` applies to eigenvalue moduli).  Tr o L0 = 0 makes row 0
+    (vec index of rho[0, 0]) a combination of the other diagonal rows, so
+    with a one-dimensional kernel L0 with that row replaced by the trace
+    functional is nonsingular and maps the trace-one fixed point to e_0.
+    Without eigenvectors, ``decompose``'s eigenvector-condition refusal
+    (DefectiveOperatorError) does not apply.
+
+    Raises DegenerateSteadyStateError when the kernel is not
+    one-dimensional, and NotPositiveError when the fixed point fails
+    positivity.
     """
-    sd = decompose(to_dense(l0), zero_tol=zero_tol)
-    if sd.slow_dim != 1:
-        raise DegenerateSteadyStateError(
-            f"zero eigenvalue has multiplicity {sd.slow_dim}"
-        )
-    sigma = devectorize(sd.right[:, sd.slow[0]])
-    sigma = sigma / np.trace(sigma)
+    l0 = to_dense(l0)
+    sv = np.linalg.svd(l0, compute_uv=False)
+    nullity = int(np.count_nonzero(sv <= zero_tol * max(1.0, sv[0])))
+    if nullity != 1:
+        raise DegenerateSteadyStateError(f"kernel of the generator has dimension {nullity}")
+    # numpy's solve, not scipy's: scipy calls its own bundled LAPACK, whose
+    # first call faulted in about 1.3 MB more of library pages
+    bordered = np.array(l0, dtype=complex)
+    bordered[0] = trace_functional(math.isqrt(l0.shape[0]))
+    sigma = devectorize(np.linalg.solve(bordered, np.eye(1, l0.shape[0], dtype=complex)[0]))
     sigma = 0.5 * (sigma + sigma.conj().T)
     low = np.linalg.eigvalsh(sigma).min()
     if low < -psd_tol:
@@ -95,7 +103,7 @@ class BlochSystem:
     seed_count: int
 
 
-def close_operator_set(l0, seed_ops, tol=CLOSURE_TOL):
+def close_operator_set(l0, seed_ops, tol=CLOSURE_TOL, zero_tol=DEFAULT_ZERO_TOL):
     """Close the seed operators under the adjoint evolution.
 
     Works in real coordinates over the orthonormal Hermitian basis F, where
@@ -106,10 +114,11 @@ def close_operator_set(l0, seed_ops, tol=CLOSURE_TOL):
     of sigma; since Tr(X sigma) = <sigma, X>, that row keeps every later
     vector a deviation and is dropped at the end.  The deviation space is
     invariant, so the loop ends at the latest once it is spanned.
+    ``zero_tol`` is the kernel rule of :func:`steady_state`.
     """
     l0 = to_dense(l0)
     dim = int(round(l0.shape[0] ** 0.5))
-    sigma = steady_state(l0)
+    sigma = steady_state(l0, zero_tol=zero_tol)
     frame = np.array(hermitian_basis(dim, traceless=False)).reshape(dim * dim, dim * dim)
     adjoint = (frame.conj() @ l0.conj().T @ frame.T).real
 
@@ -224,49 +233,54 @@ def coefficient_matrix_resolvent_oracle(l0, sigma, ops):
 
 @dataclass
 class EffectiveMasterEquation:
-    """System-space generators at first and second order (epsilon excluded)."""
+    """System-space generators at first and second order (epsilon excluded),
+    assembled on first access from the coefficient matrix and Bloch system."""
 
-    first_order: np.ndarray
-    second_order: np.ndarray
     coefficient: CoefficientMatrix
-    bloch: BlochSystem = field(repr=False, default=None)
+    bloch: BlochSystem = field(repr=False)
+    system_ops: list = field(repr=False)
+
+    @cached_property
+    def first_order(self):
+        """Coupling of the system to the steady means of the ancilla operators."""
+        return sum(
+            mean * hamiltonian_superop(s)
+            for mean, s in zip(self.bloch.steady_means, self.system_ops)
+        )
+
+    @cached_property
+    def second_order(self):
+        """Dissipator over the system operators plus the induced Hamiltonian."""
+        ops, diss = self.system_ops, self.coefficient.dissipation
+        eye = np.eye(ops[0].shape[0], dtype=complex)
+        second = sum(
+            0.5 * diss[i, j] * (
+                2.0 * sandwich_superop(sj, si)
+                - sandwich_superop(si @ sj, eye)
+                - sandwich_superop(eye, si @ sj)
+            )
+            for i, si in enumerate(ops)
+            for j, sj in enumerate(ops)
+            if diss[i, j] != 0
+        )
+        return second + hamiltonian_superop(_induced_hamiltonian(self.coefficient, ops))
 
 
-def effective_master_equation_2(model):
+def effective_master_equation_2(model, zero_tol=DEFAULT_ZERO_TOL):
     """Reduced system generator after eliminating the ancilla, to second order.
 
     First order couples the system to the steady means of the ancilla
     operators; second order combines the Hermitian part of the coefficient
     matrix into a dissipator over the system coupling operators and its
-    anti-Hermitian part into an induced Hamiltonian.
+    anti-Hermitian part into an induced Hamiltonian.  ``zero_tol`` is the
+    kernel rule of :func:`steady_state`.
     """
     model.validate()
-    ancilla_ops = [a for a, _ in model.couplings]
-    system_ops = [np.asarray(s, dtype=complex) for _, s in model.couplings]
-    ds = model.dim_system
-    eye = np.eye(ds, dtype=complex)
-
-    bs = close_operator_set(model.l0, ancilla_ops)
-    cm = coefficient_matrix(bs)
-
-    first = np.zeros((ds * ds, ds * ds), dtype=complex)
-    for mean, s in zip(bs.steady_means, system_ops):
-        first = first + mean * hamiltonian_superop(s)
-
-    second = np.zeros_like(first)
-    diss = cm.dissipation
-    for i, si in enumerate(system_ops):
-        for j, sj in enumerate(system_ops):
-            if diss[i, j] != 0:
-                sij = si @ sj
-                second = second + 0.5 * diss[i, j] * (
-                    2.0 * sandwich_superop(sj, si)
-                    - sandwich_superop(sij, eye)
-                    - sandwich_superop(eye, sij)
-                )
-    second = second + hamiltonian_superop(_induced_hamiltonian(cm, system_ops))
+    bs = close_operator_set(model.l0, [a for a, _ in model.couplings], zero_tol=zero_tol)
     return EffectiveMasterEquation(
-        first_order=first, second_order=second, coefficient=cm, bloch=bs
+        coefficient=coefficient_matrix(bs),
+        bloch=bs,
+        system_ops=[np.asarray(s, dtype=complex) for _, s in model.couplings],
     )
 
 

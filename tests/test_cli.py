@@ -353,6 +353,40 @@ def test_ancilla_qrt_task(tmp_path):
         assert float(row[1]) >= 0.0
 
 
+def test_ancilla_qrt_honours_zero_tol(tmp_path, capsys):
+    # a zero tolerance of half the largest singular value counts fast modes
+    # into the kernel, so the steady state is refused as degenerate
+    model = {"kind": "random-ancilla", "dimension": 4, "couplings": 3, "system_dimension": 3, "seed": 5}
+    default = write_config(tmp_path, {"model": model, "output": str(tmp_path / "ok")}, "ok.yaml")
+    assert cli.main(["ancilla-qrt", "--config", default]) == 0
+    loose = write_config(
+        tmp_path,
+        {"model": model, "tolerances": {"zero_tol": 0.5}, "output": str(tmp_path / "loose")},
+        "loose.yaml",
+    )
+    assert cli.main(["ancilla-qrt", "--config", loose]) == 3
+    assert "kernel" in capsys.readouterr().err
+    assert not list(tmp_path.glob("loose_*"))
+
+
+@pytest.mark.parametrize(
+    "task,model",
+    [
+        ("ancilla-qrt", {"kind": "random-ancilla", "couplings": 0}),
+        ("ancilla-qrt", {"kind": "random-ancilla", "system_dimension": 0}),
+        ("ancilla-qrt", {"kind": "random-ancilla", "dimension": 0}),
+        ("ancilla-qrt", {"kind": "random-ancilla", "seed": -1}),
+        ("spectrum", {"kind": "random", "seed": -1}),
+    ],
+    ids=["no-couplings", "system-dim-0", "ancilla-dim-0", "ancilla-seed-neg", "random-seed-neg"],
+)
+def test_bad_random_model_parameters_exit_2(tmp_path, capsys, task, model):
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "bad")})
+    assert cli.main([task, "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad*"))
+
+
 def test_decoupling_scan_task(tmp_path):
     cfg = write_config(
         tmp_path,

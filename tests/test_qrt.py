@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_hermitian
@@ -64,14 +66,54 @@ def test_steady_state_matches_long_time_integration():
     assert np.abs(evolved - sigma).max() < 1e-8
 
 
+def dark_levels_l0(levels):
+    # one jump empties level 1 into level 0 and every other level is dark,
+    # so each level but 1 holds a steady population; distinct energies make
+    # every coherence rotate
+    jump = np.zeros((levels, levels), dtype=complex)
+    jump[0, 1] = 1.0
+    energies = np.diag(np.arange(levels, dtype=float))
+    spec = LindbladSpec(hdim=levels, hamiltonian=energies, jumps=[(1.0, jump)])
+    return to_dense(lindblad_superop(spec, sparse=False)[0])
+
+
 def test_steady_state_degenerate_rejected():
     # two dark populations: the zero eigenvalue is not simple
-    jump = np.zeros((3, 3), dtype=complex)
-    jump[0, 1] = 1.0
-    spec = LindbladSpec(hdim=3, hamiltonian=np.diag([0.0, 1.0, 2.0]), jumps=[(1.0, jump)])
-    l0, _ = lindblad_superop(spec, sparse=False)
-    with pytest.raises(DegenerateSteadyStateError):
-        steady_state(to_dense(l0))
+    with pytest.raises(DegenerateSteadyStateError, match="dimension 2"):
+        steady_state(dark_levels_l0(3))
+
+
+def test_steady_state_three_dim_kernel_rejected():
+    with pytest.raises(DegenerateSteadyStateError, match="dimension 3"):
+        steady_state(dark_levels_l0(4))
+
+
+def assert_matches_zero_mode(l0):
+    # the bordered solve against the hermitized, trace-normalized zero mode
+    # of the eigen route
+    sigma = steady_state(l0)
+    sd = decompose(l0)
+    assert sd.slow_dim == 1
+    mode = devectorize(sd.right[:, sd.slow[0]])
+    mode = mode / np.trace(mode)
+    mode = 0.5 * (mode + mode.conj().T)
+    assert np.abs(sigma - mode).max() <= 1e-12
+    assert np.linalg.norm(l0 @ vectorize(sigma)) <= 1e-12 * np.linalg.norm(l0, 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 16), seed=st.integers(0, 2**16))
+@example(dim=16, seed=0)
+@example(dim=15, seed=1)
+def test_steady_state_matches_eigen_route_random_ancillas(dim, seed):
+    assert_matches_zero_mode(models.random_ancilla_model(dim, 1, seed).l0)
+
+
+@pytest.mark.parametrize("rabi", [0.25, 0.2499, 0.2501, 0.3])
+def test_steady_state_matches_eigen_route_near_exceptional_point(rabi):
+    # at gamma = 1, omega = 0 the resonantly driven qubit has an exceptional
+    # point at rabi = 0.25 among its fast eigenvalues
+    assert_matches_zero_mode(qubit_l0(gamma=1.0, omega=0.0, rabi=rabi))
 
 
 def test_pure_hamiltonian_ancilla_rejected():
