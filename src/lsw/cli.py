@@ -182,8 +182,10 @@ class Run:
             raise ValidationError(f"order must be in [1, {sw.MAX_ORDER}]")
         if self.n_points < 2:
             raise ValidationError("times.n_points must be >= 2")
-        if self.t_max <= 0:
-            raise ValidationError("times.t_max must be > 0")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValidationError("times.t_max must be finite and > 0")
+        if not (math.isfinite(self.zero_tol) and self.zero_tol > 0):
+            raise ValidationError("tolerances.zero_tol must be finite and > 0")
         if not all(math.isfinite(e) and e > 0 for e in self.epsilons):
             raise ValidationError("every entry of epsilons must be finite and > 0")
         if task == "decoupling-scan" and len(self.epsilons) < 2:

@@ -5,8 +5,8 @@ class LswError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ValidationError(LswError):
-    """A configuration or argument failed validation."""
+class ValidationError(LswError, ValueError):
+    """A configuration or argument failed validation (also a ValueError)."""
 
 
 class DimensionMismatchError(LswError):

@@ -127,7 +127,7 @@ def superradiance_model(params):
     return SuperradianceModel(
         l_a=l_a,
         l0=lift(l_a, dn),
-        v=perturbation_superop([coupling], 2 * dn),
+        v=perturbation_superop([coupling], 2 * dn, sparse=True),
         iz=iz,
         iplus=ip,
         iminus=im,
@@ -314,8 +314,8 @@ def regrouped_generator(model):
 
 def random_lindblad_model(dim, n_jumps, seed):
     """Random Hermitian Hamiltonian, Gaussian jump operators, seeded."""
-    if dim < 2 or seed < 0:
-        raise ValidationError("random model needs dim >= 2 and seed >= 0")
+    if dim < 2 or n_jumps < 0 or seed < 0:
+        raise ValidationError("random model needs dimension >= 2, jumps >= 0 and seed >= 0")
     rng = np.random.default_rng(seed)
 
     def herm(d):

@@ -19,6 +19,7 @@ from .exceptions import (
     DegenerateSteadyStateError,
     NotPositiveError,
     SingularBlochMatrixError,
+    ValidationError,
 )
 from .operators import hermitian_basis
 from .spectral import DEFAULT_ZERO_TOL, decompose, fast_inverse
@@ -47,7 +48,7 @@ class AncillaModel:
             for name, op in (("ancilla", a), ("system", s)):
                 op = np.asarray(op)
                 if np.max(np.abs(op - op.conj().T)) > herm_tol:
-                    raise ValueError(f"coupling {i}: {name} operator not Hermitian")
+                    raise ValidationError(f"coupling {i}: {name} operator not Hermitian")
         return self
 
 

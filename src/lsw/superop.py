@@ -11,13 +11,11 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, ValidationError
 from .operators import hermitian_basis
 
 # superoperators denser than this are stored dense (entries scale as d**4)
 SPARSE_FILL_THRESHOLD = 0.1
-# Hilbert dimensions with d**2 above this default to sparse assembly
-SPARSE_AUTO_DIM = 1024
 
 
 def vectorize(rho):
@@ -166,56 +164,39 @@ class LindbladSpec:
             if h.shape != (d, d):
                 raise DimensionMismatchError(f"{name} has shape {h.shape}, expected ({d}, {d})")
             if np.max(np.abs(h - h.conj().T)) > herm_tol:
-                raise ValueError(f"{name} is not Hermitian to {herm_tol}")
+                raise ValidationError(f"{name} is not Hermitian to {herm_tol}")
         for i, (rate, l) in enumerate(self.jumps):
             if rate < 0:
-                raise ValueError(f"jump {i} has negative rate {rate}")
+                raise ValidationError(f"jump {i} has negative rate {rate}")
             if np.asarray(l).shape != (d, d):
                 raise DimensionMismatchError(f"jump operator {i} has wrong shape")
         return self
 
 
-def _wants_sparse(hdim, sparse):
-    return bool(sparse) if sparse != "auto" else hdim * hdim > SPARSE_AUTO_DIM
-
-
-def _auto_store(m, sparse):
-    """Under the auto policy, a sparse superoperator filled past
-    ``SPARSE_FILL_THRESHOLD`` is stored dense."""
-    if sparse == "auto" and sp.issparse(m) and fill_ratio(m) >= SPARSE_FILL_THRESHOLD:
-        return to_dense(m)
-    return m
-
-
-def perturbation_superop(perturbations, hdim, sparse="auto"):
+def perturbation_superop(perturbations, hdim, sparse=False):
     """V = sum of -i[H_t, .] over the perturbation Hamiltonians H_t.
 
-    Storage follows the same policy as :func:`lindblad_superop`, so a model
-    can assemble its perturbation without an unperturbed part.
+    Stored as CSR when ``sparse``, dense otherwise, so a model can assemble
+    its perturbation without an unperturbed part.
     """
-    want_sparse = _wants_sparse(hdim, sparse)
     if perturbations:
-        v = sum(hamiltonian_superop(h, want_sparse) for h in perturbations)
-    else:
-        shape = (hdim * hdim, hdim * hdim)
-        v = sp.csr_matrix(shape, dtype=complex) if want_sparse else np.zeros(shape, complex)
-    return _auto_store(v, sparse)
+        return sum(hamiltonian_superop(h, sparse) for h in perturbations)
+    shape = (hdim * hdim, hdim * hdim)
+    return sp.csr_matrix(shape, dtype=complex) if sparse else np.zeros(shape, complex)
 
 
-def lindblad_superop(spec, sparse="auto"):
+def lindblad_superop(spec, sparse=False):
     """Assemble (L0, V) from a :class:`LindbladSpec`.
 
     L0 collects all jump terms and -i[H0, .]; V is the sum of -i[H_t, .]
     over the perturbation Hamiltonians, without the epsilon prefactor.
-    Storage is sparse when requested, or under the auto policy when the
-    superoperator is both large and sufficiently empty.
+    Both are stored as CSR when ``sparse``, dense otherwise.
     """
     spec.validate()
-    want_sparse = _wants_sparse(spec.hdim, sparse)
-    l0 = hamiltonian_superop(spec.hamiltonian, want_sparse)
+    l0 = hamiltonian_superop(spec.hamiltonian, sparse)
     for rate, l in spec.jumps:
-        l0 = l0 + rate * dissipator_superop(l, want_sparse)
-    return _auto_store(l0, sparse), perturbation_superop(spec.perturbations, spec.hdim, sparse)
+        l0 = l0 + rate * dissipator_superop(l, sparse)
+    return l0, perturbation_superop(spec.perturbations, spec.hdim, sparse)
 
 
 def kossakowski_matrix(g):

