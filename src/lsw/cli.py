@@ -22,13 +22,14 @@ from .exceptions import (
     DimensionMismatchError,
     ExprSyntaxError,
     LswError,
+    ToleranceNotMetError,
     UnknownSymbolError,
     ValidationError,
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators
 from .spectral import as_operand, check_perturbative_limit, decompose
-from .superop import LindbladSpec, lindblad_superop, to_csr, to_dense
+from .superop import LindbladSpec, lift, lindblad_superop, to_csr
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
 
@@ -42,25 +43,21 @@ EXIT_NUMERICAL = 3
 SPECTRAL_DIM_LIMIT = 4500
 
 
-def _require_tractable(obj, task):
-    dim = obj.shape[0]
-    if dim > SPECTRAL_DIM_LIMIT:
-        raise ValidationError(
-            f"task {task!r}: superoperator dimension {dim} exceeds the spectral "
-            f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
-        )
-
-
 def _decomposed(run, built):
     """Size check, then L0's eigensystem and V in the chosen backend's storage.
 
-    The model declares ``factor = (block, dim_s)`` with L0 = block (x) 1_S;
-    a subsystem dimension above 1 selects the product backend, and only
-    the dense backend densifies V.
+    L0 = L_A (x) 1_S for the model's ancilla block L_A; a system dimension
+    above 1 selects the product backend, and only the dense backend
+    densifies V.
     """
-    _require_tractable(built["l0"], run.task)
-    block, dim_s = built["factor"]
-    sd = decompose(block, zero_tol=run.zero_tol, dim_s=dim_s)
+    anc = built["ancilla"]
+    dim = anc.l0.shape[0] * anc.dim_s**2
+    if dim > SPECTRAL_DIM_LIMIT:
+        raise ValidationError(
+            f"task {run.task!r}: superoperator dimension {dim} exceeds the spectral "
+            f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
+        )
+    sd = decompose(anc.l0, zero_tol=run.zero_tol, dim_s=anc.dim_s)
     return sd, as_operand(sd, built["v"])
 
 
@@ -101,6 +98,20 @@ def _matrix_columns(m):
     return [rows.ravel(), cols.ravel(), m.real.ravel(), m.imag.ravel()]
 
 
+def _number(key, value, integral=False):
+    """A numeric config value: an integral number as an int when ``integral``,
+    a finite float otherwise.  Bools and strings are refused, naming the key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    if integral:
+        if not (isinstance(value, int) or value.is_integer()):
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
 def _build_symbols(defs):
     """Materialize the config symbol table in declaration order."""
     symbols = {}
@@ -108,7 +119,7 @@ def _build_symbols(defs):
         if not isinstance(d, dict):
             raise ValidationError(f"symbol {name!r}: definition must be a mapping")
         if "spin" in d:
-            two_j = int(d["spin"])
+            two_j = _number(f"symbol {name!r}: spin", d["spin"], integral=True)
             jp, jm, jz = spin_operators(two_j)
             component = d.get("component", "z")
             try:
@@ -118,7 +129,8 @@ def _build_symbols(defs):
                     f"symbol {name!r}: component must be plus/minus/z"
                 ) from None
         elif "identity" in d:
-            symbols[name] = np.eye(int(d["identity"]), dtype=complex)
+            dim = _number(f"symbol {name!r}: identity", d["identity"], integral=True)
+            symbols[name] = np.eye(dim, dtype=complex)
         elif "matrix" in d:
             entries = np.asarray(d["matrix"], dtype=float)
             if entries.ndim == 3 and entries.shape[2] == 2:
@@ -138,27 +150,49 @@ def _build_symbols(defs):
     return symbols
 
 
-def _custom_spec(cfg):
-    dim = int(cfg.get("dimension", 0))
+def _custom_model(cfg):
+    """(AncillaModel, rho0, observables) of a custom model: on A (x) S with
+    ``couplings``; on A alone with ``perturbations``, each paired with 1_1."""
+    dim = _number("model.dimension", cfg.get("dimension", 0), integral=True)
     if dim < 2:
         raise ValidationError("custom model needs dimension >= 2")
     symbols = _build_symbols(cfg.get("symbols"))
+
+    def parse(text):
+        return parse_operator_expr(str(text), symbols)
+
     ham_text = cfg.get("hamiltonian")
-    hamiltonian = (
-        parse_operator_expr(str(ham_text), symbols)
-        if ham_text
-        else np.zeros((dim, dim), complex)
-    )
-    jumps = []
-    for j in cfg.get("jumps", []) or []:
-        jumps.append((float(j["rate"]), parse_operator_expr(str(j["operator"]), symbols)))
-    perturbations = [
-        parse_operator_expr(str(t), symbols) for t in cfg.get("perturbations", []) or []
+    hamiltonian = parse(ham_text) if ham_text else np.zeros((dim, dim), complex)
+    jumps = [
+        (_number("model.jumps.rate", j.get("rate")), parse(j["operator"]))
+        for j in cfg.get("jumps", []) or []
     ]
-    spec = LindbladSpec(
-        hdim=dim, hamiltonian=hamiltonian, jumps=jumps, perturbations=perturbations
-    )
-    return spec, symbols
+    l0, _ = lindblad_superop(LindbladSpec(hdim=dim, hamiltonian=hamiltonian, jumps=jumps))
+    couplings = [(parse(p["ancilla"]), parse(p["system"])) for p in cfg.get("couplings") or []]
+    perturbations = [(parse(t), np.eye(1)) for t in cfg.get("perturbations") or []]
+    if couplings and perturbations:
+        raise ValidationError("custom model: give couplings or perturbations, not both")
+    epsilon = _number("model.epsilon", cfg.get("epsilon", 1.0))
+    ancilla = qrt.AncillaModel(l0, couplings or perturbations, epsilon).validate()
+    hdim = dim * ancilla.dim_s
+    rho0_text = cfg.get("initial")
+    if rho0_text:
+        rho0 = parse(rho0_text)
+        trace = np.trace(rho0)
+        if trace == 0 or not np.isfinite(trace):
+            raise ValidationError(
+                f"initial state has trace {trace:.6g}; it cannot be normalized"
+            )
+        rho0 = rho0 / trace
+    else:  # a model on A (x) S has no default initial state
+        rho0 = np.eye(dim, dtype=complex) / dim if hdim == dim else None
+    observables = {name: parse(text) for name, text in (cfg.get("observables") or {}).items()}
+    for name, op in observables.items():
+        if op.shape != (hdim, hdim):
+            raise DimensionMismatchError(
+                f"observable {name!r} has shape {op.shape}, expected ({hdim}, {hdim})"
+            )
+    return ancilla, rho0, observables
 
 
 class Run:
@@ -169,25 +203,27 @@ class Run:
             raise ValidationError(f"unknown task {task!r}")
         self.task = task
         self.cfg = cfg
-        self.order = int(order if order is not None else cfg.get("order", 2))
-        self.epsilon = float(epsilon if epsilon is not None else cfg.get("epsilon", 1.0))
+        order = cfg.get("order", 2) if order is None else order
+        epsilon = cfg.get("epsilon", 1.0) if epsilon is None else epsilon
+        self.order = _number("order", order, integral=True)
+        self.epsilon = _number("epsilon", epsilon)
         self.out = str(out if out is not None else cfg.get("output", "lsw_out"))
         times = cfg.get("times", {}) or {}
-        self.t_max = float(times.get("t_max", 10.0))
-        self.n_points = int(times.get("n_points", 201))
+        self.t_max = _number("times.t_max", times.get("t_max", 10.0))
+        self.n_points = _number("times.n_points", times.get("n_points", 201), integral=True)
         tol = cfg.get("tolerances", {}) or {}
-        self.zero_tol = float(tol.get("zero_tol", 1e-9))
-        self.epsilons = [float(e) for e in cfg.get("epsilons", [1e-2, 1e-3, 1e-4])]
+        self.zero_tol = _number("tolerances.zero_tol", tol.get("zero_tol", 1e-9))
+        self.epsilons = [_number("epsilons", e) for e in cfg.get("epsilons", [1e-2, 1e-3, 1e-4])]
         if not 1 <= self.order <= sw.MAX_ORDER:
             raise ValidationError(f"order must be in [1, {sw.MAX_ORDER}]")
         if self.n_points < 2:
             raise ValidationError("times.n_points must be >= 2")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValidationError("times.t_max must be finite and > 0")
-        if not (math.isfinite(self.zero_tol) and self.zero_tol > 0):
-            raise ValidationError("tolerances.zero_tol must be finite and > 0")
-        if not all(math.isfinite(e) and e > 0 for e in self.epsilons):
-            raise ValidationError("every entry of epsilons must be finite and > 0")
+        if not self.t_max > 0:
+            raise ValidationError("times.t_max must be > 0")
+        if not self.zero_tol > 0:
+            raise ValidationError("tolerances.zero_tol must be > 0")
+        if not all(e > 0 for e in self.epsilons):
+            raise ValidationError("every entry of epsilons must be > 0")
         if task == "decoupling-scan" and len(self.epsilons) < 2:
             raise ValidationError("decoupling-scan fits a slope: epsilons needs two or more entries")
 
@@ -211,92 +247,80 @@ def _model_kind(cfg):
 
 def _superradiance_params(mcfg):
     """Superradiance parameters from a model section (`sqrt_n_g` or `g`)."""
-    n = int(mcfg.get("n_spins", 2))
-    gamma = float(mcfg.get("gamma", 1.0))
-    omega = float(mcfg.get("omega", 0.0))
+    n = _number("model.n_spins", mcfg.get("n_spins", 2), integral=True)
+    gamma = _number("model.gamma", mcfg.get("gamma", 1.0))
+    omega = _number("model.omega", mcfg.get("omega", 0.0))
     if "sqrt_n_g" in mcfg:
         return models.SuperradianceParams.from_sqrt_n_g(
-            n, float(mcfg["sqrt_n_g"]), gamma=gamma, omega=omega
+            n, _number("model.sqrt_n_g", mcfg["sqrt_n_g"]), gamma=gamma, omega=omega
         )
     return models.SuperradianceParams(
-        n_spins=n, g=float(mcfg.get("g", 0.1)), gamma=gamma, omega=omega
+        n_spins=n, g=_number("model.g", mcfg.get("g", 0.1)), gamma=gamma, omega=omega
     )
 
 
 def _build_model(run):
-    """Return a dict with l0, its declared factor, v, initial state and observables,
-    plus the conserved charge where the model declares one."""
+    """The one model registry: a dict with the kind, the AncillaModel under
+    ``ancilla``, ``rho0`` (None: none on A (x) S) and the observables, plus
+    superradiance's full model and charge.  Every task but ancilla-qrt
+    also gets ``l0`` = L_A (x) 1_S and ``v`` from ``AncillaModel.perturbation``
+    (CSR for a system dimension above 1)."""
     kind, mcfg = _model_kind(run.cfg)
+    assemble = run.task != "ancilla-qrt"
     if kind == "superradiance":
-        model = models.superradiance_model(_superradiance_params(mcfg))
+        params = _superradiance_params(mcfg)
+        if not assemble:
+            return {"kind": kind, "ancilla": models.superradiance_ancilla(params)}
+        model = models.superradiance_model(params)
         return {
             "kind": kind,
+            "ancilla": model.ancilla,
             "l0": model.l0,
             "v": model.v,
             "rho0": model.initial_state,
             "observables": {"iz": model.iz_full},
             "model": model,
-            "factor": (model.l_a, model.dims[1]),
             "charge": model.charge,
         }
     if kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
-            gamma=float(mcfg.get("gamma", 1.0)), omega=float(mcfg.get("omega", 0.0))
+            gamma=_number("model.gamma", mcfg.get("gamma", 1.0)),
+            omega=_number("model.omega", mcfg.get("omega", 0.0)),
         )
         jp, jm, _ = spin_operators(1)
         rho0 = np.zeros((2, 2), complex)
         rho0[0, 0] = 1.0
-        return {
-            "kind": kind,
-            "l0": l0,
-            "factor": (l0, 1),
-            "v": np.zeros_like(to_dense(l0)),
-            "rho0": rho0,
-            "observables": {"excited": jp @ jm},
-        }
-    if kind == "random":
+        ancilla, observables = qrt.AncillaModel(l0=l0, couplings=[]), {"excited": jp @ jm}
+    elif kind == "random":
         spec = models.random_lindblad_model(
-            int(mcfg.get("dimension", 3)),
-            int(mcfg.get("jumps", 2)),
-            int(mcfg.get("seed", 0)),
+            _number("model.dimension", mcfg.get("dimension", 3), integral=True),
+            _number("model.jumps", mcfg.get("jumps", 2), integral=True),
+            _number("model.seed", mcfg.get("seed", 0), integral=True),
         )
-        l0, v = lindblad_superop(spec, sparse=False)
-        rho0 = np.eye(spec.hdim, dtype=complex) / spec.hdim
-        return {
-            "kind": kind,
-            "l0": l0,
-            "factor": (l0, 1),
-            "v": v,
-            "rho0": rho0,
-            "observables": {},
-        }
-    if kind == "custom":
-        spec, symbols = _custom_spec(mcfg)
-        l0, v = lindblad_superop(spec, sparse=False)
-        rho0_text = mcfg.get("initial")
-        if rho0_text:
-            rho0 = parse_operator_expr(str(rho0_text), symbols)
-            trace = np.trace(rho0)
-            if trace == 0 or not np.isfinite(trace):
-                raise ValidationError(
-                    f"initial state has trace {trace:.6g}; it cannot be normalized"
-                )
-            rho0 = rho0 / trace
-        else:
-            rho0 = np.eye(spec.hdim, dtype=complex) / spec.hdim
-        observables = {
-            name: parse_operator_expr(str(text), symbols)
-            for name, text in (mcfg.get("observables") or {}).items()
-        }
-        return {
-            "kind": kind,
-            "l0": l0,
-            "factor": (l0, 1),
-            "v": v,
-            "rho0": rho0,
-            "observables": observables,
-        }
-    raise ValidationError(f"unknown model kind {kind!r}")
+        # V comes from the ancilla model; the spec's own would be built and dropped
+        l0, _ = lindblad_superop(LindbladSpec(spec.hdim, spec.hamiltonian, spec.jumps))
+        ancilla = qrt.AncillaModel(l0=l0, couplings=[(h, np.eye(1)) for h in spec.perturbations])
+        rho0, observables = np.eye(spec.hdim, dtype=complex) / spec.hdim, {}
+    elif kind == "random-ancilla":
+        ancilla = models.random_ancilla_model(
+            _number("model.dimension", mcfg.get("dimension", 2), integral=True),
+            _number("model.couplings", mcfg.get("couplings", 2), integral=True),
+            _number("model.seed", mcfg.get("seed", 0), integral=True),
+            dim_system=_number(
+                "model.system_dimension", mcfg.get("system_dimension", 2), integral=True
+            ),
+        )
+        rho0, observables = None, {}
+    elif kind == "custom":
+        ancilla, rho0, observables = _custom_model(mcfg)
+    else:
+        raise ValidationError(f"unknown model kind {kind!r}")
+    built = {"kind": kind, "ancilla": ancilla, "rho0": rho0, "observables": observables}
+    if assemble:
+        dim_s = ancilla.dim_s
+        built["l0"] = ancilla.l0 if dim_s == 1 else lift(ancilla.l0, dim_s)
+        built["v"] = ancilla.perturbation(sparse=dim_s > 1)
+    return built
 
 
 def _task_spectrum(run):
@@ -364,6 +388,10 @@ def _task_effective(run):
 
 def _task_evolve(run):
     built = _build_model(run)
+    if built["rho0"] is None:
+        raise ValidationError(
+            "evolve needs an initial state: a model on A (x) S has no default one"
+        )
     gen = built["l0"] + run.epsilon * built["v"]
     traj = dynamics.evolve(gen, built["rho0"], run.times, built.get("charge"))
     header = ["time"] + [f"re_{k}" for k in built["observables"]] + [
@@ -417,38 +445,14 @@ def _task_compare(run):
     return [path]
 
 
-def _ancilla_from_config(run):
-    kind, mcfg = _model_kind(run.cfg)
-    if kind == "superradiance":
-        return models.superradiance_ancilla(_superradiance_params(mcfg))
-    if kind == "random-ancilla":
-        return models.random_ancilla_model(
-            int(mcfg.get("dimension", 2)),
-            int(mcfg.get("couplings", 2)),
-            int(mcfg.get("seed", 0)),
-            dim_system=int(mcfg.get("system_dimension", 2)),
-        )
-    if kind == "custom":
-        spec, symbols = _custom_spec(mcfg)
-        l0, _ = lindblad_superop(spec, sparse=False)
-        couplings = []
-        for pair in mcfg.get("couplings", []) or []:
-            couplings.append(
-                (
-                    parse_operator_expr(str(pair["ancilla"]), symbols),
-                    parse_operator_expr(str(pair["system"]), symbols),
-                )
-            )
-        if not couplings:
-            raise ValidationError("custom ancilla model needs a couplings list")
-        return qrt.AncillaModel(
-            l0=to_dense(l0), couplings=couplings, epsilon=float(mcfg.get("epsilon", 1.0))
-        )
-    raise ValidationError(f"model kind {kind!r} has no ancilla form")
-
-
 def _task_ancilla_qrt(run):
-    model = _ancilla_from_config(run)
+    built = _build_model(run)
+    model = built["ancilla"]
+    if model.dim_s == 1:
+        raise ValidationError(
+            f"model kind {built['kind']!r} has no system to reduce to: "
+            "ancilla-qrt needs couplings to a system of dimension 2 or more"
+        )
     eff = qrt.effective_master_equation_2(model, zero_tol=run.zero_tol)
     jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, eff.system_ops)
     paths = [
@@ -487,6 +491,10 @@ def _task_decoupling_scan(run):
         residuals = list(pool.map(residual, run.epsilons))
     eps = np.asarray(run.epsilons)
     res = np.asarray(residuals)
+    if not np.all(np.isfinite(res)):
+        raise ToleranceNotMetError(f"decoupling residuals {res.tolist()} are not all finite")
+    if not np.all(res > 0):
+        raise ValidationError("decoupling-scan: the model has no perturbation (zero residual)")
     slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0])
     header = ["epsilon", "residual", "fitted_slope"]
     return [_write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])]

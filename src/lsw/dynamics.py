@@ -114,9 +114,9 @@ def evolve(generator, rho0, times, charge=None):
     y0 = y0[keep]
     t_max = times[-1]
     scale = spla.norm(g, 1) * t_max
-    if scale > MAX_NORM_TIME:
+    if not scale <= MAX_NORM_TIME:  # NaN fails too
         raise ToleranceNotMetError(
-            f"||G||_1 * t_max = {scale:.3g} exceeds {MAX_NORM_TIME:.0e}; "
+            f"||G||_1 * t_max = {scale:.3g} is not finite or exceeds {MAX_NORM_TIME:.0e}; "
             "the generator is too stiff to propagate over this span"
         )
 

@@ -64,7 +64,7 @@ class NonProductSlowSpaceError(LswError):
 
 
 class ToleranceNotMetError(LswError):
-    """Propagation was refused as too stiff or produced a non-finite state."""
+    """A computation was refused as too stiff or produced a non-finite result."""
 
 
 class InhomogeneousUnsupportedError(LswError):

@@ -20,7 +20,6 @@ from .superop import (
     hamiltonian_superop,
     lift,
     lindblad_superop,
-    perturbation_superop,
     sandwich_superop,
     to_dense,
 )
@@ -62,9 +61,10 @@ class SuperradianceParams:
 
 @dataclass
 class SuperradianceModel:
-    l_a: np.ndarray  # electron block of L0
+    ancilla: AncillaModel  # electron ancilla, nuclear system: the one coupling definition
+    l_a: np.ndarray  # electron block of L0, the ancilla's generator
     l0: object  # lift of l_a to the full space (CSR)
-    v: object
+    v: object  # the ancilla's perturbation (CSR)
     iz: np.ndarray
     iplus: np.ndarray
     iminus: np.ndarray
@@ -92,11 +92,11 @@ def collective_ops(n_spins):
 
 
 def superradiance_model(params):
-    """Assemble the collective-decay model.
+    """Assemble the collective-decay model from its ancilla form.
 
     The unperturbed part acts on the electron factor only: decay at rate
     gamma and detuning omega on the excited-state projector, so L0 is the
-    lift of the electron block.  The perturbation is
+    lift of the electron block.  The perturbation is the ancilla's,
     -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].
 
     The model declares the charge M = s_z + I_z in integer steps: the
@@ -104,30 +104,20 @@ def superradiance_model(params):
     Hamiltonian conserves it and the jump s- lowers it by one, so the
     coherence order M - M' of a state is conserved.
     """
-    if not params.homogeneous:
-        raise InhomogeneousUnsupportedError(
-            "inhomogeneous couplings break the collective-spin reduction"
-        )
+    ancilla = superradiance_ancilla(params)
     n = int(params.n_spins)
-    if n < 1:
-        raise ValidationError("n_spins must be >= 1")
-    sp_, sm_, ne = _qubit_ops()
     ip, im, iz = collective_ops(n)
     dn = n + 1
-
-    l_a, _ = decaying_qubit(params.gamma, params.omega)
-    coupling = params.g * (
-        0.5 * (tensor(sp_, im) + tensor(sm_, ip)) + tensor(ne, iz)
-    )
 
     electron_steady = np.zeros((2, 2), dtype=complex)
     electron_steady[1, 1] = 1.0  # the decay dark state
     polarized = np.zeros((dn, dn), dtype=complex)
     polarized[0, 0] = 1.0  # highest-weight state m = N/2 comes first
     return SuperradianceModel(
-        l_a=l_a,
-        l0=lift(l_a, dn),
-        v=perturbation_superop([coupling], 2 * dn, sparse=True),
+        ancilla=ancilla,
+        l_a=ancilla.l0,
+        l0=lift(ancilla.l0, dn),
+        v=ancilla.perturbation(sparse=True),
         iz=iz,
         iplus=ip,
         iminus=im,
@@ -140,12 +130,18 @@ def superradiance_model(params):
 
 
 def superradiance_ancilla(params):
-    """Recast the collective-decay model with the electron as the ancilla.
+    """The collective-decay model with the electron as the ancilla.
 
     The interaction splits into Hermitian pairs: (sx/2, Ix), (sy/2, Iy) for
     the flip-flop and (s+s-, Iz) for the z term, with epsilon = g.
     """
+    if not params.homogeneous:
+        raise InhomogeneousUnsupportedError(
+            "inhomogeneous couplings break the collective-spin reduction"
+        )
     n = int(params.n_spins)
+    if n < 1:
+        raise ValidationError("n_spins must be >= 1")
     sp_, sm_, ne = _qubit_ops()
     sx = sp_ + sm_
     sy = -1j * (sp_ - sm_)

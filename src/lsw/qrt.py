@@ -17,6 +17,7 @@ import numpy as np
 
 from .exceptions import (
     DegenerateSteadyStateError,
+    DimensionMismatchError,
     NotPositiveError,
     SingularBlochMatrixError,
     ValidationError,
@@ -26,6 +27,7 @@ from .spectral import DEFAULT_ZERO_TOL, decompose, fast_inverse
 from .superop import (
     devectorize,
     hamiltonian_superop,
+    perturbation_superop,
     sandwich_superop,
     to_dense,
     trace_functional,
@@ -37,19 +39,37 @@ CLOSURE_TOL = 1e-10
 
 @dataclass
 class AncillaModel:
-    """Fast ancilla generator plus Hermitian coupling pairs (A_a, S_a)."""
+    """Fast ancilla generator plus Hermitian coupling pairs (A_a, S_a): the
+    generator L0 (x) 1_S + V on A (x) S, with V = -i[epsilon sum_a A_a (x) S_a, .]."""
 
     l0: np.ndarray  # superoperator on the ancilla space, (dA**2, dA**2)
     couplings: Sequence  # (ancilla_op, system_op) pairs
     epsilon: float = 1.0
 
+    @property
+    def dim_s(self):
+        """System dimension, read from its operators (1 without couplings)."""
+        return np.shape(self.couplings[0][1])[0] if self.couplings else 1
+
     def validate(self, herm_tol=1e-12):
+        dim_a = math.isqrt(self.l0.shape[0])
         for i, (a, s) in enumerate(self.couplings):
-            for name, op in (("ancilla", a), ("system", s)):
+            for name, op, d in (("ancilla", a, dim_a), ("system", s, self.dim_s)):
                 op = np.asarray(op)
+                if op.shape != (d, d):
+                    raise DimensionMismatchError(
+                        f"coupling {i}: {name} operator has shape {op.shape}, expected ({d}, {d})"
+                    )
                 if np.max(np.abs(op - op.conj().T)) > herm_tol:
                     raise ValidationError(f"coupling {i}: {name} operator not Hermitian")
         return self
+
+    def perturbation(self, sparse):
+        """V on the row-stacked A (x) S space, CSR when ``sparse``: one
+        commutator superoperator of the summed coupling operators."""
+        terms = [np.kron(a, s) for a, s in self.couplings]
+        hdim = math.isqrt(self.l0.shape[0]) * self.dim_s
+        return perturbation_superop([self.epsilon * sum(terms)] if terms else [], hdim, sparse)
 
 
 def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, psd_tol=1e-10):

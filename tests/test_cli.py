@@ -1,3 +1,4 @@
+import re
 import time
 from pathlib import Path
 
@@ -406,8 +407,20 @@ _QUBIT_SYMBOLS = {
                 "couplings": [{"ancilla": "sm", "system": "sz"}],
             },
         ),
+        (
+            "spectrum",
+            {
+                "couplings": [{"ancilla": "sp+sm", "system": "sz"}],
+                "perturbations": ["sp+sm"],
+            },
+        ),
     ],
-    ids=["non-hermitian-hamiltonian", "negative-rate", "non-hermitian-coupling"],
+    ids=[
+        "non-hermitian-hamiltonian",
+        "negative-rate",
+        "non-hermitian-coupling",
+        "couplings-and-perturbations",
+    ],
 )
 def test_invalid_custom_model_exits_2(tmp_path, capsys, task, model):
     model = {"kind": "custom", "dimension": 2, "symbols": _QUBIT_SYMBOLS, **model}
@@ -703,3 +716,156 @@ def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
         for name in want:
             scale = 1.0 if name.startswith("im_") else np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale
+
+
+_CUSTOM_QUBIT = {
+    "kind": "custom",
+    "dimension": 2,
+    "symbols": {**_QUBIT_SYMBOLS, "id3": {"identity": 3}},
+    "hamiltonian": "0.2*sp*sm",
+    "jumps": [{"rate": 1.0, "operator": "sm"}],
+}
+
+# one model form per row, its exit code per task in cli.TASKS order
+_EXIT_CODES = {
+    "superradiance": (
+        {"kind": "superradiance", "n_spins": 2, "g": 0.1, "omega": 0.2},
+        [0, 0, 0, 0, 0, 0],
+    ),
+    "decaying-qubit": ({"kind": "decaying-qubit", "omega": 0.2}, [0, 0, 0, 2, 2, 2]),
+    "random": ({"kind": "random", "dimension": 3, "seed": 1}, [0, 0, 0, 2, 2, 0]),
+    "custom-perturbations": (
+        {**_CUSTOM_QUBIT, "perturbations": ["0.3*(sp+sm)"]},
+        [0, 0, 0, 2, 2, 0],
+    ),
+    "custom-couplings": (
+        {
+            **_CUSTOM_QUBIT,
+            "couplings": [
+                {"ancilla": "sp+sm", "system": "sz"},
+                {"ancilla": "sp*sm", "system": "sp+sm"},
+            ],
+        },
+        [0, 0, 2, 2, 0, 0],
+    ),
+    "random-ancilla": (
+        {"kind": "random-ancilla", "dimension": 2, "system_dimension": 2, "seed": 1},
+        [0, 0, 2, 2, 0, 0],
+    ),
+}
+
+
+def test_exit_code_matrix(tmp_path, capsys):
+    # every task on every model form: one registry, so each either runs or
+    # is refused with a message, never a traceback
+    for form, (model, codes) in _EXIT_CODES.items():
+        payload = {"model": model, "order": 2, "times": {"t_max": 2.0, "n_points": 5}}
+        cfg = write_config(tmp_path, payload, f"{form}.yaml")
+        got = [cli.main([task, "--config", cfg, "--out", str(tmp_path / form)]) for task in cli.TASKS]
+        err = capsys.readouterr().err
+        assert got == codes, form
+        assert "Traceback" not in err and err.count("configuration error:") == codes.count(2)
+    # the couplings are no longer ignored: a scan at order 2 has slope 3
+    slope = read_columns(tmp_path / "custom-couplings_decoupling.csv")["fitted_slope"][0]
+    assert abs(slope - 3.0) < 0.01
+
+
+def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
+    model = _EXIT_CODES["custom-couplings"][0]
+    built = cli._build_model(cli.Run("evolve", {"model": model}))
+    assert built["ancilla"].dim_s == 2 and built["l0"].shape == (16, 16)
+    cfg = write_config(tmp_path, {"model": model, "order": 2})
+    assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "eff", dense=False) == ["product"]
+    # with an initial state on A (x) S, evolve runs
+    cfg = write_config(
+        tmp_path,
+        {"model": {**model, "initial": "(sp*sm) kron (sp*sm)"}, "times": {"t_max": 1.0, "n_points": 3}},
+    )
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "evo")]) == 0
+
+
+@pytest.mark.parametrize(
+    "task,model,name",
+    [
+        ("ancilla-qrt", {"couplings": [{"ancilla": "id3", "system": "sz"}]}, "coupling 0: ancilla"),
+        (
+            "ancilla-qrt",
+            {
+                "couplings": [
+                    {"ancilla": "sp+sm", "system": "sz"},
+                    {"ancilla": "sp*sm", "system": "id3"},
+                ]
+            },
+            "coupling 1: system",
+        ),
+        ("evolve", {"observables": {"big": "id3"}}, "observable 'big'"),
+    ],
+    ids=["ancilla-operator", "system-operators-differ", "observable"],
+)
+def test_wrong_sized_operator_exits_2(tmp_path, capsys, task, model, name):
+    cfg = write_config(tmp_path, {"model": {**_CUSTOM_QUBIT, **model}, "output": str(tmp_path / "bad")})
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and name in err and "shape" in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "task,payload,key",
+    [
+        ("spectrum", {"model": {"kind": "superradiance", "n_spins": "two"}}, "n_spins"),
+        ("spectrum", {"model": {"kind": "superradiance", "n_spins": 2.5}}, "n_spins"),
+        ("spectrum", {"model": {"kind": "random", "dimension": 3.7}}, "dimension"),
+        ("spectrum", {"model": {"kind": "decaying-qubit"}, "order": 2.7}, "order"),
+        ("spectrum", {"model": {"kind": "decaying-qubit"}, "order": True}, "order"),
+        ("evolve", {"model": {"kind": "decaying-qubit"}, "times": {"n_points": 3.9}}, "n_points"),
+        ("spectrum", {"model": {"kind": "superradiance", "gamma": _NAN}}, "gamma"),
+        ("evolve", {"model": {"kind": "superradiance", "gamma": _NAN}}, "gamma"),
+        ("evolve", {"model": {"kind": "decaying-qubit"}, "epsilon": _NAN}, "epsilon"),
+        ("evolve", {"model": {"kind": "decaying-qubit", "omega": _INF}}, "omega"),
+    ],
+    ids=[
+        "n-spins-string", "n-spins-fraction", "dimension-fraction", "order-fraction",
+        "order-bool", "n-points-fraction", "gamma-nan-spectrum", "gamma-nan-evolve",
+        "epsilon-nan", "omega-inf",
+    ],
+)
+def test_numeric_config_values_exit_2_naming_the_key(tmp_path, capsys, task, payload, key):
+    cfg = write_config(tmp_path, {**payload, "output": str(tmp_path / "bad")})
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and key in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+def test_decoupling_scan_refuses_zero_and_non_finite_residuals(tmp_path, capsys, monkeypatch):
+    cfg = write_config(
+        tmp_path, {"model": {"kind": "decaying-qubit"}, "output": str(tmp_path / "scan")}
+    )
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 2
+    assert "no perturbation" in capsys.readouterr().err
+    monkeypatch.setattr(cli.sw, "decoupling_residual", lambda *args: float("nan"))
+    cfg = write_config(
+        tmp_path,
+        {"model": {"kind": "random", "seed": 1}, "output": str(tmp_path / "scan")},
+    )
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 3
+    assert "not all finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("scan*"))
+
+
+def test_readme_examples_build_and_run(tmp_path):
+    # the README's config examples go through the one registry unchanged
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    for i, text in enumerate(blocks):
+        cfg = yaml.safe_load(text)
+        built = cli._build_model(cli.Run("spectrum", cfg))
+        assert built["v"].shape == built["l0"].shape
+        path = tmp_path / f"readme{i}.yaml"
+        path.write_text(text)  # as written: symbols resolve in declaration order
+        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path / f"ex{i}")]) == 0

@@ -153,6 +153,15 @@ def test_nan_initial_state_refused():
         evolve(l0, rho0, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_generator_is_refused(bad):
+    # a NaN norm slips past a plain `scale > MAX_NORM_TIME`
+    gen = to_dense(models.decaying_qubit()[0]).copy()
+    gen[0, 0] = bad
+    with pytest.raises(ToleranceNotMetError, match="not finite"):
+        evolve(gen, np.eye(2, dtype=complex) / 2, np.array([0.0, 1.0]))
+
+
 def test_unreachable_tolerance_raises():
     # too stiff: expm_multiply would run for minutes, so it is refused up front
     gen = np.diag([-1e12, -1.0, -1.0, -1e12]).astype(complex)

@@ -26,6 +26,16 @@ def test_model_dimensions_and_eigenvalue_multiplicity():
         assert np.sum(np.abs(eigs - lam) < 1e-9) == 4  # nuclear multiplicity
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 24])
+def test_superradiance_perturbation_is_its_ancilla_form(n):
+    # one coupling definition: the model's V is its ancilla's, bit for bit
+    p = models.SuperradianceParams.from_sqrt_n_g(n, 0.2, gamma=1.0, omega=0.2)
+    got = models.superradiance_model(p).v.tocsr()
+    want = models.superradiance_ancilla(p).perturbation(sparse=True).tocsr()
+    assert got.nnz == want.nnz
+    assert np.abs(got - want).max() == 0
+
+
 def test_eigenbasis_blocks_match_printed_matrix():
     # entrywise comparison of the perturbation blocks in the electron
     # eigenbasis against the explicit flip/z vertex structure

@@ -22,7 +22,7 @@ from lsw.qrt import (
     lindblad_decomposition,
     steady_state,
 )
-from lsw.spectral import decompose
+from lsw.spectral import as_operand, decompose
 from lsw.superop import (
     LindbladSpec,
     devectorize,
@@ -287,6 +287,24 @@ def test_effective_generator_matches_block_route():
     assert np.abs(am.epsilon * eff.first_order).max() < 1e-12
     l2 = am.epsilon**2 * eff.second_order
     assert np.abs(l2 - red2).max() <= 1e-9 * np.abs(red2).max()
+
+
+@pytest.mark.parametrize("dim_a,dim_s", [(2, 2), (3, 2), (4, 3), (6, 3)])
+def test_recursion_on_ancilla_model_matches_qrt(dim_a, dim_s):
+    # the third route: the decoupling recursion on the model's own block and
+    # perturbation reproduces both correlation-function orders
+    from lsw.sw import correction_terms, generator_terms, reduced_effective
+
+    anc = models.random_ancilla_model(dim_a, 3, seed=dim_a, dim_system=dim_s)
+    sd = decompose(anc.l0, dim_s=anc.dim_s)
+    v = as_operand(sd, anc.perturbation(sparse=True))
+    series = correction_terms(generator_terms(sd, v, 3), sd, v)
+    eff = effective_master_equation_2(anc)
+    for n, want in ((1, eff.first_order), (2, eff.second_order)):
+        got = reduced_effective(series, sd, (dim_a, dim_s), n, cumulative=False).matrix
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    third = reduced_effective(series, sd, (dim_a, dim_s), 3, cumulative=False).matrix
+    assert np.abs(third).max() > 1e-3  # QRT stops at order 2; the recursion does not
 
 
 def test_identity_system_operators_cancel():
