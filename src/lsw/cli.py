@@ -18,14 +18,7 @@ import numpy as np
 import yaml
 
 from . import dynamics, models, qrt, superop, sw
-from .exceptions import (
-    DimensionMismatchError,
-    ExprSyntaxError,
-    LswError,
-    ToleranceNotMetError,
-    UnknownSymbolError,
-    ValidationError,
-)
+from .exceptions import DimensionMismatchError, LswError, ToleranceNotMetError, ValidationError
 from .expr import parse_operator_expr
 from .operators import spin_operators
 from .spectral import as_operand, check_perturbative_limit, decompose
@@ -42,15 +35,19 @@ EXIT_NUMERICAL = 3
 # allocation
 SPECTRAL_DIM_LIMIT = 4500
 
+# a decoupling residual at most this many roundings of ||L0 + epsilon V||_1 is
+# noise (configs/decoupling_scan.yaml: 0.5-1.5 at orders 4-8, 4 at order 3)
+FLOOR_ROUNDINGS = 2
 
-def _decomposed(run, built):
+
+def _decomposed(run):
     """Size check, then L0's eigensystem and V in the chosen backend's storage.
 
     L0 = L_A (x) 1_S for the model's ancilla block L_A; a system dimension
     above 1 selects the product backend, and only the dense backend
     densifies V.
     """
-    anc = built["ancilla"]
+    anc = run.model["ancilla"]
     dim = anc.l0.shape[0] * anc.dim_s**2
     if dim > SPECTRAL_DIM_LIMIT:
         raise ValidationError(
@@ -58,7 +55,7 @@ def _decomposed(run, built):
             f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
         )
     sd = decompose(anc.l0, zero_tol=run.zero_tol, dim_s=anc.dim_s)
-    return sd, as_operand(sd, built["v"])
+    return sd, as_operand(sd, run.model["v"])
 
 
 # rows formatted per chunk, one `.tolist()` per column and chunk: formatting
@@ -98,78 +95,119 @@ def _matrix_columns(m):
     return [rows.ravel(), cols.ravel(), m.real.ravel(), m.imag.ravel()]
 
 
-def _number(key, value, integral=False):
+def _write_matrix(path, m):
+    return _write_csv(path, ["row", "col", "re", "im"], _matrix_columns(m))
+
+
+def _number(key, value, integral=False, low=None):
     """A numeric config value: an integral number as an int when ``integral``,
-    a finite float otherwise.  Bools and strings are refused, naming the key."""
+    a finite float otherwise, at least ``low`` if given.  Bools and strings
+    are refused, naming the key."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number, got {value!r}")
-    if integral:
-        if not (isinstance(value, int) or value.is_integer()):
-            raise ValidationError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    if not math.isfinite(value):
+    if integral and not (isinstance(value, int) or value.is_integer()):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    if not (integral or math.isfinite(value)):
         raise ValidationError(f"{key} must be finite, got {value!r}")
-    return float(value)
+    value = int(value) if integral else float(value)
+    if low is not None and value < low:
+        raise ValidationError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
-def _build_symbols(defs):
-    """Materialize the config symbol table in declaration order."""
-    symbols = {}
-    for name, d in (defs or {}).items():
-        if not isinstance(d, dict):
-            raise ValidationError(f"symbol {name!r}: definition must be a mapping")
-        if "spin" in d:
-            two_j = _number(f"symbol {name!r}: spin", d["spin"], integral=True)
-            jp, jm, jz = spin_operators(two_j)
-            component = d.get("component", "z")
-            try:
-                symbols[name] = {"plus": jp, "minus": jm, "z": jz}[component]
-            except KeyError:
-                raise ValidationError(
-                    f"symbol {name!r}: component must be plus/minus/z"
-                ) from None
-        elif "identity" in d:
-            dim = _number(f"symbol {name!r}: identity", d["identity"], integral=True)
-            symbols[name] = np.eye(dim, dtype=complex)
-        elif "matrix" in d:
+def _shaped(key, value, kind=dict, required=()):
+    """The config section or entry ``value`` at ``key``, as a ``kind`` (dict
+    or list; None reads as empty) holding the ``required`` keys; for a list
+    with ``required``, every entry must be such a mapping.  Any other shape
+    is refused, naming the key."""
+    value = kind() if value is None else value
+    if not isinstance(value, kind):
+        shape = "list" if kind is list else "mapping"
+        raise ValidationError(f"{key} must be a {shape}, got {value!r}")
+    if kind is list and required:
+        return [_shaped(f"{key}[{i}]", e, dict, required) for i, e in enumerate(value)]
+    for k in required:
+        if k not in value:
+            raise ValidationError(f"{key} needs {k!r}")
+    return value
+
+
+class _Symbols(dict):
+    """The config symbol table: each symbol is built from its definition the
+    first time an expression (or the declaration loop) looks it up, so a
+    definition may name a symbol declared after it."""
+
+    def __init__(self, defs):
+        super().__init__()
+        self.defs, self.pending = defs, set()
+        for name in defs:  # every declared symbol is built, used or not
+            self[name]
+
+    def __contains__(self, name):
+        return name in self.defs
+
+    def __missing__(self, name):
+        if name in self.pending:
+            raise ValidationError(f"symbol {name!r} refers back to itself")
+        self.pending.add(name)
+        self[name] = _symbol(name, self.defs[name], self)
+        return self[name]
+
+
+def _symbol(name, d, symbols):
+    """One symbol's matrix from its definition (spin, identity, matrix or expr)."""
+    key = f"symbol {name!r}"
+    d = _shaped(key, d)
+    if "spin" in d:
+        jp, jm, jz = spin_operators(_number(f"{key}: spin", d["spin"], integral=True, low=0))
+        component = d.get("component", "z")
+        if component not in ("plus", "minus", "z"):
+            raise ValidationError(f"{key}: component must be plus/minus/z")
+        return {"plus": jp, "minus": jm, "z": jz}[component]
+    if "identity" in d:
+        dim = _number(f"{key}: identity", d["identity"], integral=True, low=1)
+        return np.eye(dim, dtype=complex)
+    if "matrix" in d:
+        try:
             entries = np.asarray(d["matrix"], dtype=float)
-            if entries.ndim == 3 and entries.shape[2] == 2:
-                symbols[name] = entries[..., 0] + 1j * entries[..., 1]
-            elif entries.ndim == 2:
-                symbols[name] = entries.astype(complex)
-            else:
-                raise ValidationError(
-                    f"symbol {name!r}: matrix must be 2-d (or 2-d of [re, im] pairs)"
-                )
-        elif "expr" in d:
-            symbols[name] = parse_operator_expr(str(d["expr"]), symbols)
-        else:
-            raise ValidationError(
-                f"symbol {name!r}: needs one of spin/identity/matrix/expr"
-            )
-    return symbols
+        except (TypeError, ValueError):
+            raise ValidationError(f"{key}: matrix needs numbers in rows of equal length") from None
+        if entries.ndim == 3 and entries.shape[2] == 2:
+            return entries[..., 0] + 1j * entries[..., 1]
+        if entries.ndim == 2:
+            return entries.astype(complex)
+        raise ValidationError(f"{key}: matrix must be 2-d (or 2-d of [re, im] pairs)")
+    if "expr" in d:
+        return parse_operator_expr(str(d["expr"]), symbols)
+    raise ValidationError(f"{key}: needs one of spin/identity/matrix/expr")
 
 
 def _custom_model(cfg):
     """(AncillaModel, rho0, observables) of a custom model: on A (x) S with
     ``couplings``; on A alone with ``perturbations``, each paired with 1_1."""
-    dim = _number("model.dimension", cfg.get("dimension", 0), integral=True)
-    if dim < 2:
-        raise ValidationError("custom model needs dimension >= 2")
-    symbols = _build_symbols(cfg.get("symbols"))
+    dim = _number("model.dimension", cfg.get("dimension", 0), integral=True, low=2)
+    symbols = _Symbols(_shaped("model.symbols", cfg.get("symbols")))
 
     def parse(text):
-        return parse_operator_expr(str(text), symbols)
+        op = parse_operator_expr(str(text), symbols)
+        if not np.isfinite(op).all():
+            raise ValidationError(f"operator {str(text)!r} has non-finite entries")
+        return op
 
     ham_text = cfg.get("hamiltonian")
     hamiltonian = parse(ham_text) if ham_text else np.zeros((dim, dim), complex)
+    jumps = _shaped("model.jumps", cfg.get("jumps"), list, ("rate", "operator"))
     jumps = [
-        (_number("model.jumps.rate", j.get("rate")), parse(j["operator"]))
-        for j in cfg.get("jumps", []) or []
+        (_number(f"model.jumps[{i}].rate", j["rate"]), parse(j["operator"]))
+        for i, j in enumerate(jumps)
     ]
     l0, _ = lindblad_superop(LindbladSpec(hdim=dim, hamiltonian=hamiltonian, jumps=jumps))
-    couplings = [(parse(p["ancilla"]), parse(p["system"])) for p in cfg.get("couplings") or []]
-    perturbations = [(parse(t), np.eye(1)) for t in cfg.get("perturbations") or []]
+    couplings = [
+        (parse(p["ancilla"]), parse(p["system"]))
+        for p in _shaped("model.couplings", cfg.get("couplings"), list, ("ancilla", "system"))
+    ]
+    perturbations = _shaped("model.perturbations", cfg.get("perturbations"), list)
+    perturbations = [(parse(t), np.eye(1)) for t in perturbations]
     if couplings and perturbations:
         raise ValidationError("custom model: give couplings or perturbations, not both")
     epsilon = _number("model.epsilon", cfg.get("epsilon", 1.0))
@@ -186,7 +224,8 @@ def _custom_model(cfg):
         rho0 = rho0 / trace
     else:  # a model on A (x) S has no default initial state
         rho0 = np.eye(dim, dtype=complex) / dim if hdim == dim else None
-    observables = {name: parse(text) for name, text in (cfg.get("observables") or {}).items()}
+    observables = _shaped("model.observables", cfg.get("observables"))
+    observables = {name: parse(text) for name, text in observables.items()}
     for name, op in observables.items():
         if op.shape != (hdim, hdim):
             raise DimensionMismatchError(
@@ -196,7 +235,8 @@ def _custom_model(cfg):
 
 
 class Run:
-    """Validated run description assembled from config plus CLI overrides."""
+    """Validated run description assembled from config plus CLI overrides,
+    with the model built from it (``model``, see ``_build_model``)."""
 
     def __init__(self, task, cfg, order=None, epsilon=None, out=None):
         if task not in TASKS:
@@ -208,16 +248,15 @@ class Run:
         self.order = _number("order", order, integral=True)
         self.epsilon = _number("epsilon", epsilon)
         self.out = str(out if out is not None else cfg.get("output", "lsw_out"))
-        times = cfg.get("times", {}) or {}
+        times = _shaped("times", cfg.get("times"))
         self.t_max = _number("times.t_max", times.get("t_max", 10.0))
-        self.n_points = _number("times.n_points", times.get("n_points", 201), integral=True)
-        tol = cfg.get("tolerances", {}) or {}
+        self.n_points = _number("times.n_points", times.get("n_points", 201), integral=True, low=2)
+        tol = _shaped("tolerances", cfg.get("tolerances"))
         self.zero_tol = _number("tolerances.zero_tol", tol.get("zero_tol", 1e-9))
-        self.epsilons = [_number("epsilons", e) for e in cfg.get("epsilons", [1e-2, 1e-3, 1e-4])]
+        epsilons = _shaped("epsilons", cfg.get("epsilons", [1e-2, 1e-3, 1e-4]), list)
+        self.epsilons = [_number("epsilons", e) for e in epsilons]
         if not 1 <= self.order <= sw.MAX_ORDER:
             raise ValidationError(f"order must be in [1, {sw.MAX_ORDER}]")
-        if self.n_points < 2:
-            raise ValidationError("times.n_points must be >= 2")
         if not self.t_max > 0:
             raise ValidationError("times.t_max must be > 0")
         if not self.zero_tol > 0:
@@ -226,6 +265,7 @@ class Run:
             raise ValidationError("every entry of epsilons must be > 0")
         if task == "decoupling-scan" and len(self.epsilons) < 2:
             raise ValidationError("decoupling-scan fits a slope: epsilons needs two or more entries")
+        self.model = _build_model(self)
 
     @property
     def times(self):
@@ -236,13 +276,6 @@ class Run:
         if cap.strip().isdigit():
             return max(1, int(cap))
         return min(4, os.cpu_count() or 1)
-
-
-def _model_kind(cfg):
-    model = cfg.get("model")
-    if not isinstance(model, dict) or "kind" not in model:
-        raise ValidationError("config needs a model section with a kind")
-    return model["kind"], model
 
 
 def _superradiance_params(mcfg):
@@ -265,7 +298,8 @@ def _build_model(run):
     superradiance's full model and charge.  Every task but ancilla-qrt
     also gets ``l0`` = L_A (x) 1_S and ``v`` from ``AncillaModel.perturbation``
     (CSR for a system dimension above 1)."""
-    kind, mcfg = _model_kind(run.cfg)
+    mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
+    kind = mcfg["kind"]
     assemble = run.task != "ancilla-qrt"
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
@@ -324,9 +358,8 @@ def _build_model(run):
 
 
 def _task_spectrum(run):
-    built = _build_model(run)
-    sd, _ = _decomposed(run, built)
-    report = check_perturbative_limit(sd, built["v"], run.epsilon)
+    sd, _ = _decomposed(run)
+    report = check_perturbative_limit(sd, run.model["v"], run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
     lam = sd.eigenvalues[order]
     subspace = np.where(np.isin(order, sd.slow), "slow", "fast")
@@ -338,25 +371,18 @@ def _task_spectrum(run):
     return [path]
 
 
-def _generators_for(run, built):
-    sd, v = _decomposed(run, built)
+def _generators_for(run):
+    sd, v = _decomposed(run)
     return sd, v, sw.generator_terms(sd, v, run.order)
 
 
 def _task_effective(run):
-    built = _build_model(run)
-    sd, v, gen = _generators_for(run, built)
+    sd, v, gen = _generators_for(run)
     series = sw.correction_terms(gen, sd, v, epsilon=run.epsilon)
-    paths = []
-    for n in range(1, run.order + 1):
-        mat = series.slow_terms[n - 1]
-        paths.append(
-            _write_csv(
-                f"{run.out}_effective_order{n}.csv",
-                ["row", "col", "re", "im"],
-                _matrix_columns(mat),
-            )
-        )
+    paths = [
+        _write_matrix(f"{run.out}_effective_order{n}.csv", mat)
+        for n, mat in enumerate(series.slow_terms[: run.order], start=1)
+    ]
     total = sw.effective_liouvillian(series, run.order)
     hdim = math.isqrt(sd.dim)
     trace_row = superop.trace_functional(hdim) @ sd.right[:, sd.slow]
@@ -387,7 +413,7 @@ def _task_effective(run):
 
 
 def _task_evolve(run):
-    built = _build_model(run)
+    built = run.model
     if built["rho0"] is None:
         raise ValidationError(
             "evolve needs an initial state: a model on A (x) S has no default one"
@@ -403,13 +429,12 @@ def _task_evolve(run):
 
 
 def _task_compare(run):
-    built = _build_model(run)
-    if built["kind"] != "superradiance":
+    if run.model["kind"] != "superradiance":
         raise ValidationError("compare runs on the superradiance model")
-    model = built["model"]
+    model = run.model["model"]
     gen_exact = to_csr(model.l0 + model.v)
     times = run.times
-    sd, v = _decomposed(run, built)
+    sd, v = _decomposed(run)
     gen = sw.generator_terms(sd, v, 3)
     series = sw.correction_terms(gen, sd, v)
     red2 = sw.reduced_effective(series, sd, model.dims, 2, cumulative=True).matrix
@@ -446,43 +471,28 @@ def _task_compare(run):
 
 
 def _task_ancilla_qrt(run):
-    built = _build_model(run)
-    model = built["ancilla"]
+    model = run.model["ancilla"]
     if model.dim_s == 1:
         raise ValidationError(
-            f"model kind {built['kind']!r} has no system to reduce to: "
+            f"model kind {run.model['kind']!r} has no system to reduce to: "
             "ancilla-qrt needs couplings to a system of dimension 2 or more"
         )
     eff = qrt.effective_master_equation_2(model, zero_tol=run.zero_tol)
     jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, eff.system_ops)
-    paths = [
-        _write_csv(
-            run.out + "_coefficient.csv",
-            ["row", "col", "re", "im"],
-            _matrix_columns(eff.coefficient.a_matrix),
-        ),
-        _write_csv(
-            run.out + "_bloch.csv",
-            ["row", "col", "re", "im"],
-            _matrix_columns(eff.bloch.bloch),
-        ),
+    return [
+        _write_matrix(run.out + "_coefficient.csv", eff.coefficient.a_matrix),
+        _write_matrix(run.out + "_bloch.csv", eff.bloch.bloch),
         _write_csv(
             run.out + "_jumps.csv",
             ["index", "rate"],
             [np.arange(len(jumps)), np.array([rate for rate, _ in jumps], dtype=float)],
         ),
-        _write_csv(
-            run.out + "_hamiltonian.csv",
-            ["row", "col", "re", "im"],
-            _matrix_columns(h_eff),
-        ),
+        _write_matrix(run.out + "_hamiltonian.csv", h_eff),
     ]
-    return paths
 
 
 def _task_decoupling_scan(run):
-    built = _build_model(run)
-    sd, v, gen = _generators_for(run, built)
+    sd, v, gen = _generators_for(run)
 
     def residual(eps):
         return sw.decoupling_residual(sd, v, gen, eps, run.order)
@@ -497,7 +507,13 @@ def _task_decoupling_scan(run):
         raise ValidationError("decoupling-scan: the model has no perturbation (zero residual)")
     slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0])
     header = ["epsilon", "residual", "fitted_slope"]
-    return [_write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])]
+    path = _write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])
+    for e, r in zip(eps, res):
+        floor = FLOOR_ROUNDINGS * np.finfo(float).eps * abs(run.model["l0"] + e * v).sum(0).max()
+        if r <= floor:
+            msg = f"residual {r:.3g} at epsilon {e:g} is at the rounding floor {floor:.3g}"
+            print(f"warning: {msg}; the fitted slope does not measure the order", file=sys.stderr)
+    return [path]
 
 
 _TASK_FN = {
@@ -524,9 +540,7 @@ def main(argv=None):
 
     try:
         with open(args.config) as fh:
-            cfg = yaml.safe_load(fh) or {}
-        if not isinstance(cfg, dict):
-            raise ValidationError("config root must be a mapping")
+            cfg = _shaped("config root", yaml.safe_load(fh))
         run = Run(args.task, cfg, order=args.order, epsilon=args.epsilon, out=args.out)
     except (OSError, yaml.YAMLError, LswError, ValueError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -534,7 +548,7 @@ def main(argv=None):
 
     try:
         paths = _TASK_FN[run.task](run)
-    except (ValidationError, UnknownSymbolError, ExprSyntaxError, DimensionMismatchError) as exc:
+    except (ValidationError, DimensionMismatchError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (LswError, np.linalg.LinAlgError) as exc:

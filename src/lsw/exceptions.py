@@ -65,7 +65,3 @@ class NonProductSlowSpaceError(LswError):
 
 class ToleranceNotMetError(LswError):
     """A computation was refused as too stiff or produced a non-finite result."""
-
-
-class InhomogeneousUnsupportedError(LswError):
-    """Only homogeneous couplings admit the collective-spin reduction."""

@@ -1,4 +1,4 @@
-"""Parser and evaluator for a small operator-expression language.
+"""Evaluator for a small operator-expression language.
 
 Grammar (whitespace insensitive)::
 
@@ -11,11 +11,11 @@ Complex literals are single tokens: ``a``, ``bi`` or ``a+bi`` with decimal
 or exponent notation (``2``, ``0.5i``, ``1.5-2e-3i``).  ``*`` is the matrix
 product, ``kron``/``⊗`` the tensor product (left factor slowest), ``†`` the
 adjoint and binds tightest.  Scalars multiply operators but cannot be added
-to them.
+to them.  Each grammar rule computes its value while it parses: no syntax
+tree is built.
 """
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,30 +26,6 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"(?P<re>{_NUM})(?:(?P<im>[+-]{_NUM})i|(?P<only>i))?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _WS_RE = re.compile(r"\s+")
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: complex
-
-
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    position: int = 0
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', 'kron'
-    lhs: object
-    rhs: object
-    position: int = 0
-
-
-@dataclass(frozen=True)
-class Dagger:
-    child: object
 
 
 def _tokenize(text):
@@ -97,9 +73,13 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the tokens; the first error in reading order
+    is the one reported."""
+
+    def __init__(self, text, symbols):
+        self.tokens = _tokenize(text)
         self.index = 0
+        self.symbols = symbols
 
     def peek(self):
         return self.tokens[self.index]
@@ -109,139 +89,83 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse_expr(self):
-        node = self.parse_term()
+    def expr(self):
+        lhs = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.advance()
-            node = BinOp(op, node, self.parse_term(), pos)
-        return node
+            rhs = self.term()
+            lscalar, rscalar = np.isscalar(lhs), np.isscalar(rhs)
+            if lscalar != rscalar:
+                raise DimensionMismatchError(
+                    f"cannot add a scalar and an operator (position {pos})"
+                )
+            if not lscalar and lhs.shape != rhs.shape:
+                raise DimensionMismatchError(
+                    f"sum of operators with dimensions {lhs.shape[0]} and "
+                    f"{rhs.shape[0]} (position {pos})"
+                )
+            lhs = lhs + rhs if op == "+" else lhs - rhs
+        return lhs
 
-    def parse_term(self):
-        node = self.parse_factor()
+    def term(self):
+        lhs = self.factor()
         while self.peek()[0] in ("*", "kron"):
-            kind, _, pos = self.advance()
-            op = "*" if kind == "*" else "kron"
-            node = BinOp(op, node, self.parse_factor(), pos)
-        return node
+            op, _, pos = self.advance()
+            rhs = self.factor()
+            if np.isscalar(lhs) or np.isscalar(rhs):
+                lhs = lhs * rhs
+            elif op == "kron":
+                lhs = tensor(lhs, rhs)
+            elif lhs.shape[1] != rhs.shape[0]:
+                raise DimensionMismatchError(
+                    f"product of operators with dimensions {lhs.shape[0]} and "
+                    f"{rhs.shape[0]} (position {pos})"
+                )
+            else:
+                lhs = lhs @ rhs
+        return lhs
 
-    def parse_factor(self):
-        node = self.parse_atom()
+    def factor(self):
+        value = self.atom()
         while self.peek()[0] == "dag":
             self.advance()
-            node = Dagger(node)
-        return node
+            value = np.conj(value) if np.isscalar(value) else value.conj().T
+        return value
 
-    def parse_atom(self):
+    def atom(self):
         kind, value, pos = self.advance()
         if kind == "lit":
-            return Literal(value)
+            return value
         if kind == "name":
-            return Symbol(value, pos)
+            if value not in self.symbols:
+                raise UnknownSymbolError(value, pos)
+            return np.asarray(self.symbols[value], dtype=complex)
         if kind == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+            value = self.expr()
+            kind, text, pos = self.advance()
+            if kind != ")":
+                raise ExprSyntaxError(f"expected ')', found {text!r}", pos)
+            return value
         raise ExprSyntaxError(f"unexpected token {value!r}", pos)
 
 
-def parse(text):
-    """Parse an expression into its syntax tree."""
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+def parse_value(text, symbols):
+    """Evaluate an expression to a complex scalar or an operator matrix."""
+    parser = _Parser(text, symbols)
+    value = parser.expr()
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return node
-
-
-def evaluate(node, symbols):
-    """Evaluate a syntax tree to a complex scalar or an operator matrix."""
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, Symbol):
-        if node.name not in symbols:
-            raise UnknownSymbolError(node.name, node.position)
-        return np.asarray(symbols[node.name], dtype=complex)
-    if isinstance(node, Dagger):
-        value = evaluate(node.child, symbols)
-        return np.conj(value) if np.isscalar(value) else value.conj().T
-    lhs = evaluate(node.lhs, symbols)
-    rhs = evaluate(node.rhs, symbols)
-    lscalar, rscalar = np.isscalar(lhs), np.isscalar(rhs)
-    if node.op in ("+", "-"):
-        if lscalar != rscalar:
-            raise DimensionMismatchError(
-                f"cannot add a scalar and an operator (position {node.position})"
-            )
-        if not lscalar and lhs.shape != rhs.shape:
-            raise DimensionMismatchError(
-                f"sum of operators with dimensions {lhs.shape[0]} and "
-                f"{rhs.shape[0]} (position {node.position})"
-            )
-        return lhs + rhs if node.op == "+" else lhs - rhs
-    if node.op == "*":
-        if lscalar or rscalar:
-            return lhs * rhs
-        if lhs.shape[1] != rhs.shape[0]:
-            raise DimensionMismatchError(
-                f"product of operators with dimensions {lhs.shape[0]} and "
-                f"{rhs.shape[0]} (position {node.position})"
-            )
-        return lhs @ rhs
-    if node.op == "kron":
-        if lscalar or rscalar:
-            return lhs * rhs
-        return tensor(lhs, rhs)
-    raise AssertionError(f"unknown operator {node.op!r}")
-
-
-def parse_operator_expr(text, symbols):
-    """Parse and evaluate; the result must be an operator, not a bare scalar."""
-    value = evaluate(parse(text), symbols)
-    if np.isscalar(value):
-        raise DimensionMismatchError("expression evaluates to a scalar, not an operator")
     return value
 
 
-def _format_number(x):
-    out = repr(float(x))
-    return out[:-2] if out.endswith(".0") else out
+def parse_operator_expr(text, symbols):
+    """Evaluate an expression that must be an operator, not a bare scalar.
 
-
-def _format_literal(value):
-    re_, im = value.real, value.imag
-    if im == 0:
-        return _format_number(re_)
-    if re_ == 0:
-        return f"{_format_number(im)}i"
-    sign = "+" if im >= 0 else "-"
-    return f"{_format_number(re_)}{sign}{_format_number(abs(im))}i"
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "kron": 2}
-
-
-def pretty(node, parent_level=0):
-    """Render a tree back to parseable text; re-parsing yields the same matrix."""
-    if isinstance(node, Literal):
-        return _format_literal(node.value)
-    if isinstance(node, Symbol):
-        return node.name
-    if isinstance(node, Dagger):
-        inner = pretty(node.child, parent_level=3)
-        return f"{inner}†"
-    level = _PRECEDENCE[node.op]
-    lhs = pretty(node.lhs, parent_level=level - 1)
-    # right child needs parens at equal precedence: '-' and '*' associate left
-    rhs = pretty(node.rhs, parent_level=level)
-    op = {"+": " + ", "-": " - ", "*": "*", "kron": " kron "}[node.op]
-    text = f"{lhs}{op}{rhs}"
-    if level <= parent_level:
-        return f"({text})"
-    return text
+    ``symbols`` is any mapping from names to matrices; a name is looked up
+    (``in``, then ``[]``) only when the parser reaches it.
+    """
+    value = parse_value(text, symbols)
+    if np.isscalar(value):
+        raise DimensionMismatchError("expression evaluates to a scalar, not an operator")
+    return value

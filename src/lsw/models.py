@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InhomogeneousUnsupportedError, ValidationError
+from .exceptions import ValidationError
 from .operators import spin_operators, tensor
 from .qrt import AncillaModel
 from .superop import (
@@ -43,7 +43,6 @@ class SuperradianceParams:
     g: float
     gamma: float = 1.0
     omega: float = 0.0
-    homogeneous: bool = True
 
     @classmethod
     def from_sqrt_n_g(cls, n_spins, sqrt_n_g, gamma=1.0, omega=0.0):
@@ -135,10 +134,6 @@ def superradiance_ancilla(params):
     The interaction splits into Hermitian pairs: (sx/2, Ix), (sy/2, Iy) for
     the flip-flop and (s+s-, Iz) for the z term, with epsilon = g.
     """
-    if not params.homogeneous:
-        raise InhomogeneousUnsupportedError(
-            "inhomogeneous couplings break the collective-spin reduction"
-        )
     n = int(params.n_spins)
     if n < 1:
         raise ValidationError("n_spins must be >= 1")

@@ -316,7 +316,7 @@ def test_custom_model_matches_builtin_spectrum(tmp_path):
             ],
         },
     }
-    built = cli._build_model(cli.Run("spectrum", cfg_custom))
+    built = cli.Run("spectrum", cfg_custom).model
     p = models.SuperradianceParams(n_spins=n, g=0.1, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     assert np.abs(to_dense(built["l0"]) - to_dense(m.l0)).max() < 1e-12
@@ -772,7 +772,7 @@ def test_exit_code_matrix(tmp_path, capsys):
 
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
     model = _EXIT_CODES["custom-couplings"][0]
-    built = cli._build_model(cli.Run("evolve", {"model": model}))
+    built = cli.Run("evolve", {"model": model}).model
     assert built["ancilla"].dim_s == 2 and built["l0"].shape == (16, 16)
     cfg = write_config(tmp_path, {"model": model, "order": 2})
     assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "eff", dense=False) == ["product"]
@@ -864,8 +864,107 @@ def test_readme_examples_build_and_run(tmp_path):
     assert len(blocks) == 2
     for i, text in enumerate(blocks):
         cfg = yaml.safe_load(text)
-        built = cli._build_model(cli.Run("spectrum", cfg))
+        built = cli.Run("spectrum", cfg).model
         assert built["v"].shape == built["l0"].shape
-        path = tmp_path / f"readme{i}.yaml"
-        path.write_text(text)  # as written: symbols resolve in declaration order
-        assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path / f"ex{i}")]) == 0
+        # written with sorted keys: `flip` now precedes the symbols it names
+        path = write_config(tmp_path, cfg, f"readme{i}.yaml")
+        assert cli.main(["spectrum", "--config", path, "--out", str(tmp_path / f"ex{i}")]) == 0
+
+
+def test_symbols_resolve_by_name(tmp_path):
+    # a definition may name symbols declared after it
+    model = {
+        "kind": "custom",
+        "dimension": 2,
+        "symbols": {"x": {"expr": "sp + sm"}, "sp": _QUBIT_SYMBOLS["sp"], "sm": _QUBIT_SYMBOLS["sm"]},
+        "hamiltonian": "x",
+        "jumps": [{"rate": 1.0, "operator": "sm"}],
+    }
+    forward = cli.Run("spectrum", {"model": model}).model
+    backward = cli.Run("spectrum", {"model": {**model, "hamiltonian": "sp + sm"}}).model
+    assert np.array_equal(forward["l0"], backward["l0"])
+
+
+@pytest.mark.parametrize(
+    "symbols,name",
+    [
+        ({"a": {"expr": "2*a"}}, "'a'"),
+        ({"a": {"expr": "b"}, "b": {"expr": "sp*a"}, **_QUBIT_SYMBOLS}, "'a'"),
+        ({"unused": {"spin": -3}, **_QUBIT_SYMBOLS}, "'unused'"),
+    ],
+    ids=["self", "through-another", "unused-is-built"],
+)
+def test_symbol_definition_errors_exit_2(tmp_path, capsys, symbols, name):
+    model = {"kind": "custom", "dimension": 2, "symbols": symbols, "hamiltonian": "sz"}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "bad")})
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and name in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ({"times": 5}, "times"),
+        ({"tolerances": [1]}, "tolerances"),
+        ({"epsilons": 0.1}, "epsilons"),
+        ({"model": 5}, "model"),
+        ({"model": {"gamma": 1.0}}, "model needs 'kind'"),
+        ({"model": {**_CUSTOM_QUBIT, "jumps": [5]}}, "model.jumps[0]"),
+        ({"model": {**_CUSTOM_QUBIT, "jumps": [{"rate": 1.0}]}}, "model.jumps[0] needs 'operator'"),
+        ({"model": {**_CUSTOM_QUBIT, "observables": ["sm"]}}, "model.observables"),
+        ({"model": {**_CUSTOM_QUBIT, "symbols": [1, 2]}}, "model.symbols"),
+        ({"model": {**_CUSTOM_QUBIT, "symbols": {"sm": 5}}}, "symbol 'sm'"),
+        ({"model": {**_CUSTOM_QUBIT, "perturbations": "sp"}}, "model.perturbations"),
+        (
+            {"model": {**_CUSTOM_QUBIT, "couplings": [{"ancilla": "sz"}]}},
+            "model.couplings[0] needs 'system'",
+        ),
+        ({"model": {**_CUSTOM_QUBIT, "symbols": {"sm": {"matrix": [[1, 0], [0]]}}}}, "symbol 'sm'"),
+        ({"model": {**_CUSTOM_QUBIT, "symbols": {"sm": {"matrix": [["a", 0], [0, 1]]}}}}, "symbol 'sm'"),
+        ({"model": {**_CUSTOM_QUBIT, "symbols": {"sm": {"spin": -3}}}}, "symbol 'sm'"),
+    ],
+    ids=[
+        "times-number", "tolerances-list", "epsilons-number", "model-number", "model-without-kind",
+        "jump-entry-number", "jump-without-operator", "observables-list", "symbols-list",
+        "symbol-number", "perturbations-string", "coupling-without-system", "ragged-matrix",
+        "string-matrix-entry", "negative-spin",
+    ],
+)
+def test_config_shapes_exit_2_naming_the_key(tmp_path, capsys, payload, key):
+    payload = {"model": {"kind": "decaying-qubit"}, **payload, "output": str(tmp_path / "bad")}
+    cfg = write_config(tmp_path, payload)
+    for task in ("evolve", "ancilla-qrt"):
+        assert cli.main([task, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and key in err and "Traceback" not in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+def test_decoupling_scan_warns_at_rounding_floor(tmp_path, capsys):
+    # configs/decoupling_scan.yaml: order 4 reaches the rounding floor at
+    # epsilon 1e-4 (2.2e-16); order 3 stays above it (1.8e-15 there)
+    shipped = str(Path(__file__).resolve().parent.parent / "configs" / "decoupling_scan.yaml")
+    warned = {}
+    for order in ("3", "4"):
+        out = str(tmp_path / f"o{order}")
+        assert cli.main(["decoupling-scan", "--config", shipped, "--order", order, "--out", out]) == 0
+        warned[order] = [line for line in capsys.readouterr().err.splitlines() if "rounding floor" in line]
+    assert warned["3"] == []
+    assert len(warned["4"]) == 1 and "epsilon 0.0001 " in warned["4"][0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the product
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"hamiltonian": "1e999*sz"},
+        {"symbols": {**_QUBIT_SYMBOLS, "y": {"matrix": [[0, float("nan")], [0, 0]]}}, "perturbations": ["y"]},
+    ],
+    ids=["overflowing-literal", "nan-matrix-entry"],
+)
+def test_non_finite_operator_exits_2(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, {"model": {**_CUSTOM_QUBIT, **model}, "output": str(tmp_path / "bad")})
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 2
+    assert "non-finite" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lsw.exceptions import DimensionMismatchError, ExprSyntaxError, UnknownSymbolError
-from lsw.expr import evaluate, parse, parse_operator_expr, pretty
+from lsw.expr import parse_operator_expr, parse_value
 from lsw.operators import spin_operators, tensor
 
 
@@ -68,7 +68,7 @@ def test_subtraction(symbols):
     ],
 )
 def test_complex_literals(text, value):
-    assert evaluate(parse(text), {}) == value
+    assert parse_value(text, {}) == value
 
 
 def test_scalar_times_operator(symbols):
@@ -104,60 +104,94 @@ def test_unknown_symbol_position(symbols):
     assert err.value.position == 5
 
 
-def test_syntax_error_position():
+def test_syntax_error_position(symbols):
     with pytest.raises(ExprSyntaxError) as err:
-        parse("sp + ")
+        parse_value("sp + ", symbols)
     assert err.value.position == 5
     with pytest.raises(ExprSyntaxError) as err:
-        parse("sp ) sm")
+        parse_value("sp ) sm", symbols)
     assert err.value.position == 3
 
 
-def test_unbalanced_parenthesis():
+def test_unbalanced_parenthesis(symbols):
     with pytest.raises(ExprSyntaxError):
-        parse("(sp + sm")
+        parse_value("(sp + sm", symbols)
+
+
+def test_first_error_in_reading_order(symbols):
+    # the value is computed while parsing, so an unknown name or a size
+    # mismatch before a syntax error is the one reported
+    with pytest.raises(UnknownSymbolError) as err:
+        parse_value("bogus + )", symbols)
+    assert err.value.position == 0
+    with pytest.raises(DimensionMismatchError):
+        parse_value("sp + Ip )", symbols)
+    with pytest.raises(ExprSyntaxError):
+        parse_value("sp + ) bogus", symbols)
+
+
+_PRECEDENCE_TABLE = [
+    ("sp kron sm", lambda s: np.kron(s["sp"], s["sm"])),
+    (
+        "0.5*(sp kron Im + sm kron Ip)",
+        lambda s: 0.5 * (np.kron(s["sp"], s["Im"]) + np.kron(s["sm"], s["Ip"])),
+    ),
+    ("sp + sm*sp - sz", lambda s: (s["sp"] + s["sm"] @ s["sp"]) - s["sz"]),
+    ("(sp + sm)†*sz", lambda s: (s["sp"] + s["sm"]).conj().T @ s["sz"]),
+    ("1.5-2i*sz + sp*sm", lambda s: (1.5 - 2j) * s["sz"] + s["sp"] @ s["sm"]),
+    ("sp⊗Iz† - sm ⊗ Ip", lambda s: np.kron(s["sp"], s["Iz"].conj().T) - np.kron(s["sm"], s["Ip"])),
+    ("2i*(sp - sm)", lambda s: 2j * (s["sp"] - s["sm"])),
+    ("sp - sm - sz", lambda s: (s["sp"] - s["sm"]) - s["sz"]),
+]
 
 
 @pytest.mark.parametrize(
-    "text",
-    [
-        "sp kron sm",
-        "0.5*(sp kron Im + sm kron Ip)",
-        "sp + sm*sp - sz",
-        "(sp + sm)†*sz",
-        "1.5-2i*sz + sp*sm",
-        "sp⊗Iz† - sm ⊗ Ip",
-        "2i*(sp - sm)",
-    ],
+    "text,reference", _PRECEDENCE_TABLE, ids=[text for text, _ in _PRECEDENCE_TABLE]
 )
-def test_pretty_round_trip(text, symbols):
-    tree = parse(text)
-    direct = evaluate(tree, symbols)
-    reparsed = evaluate(parse(pretty(tree)), symbols)
-    assert np.abs(direct - reparsed).max() == 0.0
+def test_precedence_and_associativity(text, reference, symbols):
+    # '*' and kron bind tighter than '+' and '-', † tightest; all associate left
+    assert np.array_equal(parse_operator_expr(text, symbols), reference(symbols))
 
 
-def test_pretty_round_trip_random_trees(rng, symbols):
+def test_random_parenthesized_strings(rng, symbols):
     names = ["sp", "sm", "sz", "id2"]
 
     def build(depth):
+        """A fully parenthesized text and its numpy value (None: size mismatch)."""
         if depth == 0 or rng.random() < 0.3:
             if rng.random() < 0.25:
-                return parse(f"{rng.integers(1, 9)}.5i")
-            return parse(names[rng.integers(len(names))])
-        from lsw.expr import BinOp, Dagger
-
-        pick = rng.random()
-        if pick < 0.2:
-            return Dagger(build(depth - 1))
+                k = int(rng.integers(1, 9))
+                return f"{k}.5i", complex(0, k + 0.5)
+            name = names[rng.integers(len(names))]
+            return name, symbols[name]
+        if rng.random() < 0.2:
+            text, value = build(depth - 1)
+            if value is not None:
+                value = np.conj(value) if np.isscalar(value) else value.conj().T
+            return f"({text})†", value
         op = ["+", "-", "*", "kron"][rng.integers(4)]
-        return BinOp(op, build(depth - 1), build(depth - 1))
+        (lt, lv), (rt, rv) = build(depth - 1), build(depth - 1)
+        text = f"({lt} {op} {rt})"
+        if lv is None or rv is None:
+            return text, None
+        lscalar, rscalar = np.isscalar(lv), np.isscalar(rv)
+        if op in "+-":
+            if lscalar != rscalar or np.shape(lv) != np.shape(rv):
+                return text, None
+            return text, lv + rv if op == "+" else lv - rv
+        if lscalar or rscalar:
+            return text, lv * rv
+        if op == "kron":
+            return text, np.kron(lv, rv)
+        return text, lv @ rv if lv.shape[1] == rv.shape[0] else None
 
+    checked = 0
     for _ in range(40):
-        tree = build(4)
-        try:
-            direct = evaluate(tree, symbols)
-        except DimensionMismatchError:
+        text, value = build(4)
+        if value is None:
+            with pytest.raises(DimensionMismatchError):
+                parse_value(text, symbols)
             continue
-        reparsed = evaluate(parse(pretty(tree)), symbols)
-        assert np.abs(np.asarray(direct) - np.asarray(reparsed)).max() == 0.0
+        assert np.array_equal(parse_value(text, symbols), value), text
+        checked += 1
+    assert checked >= 10, checked

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lsw import models
-from lsw.exceptions import InhomogeneousUnsupportedError
 from lsw.spectral import decompose
 from lsw.superop import (
     devectorize,
@@ -97,12 +96,6 @@ def test_zero_coupling_kills_all_orders():
     series = correction_terms(gen, sd, to_dense(m.v))
     for mat in series.slow_terms:
         assert np.abs(mat).max() == 0.0
-
-
-def test_inhomogeneous_rejected():
-    p = models.SuperradianceParams(n_spins=2, g=0.1, homogeneous=False)
-    with pytest.raises(InhomogeneousUnsupportedError):
-        models.superradiance_model(p)
 
 
 def test_initial_state_polarized_dark():
