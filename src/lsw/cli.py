@@ -35,6 +35,8 @@ EXIT_NUMERICAL = 3
 # allocation
 SPECTRAL_DIM_LIMIT = 4500
 
+MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
+
 # a decoupling residual at most this many roundings of ||L0 + epsilon V||_1 is
 # noise (configs/decoupling_scan.yaml: 0.5-1.5 at orders 4-8, 4 at order 3)
 FLOOR_ROUNDINGS = 2
@@ -139,7 +141,7 @@ class _Symbols(dict):
 
     def __init__(self, defs):
         super().__init__()
-        self.defs, self.pending = defs, set()
+        self.defs, self.pending, self.depth = defs, set(), 0
         for name in defs:  # every declared symbol is built, used or not
             self[name]
 
@@ -149,8 +151,12 @@ class _Symbols(dict):
     def __missing__(self, name):
         if name in self.pending:
             raise ValidationError(f"symbol {name!r} refers back to itself")
+        if self.depth == MAX_SYMBOL_DEPTH:
+            raise ValidationError(f"symbol {name!r} nests lookups deeper than {MAX_SYMBOL_DEPTH}")
         self.pending.add(name)
+        self.depth += 1
         self[name] = _symbol(name, self.defs[name], self)
+        self.depth -= 1
         return self[name]
 
 
@@ -542,7 +548,9 @@ def main(argv=None):
         with open(args.config) as fh:
             cfg = _shaped("config root", yaml.safe_load(fh))
         run = Run(args.task, cfg, order=args.order, epsilon=args.epsilon, out=args.out)
-    except (OSError, yaml.YAMLError, LswError, ValueError, KeyError, TypeError) as exc:
+    # RecursionError: symbols nesting parentheses, each within both caps
+    except (OSError, yaml.YAMLError, LswError, ValueError, KeyError, TypeError,
+            RecursionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

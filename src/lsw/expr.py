@@ -26,6 +26,7 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"(?P<re>{_NUM})(?:(?P<im>[+-]{_NUM})i|(?P<only>i))?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _WS_RE = re.compile(r"\s+")
+MAX_PAREN_DEPTH = 100  # each level recurses; deeper nesting is refused
 
 
 def _tokenize(text):
@@ -79,6 +80,7 @@ class _Parser:
     def __init__(self, text, symbols):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
         self.symbols = symbols
 
     def peek(self):
@@ -141,7 +143,11 @@ class _Parser:
                 raise UnknownSymbolError(value, pos)
             return np.asarray(self.symbols[value], dtype=complex)
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ExprSyntaxError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
             value = self.expr()
+            self.depth -= 1
             kind, text, pos = self.advance()
             if kind != ")":
                 raise ExprSyntaxError(f"expected ')', found {text!r}", pos)

@@ -25,6 +25,7 @@ from .exceptions import (
 from .operators import hermitian_basis
 from .spectral import DEFAULT_ZERO_TOL, decompose, fast_inverse
 from .superop import (
+    HERM_TOL,
     devectorize,
     hamiltonian_superop,
     perturbation_superop,
@@ -35,6 +36,9 @@ from .superop import (
 )
 
 CLOSURE_TOL = 1e-10
+PSD_TOL = 1e-10  # most negative steady-state eigenvalue accepted
+STABILITY_TOL = 1e-12  # largest Bloch eigenvalue real part accepted, relative
+RATE_TOL = 1e-9  # dissipation rates within +-RATE_TOL are zero
 
 
 @dataclass
@@ -51,7 +55,7 @@ class AncillaModel:
         """System dimension, read from its operators (1 without couplings)."""
         return np.shape(self.couplings[0][1])[0] if self.couplings else 1
 
-    def validate(self, herm_tol=1e-12):
+    def validate(self):
         dim_a = math.isqrt(self.l0.shape[0])
         for i, (a, s) in enumerate(self.couplings):
             for name, op, d in (("ancilla", a, dim_a), ("system", s, self.dim_s)):
@@ -60,7 +64,7 @@ class AncillaModel:
                     raise DimensionMismatchError(
                         f"coupling {i}: {name} operator has shape {op.shape}, expected ({d}, {d})"
                     )
-                if np.max(np.abs(op - op.conj().T)) > herm_tol:
+                if np.max(np.abs(op - op.conj().T)) > HERM_TOL:
                     raise ValidationError(f"coupling {i}: {name} operator not Hermitian")
         return self
 
@@ -72,7 +76,7 @@ class AncillaModel:
         return perturbation_superop([self.epsilon * sum(terms)] if terms else [], hdim, sparse)
 
 
-def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, psd_tol=1e-10):
+def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
     """Unique fixed point of the generator, hermitized and trace-normalized.
 
     No eigendecomposition: the kernel dimension counts the singular values
@@ -100,7 +104,7 @@ def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, psd_tol=1e-10):
     sigma = devectorize(np.linalg.solve(bordered, np.eye(1, l0.shape[0], dtype=complex)[0]))
     sigma = 0.5 * (sigma + sigma.conj().T)
     low = np.linalg.eigvalsh(sigma).min()
-    if low < -psd_tol:
+    if low < -PSD_TOL:
         raise NotPositiveError(f"steady state has eigenvalue {low:.3e}")
     return sigma
 
@@ -124,7 +128,7 @@ class BlochSystem:
     seed_count: int
 
 
-def close_operator_set(l0, seed_ops, tol=CLOSURE_TOL, zero_tol=DEFAULT_ZERO_TOL):
+def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
     """Close the seed operators under the adjoint evolution.
 
     Works in real coordinates over the orthonormal Hermitian basis F, where
@@ -157,7 +161,7 @@ def close_operator_set(l0, seed_ops, tol=CLOSURE_TOL, zero_tol=DEFAULT_ZERO_TOL)
         for _ in range(2):
             vec = vec - basis[:size].T @ (basis[:size] @ vec)
         norm = np.linalg.norm(vec)
-        if norm > tol * scale:
+        if norm > CLOSURE_TOL * scale:
             basis[size] = vec / norm
             size += 1
 
@@ -198,7 +202,7 @@ class CoefficientMatrix:
         return float(np.linalg.eigvalsh(self.dissipation).min())
 
 
-def coefficient_matrix(bs, stability_tol=1e-12):
+def coefficient_matrix(bs):
     """Integrate the regression evolution against the equal-time covariance.
 
     The correlation matrix entry (i, j) integrates the mean of the i-th
@@ -212,7 +216,7 @@ def coefficient_matrix(bs, stability_tol=1e-12):
         return CoefficientMatrix(zero, zero.copy(), zero.copy())
     eigs = np.linalg.eigvals(bs.bloch)
     scale = max(1.0, float(np.abs(eigs).max()))
-    if np.max(eigs.real) > -stability_tol * scale:
+    if np.max(eigs.real) > -STABILITY_TOL * scale:
         raise SingularBlochMatrixError(
             f"Bloch matrix eigenvalue with real part {np.max(eigs.real):.3e}"
         )
@@ -315,13 +319,14 @@ def _induced_hamiltonian(cm, system_ops):
     return 0.5 * (h + h.conj().T)
 
 
-def lindblad_decomposition(cm, system_ops, tol=1e-9):
+def lindblad_decomposition(cm, system_ops):
     """Diagonalize the dissipative part into jump operators and rates.
 
     Returns (jumps, h_eff) with jumps a list of (rate, operator) in the
     normalization where the generator is sum_a rate_a * D[op_a] plus
-    -i[h_eff, .].  Rates in [-tol, tol] are dropped as zero; anything
-    below -tol signals an upstream bug and raises NotPositiveError.
+    -i[h_eff, .].  Rates in [-RATE_TOL, RATE_TOL] are dropped as zero;
+    anything below -RATE_TOL signals an upstream bug and raises
+    NotPositiveError.
     """
     system_ops = [np.asarray(s, dtype=complex) for s in system_ops]
     half = 0.5 * cm.dissipation
@@ -329,9 +334,9 @@ def lindblad_decomposition(cm, system_ops, tol=1e-9):
     jumps = []
     for alpha in range(kappa.size):
         rate = float(kappa[alpha])
-        if rate < -tol:
-            raise NotPositiveError(f"dissipation eigenvalue {rate:.3e} below -{tol:.1e}")
-        if rate <= tol:
+        if rate < -RATE_TOL:
+            raise NotPositiveError(f"dissipation eigenvalue {rate:.3e} below -{RATE_TOL:.1e}")
+        if rate <= RATE_TOL:
             continue
         op = sum(u[i, alpha].conjugate() * system_ops[i] for i in range(len(system_ops)))
         jumps.append((2.0 * rate, op))

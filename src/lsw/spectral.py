@@ -68,13 +68,13 @@ class SpectralData:
         return self.slow.size
 
 
-def _eig(l0, zero_tol, cond_limit):
+def _eig(l0, zero_tol):
     """Eigensystem of a dense generator and its zero/non-zero split."""
     w, right = np.linalg.eig(l0)
     condition = np.linalg.cond(right)
-    if not np.isfinite(condition) or condition > cond_limit:
+    if not np.isfinite(condition) or condition > DEFAULT_COND_LIMIT:
         raise DefectiveOperatorError(
-            f"right-eigenvector condition number {condition:.3e} exceeds {cond_limit:.1e}"
+            f"right-eigenvector condition number {condition:.3e} exceeds {DEFAULT_COND_LIMIT:.1e}"
         )
     left = np.linalg.inv(right)
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
@@ -102,7 +102,7 @@ def _split_operators(w, right, left, slow, fast, gap):
     return p, np.eye(dim, dtype=complex) - p, finv
 
 
-def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT, dim_s=1):
+def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, dim_s=1):
     """Diagonalize a generator and split its spectrum at zero.
 
     Returns the spectral data of ``l0 (x) 1_S`` for a subsystem of Hilbert
@@ -113,13 +113,13 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, cond_limit=DEFAULT_COND_LIMIT, dim_
     ------
     DefectiveOperatorError
         If the right-eigenvector matrix has condition number above
-        ``cond_limit`` (no usable biorthonormal system).
+        ``DEFAULT_COND_LIMIT`` (no usable biorthonormal system).
     EmptySlowSpaceError
         If no eigenvalue is classified as zero; either ``zero_tol`` is too
         small or the input is not a trace-preserving generator.
     """
     l0 = to_dense(l0)
-    w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol, cond_limit)
+    w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol)
     p, q, finv = _split_operators(w, right, left, slow, fast, gap)
     n = dim_s * dim_s
 

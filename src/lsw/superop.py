@@ -16,6 +16,7 @@ from .operators import hermitian_basis
 
 # superoperators denser than this are stored dense (entries scale as d**4)
 SPARSE_FILL_THRESHOLD = 0.1
+HERM_TOL = 1e-12  # largest entry of H - H^dag accepted for a Hermitian operator
 
 
 def vectorize(rho):
@@ -49,7 +50,7 @@ def compact(m):
     """m in the cheaper storage for products: dense once it is as full as
     ``SPARSE_FILL_THRESHOLD``, since sparse products of full matrices cost
     far more than dense ones."""
-    if sp.issparse(m) and fill_ratio(m) >= SPARSE_FILL_THRESHOLD:
+    if sp.issparse(m) and m.nnz / (m.shape[0] * m.shape[1]) >= SPARSE_FILL_THRESHOLD:
         return m.toarray()
     return m
 
@@ -79,13 +80,6 @@ def lift(a, dim_s, vec_rows=True, vec_cols=True):
     rows = order[m.row] if vec_rows else m.row
     cols = order[m.col] if vec_cols else m.col
     return sp.csr_matrix((m.data, (rows, cols)), shape=m.shape)
-
-
-def fill_ratio(m):
-    if sp.issparse(m):
-        return m.nnz / (m.shape[0] * m.shape[1])
-    m = np.asarray(m)
-    return np.count_nonzero(m) / m.size
 
 
 def _kron(a, b, sparse):
@@ -154,7 +148,7 @@ class LindbladSpec:
     perturbations: Sequence = field(default_factory=list)  # Hamiltonian terms of V
     epsilon: float = 1.0
 
-    def validate(self, herm_tol=1e-12):
+    def validate(self):
         d = self.hdim
         ops = [("hamiltonian", self.hamiltonian)] + [
             (f"perturbation {i}", h) for i, h in enumerate(self.perturbations)
@@ -163,8 +157,8 @@ class LindbladSpec:
             h = np.asarray(h)
             if h.shape != (d, d):
                 raise DimensionMismatchError(f"{name} has shape {h.shape}, expected ({d}, {d})")
-            if np.max(np.abs(h - h.conj().T)) > herm_tol:
-                raise ValidationError(f"{name} is not Hermitian to {herm_tol}")
+            if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+                raise ValidationError(f"{name} is not Hermitian to {HERM_TOL}")
         for i, (rate, l) in enumerate(self.jumps):
             if rate < 0:
                 raise ValidationError(f"jump {i} has negative rate {rate}")

@@ -8,7 +8,7 @@ off-diagonal residual of the truncated transform and the reduction of the
 slow-space generator to a subsystem when the slow space factorizes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,9 +20,10 @@ from .exceptions import (
     ZeroGapError,
 )
 from .spectral import as_operand, eigen_blocks, resolvent_apply, spectral_norm
-from .superop import hat_apply, to_dense, vectorize, zeros_like
+from .superop import hat_apply, lift, to_dense, trace_functional, vectorize, zeros_like
 
 MAX_ORDER = 8
+REDUCTION_TOL = 1e-8  # smallest ancilla trace, largest relative product defect
 
 # Even Taylor coefficients of x*coth(x) and odd ones of tanh(x/2), exact
 # rationals, enough for series terms up to MAX_ORDER.
@@ -119,7 +120,6 @@ class EffectiveSeries:
     slow_terms: list  # slow_dim x slow_dim matrices <l_a|W_n|r_b>
     epsilon: float
     nmax: int
-    spectral: object = field(repr=False, default=None)
 
 
 def correction_terms(gen, sd, v, epsilon=1.0):
@@ -147,7 +147,6 @@ def correction_terms(gen, sd, v, epsilon=1.0):
         slow_terms=slow_terms,
         epsilon=epsilon,
         nmax=gen.nmax,
-        spectral=sd,
     )
 
 
@@ -227,19 +226,16 @@ class ReducedEffective:
     ancilla_state: np.ndarray  # the fixed ancilla factor of the slow space
 
 
-def _unit(dim, k, l):
-    e = np.zeros((dim, dim), dtype=complex)
-    e[k, l] = 1.0
-    return e
-
-
-def reduced_effective(series, sd, dims, order, epsilon=None, cumulative=True, tol=1e-8):
+def reduced_effective(series, sd, dims, order, epsilon=None, cumulative=True):
     """Reduce the slow-space generator to the subsystem factor.
 
     ``dims = (dim_ancilla, dim_system)``.  Requires the slow space to be
-    exactly the product of one fixed ancilla state with the full subsystem
-    operator space; the projector is checked against that structure and
-    NonProductSlowSpaceError is raised otherwise.
+    exactly sigma (x) B(H_S) for one fixed ancilla state sigma; the slow
+    right vectors are checked against that structure and
+    NonProductSlowSpaceError is raised otherwise.  With B = Tr_A R_s (the
+    subsystem images of the slow vectors) and E: X -> sigma (x) X, the
+    reduction is the basis change B M B^-1 of the slow block M, where
+    B^-1 = L_s E.
     """
     dim_a, dim_s = dims
     if sd.slow_dim != dim_s * dim_s:
@@ -248,33 +244,20 @@ def reduced_effective(series, sd, dims, order, epsilon=None, cumulative=True, to
         )
     if dim_a * dim_a * dim_s * dim_s != sd.dim:
         raise NonProductSlowSpaceError("dims do not factor the full space")
-    pq = sd.pq
-
-    # extract the fixed ancilla state from the projector's action
-    trial = np.kron(np.eye(dim_a, dtype=complex) / dim_a, _unit(dim_s, 0, 0))
-    image = (pq.p @ vectorize(trial)).reshape(dim_a, dim_s, dim_a, dim_s)
-    sigma = image[:, 0, :, 0]
-    trace = np.trace(sigma)
-    if abs(trace) < tol:
-        raise NonProductSlowSpaceError("projector image has vanishing ancilla trace")
-    sigma = sigma / trace
-
-    # verify P chi = sigma (x) Tr_A(chi) on the subsystem units
-    # (column k * dim_s + l is vec(sigma (x) |k><l|))
-    eye = np.eye(dim_s, dtype=complex)
-    embed = np.einsum("ij,ak,bl->iajbkl", sigma, eye, eye).reshape(sd.dim, -1)
-    drift = np.linalg.norm(pq.p @ embed - embed, axis=0)
-    if np.any(drift > tol * np.maximum(1.0, np.linalg.norm(embed, axis=0))):
-        raise NonProductSlowSpaceError("slow projector does not fix the product-state basis")
-
-    # effective generator applied to the embedded units, then traced down
     ls, rs = sd.left[sd.slow, :], sd.right[:, sd.slow]
+    tr_a = lift(vectorize(np.eye(dim_a))[:, None], dim_s, vec_cols=False).T
+    b = tr_a @ rs  # column k is vec Tr_A r_k
+    traces = trace_functional(dim_s) @ b
+    k = int(np.argmax(abs(traces)))
+    if abs(traces[k]) < REDUCTION_TOL:
+        raise NonProductSlowSpaceError("slow vectors have vanishing ancilla trace")
+    r_k = to_dense(rs[:, [k]]).reshape(dim_a, dim_s, dim_a, dim_s)
+    sigma = np.einsum("iaja->ij", r_k) / traces[k]
+    embed = lift(vectorize(sigma)[:, None], dim_s, vec_cols=False)  # X -> sigma (x) X
+    if abs(rs - embed @ b).max() > REDUCTION_TOL * max(1.0, abs(rs).max()):
+        raise NonProductSlowSpaceError("slow vectors are not sigma (x) X for one sigma")
     slow_mat = effective_liouvillian(series, order, epsilon=epsilon, cumulative=cumulative)
-    images = rs @ (slow_mat @ (ls @ embed))
-    reduced = np.einsum(
-        "iaibc->abc", images.reshape(dim_a, dim_s, dim_a, dim_s, -1)
-    ).reshape(dim_s * dim_s, -1)
-    return ReducedEffective(matrix=reduced, ancilla_state=sigma)
+    return ReducedEffective(matrix=to_dense(b @ (slow_mat @ (ls @ embed))), ancilla_state=sigma)
 
 
 def match_eigenvalues(reference, candidates):

@@ -968,3 +968,40 @@ def test_non_finite_operator_exits_2(tmp_path, capsys, model):
     cfg = write_config(tmp_path, {"model": {**_CUSTOM_QUBIT, **model}, "output": str(tmp_path / "bad")})
     assert cli.main(["decoupling-scan", "--config", cfg]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def _symbol_chain(length, parens=0):
+    """Symbols s0 .. s{length-1}, each defined as the next inside ``parens``
+    parentheses, ending at sz."""
+    chain = {f"s{i}": {"expr": "(" * parens + f"s{i + 1}" + ")" * parens} for i in range(length)}
+    return {**chain, f"s{length}": _QUBIT_SYMBOLS["sz"]}
+
+
+@pytest.mark.parametrize(
+    "symbols,hamiltonian,message",
+    [
+        (_QUBIT_SYMBOLS, "(" * 300 + "sz" + ")" * 300, "nested deeper than 100 (position 100)"),
+        (_symbol_chain(300), "s0", "symbol 's50' nests lookups deeper than 50"),
+        (_symbol_chain(49, parens=99), "s0", "maximum recursion depth"),
+    ],
+    ids=["parentheses", "symbol-chain", "parentheses-in-symbol-chain"],
+)
+def test_deep_nesting_exits_2_without_traceback(tmp_path, capsys, symbols, hamiltonian, message):
+    model = {"kind": "custom", "dimension": 2, "symbols": symbols, "hamiltonian": hamiltonian}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "deep")})
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("deep*"))
+
+
+def test_symbol_depth_counts_nesting_not_declarations(tmp_path):
+    # many symbols, each one lookup deep: nothing nests past the cap
+    symbols = {**_QUBIT_SYMBOLS, **{f"x{i}": {"expr": "sz"} for i in range(300)}}
+    model = {"kind": "custom", "dimension": 2, "symbols": symbols, "hamiltonian": "x299"}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "wide")})
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    chain = {"kind": "custom", "dimension": 2, "symbols": _symbol_chain(49), "hamiltonian": "s0"}
+    cfg = write_config(tmp_path, {"model": chain, "output": str(tmp_path / "deep")}, "chain.yaml")
+    assert cli.main(["spectrum", "--config", cfg]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lsw.exceptions import DimensionMismatchError, ExprSyntaxError, UnknownSymbolError
-from lsw.expr import parse_operator_expr, parse_value
+from lsw.expr import MAX_PAREN_DEPTH, parse_operator_expr, parse_value
 from lsw.operators import spin_operators, tensor
 
 
@@ -195,3 +195,11 @@ def test_random_parenthesized_strings(rng, symbols):
         assert np.array_equal(parse_value(text, symbols), value), text
         checked += 1
     assert checked >= 10, checked
+
+
+def test_parenthesis_depth_is_capped(symbols):
+    nested = "(" * MAX_PAREN_DEPTH + "sz" + ")" * MAX_PAREN_DEPTH
+    assert np.array_equal(parse_operator_expr(nested, symbols), symbols["sz"])
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_value("(" + nested + ")", symbols)
+    assert err.value.position == MAX_PAREN_DEPTH

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_hermitian
@@ -17,6 +19,7 @@ from lsw.spectral import (
 )
 from lsw.superop import (
     devectorize,
+    hamiltonian_superop,
     hat_apply,
     lindblad_superop,
     to_dense,
@@ -169,6 +172,43 @@ def test_slow_terms_annihilate_trace(superradiance_n2):
         assert np.abs(trace_row @ mat).max() < 1e-9
 
 
+def assert_orders_keep_trace_and_hermiticity(sd, v, hdim):
+    """Orders 1-4: t R_s M_n = 0 for the trace row t, and the lift
+    R_s M_n L_s maps Hermitian operators to Hermitian ones.
+
+    Both are checked in absolute terms against |V|**n / gap**(n - 1), the
+    size of the order-n correction: a slow term may itself be at the
+    rounding level, where a relative check only measures noise.
+    """
+    series = correction_terms(generator_terms(sd, v, 4), sd, v)
+    rs, ls = to_dense(sd.right[:, sd.slow]), to_dense(sd.left[sd.slow, :])
+    # vec(X^dag) = conj(vec X)[swap], so a Hermiticity-preserving G has
+    # conj(G)[swap][:, swap] == G
+    i, j = np.divmod(np.arange(hdim * hdim), hdim)
+    swap = j * hdim + i
+    for n, m in enumerate(series.slow_terms, start=1):
+        tol = 1e-12 * spectral_norm(v) ** n / sd.gap ** (n - 1)
+        assert np.abs(trace_functional(hdim) @ rs @ m).max() <= tol
+        lifted = rs @ m @ ls
+        assert np.abs(lifted[np.ix_(swap, swap)].conj() - lifted).max() <= tol
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from((3, 4)))
+def test_slow_orders_keep_trace_and_hermiticity_dense(seed, dim):
+    l0, v = lindblad_superop(models.degenerate_slow_model(seed, dim=dim))
+    assert_orders_keep_trace_and_hermiticity(decompose(l0), v, dim)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dim_a=st.integers(2, 4), dim_s=st.integers(2, 3), seed=st.integers(0, 10_000))
+def test_slow_orders_keep_trace_and_hermiticity_product(dim_a, dim_s, seed):
+    anc = models.random_ancilla_model(dim_a, 2, seed, dim_system=dim_s)
+    sd = decompose(anc.l0, dim_s=dim_s)
+    v = as_operand(sd, anc.perturbation(sparse=True))
+    assert_orders_keep_trace_and_hermiticity(sd, v, dim_a * dim_s)
+
+
 def test_decoupling_residual_zero_epsilon(superradiance_n2):
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_dense(m.v), 2)
@@ -306,6 +346,33 @@ def test_reduced_effective_rejects_non_product_space():
     series = correction_terms(gen, sd, v)
     with pytest.raises(NonProductSlowSpaceError):
         reduced_effective(series, sd, (3, 1), 1)
+
+
+def test_reduced_effective_rejects_non_product_space_of_the_right_size():
+    # the four populations of a 4-level Hamiltonian with distinct gaps are
+    # slow: slow_dim 4 = d_S**2 for dims (2, 2), yet not sigma (x) X
+    l0 = hamiltonian_superop(np.diag([0.0, 1.0, 3.0, 7.0]))
+    sd = decompose(l0)
+    assert sd.slow_dim == 4
+    series = correction_terms(generator_terms(sd, l0, 1), sd, l0)
+    with pytest.raises(NonProductSlowSpaceError, match="not sigma"):
+        reduced_effective(series, sd, (2, 2), 1)
+
+
+def test_reduced_effective_is_the_slow_block_on_the_product_backend():
+    p = models.SuperradianceParams(n_spins=4, g=0.1, gamma=1.0, omega=0.2)
+    m = models.superradiance_model(p)
+
+    def reduced_and_block(sd):
+        v = as_operand(sd, m.v)
+        series = correction_terms(generator_terms(sd, v, 3), sd, v)
+        return reduced_effective(series, sd, m.dims, 3).matrix, effective_liouvillian(series, 3)
+
+    product, block = reduced_and_block(decompose(m.l_a, dim_s=m.dims[1]))
+    dense, _ = reduced_and_block(decompose(to_dense(m.l0)))
+    scale = np.abs(block).max()
+    assert np.abs(product - block).max() <= 1e-15 * scale
+    assert np.abs(dense - product).max() <= 1e-12 * scale
 
 
 def test_reduced_third_order_zero_detuning_commutator_form():
