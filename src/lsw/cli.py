@@ -38,7 +38,7 @@ SPECTRAL_DIM_LIMIT = 4500
 MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 
 # a decoupling residual at most this many roundings of ||L0 + epsilon V||_1 is
-# noise (configs/decoupling_scan.yaml: 0.5-1.5 at orders 4-8, 4 at order 3)
+# noise (configs/decoupling_scan.yaml: 0.2-1.05 at orders 4-8, 4 at order 3)
 FLOOR_ROUNDINGS = 2
 
 

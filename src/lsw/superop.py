@@ -74,12 +74,27 @@ def lift(a, dim_s, vec_rows=True, vec_cols=True):
     The kron with the identity on the dim_s**2 subsystem pairs lists every
     index in :func:`factor_order`; rows and columns marked ``vec`` are
     mapped back to row-stacked vec indices, the others keep that order.
+    Built from a's nonzeros directly: kron row r * n + p (n = dim_s**2)
+    holds row r of a at kron columns c * n + p, and for a fixed pair p
+    both orders increase with c, so each row keeps a's sorted columns.
     """
-    m = sp.kron(a, sp.identity(dim_s * dim_s, dtype=complex), format="coo")
+    a = sp.csr_matrix(a, dtype=complex, copy=True)
+    a.sum_duplicates()
+    n = dim_s * dim_s
     order = factor_order(math.isqrt(a.shape[0]), dim_s)
-    rows = order[m.row] if vec_rows else m.row
-    cols = order[m.col] if vec_cols else m.col
-    return sp.csr_matrix((m.data, (rows, cols)), shape=m.shape)
+    kron_row = np.arange(a.shape[0] * n)  # the kron row that each output row holds
+    if vec_rows:
+        kron_row[order] = kron_row.copy()
+    rows, pairs = np.divmod(kron_row, n)
+    counts = np.diff(a.indptr)[rows]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    # position in a of each output entry: row rows[R] of a, entry by entry
+    src = np.arange(indptr[-1]) + np.repeat(a.indptr[rows] - indptr[:-1], counts)
+    cols = a.indices[src] * n + np.repeat(pairs, counts)
+    if vec_cols:
+        cols = order[cols]
+    shape = (a.shape[0] * n, a.shape[1] * n)
+    return sp.csr_matrix((a.data[src], cols, indptr), shape=shape)
 
 
 def _kron(a, b, sparse):

@@ -857,6 +857,19 @@ def test_decoupling_scan_refuses_zero_and_non_finite_residuals(tmp_path, capsys,
     assert not list(tmp_path.glob("scan*"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decoupling_scan_exits_3_when_the_transform_overflows(tmp_path, capsys):
+    # at epsilon 2 the order-8 exp(+-S) of the N=2 model overflows float64
+    model = {"kind": "superradiance", "n_spins": 2, "gamma": 1.0, "omega": 0.2, "g": 1.0}
+    cfg = write_config(
+        tmp_path,
+        {"model": model, "order": 8, "epsilons": [2.0, 1.0], "output": str(tmp_path / "scan")},
+    )
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 3
+    assert "not all finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("scan*"))
+
+
 def test_readme_examples_build_and_run(tmp_path):
     # the README's config examples go through the one registry unchanged
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -9,8 +9,10 @@ from lsw.operators import hermitian_basis, spin_operators
 from lsw.superop import (
     LindbladSpec,
     devectorize,
+    factor_order,
     hat_apply,
     kossakowski_matrix,
+    lift,
     lindblad_superop,
     sandwich_superop,
     to_dense,
@@ -139,6 +141,33 @@ def test_sparse_dense_construction_agree():
     assert sp.issparse(sparse_l0)
     assert np.abs(to_dense(sparse_l0) - dense_l0).max() < 1e-14
     assert np.abs(to_dense(sparse_v) - dense_v).max() < 1e-14
+
+
+def _kron_lift(a, dim_s, vec_rows, vec_cols):
+    """a (x) 1_S through scipy's kron, its indices reordered, then CSR."""
+    m = sp.kron(a, sp.identity(dim_s * dim_s, dtype=complex), format="coo")
+    order = factor_order(int(np.sqrt(a.shape[0])), dim_s)
+    rows = order[m.row] if vec_rows else m.row
+    cols = order[m.col] if vec_cols else m.col
+    return sp.csr_matrix((m.data, (rows, cols)), shape=m.shape)
+
+
+@pytest.mark.parametrize("vec_rows", [True, False])
+@pytest.mark.parametrize("vec_cols", [True, False])
+def test_lift_csr_layout_matches_kron_route(vec_rows, vec_cols, rng):
+    blocks = [(models.superradiance_model(models.SuperradianceParams(n_spins=4, g=1.0)).l_a, 5)]
+    for dim_a, dim_s in ((1, 3), (2, 2), (3, 1), (4, 3)):
+        a = rng.standard_normal((dim_a**2, dim_a**2, 2)) @ [1, 1j]
+        a[rng.random(a.shape) < 0.4] = 0
+        blocks += [(a, dim_s), (sp.csr_matrix(a.real), dim_s)]
+        if not vec_cols:
+            blocks.append((a[:, :1], dim_s))
+    for a, dim_s in blocks:
+        got, want = lift(a, dim_s, vec_rows, vec_cols), _kron_lift(a, dim_s, vec_rows, vec_cols)
+        assert got.shape == want.shape and got.data.dtype == complex
+        assert np.array_equal(got.data, want.data)  # kron of an all-zero block is float
+        for x, y in ((got.indices, want.indices), (got.indptr, want.indptr)):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_spec_validation_rejects_non_hermitian_hamiltonian():

@@ -266,6 +266,38 @@ def test_decoupling_residual_matches_two_exponential_oracle(case):
             assert abs(got - _residual_oracle(sd, v, gen, eps, order)) <= 1e-14
 
 
+@pytest.mark.parametrize("case", ["superradiance-product", "superradiance-mixed", "random-dense"])
+def test_decoupling_residual_matches_oracle_beyond_perturbative_regime(case):
+    # at epsilon 1.0, ||S||_1 reaches 456 on the superradiance cases and
+    # exp(S) has condition number 1.6e6
+    sd, v, _ = _residual_case(case)
+    v = as_operand(sd, v)
+    gen = generator_terms(sd, v, 8)
+    for order in range(1, 9):
+        for eps in (0.3, 1.0):
+            want = _residual_oracle(sd, v, gen, eps, order)
+            assert abs(decoupling_residual(sd, v, gen, eps, order) - want) <= 1e-10 * want
+
+
+def test_decoupling_residual_is_inf_when_the_transform_overflows():
+    # at epsilon 2, ||S||_1 is 7.7e4 and the products with exp(+-S) overflow
+    sd, v, _ = _residual_case("superradiance-product")
+    v = as_operand(sd, v)
+    gen = generator_terms(sd, v, 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert decoupling_residual(sd, v, gen, 2.0, 8) == np.inf
+
+
+@pytest.mark.parametrize("dim_s", [1, 2])
+def test_decoupling_residual_without_fast_space(dim_s):
+    # L0 = 0: every mode is slow, so S vanishes and its slow/fast blocks are empty
+    sd = decompose(np.zeros((4, 4), dtype=complex), dim_s=dim_s)
+    assert sd.fast.size == 0
+    v = as_operand(sd, hamiltonian_superop(random_hermitian(np.random.default_rng(6), 2 * dim_s)))
+    gen = generator_terms(sd, v, 3)
+    assert decoupling_residual(sd, v, gen, 0.5, 3) == 0.0
+
+
 def _chain(s_terms, ks, x):
     """Nested commutator maps of S_{k1}..S_{kp} applied to x, one by one."""
     for k in reversed(ks):
