@@ -38,7 +38,8 @@ SPECTRAL_DIM_LIMIT = 4500
 MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 
 # a decoupling residual at most this many roundings of ||L0 + epsilon V||_1 is
-# noise (configs/decoupling_scan.yaml: 0.2-1.05 at orders 4-8, 4 at order 3)
+# flagged as possible noise (configs/decoupling_scan.yaml: 3.9 at order 3; the
+# flagged ones at orders 4-8 are 2e-4 to 0.98, above a true floor near 8e-20)
 FLOOR_ROUNDINGS = 2
 
 

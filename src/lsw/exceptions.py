@@ -39,10 +39,6 @@ class EmptySlowSpaceError(LswError):
     """No eigenvalue classified as zero; not a trace-preserving generator?"""
 
 
-class ZeroGapError(LswError):
-    """Fast-space inversion requested but the spectral gap vanishes."""
-
-
 class OrderUnavailableError(LswError):
     """A perturbative order beyond the computed series was requested."""
 

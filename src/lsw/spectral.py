@@ -8,11 +8,13 @@ up to inversion error and avoids any eigenvector pairing ambiguity.
 Two backends build the same :class:`SpectralData`.  The dense one
 diagonalizes the full D x D generator.  The product one serves a
 generator that acts on an ancilla factor only, L0 = L_A (x) 1_S: it
-diagonalizes the d_A**2 x d_A**2 block L_A and lifts every D x D object
-(eigenvectors, projectors, fast inverse) to a sparse kron with the
-subsystem identity.  The model declares the factorization: it hands
-``decompose`` its block L_A and the subsystem dimension; nothing about
-the structure of L0 is detected from its entries.
+diagonalizes the d_A**2 x d_A**2 block L_A and lifts the eigenvectors and
+L0's eigen-coordinate image to sparse krons with the subsystem identity.
+The model declares the factorization: it hands ``decompose`` its block L_A
+and the subsystem dimension; nothing about the structure of L0 is
+detected from its entries.  In eigen coordinates the projectors are index
+masks and the fast inverse is a diagonal scaling; their full-space forms
+are built on demand.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .exceptions import DefectiveOperatorError, EmptySlowSpaceError, ZeroGapError
+from .exceptions import DefectiveOperatorError, EmptySlowSpaceError
 from .superop import compact, lift, to_csr, to_dense
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -32,21 +34,20 @@ DEFAULT_COND_LIMIT = 1e8
 class Projectors:
     p: object
     q: object
-    slow_dim: int
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigensystem of L0 with the slow/fast partition, built whole.
+    """Eigensystem of L0 with the slow/fast partition.
 
     ``left @ right == identity`` by construction; ``gap`` is the smallest
     modulus among fast eigenvalues (+inf when the fast set is empty).
     ``backend`` is ``"dense"`` (ndarrays) or ``"product"`` (CSR matrices
-    for every D x D member); ``pq`` and ``finv`` are the projectors and the
-    fast inverse.
+    for every D x D member).  ``l0_eigen`` is L0 in its eigen coordinates,
+    ``left @ L0 @ right``: diag(eigenvalues) up to rounding.
     """
 
-    operator: object
+    l0_eigen: object
     eigenvalues: np.ndarray
     right: object  # columns are right eigenvectors
     left: object  # rows are left eigenvectors
@@ -55,8 +56,6 @@ class SpectralData:
     gap: float
     condition: float
     zero_tol: float
-    pq: Projectors
-    finv: object
     backend: str
 
     @property
@@ -89,19 +88,6 @@ def _eig(l0, zero_tol):
     return w, right, left, slow, fast, gap, float(condition)
 
 
-def _split_operators(w, right, left, slow, fast, gap):
-    """Slow projector, its complement and the fast inverse of one eigensystem."""
-    if fast.size and gap <= 0:
-        raise ZeroGapError("fast eigenvalues reach down to zero modulus")
-    dim = w.size
-    p = right[:, slow] @ left[slow, :]
-    if fast.size == 0:
-        finv = np.zeros((dim, dim), dtype=complex)
-    else:
-        finv = (right[:, fast] / w[fast]) @ left[fast, :]
-    return p, np.eye(dim, dtype=complex) - p, finv
-
-
 def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, dim_s=1):
     """Diagonalize a generator and split its spectrum at zero.
 
@@ -120,26 +106,23 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, dim_s=1):
     """
     l0 = to_dense(l0)
     w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol)
-    p, q, finv = _split_operators(w, right, left, slow, fast, gap)
     n = dim_s * dim_s
 
-    def lifted(a, vec_rows=True, vec_cols=True):
+    def lifted(a, vec_rows, vec_cols):
         return a if n == 1 else lift(a, dim_s, vec_rows, vec_cols)
 
     # eigenvector k of l0 lifts to the n eigenvectors k * n + (subsystem pair)
     full_slow = (slow[:, None] * n + np.arange(n)).ravel()
     return SpectralData(
-        operator=lifted(l0),
+        l0_eigen=lifted(left @ l0 @ right, False, False),
         eigenvalues=np.repeat(w, n),
-        right=lifted(right, vec_cols=False),
-        left=lifted(left, vec_rows=False),
+        right=lifted(right, True, False),
+        left=lifted(left, False, True),
         slow=full_slow,
         fast=(fast[:, None] * n + np.arange(n)).ravel(),
         gap=gap,
         condition=condition,
         zero_tol=zero_tol,
-        pq=Projectors(p=lifted(p), q=lifted(q), slow_dim=full_slow.size),
-        finv=lifted(finv),
         backend="dense" if n == 1 else "product",
     )
 
@@ -153,14 +136,58 @@ def as_operand(sd, a):
     return compact(to_csr(a)) if sd.backend == "product" else to_dense(a)
 
 
+def to_eigen(sd, a):
+    """A superoperator in L0's eigen coordinates: entry (i, j) is <l_i|A|r_j>."""
+    return compact(sd.left @ as_operand(sd, a) @ sd.right)
+
+
+def from_eigen(sd, a):
+    """The full-space superoperator whose eigen coordinates are ``a``."""
+    return compact(sd.right @ a @ sd.left)
+
+
+def _diagonals(sd):
+    """The slow mask, and 1/lambda on the fast modes (0 on the slow ones)."""
+    slow = np.isin(np.arange(sd.dim), sd.slow)
+    return slow, np.divide(1.0, sd.eigenvalues, out=np.zeros(sd.dim, complex), where=~slow)
+
+
+def _weighted(a, weight):
+    """``a`` with entry (i, j) multiplied by ``weight(i, j)``, dense or sparse;
+    a sparse result keeps only its nonzero entries."""
+    if not sp.issparse(a):
+        i = np.arange(a.shape[0])
+        return np.asarray(a) * weight(i[:, None], i)
+    a = to_csr(a)
+    data = a.data * weight(np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices)
+    out = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+    out.eliminate_zeros()  # in place, so a's index arrays are copied above
+    return compact(out)
+
+
+def eigen_split(sd, a):
+    """Block-diagonal and block-off-diagonal parts in eigen coordinates."""
+    slow, _ = _diagonals(sd)
+    diag = _weighted(a, lambda i, j: slow[i] == slow[j])
+    return diag, a - diag
+
+
+def eigen_resolvent(sd, a):
+    """:func:`resolvent_apply` in eigen coordinates: entry (i, j) times
+    1/lambda_i (i fast, j slow) or -1/lambda_j (i slow, j fast), else 0."""
+    slow, inverse = _diagonals(sd)
+    return _weighted(a, lambda i, j: inverse[i] * slow[j] - slow[i] * inverse[j])
+
+
 def projectors(sd):
     """Spectral projectors P (slow) and Q = 1 - P; generally non-orthogonal."""
-    return sd.pq
+    p, q = (compact(sd.right[:, m] @ sd.left[m, :]) for m in (sd.slow, sd.fast))
+    return Projectors(p=p, q=q)
 
 
 def fast_inverse(sd):
     """Inverse of L0 restricted to the fast space, zero on the slow space."""
-    return sd.finv
+    return from_eigen(sd, sp.diags(_diagonals(sd)[1], format="csr"))
 
 
 def resolvent_apply(sd, a):
@@ -169,20 +196,7 @@ def resolvent_apply(sd, a):
     Returns Q L0inv A P - P A L0inv Q; for block-off-diagonal X this is the
     unique block-off-diagonal solution of [solution, L0] = A.
     """
-    p = sd.pq.p
-    return compact(sd.finv @ (a @ p) - (p @ a) @ sd.finv)
-
-
-def eigen_blocks(sd, a):
-    """Blocks of a superoperator in the eigenbasis coordinates.
-
-    Returns (a_pp, a_pq, a_qp, a_qq) with a_pq the slow-row/fast-column
-    block ⟨l_slow| A |r_fast⟩ and so on.
-    """
-    a = as_operand(sd, a)
-    ls, lf = sd.left[sd.slow, :], sd.left[sd.fast, :]
-    rs, rf = sd.right[:, sd.slow], sd.right[:, sd.fast]
-    return tuple(to_dense(x) for x in (ls @ a @ rs, ls @ a @ rf, lf @ a @ rs, lf @ a @ rf))
+    return from_eigen(sd, eigen_resolvent(sd, to_eigen(sd, a)))
 
 
 def spectral_norm(a):

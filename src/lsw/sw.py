@@ -9,17 +9,20 @@ slow-space generator to a subsystem when the slow space factorizes.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import (
-    NonProductSlowSpaceError,
-    OrderUnavailableError,
-    ZeroGapError,
+from .exceptions import NonProductSlowSpaceError, OrderUnavailableError
+from .spectral import (
+    as_operand,
+    eigen_resolvent,
+    eigen_split,
+    from_eigen,
+    spectral_norm,
+    to_eigen,
 )
-from .spectral import as_operand, eigen_blocks, resolvent_apply, spectral_norm
 from .superop import hat_apply, lift, to_dense, trace_functional, vectorize, zeros_like
 
 MAX_ORDER = 8
@@ -45,18 +48,27 @@ def _compositions(total, parts):
 
 def split_blocks(sd, v):
     """Block-diagonal and block-off-diagonal parts of a superoperator."""
-    pq = sd.pq
-    v = as_operand(sd, v)
-    v_diag = pq.p @ v @ pq.p + pq.q @ v @ pq.q
-    return v_diag, v - v_diag
+    return tuple(from_eigen(sd, x) for x in eigen_split(sd, to_eigen(sd, v)))
 
 
 @dataclass
 class SWGenerator:
-    """Terms S_1..S_nmax of the block-off-diagonal transform generator."""
+    """Terms S_1..S_nmax of the block-off-diagonal transform generator, and
+    the block-diagonal and off-diagonal parts of V, all in L0's eigen
+    coordinates: entry (i, j) of ``terms[n - 1]`` is <l_i|S_n|r_j>."""
 
     terms: list
     nmax: int
+    v_blocks: tuple
+    spectral: object  # the SpectralData the terms were built from
+
+    @cached_property
+    def slow_triangles(self):
+        """Triangular factors of qr(R_s) and qr(L_s^H) for the slow vectors
+        R_s, L_s of ``spectral``, computed once for all residuals."""
+        sd = self.spectral
+        rs, ls = to_dense(sd.right[:, sd.slow]), to_dense(sd.left[sd.slow, :])
+        return np.linalg.qr(rs, mode="r"), np.linalg.qr(ls.conj().T, mode="r")
 
     def total(self, epsilon, order=None):
         order = self.nmax if order is None else order
@@ -93,9 +105,7 @@ def generator_terms(sd, v, nmax):
         raise ValueError("nmax must be >= 1")
     if nmax > MAX_ORDER:
         raise OrderUnavailableError(f"series coefficients tabulated up to order {MAX_ORDER}")
-    if sd.fast.size and sd.gap <= 0:
-        raise ZeroGapError("cannot invert L0 on the fast space")
-    v_diag, v_off = split_blocks(sd, v)
+    v_diag, v_off = eigen_split(sd, to_eigen(sd, v))
     terms = []
     chains = {(): v_off}
     for n in range(1, nmax + 1):
@@ -108,15 +118,15 @@ def generator_terms(sd, v, nmax):
                     continue
                 for ks in _compositions(n - 1, two_m):
                     rhs = rhs + coeff * _chain(terms, ks, chains)
-        terms.append(-resolvent_apply(sd, rhs))
-    return SWGenerator(terms=terms, nmax=nmax)
+        terms.append(-eigen_resolvent(sd, rhs))
+    return SWGenerator(terms=terms, nmax=nmax, v_blocks=(v_diag, v_off), spectral=sd)
 
 
 @dataclass
 class EffectiveSeries:
     """Per-order corrections W_n and their slow-space restrictions."""
 
-    corrections: list  # full-space superoperators W_1..W_nmax
+    corrections: list  # W_1..W_nmax in L0's eigen coordinates
     slow_terms: list  # slow_dim x slow_dim matrices <l_a|W_n|r_b>
     epsilon: float
     nmax: int
@@ -127,9 +137,9 @@ def correction_terms(gen, sd, v, epsilon=1.0):
 
     W_1 is the block-diagonal part of V; higher orders are odd commutator
     chains of the S_k applied to the off-diagonal part, with the tanh(x/2)
-    series coefficients.
+    series coefficients.  The blocks of ``v`` are taken from ``gen``.
     """
-    v_diag, v_off = split_blocks(sd, v)
+    v_diag, v_off = gen.v_blocks
     chains = {(): v_off}
     corrections = [v_diag]
     for n in range(2, gen.nmax + 1):
@@ -140,8 +150,7 @@ def correction_terms(gen, sd, v, epsilon=1.0):
             for ks in _compositions(n - 1, p):
                 w = w + coeff * _chain(gen.terms, ks, chains)
         corrections.append(w)
-    ls, rs = sd.left[sd.slow, :], sd.right[:, sd.slow]
-    slow_terms = [to_dense(ls @ w @ rs) for w in corrections]
+    slow_terms = [to_dense(w[sd.slow][:, sd.slow]) for w in corrections]
     return EffectiveSeries(
         corrections=corrections,
         slow_terms=slow_terms,
@@ -171,10 +180,8 @@ def closed_form_slow_orders(sd, v):
     round trip through the fast inverse, order 3 adds the fast-space block
     and the anticommutator counterterm.
     """
-    v_pp, v_pq, v_qp, v_qq = eigen_blocks(sd, v)
-    if sd.fast.size == 0:
-        z = np.zeros_like(v_pp)
-        return v_pp, z, z
+    v, sides = to_eigen(sd, v), (sd.slow, sd.fast)
+    v_pp, v_pq, v_qp, v_qq = (to_dense(v[rows][:, cols]) for rows in sides for cols in sides)
     inv = 1.0 / sd.eigenvalues[sd.fast]
     l1 = v_pp
     l2 = -(v_pq * inv) @ v_qp
@@ -189,10 +196,11 @@ def decoupling_residual(sd, v, gen, epsilon, order):
 
     Builds S(eps) through the requested order and returns the sum of the
     spectral norms of the two off-diagonal blocks P T Q and Q T P of
-    T = exp(-S) (L0 + eps V) exp(S).  In the eigenbasis of L0, S is
-    [[0, A], [B, 0]] with A = <l_s|S|r_f> and B = <l_f|S|r_s>, so
-    exp(+-S) is fixed by functions of the slow_dim x slow_dim matrix
-    X = A B:
+    T = exp(-S) (L0 + eps V) exp(S), for the V that ``gen`` was built from.
+    In L0's eigen coordinates, L0 + eps V is ``sd.l0_eigen`` plus eps times
+    V's blocks in ``gen``, and S is [[0, A], [B, 0]] with A = <l_s|S|r_f>
+    and B = <l_f|S|r_s>, so exp(+-S) is fixed by functions of the
+    slow_dim x slow_dim matrix X = A B:
 
         exp(+-S) = [[C, +-Sh A], [+-B Sh, 1 + B G A]],
         C = cosh(sqrt X),  Sh = sinh(sqrt X) / sqrt X,  G = (C - 1) / X.
@@ -200,42 +208,40 @@ def decoupling_residual(sd, v, gen, epsilon, order):
     One exponential of the 2 slow_dim x 2 slow_dim matrix [[0, 1], [X/4, 0]]
     gives C4 = cosh(sqrt(X/4)) and Sh4 = sinh(sqrt(X/4)) / sqrt(X/4), and
     one doubling step C = 2 C4^2 - 1, Sh = Sh4 C4, G = Sh4^2 / 2 the rest.
-    With R_s, L_s the slow right and left eigenvectors (P = R_s L_s), only
-    thin products with these blocks are formed: the rows <l_s|T|r_f> and
-    the columns <l_f|T|r_s>, so each off-diagonal block has rank at most
-    slow_dim and its norm comes from a small factor:
+    Only the blocks <l_s|T|r_f> and <l_f|T|r_s> are formed.  With R_s, L_s
+    the slow right and left eigenvectors (P = R_s L_s), each off-diagonal
+    block has rank at most slow_dim and its norm comes from a small factor:
 
         P T Q = R_s <l_s|T|r_f> L_f,   ||P T Q|| = ||K <l_s|T|r_f> L_f||
         Q T P = R_f <l_f|T|r_s> L_s,   ||Q T P|| = ||R_f <l_f|T|r_s> M^H||
 
-    where K and M are the triangular factors of qr(R_s) and qr(L_s^H).
-    No D x D exponential, factorization or SVD is formed.  Returns inf
-    when exp(+-S) is too large for these products in float64.
+    where K and M are the triangular factors of qr(R_s) and qr(L_s^H)
+    (``gen.slow_triangles``).  No D x D exponential, factorization or SVD
+    is formed.  Returns inf, without overflow warnings, when exp(+-S) is
+    too large for these products in float64.
     """
-    k = sd.slow_dim
+    k, slow, fast = sd.slow_dim, sd.slow, sd.fast
     s = gen.total(epsilon, order)
-    l_full = sd.operator + epsilon * as_operand(sd, v)
-    ls, lf = sd.left[sd.slow, :], sd.left[sd.fast, :]
-    rs, rf = sd.right[:, sd.slow], sd.right[:, sd.fast]
-    a = to_dense((ls @ s) @ rf)
-    b = to_dense(lf @ (s @ rs))
-    zero, one = np.zeros((k, k)), np.eye(k)
-    quarter = expm(np.block([[zero, one], [(a @ b) / 4, zero]]))
-    c4, sh4 = quarter[:k, :k], quarter[:k, k:]
-    c, sh, g = 2 * c4 @ c4 - one, sh4 @ c4, sh4 @ sh4 / 2
-    sh_a, b_sh, g_a = sh @ a, b @ sh, g @ a
-    # <l_s|T|r_f>: the slow rows of exp(-S), through L, into the fast columns of exp(S)
-    rows = (c @ ls - sh_a @ lf) @ l_full
-    rows_s, rows_f = rows @ rs, rows @ rf
-    t_sf = rows_s @ sh_a + rows_f + (rows_f @ b) @ g_a
-    # <l_f|T|r_s>: the slow columns of exp(S), through L, into the fast rows of exp(-S)
-    cols = l_full @ (rs @ c + rf @ b_sh)
-    cols_s, cols_f = ls @ cols, lf @ cols
-    t_fs = cols_f - b_sh @ cols_s + b @ (g_a @ cols_f)
-    r_tri = np.linalg.qr(to_dense(rs), mode="r")
-    l_tri = np.linalg.qr(to_dense(ls).conj().T, mode="r")
-    pq_factor = r_tri @ (t_sf @ lf)
-    qp_factor = (rf @ t_fs) @ l_tri.conj().T
+    v_diag, v_off = gen.v_blocks
+    l_full = as_operand(sd, sd.l0_eigen + epsilon * (v_diag + v_off))
+    a, b = to_dense(s[slow][:, fast]), to_dense(s[fast][:, slow])
+    r_tri, l_tri = gen.slow_triangles
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero, one = np.zeros((k, k)), np.eye(k)
+        quarter = expm(np.block([[zero, one], [(a @ b) / 4, zero]]))
+        c4, sh4 = quarter[:k, :k], quarter[:k, k:]
+        c, sh, g = 2 * c4 @ c4 - one, sh4 @ c4, sh4 @ sh4 / 2
+        sh_a, b_sh, g_a = sh @ a, b @ sh, g @ a
+        # <l_s|T|r_f>: the slow rows of exp(-S), through L, into the fast columns of exp(S)
+        rows = c @ l_full[slow] - sh_a @ l_full[fast]
+        rows_s, rows_f = rows[:, slow], rows[:, fast]
+        t_sf = rows_s @ sh_a + rows_f + (rows_f @ b) @ g_a
+        # <l_f|T|r_s>: the slow columns of exp(S), through L, into the fast rows of exp(-S)
+        cols = l_full[:, slow] @ c + l_full[:, fast] @ b_sh
+        cols_s, cols_f = cols[slow], cols[fast]
+        t_fs = cols_f - b_sh @ cols_s + b @ (g_a @ cols_f)
+        pq_factor = r_tri @ (t_sf @ sd.left[fast, :])
+        qp_factor = (sd.right[:, fast] @ t_fs) @ l_tri.conj().T
     if not (np.isfinite(pq_factor).all() and np.isfinite(qp_factor).all()):
         return np.inf  # exp(+-S) overflowed: the residual is beyond float64
     return spectral_norm(pq_factor) + spectral_norm(qp_factor)

@@ -5,17 +5,23 @@ Each drawn config is a valid one from a small grammar (every model kind,
 small sizes) with up to three of its keys, at any depth, replaced by a
 hostile value or deleted.  Sizes (`n_spins`, `dimension`, `n_points`, ...)
 come only from small ranges, so no drawn config asks for a large
-allocation.
+allocation, and each run must end within ``RUN_SECONDS``.
 """
 
 import contextlib
 import io
+import time
 
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lsw import cli
+
+# the slowest of the 200 drawn runs takes about 0.03 s (0.025-0.031 s in
+# three sessions on a 2-vCPU machine); the bound leaves a margin of about
+# 30x for slower machines, and catches a run that hangs
+RUN_SECONDS = 1.0
 
 DELETE = object()
 HOSTILE = [0, -1, float("nan"), float("inf"), "x", "(", "2", [1], {"a": 1}, None, DELETE]
@@ -132,8 +138,11 @@ def test_hostile_configs_keep_the_exit_code_contract(tmp_path_factory, task, cfg
     path = tmp / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
     err = io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main([task, "--config", str(path), "--out", str(tmp / "out")])
+    elapsed = time.perf_counter() - start
+    assert elapsed < RUN_SECONDS, (elapsed, task, cfg)
     assert code in (0, 2, 3), (code, err.getvalue())
     if code:
         assert err.getvalue().startswith(("configuration error:", "numerical error:"))

@@ -100,7 +100,7 @@ def test_projectors_first_calls_race_free():
     # decomposition at once, with thread switches forced every microsecond;
     # each must get both P and Q
     l0, _ = lindblad_superop(models.random_lindblad_model(5, 2, 0), sparse=False)
-    base = decompose(to_dense(l0))  # built whole, projectors included: copies share them
+    base = decompose(to_dense(l0))  # projectors() builds P and Q from it on each call
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -231,7 +231,7 @@ def test_spectrum_preserved_by_converged_transform(rng):
     pq = projectors(sd)
     eps = 1e-3
     gen = generator_terms(sd, v, 8)
-    s = gen.total(eps)
+    s = sd.right @ gen.total(eps) @ sd.left  # the full-space image of S
     full = l0 + eps * v
     transformed = expm(-s) @ full @ expm(s)
     slow_block = sd.left[sd.slow, :] @ transformed @ sd.right[:, sd.slow]
