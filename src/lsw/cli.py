@@ -18,11 +18,17 @@ import numpy as np
 import yaml
 
 from . import dynamics, models, qrt, superop, sw
-from .exceptions import DimensionMismatchError, LswError, ToleranceNotMetError, ValidationError
+from .exceptions import (
+    DimensionMismatchError,
+    LswError,
+    NonProductSlowSpaceError,
+    ToleranceNotMetError,
+    ValidationError,
+)
 from .expr import parse_operator_expr
 from .operators import spin_operators
-from .spectral import as_operand, check_perturbative_limit, decompose
-from .superop import LindbladSpec, lift, lindblad_superop, to_csr
+from .spectral import as_operand, charge_sector, check_perturbative_limit, decompose
+from .superop import LindbladSpec, lift, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
 
@@ -31,8 +37,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # spectral tasks hold D x D superoperators, dense ones for models whose L0
-# does not factor; refuse configs past this size instead of crashing on an
-# allocation
+# does not factor, and compare holds sector-sized ones; refuse configs past
+# this size (D, or the sector dimension for compare) instead of crashing on
+# an allocation
 SPECTRAL_DIM_LIMIT = 4500
 
 MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
@@ -302,16 +309,18 @@ def _superradiance_params(mcfg):
 def _build_model(run):
     """The one model registry: a dict with the kind, the AncillaModel under
     ``ancilla``, ``rho0`` (None: none on A (x) S) and the observables, plus
-    superradiance's full model and charge.  Every task but ancilla-qrt
-    also gets ``l0`` = L_A (x) 1_S and ``v`` from ``AncillaModel.perturbation``
-    (CSR for a system dimension above 1)."""
+    superradiance's full model and charge.  Every task but ancilla-qrt and
+    compare also gets ``l0`` = L_A (x) 1_S and ``v`` from
+    ``AncillaModel.perturbation`` (CSR for a system dimension above 1);
+    those two get superradiance's ancilla and ``n_spins`` alone."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
-    assemble = run.task != "ancilla-qrt"
+    assemble = run.task not in ("ancilla-qrt", "compare")
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
         if not assemble:
-            return {"kind": kind, "ancilla": models.superradiance_ancilla(params)}
+            ancilla = models.superradiance_ancilla(params)
+            return {"kind": kind, "ancilla": ancilla, "n_spins": params.n_spins}
         model = models.superradiance_model(params)
         return {
             "kind": kind,
@@ -436,34 +445,44 @@ def _task_evolve(run):
 
 
 def _task_compare(run):
+    """Exact and order-2, order-2+3 emission of the burst, in the
+    coherence-order-0 sector of the polarized state (4N+2 coordinates, the
+    N+1 nuclear populations slow), in L0's eigen coordinates."""
     if run.model["kind"] != "superradiance":
         raise ValidationError("compare runs on the superradiance model")
-    model = run.model["model"]
-    gen_exact = to_csr(model.l0 + model.v)
-    times = run.times
-    sd, v = _decomposed(run)
+    n, ancilla = run.model["n_spins"], run.model["ancilla"]
+    sector = charge_sector(
+        ancilla, models.superradiance_charges(n), run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT
+    )
+    sd, v = sector.spectral, sector.v
+    if sd.slow_dim != n + 1:
+        raise NonProductSlowSpaceError(
+            f"the sector has {sd.slow_dim} slow modes, not the {n + 1} nuclear "
+            "populations: the electron needs exactly one steady state"
+        )
     gen = sw.generator_terms(sd, v, 3)
     series = sw.correction_terms(gen, sd, v)
-    red2 = sw.reduced_effective(series, sd, model.dims, 2, cumulative=True).matrix
-    red23 = sw.reduced_effective(series, sd, model.dims, 3, cumulative=True).matrix
+    # coordinate (k, a, b) is R_k (x) |a><b|: rho0 = sum y0 R_k (x) |a><b|,
+    # and Tr(I_z X) = f . x for X with coordinates x
+    k, a, b = sector.index
+    electron, nuclei = models.superradiance_initial(n)
+    y0 = (sector.left @ vectorize(electron))[k] * nuclei[a, b]
+    iz = models.collective_ops(n)[2]
+    f = (superop.trace_functional(electron.shape[0]) @ sector.right)[k] * iz[b, a]
+    slow = sd.slow
+    runs = [
+        (sd.l0_eigen + v, y0, f),
+        (sw.effective_liouvillian(series, 2), y0[slow], f[slow]),
+        (sw.effective_liouvillian(series, 3), y0[slow], f[slow]),
+    ]
+    times = run.times
 
-    dn = model.dims[1]
-    mu0 = np.zeros((dn, dn), dtype=complex)
-    mu0[0, 0] = 1.0
-
-    def exact():
-        traj = dynamics.evolve(gen_exact, model.initial_state, times, model.charge)
-        return dynamics.emission_intensity(traj, model.iz_full, gen_exact)
-
-    def reduced(mat):
-        traj = dynamics.evolve(mat, mu0, times, model.charges[1])
-        return dynamics.emission_intensity(traj, model.iz, mat)
+    def intensity(generator, start, functional):
+        states, _ = dynamics.propagate(generator, start, times)
+        return -np.real(states @ (generator.T @ functional))
 
     with ThreadPoolExecutor(max_workers=run.workers()) as pool:
-        f_exact = pool.submit(exact)
-        f_two = pool.submit(reduced, red2)
-        f_three = pool.submit(reduced, red23)
-        i_exact, i_two, i_three = f_exact.result(), f_two.result(), f_three.result()
+        i_exact, i_two, i_three = pool.map(lambda r: intensity(*r), runs)
 
     path = _write_csv(
         run.out + "_compare.csv",

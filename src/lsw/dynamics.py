@@ -9,10 +9,11 @@ the components whose order occurs in rho0, after checking exactly that the
 generator maps none of them outside, and scatters the result back into
 full-size states.  Without a charge the sector is the whole space.
 
-A small sector steps with its one-step propagator ``expm(h G)``, computed
-once per grid span at O(k^3) cost for sector dimension k however long the
-span; otherwise ``expm_multiply`` acts on the state with a number of
-matvecs that grows with ||G||_1 t_max.  The stiffness guard and the
+``propagate`` is the one vector propagator.  A small dimension k steps
+with its one-step propagator ``expm(h G)``, computed once per grid span at
+O(k^3) cost however long the span; otherwise ``expm_multiply`` acts on the
+state with a number of matvecs that grows with ||G||_1 t_max, and at
+least a fixed cost per output point.  The stiffness guard and the
 non-finite check cover both ways.
 """
 
@@ -29,12 +30,19 @@ from .superop import devectorize, to_csr, vectorize
 # propagations with ||G||_1 * t_max above this are refused up front
 MAX_NORM_TIME = 1e6
 
-# step densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max.  On the
-# burst sector at ||G||_1 t_max = 4,200 (401 points, one BLAS thread), dense
-# stepping / expm_multiply took 0.14 / 0.31 s at k=402, 0.32 / 0.40 s at 474,
-# 0.46 / 0.43 s at 502, 0.55 / 0.42 s at 550 and 1.10 / 0.50 s at 698: the
-# ways cross near k=490, k^3 / (||G||_1 t_max) = 2.8e4
-DENSE_STEP_RATIO = 3e4
+# step densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max +
+# DENSE_STEP_FLOOR * steps, for `steps` output points after t = 0 (one BLAS
+# thread throughout).  expm_multiply costs at least 0.17-0.25 ms per output
+# point whatever the scale (k = 20-250, ||G||_1 t_max = 0.1-1), which is
+# 5e4 k^3 of dense stepping at 4e-9 s per k^3.  On the burst sector over
+# t_max = 200 on 401 points (scale 420), dense / expm_multiply took
+# 0.066 / 0.206 s at k=250 and 0.258 / 0.229 s at k=402.  At scale 4,200
+# they took 0.14 / 0.31 s at k=402, 0.32 / 0.40 s at 474, 0.46 / 0.43 s at
+# 502, 0.55 / 0.42 s at 550 and 1.10 / 0.50 s at 698, crossing near k=490:
+# k^3 = 1.18e8 = 2.3e4 * 4,200 + 5e4 * 400.  The N=1000 reduced block
+# (k=1001, scale 35, 401 points) took 1.15 / 0.19 s
+DENSE_STEP_RATIO = 2.3e4
+DENSE_STEP_FLOOR = 5e4
 
 
 @dataclass
@@ -70,21 +78,69 @@ def _validate_times(times):
     return times
 
 
-def evolve(generator, rho0, times, charge=None):
-    """Propagate rho0 under a fixed generator, landing exactly on `times`.
+def propagate(generator, y0, times):
+    """The states exp(t G) y0 at every t in ``times``, as rows, and the stepper.
 
     Exact to double precision for a time-independent generator.  Each grid
     span steps with the dense propagator ``expm(h G)`` (scaling and
     squaring, Al-Mohy & Higham 2009) when ``spans * k**3 <=
-    DENSE_STEP_RATIO * ||G||_1 t_max`` for sector dimension k, and by
-    ``expm_multiply`` (Al-Mohy & Higham 2011) otherwise; ``stepper``
-    records which.  Either way ||G||_1 t_max above ``MAX_NORM_TIME`` is
-    refused and a non-finite state raises.
+    DENSE_STEP_RATIO * ||G||_1 t_max + DENSE_STEP_FLOOR * steps`` for
+    dimension k and ``steps`` output points after t = 0, and by
+    ``expm_multiply`` (Al-Mohy & Higham 2011) otherwise; the stepper is
+    ``"expm"`` or ``"expm_multiply"``.  Either way ||G||_1 t_max above
+    ``MAX_NORM_TIME`` is refused and a non-finite state raises.
+    """
+    times = _validate_times(times)
+    g = to_csr(generator)
+    y0 = np.asarray(y0, dtype=complex)
+    if g.shape != (y0.size, y0.size):
+        raise DimensionMismatchError(
+            f"generator of shape {g.shape} does not act on vectors of size {y0.size}"
+        )
+    t_max = times[-1]
+    scale = spla.norm(g, 1) * t_max
+    if not scale <= MAX_NORM_TIME:  # NaN fails too
+        raise ToleranceNotMetError(
+            f"||G||_1 * t_max = {scale:.3g} is not finite or exceeds {MAX_NORM_TIME:.0e}; "
+            "the generator is too stiff to propagate over this span"
+        )
 
-    ``charge`` holds an integer per basis state (None: all zero).  Only the
-    vec components whose coherence order occurs in rho0 are propagated; a
-    generator entry that maps them to any other component means the charge
-    is not conserved and raises :class:`ValidationError`.
+    # a uniform grid is one span, any other grid one span per interval;
+    # an overflow shows up as a non-finite state, checked below
+    uniform = times.size > 1 and np.array_equal(times, np.linspace(0.0, t_max, times.size))
+    spans = [(t_max, times.size)] if uniform else [(dt, 2) for dt in np.diff(times)]
+    dense = (
+        len(spans) * y0.size**3
+        <= DENSE_STEP_RATIO * scale + DENSE_STEP_FLOOR * (times.size - 1)
+    )
+    states = [y0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stop, num in spans:
+            if dense:
+                step = expm(g.toarray() * (stop / (num - 1)))
+                for _ in range(num - 1):
+                    states.append(step @ states[-1])
+            else:
+                states.extend(
+                    spla.expm_multiply(
+                        g, states[-1], start=0.0, stop=stop, num=num, endpoint=True
+                    )[1:]
+                )
+    states = np.array(states)
+    if not np.all(np.isfinite(states)):
+        raise ToleranceNotMetError("propagation produced a non-finite state")
+    return states, "expm" if dense else "expm_multiply"
+
+
+def evolve(generator, rho0, times, charge=None):
+    """Propagate rho0 under a fixed generator, landing exactly on `times`.
+
+    The vec components in the sector of rho0 go through :func:`propagate`,
+    whose stepper the trajectory records.  ``charge`` holds an integer per
+    basis state (None: all zero).  Only the vec components whose coherence
+    order occurs in rho0 are propagated; a generator entry that maps them
+    to any other component means the charge is not conserved and raises
+    :class:`ValidationError`.
     """
     times = _validate_times(times)
     rho0 = np.asarray(rho0, dtype=complex)
@@ -110,38 +166,7 @@ def evolve(generator, rho0, times, charge=None):
             "the generator does not conserve the declared charge: it maps the "
             "coherence orders of the initial state to others"
         )
-    g = cols[keep]
-    y0 = y0[keep]
-    t_max = times[-1]
-    scale = spla.norm(g, 1) * t_max
-    if not scale <= MAX_NORM_TIME:  # NaN fails too
-        raise ToleranceNotMetError(
-            f"||G||_1 * t_max = {scale:.3g} is not finite or exceeds {MAX_NORM_TIME:.0e}; "
-            "the generator is too stiff to propagate over this span"
-        )
-
-    # a uniform grid is one span, any other grid one span per interval;
-    # an overflow shows up as a non-finite state, checked below
-    uniform = times.size > 1 and np.array_equal(times, np.linspace(0.0, t_max, times.size))
-    spans = [(t_max, times.size)] if uniform else [(dt, 2) for dt in np.diff(times)]
-    dense = len(spans) * keep.size**3 <= DENSE_STEP_RATIO * scale
-    stepper = "expm" if dense else "expm_multiply"
-    sector = [y0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for stop, num in spans:
-            if dense:
-                step = expm(g.toarray() * (stop / (num - 1)))
-                for _ in range(num - 1):
-                    sector.append(step @ sector[-1])
-            else:
-                sector.extend(
-                    spla.expm_multiply(
-                        g, sector[-1], start=0.0, stop=stop, num=num, endpoint=True
-                    )[1:]
-                )
-    sector = np.array(sector)
-    if not np.all(np.isfinite(sector)):
-        raise ToleranceNotMetError("propagation produced a non-finite state")
+    sector, stepper = propagate(cols[keep], y0[keep], times)
     states = np.zeros((times.size, order.size), dtype=complex)
     states[:, keep] = sector
     return Trajectory(times=times, states=states, sector_dim=keep.size, stepper=stepper)

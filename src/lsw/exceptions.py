@@ -55,6 +55,10 @@ class NotPositiveError(LswError):
     """A matrix required to be positive semidefinite is not."""
 
 
+class MixedChargeError(LswError):
+    """An eigenvector spans more than one coherence order of the declared charge."""
+
+
 class NonProductSlowSpaceError(LswError):
     """Slow space does not factor as (fixed state) x (subsystem operators)."""
 

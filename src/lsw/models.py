@@ -90,28 +90,38 @@ def collective_ops(n_spins):
     return jp / root, jm / root, jz / root
 
 
+def superradiance_charges(n_spins):
+    """(electron, nuclear) integer charge of each basis state: the electron's
+    excitation number and the ladder index of I_z, M = s_z + I_z in integer
+    steps.  The Hamiltonian conserves M and the jump s- lowers it by one, so
+    the coherence order M - M' of a state is conserved."""
+    return np.array([1, 0]), np.arange(n_spins, -1, -1)
+
+
+def superradiance_initial(n_spins):
+    """(electron, nuclear) factors of the initial state: the electron in its
+    decay dark state, the nuclei fully polarized (m = N/2 comes first)."""
+    electron = np.zeros((2, 2), dtype=complex)
+    electron[1, 1] = 1.0
+    nuclei = np.zeros((n_spins + 1, n_spins + 1), dtype=complex)
+    nuclei[0, 0] = 1.0
+    return electron, nuclei
+
+
 def superradiance_model(params):
     """Assemble the collective-decay model from its ancilla form.
 
     The unperturbed part acts on the electron factor only: decay at rate
     gamma and detuning omega on the excited-state projector, so L0 is the
     lift of the electron block.  The perturbation is the ancilla's,
-    -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].
-
-    The model declares the charge M = s_z + I_z in integer steps: the
-    electron's excitation number plus the ladder index of I_z.  The
-    Hamiltonian conserves it and the jump s- lowers it by one, so the
-    coherence order M - M' of a state is conserved.
+    -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].  The model declares the
+    charge of :func:`superradiance_charges`.
     """
     ancilla = superradiance_ancilla(params)
     n = int(params.n_spins)
     ip, im, iz = collective_ops(n)
     dn = n + 1
-
-    electron_steady = np.zeros((2, 2), dtype=complex)
-    electron_steady[1, 1] = 1.0  # the decay dark state
-    polarized = np.zeros((dn, dn), dtype=complex)
-    polarized[0, 0] = 1.0  # highest-weight state m = N/2 comes first
+    electron_steady, polarized = superradiance_initial(n)
     return SuperradianceModel(
         ancilla=ancilla,
         l_a=ancilla.l0,
@@ -121,7 +131,7 @@ def superradiance_model(params):
         iplus=ip,
         iminus=im,
         dims=(2, dn),
-        charges=(np.array([1, 0]), np.arange(n, -1, -1)),
+        charges=superradiance_charges(n),
         initial_state=tensor(electron_steady, polarized),
         electron_steady=electron_steady,
         params=params,

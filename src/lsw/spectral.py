@@ -23,8 +23,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .exceptions import DefectiveOperatorError, EmptySlowSpaceError
-from .superop import compact, lift, to_csr, to_dense
+from .exceptions import (
+    DefectiveOperatorError,
+    EmptySlowSpaceError,
+    MixedChargeError,
+    ValidationError,
+)
+from .superop import compact, lift, row_entries, to_csr, to_dense
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e8
@@ -125,6 +130,128 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, dim_s=1):
         zero_tol=zero_tol,
         backend="dense" if n == 1 else "product",
     )
+
+
+@dataclass(frozen=True)
+class ChargeSector:
+    """The coherence-order-0 block of L_A (x) 1_S + V in L0's eigen coordinates.
+
+    Coordinate m is R_k (x) |a><b| for (k, a, b) = ``index[:, m]``, in the
+    order of the product backend's eigen index (k * d_S + a) * d_S + b.
+    ``spectral`` has the CSR identity as ``right`` and ``left``, so the
+    engine runs on it unchanged; ``v`` is V's block.  ``right`` and ``left``
+    of the sector are L_A's eigenvectors (columns vec R_k, rows l_k).
+    """
+
+    spectral: SpectralData
+    v: object
+    index: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+
+
+def charge_sector(model, charges, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
+    """The order-0 sector of an ancilla model's generator, from its operators.
+
+    ``charges = (q_A, q_S)`` holds an integer per ancilla and per system
+    basis state; the vec component |i a><j b| has coherence order
+    q_A[i] - q_A[j] + q_S[a] - q_S[b].  Each eigenvector R_k of L_A must
+    have one order q_k, read from its support (``MixedChargeError``
+    otherwise), and R_k (x) |a><b| is in the sector when
+    q_k + q_S[a] - q_S[b] = 0.  With l_k the left eigenvectors,
+
+        V = -i eps sum_c (aL_c (x) S_c (x) 1 - aR_c (x) 1 (x) S_c^T),
+        aL_c[k, k'] = l_k . vec(A_c R_k'),  aR_c[k, k'] = l_k . vec(R_k' A_c)
+
+    in eigen coordinates, for the couplings (A_c, S_c).  A single coupling
+    need not conserve the charge: the entries that leave the sector are
+    summed over all couplings and must cancel (``ValidationError``).  A
+    sector larger than ``max_dim`` is refused before it is built.  No
+    full-space matrix is formed.
+    """
+    l_a = to_dense(model.l0)
+    w, right, left, slow, _, _, condition = _eig(l_a, zero_tol)
+    q_a, q_s = (np.asarray(q) for q in charges)
+    d_s, n_k = q_s.size, w.size
+    vec_order = np.subtract.outer(q_a, q_a).reshape(-1)
+    q_k = np.empty(n_k, dtype=int)
+    for k, r in enumerate(right.T):
+        found = np.unique(vec_order[abs(r) > zero_tol * abs(r).max()])
+        if found.size != 1:
+            raise MixedChargeError(
+                f"ancilla eigenvector {k} spans coherence orders {found.tolist()}"
+            )
+        q_k[k] = found[0]
+    # for each (k, a), the b of charge q_S[a] + q_k, ascending
+    by_charge = np.argsort(q_s, kind="stable")
+    wanted = (q_s + q_k[:, None]).ravel()
+    lo = np.searchsorted(q_s[by_charge], wanted, "left")
+    counts = np.searchsorted(q_s[by_charge], wanted, "right") - lo
+    dim = int(counts.sum())
+    if dim > max_dim:
+        raise ValidationError(
+            f"charge sector dimension {dim} exceeds the limit {max_dim} (reduce the model size)"
+        )
+    ka = np.repeat(np.arange(counts.size), counts)
+    b = by_charge[np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(dim)]
+    k, a = np.divmod(ka, d_s)
+    flat = ka * d_s + b  # increasing
+    is_slow = np.isin(k, slow)
+    if not is_slow.any():
+        raise EmptySlowSpaceError("the coherence-order-0 sector holds no zero mode of L0")
+
+    def entries(alpha, cols, rows_a, rows_b, values):
+        """alpha[k', k of cols] * values at coordinates (k', rows_a, rows_b), every k'."""
+        to_k = np.arange(n_k)[:, None]
+        data = (alpha[to_k, k[cols]] * values).ravel()
+        rows = ((to_k * d_s + rows_a) * d_s + rows_b).ravel()
+        keep = data != 0
+        return rows[keep], np.tile(cols, n_k)[keep], data[keep]
+
+    def place(rows, cols, data):
+        """The entries inside the sector as a CSR block, and those outside."""
+        pos = np.minimum(np.searchsorted(flat, rows), dim - 1)
+        inside = flat[pos] == rows
+        block = sp.csr_matrix((data[inside], (pos[inside], cols[inside])), shape=(dim, dim))
+        return block, (rows[~inside], cols[~inside], data[~inside])
+
+    # L_A's off-diagonal rounding between orders never meets in the sector
+    every = np.arange(dim)
+    l0_eigen, _ = place(*entries(left @ l_a @ right, every, a, b, 1.0))
+    eye_a, coeff = np.eye(q_a.size), -1j * model.epsilon
+    parts = []
+    for op_a, op_s in model.couplings:
+        s = sp.csr_matrix(op_s, dtype=complex)
+        alpha_l = left @ np.kron(op_a, eye_a) @ right
+        alpha_r = left @ np.kron(eye_a, np.transpose(op_a)) @ right
+        cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
+        parts.append(entries(alpha_l, cols, to_a, b[cols], coeff * values))
+        cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
+        parts.append(entries(alpha_r, cols, a[cols], to_b, -coeff * values))
+    v, (rows, cols, data) = place(*(np.concatenate(p) for p in zip(*parts)))
+    _, where = np.unique(rows * dim + cols, return_inverse=True)
+    leak = np.bincount(where, data.real) + 1j * np.bincount(where, data.imag)
+    if abs(leak).max(initial=0.0) > zero_tol * abs(v.data).max(initial=0.0):
+        raise ValidationError(
+            "the couplings do not conserve the declared charge: they map the "
+            "coherence-order-0 sector to other orders"
+        )
+    eigenvalues = w[k]
+    fast = np.flatnonzero(~is_slow)
+    eye = sp.identity(dim, dtype=complex, format="csr")
+    sd = SpectralData(
+        l0_eigen=l0_eigen,
+        eigenvalues=eigenvalues,
+        right=eye,
+        left=eye,
+        slow=np.flatnonzero(is_slow),
+        fast=fast,
+        gap=float(abs(eigenvalues[fast]).min(initial=np.inf)),
+        condition=condition,
+        zero_tol=zero_tol,
+        backend="product",
+    )
+    return ChargeSector(spectral=sd, v=v, index=np.array([k, a, b]), right=right, left=left)
 
 
 def as_operand(sd, a):

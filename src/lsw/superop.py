@@ -68,6 +68,15 @@ def factor_order(dim_a, dim_s):
     return (i * dim_s + a) * dim_a * dim_s + j * dim_s + b
 
 
+def row_entries(m, rows):
+    """(i, column, value) of every stored entry of row ``rows[i]`` of CSR m,
+    row by row in stored order."""
+    counts = np.diff(m.indptr)[rows]
+    first = np.cumsum(counts) - counts
+    src = np.arange(counts.sum()) + np.repeat(m.indptr[rows] - first, counts)
+    return np.repeat(np.arange(rows.size), counts), m.indices[src], m.data[src]
+
+
 def lift(a, dim_s, vec_rows=True, vec_cols=True):
     """a (x) 1_S as CSR, for a block a on the ancilla pair of A (x) S.
 
@@ -86,15 +95,13 @@ def lift(a, dim_s, vec_rows=True, vec_cols=True):
     if vec_rows:
         kron_row[order] = kron_row.copy()
     rows, pairs = np.divmod(kron_row, n)
-    counts = np.diff(a.indptr)[rows]
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    # position in a of each output entry: row rows[R] of a, entry by entry
-    src = np.arange(indptr[-1]) + np.repeat(a.indptr[rows] - indptr[:-1], counts)
-    cols = a.indices[src] * n + np.repeat(pairs, counts)
+    out_row, cols, data = row_entries(a, rows)
+    cols = cols * n + pairs[out_row]
     if vec_cols:
         cols = order[cols]
+    indptr = np.concatenate(([0], np.cumsum(np.diff(a.indptr)[rows])))
     shape = (a.shape[0] * n, a.shape[1] * n)
-    return sp.csr_matrix((a.data[src], cols, indptr), shape=shape)
+    return sp.csr_matrix((data, cols, indptr), shape=shape)
 
 
 def _kron(a, b, sparse):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lsw import cli, dynamics, models, spectral
+from lsw import cli, dynamics, models, spectral, sw
 from lsw.superop import lift, to_dense
 from lsw.sw import match_eigenvalues
 
@@ -76,6 +76,49 @@ def run_both_backends(tmp_path, monkeypatch, task, payload):
     assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["product"]
     assert run_on_backend(monkeypatch, task, cfg, dense, dense=True) == ["dense"]
     return f"{product}_", f"{dense}_"
+
+
+def record_propagations(monkeypatch):
+    """Patch dynamics.propagate to keep (dimension, stepper) of every call."""
+    real = dynamics.propagate
+    used = []
+
+    def recorded(generator, y0, times):
+        states, stepper = real(generator, y0, times)
+        used.append((states.shape[1], stepper))
+        return states, stepper
+
+    monkeypatch.setattr(dynamics, "propagate", recorded)
+    return used
+
+
+def full_space_compare(mcfg, times, dense=False):
+    """The compare columns by the full-space library route, charge withheld:
+    L0 + V propagated on all of its D components, and the order-2 and
+    order-2+3 generators of ``reduced_effective`` on all of the nuclear
+    operator space, from the product (or the dense) spectral backend."""
+    p = models.SuperradianceParams.from_sqrt_n_g(
+        mcfg["n_spins"], mcfg["sqrt_n_g"], gamma=mcfg["gamma"], omega=mcfg["omega"]
+    )
+    m = models.superradiance_model(p)
+    gen_exact = m.l0 + m.v
+    traj = dynamics.evolve(gen_exact, m.initial_state, times)
+    columns = {"intensity_exact": dynamics.emission_intensity(traj, m.iz_full, gen_exact)}
+    l0, dim_s = (to_dense(m.l0), 1) if dense else (m.l_a, m.dims[1])
+    sd = spectral.decompose(l0, dim_s=dim_s)
+    v = spectral.as_operand(sd, m.v)
+    series = sw.correction_terms(sw.generator_terms(sd, v, 3), sd, v)
+    _, mu0 = models.superradiance_initial(p.n_spins)
+    for order, name in ((2, "intensity_order2"), (3, "intensity_order2plus3")):
+        red = sw.reduced_effective(series, sd, m.dims, order).matrix
+        columns[name] = dynamics.emission_intensity(dynamics.evolve(red, mu0, times), m.iz, red)
+    return columns
+
+
+def assert_columns_match(got, want):
+    """Every column within 1e-12 of its largest entry."""
+    for name in want:
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max()
 
 
 def reference_fmt(x):
@@ -591,19 +634,77 @@ def test_oversized_spectral_task_exits_2(tmp_path):
     assert not list(tmp_path.glob("huge*"))
 
 
-def test_compare_product_backend_matches_dense(tmp_path, monkeypatch):
-    product, dense = run_both_backends(
+def test_compare_product_backend_matches_dense(tmp_path):
+    # compare runs in the charge sector built from the operators; its CSV
+    # matches the full-space route on the dense backend
+    mcfg = {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2}
+    times = {"t_max": 400.0, "n_points": 41}
+    cfg = write_config(tmp_path, {"model": mcfg, "times": times})
+    out = tmp_path / "sector"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    got = read_columns(f"{out}_compare.csv")
+    assert_columns_match(got, full_space_compare(mcfg, got["time"], dense=True))
+
+
+@pytest.mark.parametrize("n_spins", [4, 16])
+def test_compare_matches_full_space_route(tmp_path, n_spins):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "burst_compare.yaml"
+    payload = yaml.safe_load(shipped.read_text())
+    payload["model"]["n_spins"] = n_spins
+    cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / "burst")))
+    assert cli.main(["compare", "--config", cfg]) == 0
+    got = read_columns(tmp_path / "burst_compare.csv")
+    assert_columns_match(got, full_space_compare(payload["model"], got["time"]))
+
+
+def test_compare_n100_runs_by_default(tmp_path):
+    # N=100: D = 40,804, the sector 402 with 101 slow populations
+    cfg = write_config(
         tmp_path,
-        monkeypatch,
-        "compare",
         {
-            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2},
-            "times": {"t_max": 400.0, "n_points": 41},
+            "model": {"kind": "superradiance", "n_spins": 100, "sqrt_n_g": 0.2, "gamma": 1.0,
+                      "omega": 0.2},
+            "times": {"t_max": 40000.0, "n_points": 201},
+            "output": str(tmp_path / "n100"),
         },
     )
-    got, want = read_columns(product + "compare.csv"), read_columns(dense + "compare.csv")
-    for name in ("intensity_exact", "intensity_order2", "intensity_order2plus3"):
-        assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max()
+    start = time.perf_counter()
+    assert cli.main(["compare", "--config", cfg]) == 0
+    elapsed = time.perf_counter() - start
+    c = read_columns(tmp_path / "n100_compare.csv")
+    exact = c["intensity_exact"]
+    assert exact.max() > 1.2 * exact[np.searchsorted(c["time"], 5.0)]
+    assert elapsed < 10.0
+
+
+def test_oversized_compare_exits_2(tmp_path, capsys):
+    # N=2000: the sector has 8,002 coordinates, past SPECTRAL_DIM_LIMIT
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 2000, "sqrt_n_g": 0.2},
+            "output": str(tmp_path / "huge"),
+        },
+    )
+    assert cli.main(["compare", "--config", cfg]) == 2
+    assert "sector dimension 8002" in capsys.readouterr().err
+    assert not list(tmp_path.glob("huge*"))
+
+
+def test_compare_without_decay_exits_3(tmp_path, capsys):
+    # gamma = 0 leaves two steady electron states: the sector's slow space
+    # is not the nuclear populations alone
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 0.0},
+            "output": str(tmp_path / "undamped"),
+        },
+    )
+    assert cli.main(["compare", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "Traceback" not in err
+    assert not list(tmp_path.glob("undamped*"))
 
 
 def test_decoupling_scan_product_backend_matches_dense(tmp_path, monkeypatch):
@@ -674,49 +775,50 @@ def test_burst_sectors_step_densely(tmp_path, monkeypatch):
     burst = yaml.safe_load(shipped.read_text())
     n24 = dict(burst, model=dict(burst["model"], n_spins=24))
     n24["times"] = {"t_max": 4000.0, "n_points": 201}
-    trajs = record_trajectories(monkeypatch)
+    used = record_propagations(monkeypatch)
     for task, payload in (("compare", burst), ("evolve", n24)):
         cfg = write_config(tmp_path, dict(payload, output=str(tmp_path / task)))
         assert cli.main([task, "--config", cfg]) == 0
-    used = sorted((t.sector_dim, t.stepper) for t in trajs)
-    assert used == [(17, "expm"), (17, "expm"), (66, "expm"), (98, "expm")]
+    assert sorted(used) == [(17, "expm"), (17, "expm"), (66, "expm"), (98, "expm")]
 
 
 def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path,
-        {
-            "model": {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2},
-            "times": {"t_max": 400.0, "n_points": 41},
-        },
-    )
+    mcfg = {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2}
+    cfg = write_config(tmp_path, {"model": mcfg, "times": {"t_max": 400.0, "n_points": 41}})
     real = dynamics.evolve
     # N=4: the diagonal charge sector has 18 of 100 components, the
     # reduced nuclear one 5 of 25
-    cases = (
-        ("evolve", "trajectory", [18], [100]),
-        ("compare", "compare", [5, 5, 18], [25, 25, 100]),
-    )
-    for task, suffix, sector_dims, full_dims in cases:
-        columns = {}
-        for withheld, dims in ((False, sector_dims), (True, full_dims)):
-            used = []
+    columns = {}
+    for withheld, dims in ((False, [18]), (True, [100])):
+        used = []
 
-            def recorded(generator, rho0, times, charge=None):
-                traj = real(generator, rho0, times, None if withheld else charge)
-                used.append(traj.sector_dim)
-                return traj
+        def recorded(generator, rho0, times, charge=None):
+            traj = real(generator, rho0, times, None if withheld else charge)
+            used.append(traj.sector_dim)
+            return traj
 
-            monkeypatch.setattr(dynamics, "evolve", recorded)
-            out = tmp_path / f"{task}_{withheld}"
-            assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
-            monkeypatch.undo()
-            assert sorted(used) == dims
-            columns[withheld] = read_columns(f"{out}_{suffix}.csv")
-        got, want = columns[False], columns[True]
-        for name in want:
-            scale = 1.0 if name.startswith("im_") else np.abs(want[name]).max()
-            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale
+        monkeypatch.setattr(dynamics, "evolve", recorded)
+        out = tmp_path / f"evolve_{withheld}"
+        assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert sorted(used) == dims
+        columns[withheld] = read_columns(f"{out}_trajectory.csv")
+    got, want = columns[False], columns[True]
+    for name in want:
+        scale = 1.0 if name.startswith("im_") else np.abs(want[name]).max()
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale
+
+    # compare propagates the sector alone; the full-space route, charge
+    # withheld, propagates every component
+    used = record_propagations(monkeypatch)
+    out = tmp_path / "compare"
+    assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(d for d, _ in used) == [5, 5, 18]
+    used.clear()
+    got = read_columns(f"{out}_compare.csv")
+    want = full_space_compare(mcfg, got["time"])
+    assert sorted(d for d, _ in used) == [25, 25, 100]
+    assert_columns_match(got, want)
 
 
 _CUSTOM_QUBIT = {

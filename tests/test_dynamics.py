@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_hermitian
-from lsw import models
+from lsw import dynamics, models
 from lsw.dynamics import (
+    DENSE_STEP_FLOOR,
     DENSE_STEP_RATIO,
     emission_intensity,
     evolve,
@@ -20,9 +22,9 @@ from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, Validat
 from lsw.operators import spin_operators
 from lsw.superop import LindbladSpec, lift, lindblad_superop, to_dense, vectorize
 
-# evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max;
-# the tests below pick inputs on both sides of that rule and check which
-# way each run took
+# evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max
+# + DENSE_STEP_FLOOR * steps; the tests below pick inputs on both sides of
+# that rule and check which way each run took
 
 
 def decaying_qubit_with_spectator(dim_s):
@@ -61,9 +63,10 @@ def test_dense_and_sparse_paths_agree():
     m = models.superradiance_model(p)
     gen = to_dense(m.l0 + m.v)
     y0 = vectorize(m.initial_state)
-    # the whole space, k = 100 and ||G||_1 = 2.12: dense from t_max = 15.7
+    # the whole space, k = 100 and ||G||_1 = 2.12, five steps: dense from
+    # t_max = 15.4
     for t_max, stepper in ((10.0, "expm_multiply"), (40.0, "expm")):
-        times = np.linspace(0, t_max, 21)
+        times = np.linspace(0, t_max, 6)
         reference = np.array([expm(gen * t) @ y0 for t in times])
         for g in (gen, sp.csr_matrix(gen)):
             traj = evolve(g, m.initial_state, times)
@@ -232,21 +235,26 @@ def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, unifor
     def norm(g):
         return np.abs(g).sum(axis=0).max()
 
+    floor = DENSE_STEP_FLOOR
     if stepper == "expm_multiply":
-        # shrink the grid below the rule's threshold for the sector; the
-        # whole space, larger and with no smaller norm, stays below it too
+        # spaces this small step densely at any scale by the per-point
+        # floor; without it, shrink the grid below the rule's threshold for
+        # the sector; the whole space, larger and with no smaller norm,
+        # stays below it too
+        floor = 0.0
         ratio = spans * inside.sum() ** 3 / (DENSE_STEP_RATIO * norm(gen) * times[-1])
         times = times * (0.5 * ratio)
     y0 = vectorize(rho0)
     reference = np.array([expm(gen * t) @ y0 for t in times])
-    traj = evolve(gen, rho0, times, charge=charges)
+    with mock.patch.object(dynamics, "DENSE_STEP_FLOOR", floor):
+        traj = evolve(gen, rho0, times, charge=charges)
+        whole = evolve(gen, rho0, times)
     assert traj.sector_dim == inside.sum()
     # a sector the generator barely moves may fall below the threshold
     scale = norm(gen[np.ix_(inside, inside)]) * times[-1]
-    dense = spans * inside.sum() ** 3 <= DENSE_STEP_RATIO * scale
+    dense = spans * inside.sum() ** 3 <= DENSE_STEP_RATIO * scale + floor * (times.size - 1)
     assert traj.stepper == ("expm" if dense else "expm_multiply")
     assert np.abs(traj.states - reference).max() < 1e-10
-    whole = evolve(gen, rho0, times)
     assert whole.sector_dim == order.size
     assert whole.stepper == stepper
     assert np.abs(whole.states - reference).max() < 1e-10
