@@ -4,7 +4,8 @@ Every output file is plain CSV with all numerics printed to 17 significant
 digits (round-trip safe) and deterministic for a fixed config and seed.
 Tasks hand over whole columns; each column's dtype picks one format, which
 is applied to a chunk of rows at a time.
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 config/validation error, 3 numerical failure or
+an allocation failure.
 """
 
 import argparse
@@ -283,7 +284,12 @@ class Run:
 
     @property
     def times(self):
-        return np.linspace(0.0, self.t_max, self.n_points)
+        try:
+            return np.linspace(0.0, self.t_max, self.n_points)
+        except MemoryError:
+            raise ValidationError(
+                f"times.n_points = {self.n_points} is more points than memory can hold"
+            ) from None
 
     def workers(self):
         cap = os.environ.get("LSW_THREADS", "")
@@ -295,7 +301,7 @@ class Run:
 def _superradiance_params(mcfg):
     """Superradiance parameters from a model section (`sqrt_n_g` or `g`)."""
     n = _number("model.n_spins", mcfg.get("n_spins", 2), integral=True)
-    gamma = _number("model.gamma", mcfg.get("gamma", 1.0))
+    gamma = _number("model.gamma", mcfg.get("gamma", 1.0), low=0)
     omega = _number("model.omega", mcfg.get("omega", 0.0))
     if "sqrt_n_g" in mcfg:
         return models.SuperradianceParams.from_sqrt_n_g(
@@ -334,7 +340,7 @@ def _build_model(run):
         }
     if kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
-            gamma=_number("model.gamma", mcfg.get("gamma", 1.0)),
+            gamma=_number("model.gamma", mcfg.get("gamma", 1.0), low=0),
             omega=_number("model.omega", mcfg.get("omega", 0.0)),
         )
         jp, jm, _ = spin_operators(1)
@@ -568,9 +574,10 @@ def main(argv=None):
         with open(args.config) as fh:
             cfg = _shaped("config root", yaml.safe_load(fh))
         run = Run(args.task, cfg, order=args.order, epsilon=args.epsilon, out=args.out)
-    # RecursionError: symbols nesting parentheses, each within both caps
+    # RecursionError: symbols nesting parentheses, each within both caps;
+    # MemoryError: an operator too large to allocate
     except (OSError, yaml.YAMLError, LswError, ValueError, KeyError, TypeError,
-            RecursionError) as exc:
+            RecursionError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -581,6 +588,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except (LswError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     for path in paths:
         print(path)

@@ -6,8 +6,9 @@ conserves the coherence order q_i - q_j of every vec component |i><j|
 (Buca & Prosen, arXiv:1203.0943): a Hamiltonian block-diagonal in q and
 jumps that each shift q by a fixed amount.  ``evolve`` then propagates only
 the components whose order occurs in rho0, after checking exactly that the
-generator maps none of them outside, and scatters the result back into
-full-size states.  Without a charge the sector is the whole space.
+generator maps none of them outside.  The trajectory keeps only that
+block, so observables are dot products over it, and a full-size state is
+built only when asked for.  Without a charge the sector is the whole space.
 
 ``propagate`` is the one vector propagator.  A small dimension k steps
 with its one-step propagator ``expm(h G)``, computed once per grid span at
@@ -17,7 +18,9 @@ least a fixed cost per output point.  The stiffness guard and the
 non-finite check cover both ways.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -47,24 +50,39 @@ DENSE_STEP_FLOOR = 5e4
 
 @dataclass
 class Trajectory:
-    """Vectorized states on a fixed time grid."""
+    """Vectorized states on a fixed time grid, held as their propagated block:
+    row k of ``sector`` is vec rho(t_k) at ``keep``, and zero elsewhere."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (n_times, d**2)
-    sector_dim: int  # number of vec components actually propagated
+    sector: np.ndarray  # shape (n_times, keep.size)
+    keep: np.ndarray  # the propagated vec indices, increasing
+    dim: int  # d**2
     stepper: str  # "expm" (dense one-step propagator) or "expm_multiply"
 
     @property
+    def sector_dim(self):
+        return self.keep.size
+
+    @property
     def hdim(self):
-        return int(round(self.states.shape[1] ** 0.5))
+        return math.isqrt(self.dim)
+
+    @cached_property
+    def states(self):
+        """The full vectorized states, shape (n_times, d**2), built on first access."""
+        states = np.zeros((self.times.size, self.dim), dtype=complex)
+        states[:, self.keep] = self.sector
+        return states
 
     def operator(self, index):
-        return devectorize(self.states[index])
+        state = np.zeros(self.dim, dtype=complex)
+        state[self.keep] = self.sector[index]
+        return devectorize(state)
 
     def expectation(self, op):
         """Tr(op rho(t)) along the trajectory."""
         flat = np.asarray(op, dtype=complex).T.reshape(-1)
-        return self.states @ flat
+        return self.sector @ flat[self.keep]
 
 
 def _validate_times(times):
@@ -167,9 +185,7 @@ def evolve(generator, rho0, times, charge=None):
             "coherence orders of the initial state to others"
         )
     sector, stepper = propagate(cols[keep], y0[keep], times)
-    states = np.zeros((times.size, order.size), dtype=complex)
-    states[:, keep] = sector
-    return Trajectory(times=times, states=states, sector_dim=keep.size, stepper=stepper)
+    return Trajectory(times=times, sector=sector, keep=keep, dim=order.size, stepper=stepper)
 
 
 def emission_intensity(traj, op, generator):
@@ -179,14 +195,15 @@ def emission_intensity(traj, op, generator):
     emitted intensity.
     """
     flat = np.asarray(op, dtype=complex).T.reshape(-1)
-    return -np.real(traj.states @ (generator.T @ flat))
+    return -np.real(traj.sector @ (generator.T @ flat)[traj.keep])
 
 
 def trace_drift(traj):
     """Maximum deviation of the state trace from one along the trajectory."""
+    # the diagonal has coherence order 0, which the trace puts in every sector
     d = traj.hdim
-    idx = np.arange(d) * d + np.arange(d)
-    traces = traj.states[:, idx].sum(axis=1)
+    idx = np.searchsorted(traj.keep, np.arange(d) * (d + 1))
+    traces = traj.sector[:, idx].sum(axis=1)
     return float(np.max(np.abs(traces - 1.0)))
 
 

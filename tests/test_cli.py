@@ -1127,3 +1127,67 @@ def test_symbol_depth_counts_nesting_not_declarations(tmp_path):
     chain = {"kind": "custom", "dimension": 2, "symbols": _symbol_chain(49), "hamiltonian": "s0"}
     cfg = write_config(tmp_path, {"model": chain, "output": str(tmp_path / "deep")}, "chain.yaml")
     assert cli.main(["spectrum", "--config", cfg]) == 0
+
+
+def test_oversized_time_grid_exits_2_and_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # 10**17 points (711 PiB) exceed any address space, so numpy refuses the
+    # grid at once whatever the kernel's overcommit policy: nothing is allocated
+    model = {"kind": "decaying-qubit"}
+    huge = {"model": model, "times": {"t_max": 1, "n_points": 10**17}, "output": str(tmp_path / "huge")}
+    assert cli.main(["evolve", "--config", write_config(tmp_path, huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "times.n_points" in err
+    assert "Traceback" not in err
+    # any other allocation failure in a task is a numerical error
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(dynamics, "propagate", refuse)
+    small = {"model": model, "times": {"t_max": 1, "n_points": 5}, "output": str(tmp_path / "huge")}
+    assert cli.main(["evolve", "--config", write_config(tmp_path, small)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: out of memory") and "Traceback" not in err
+    # an operator too large to allocate is a config error; 10**8 x 10**8
+    # complex entries (142 PiB) are refused at once as well
+    model = {"kind": "custom", "dimension": 2, "symbols": {"big": {"identity": 10**8}}}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "huge")})
+    assert cli.main(["spectrum", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: Unable to allocate") and "Traceback" not in err
+    assert not list(tmp_path.glob("huge*"))
+
+
+def test_negative_gamma_exits_2_and_sign_flips_run(tmp_path, capsys):
+    # a negative decay rate is no model: the config reader refuses it,
+    # naming the key.  A sign flip of g (the coupling phase), omega (the
+    # detuning) or a model's epsilon is a physical model, and runs
+    times = {"t_max": 2.0, "n_points": 5}
+    for kind in ("superradiance", "decaying-qubit"):
+        payload = {"model": {"kind": kind, "gamma": -1.0}, "times": times, "output": str(tmp_path / "refused")}
+        cfg = write_config(tmp_path, payload)
+        for task in ("spectrum", "evolve"):
+            assert cli.main([task, "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: model.gamma must be >= 0"), err
+    assert not list(tmp_path.glob("refused*"))
+    flipped = [
+        {"kind": "superradiance", "n_spins": 2, "g": -0.1, "omega": -0.2},
+        {"kind": "decaying-qubit", "omega": -0.2},
+        {**_CUSTOM_QUBIT, "perturbations": ["0.3*(sp+sm)"], "epsilon": -0.5},
+    ]
+    for i, model in enumerate(flipped):
+        cfg = write_config(tmp_path, {"model": model, "times": times, "output": str(tmp_path / f"ok{i}")})
+        assert cli.main(["evolve", "--config", cfg]) == 0
+
+
+def test_evolve_task_reads_the_sector_block_only(tmp_path, monkeypatch):
+    # full-size states are built only when asked for; the evolve task reads
+    # its observables off the sector block and never asks
+    def refuse(self):
+        raise AssertionError("the evolve task built full-size states")
+
+    monkeypatch.setattr(dynamics.Trajectory, "states", property(refuse))
+    mcfg = {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2}
+    cfg = write_config(tmp_path, {"model": mcfg, "times": {"t_max": 400.0, "n_points": 41}})
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "evolve")]) == 0
+    assert len(read_columns(tmp_path / "evolve_trajectory.csv")["re_iz"]) == 41

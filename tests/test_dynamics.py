@@ -20,7 +20,7 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
-from lsw.superop import LindbladSpec, lift, lindblad_superop, to_dense, vectorize
+from lsw.superop import LindbladSpec, devectorize, lift, lindblad_superop, to_dense, vectorize
 
 # evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max
 # + DENSE_STEP_FLOOR * steps; the tests below pick inputs on both sides of
@@ -258,6 +258,48 @@ def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, unifor
     assert whole.sector_dim == order.size
     assert whole.stepper == stepper
     assert np.abs(whole.states - reference).max() < 1e-10
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    charges=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+    seed=st.integers(0, 2**16),
+    two_orders=st.booleans(),
+)
+def test_sector_readers_match_full_states(charges, seed, two_orders):
+    # the trajectory holds only its sector block; every reader must give
+    # what it gives on the full states: the scatters bit for bit, the dot
+    # products to rounding of their terms, the trace and eigenvalue scans
+    # bit for bit since they read the same numbers in the same order
+    gen, order, rng = u1_symmetric_model(charges, seed)
+    x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+    rho0 = (x @ x.conj().T) * (order == 0)
+    nonzero = np.unique(order[order != 0])
+    if two_orders and nonzero.size:
+        rho0 = rho0 + 0.3 * x * (order == rng.choice(nonzero))
+    rho0 = rho0 / np.trace(rho0)
+    traj = evolve(gen, rho0, np.linspace(0.0, 2.0, 5), charge=charges)
+    full = traj.states
+    outside = np.ones(order.size, dtype=bool)
+    outside[traj.keep] = False
+    assert np.array_equal(full[:, traj.keep], traj.sector) and not full[:, outside].any()
+    for k in range(full.shape[0]):
+        assert np.array_equal(traj.operator(k), devectorize(full[k]))
+
+    op = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+    flat = op.T.reshape(-1)
+    image = gen.T @ flat
+    for got, want, terms in (
+        (traj.expectation(op), full @ flat, np.abs(full) @ np.abs(flat)),
+        (emission_intensity(traj, op, gen), -np.real(full @ image), np.abs(full) @ np.abs(image)),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-14 * terms)
+
+    d = order.shape[0]
+    traces = full[:, np.arange(d) * (d + 1)].sum(axis=1)
+    assert trace_drift(traj) == float(np.max(np.abs(traces - 1.0)))
+    lows = [np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() for r in map(devectorize, full)]
+    assert min_state_eigenvalue(traj) == float(min(lows))
 
 
 def test_wrong_charge_raises():
