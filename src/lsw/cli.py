@@ -3,7 +3,9 @@
 Every output file is plain CSV with all numerics printed to 17 significant
 digits (round-trip safe) and deterministic for a fixed config and seed.
 Tasks hand over whole columns; each column's dtype picks one format, which
-is applied to a chunk of rows at a time.
+is applied to a chunk of rows at a time.  Matrices are written one row per
+``%`` format, with the row and column indices already in the template; a
+real matrix prints its imaginary part as ``0``.
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure or
 an allocation failure.
 """
@@ -69,9 +71,9 @@ def _decomposed(run):
     return sd, as_operand(sd, run.model["v"])
 
 
-# rows formatted per chunk, one `.tolist()` per column and chunk: formatting
-# a whole file as one string raised the peak RSS of a round of seven
-# ancilla-qrt runs (4.2 MB of CSV) from 99 to 110 MB
+# rows of a column file formatted per chunk, one `.tolist()` per column and
+# chunk, so a long column never turns into one list of Python objects at
+# once; matrices do not come through here (`_write_matrix` goes row by row)
 CSV_CHUNK_ROWS = 1024
 
 # one `%` format per column dtype kind; a complex column takes two fields
@@ -99,15 +101,25 @@ def _write_csv(path, header, columns):
     return path
 
 
-def _matrix_columns(m):
-    """Row-major (row, col, re, im) columns of a matrix."""
-    m = np.asarray(m, dtype=complex)
-    rows, cols = np.indices(m.shape)
-    return [rows.ravel(), cols.ravel(), m.real.ravel(), m.imag.ravel()]
-
-
 def _write_matrix(path, m):
-    return _write_csv(path, ["row", "col", "re", "im"], _matrix_columns(m))
+    """Row-major (row, col, re, im) lines of a matrix, one ``%`` per row.
+
+    The indices are written into each row's template, so only the values
+    are formatted; a real matrix prints ``im`` as ``0``, the bytes of its
+    complex cast.
+    """
+    m = np.asarray(m)
+    rows, cols = m.shape
+    cell = "%.17g,%.17g\n" if m.dtype.kind == "c" else "%.17g,0\n"
+    tail = [f",{j},{cell}" for j in range(cols)]
+    if m.dtype.kind == "c":
+        m = np.stack([m.real, m.imag], -1).reshape(rows, 2 * cols)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write("row,col,re,im\n")
+        fh.writelines(str(i).join([""] + tail) % tuple(r.tolist()) for i, r in enumerate(m))
+    return path
 
 
 def _number(key, value, integral=False, low=None):

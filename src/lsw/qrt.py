@@ -56,7 +56,10 @@ class AncillaModel:
         return np.shape(self.couplings[0][1])[0] if self.couplings else 1
 
     def validate(self):
-        dim_a = math.isqrt(self.l0.shape[0])
+        shape = np.shape(self.l0)
+        dim_a = math.isqrt(shape[0]) if len(shape) == 2 else 0
+        if len(shape) != 2 or shape[0] != shape[1] or dim_a**2 != shape[0]:
+            raise DimensionMismatchError(f"l0 has shape {shape}, expected (d**2, d**2)")
         for i, (a, s) in enumerate(self.couplings):
             for name, op, d in (("ancilla", a, dim_a), ("system", s, self.dim_s)):
                 op = np.asarray(op)
@@ -142,7 +145,7 @@ def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
     ``zero_tol`` is the kernel rule of :func:`steady_state`.
     """
     l0 = to_dense(l0)
-    dim = int(round(l0.shape[0] ** 0.5))
+    dim = math.isqrt(l0.shape[0])
     sigma = steady_state(l0, zero_tol=zero_tol)
     frame = np.array(hermitian_basis(dim, traceless=False)).reshape(dim * dim, dim * dim)
     adjoint = (frame.conj() @ l0.conj().T @ frame.T).real

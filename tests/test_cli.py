@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lsw import cli, dynamics, models, spectral, sw
+from lsw import cli, dynamics, models, qrt, spectral, sw
 from lsw.superop import lift, to_dense
 from lsw.sw import match_eigenvalues
 
@@ -168,11 +168,29 @@ def test_write_csv_matches_reference_formatter(tmp_path):
     real = np.array([[1.5, -0.0, nan], [inf, 5e-324, -1e16]])
     cplx_matrix = real.astype(complex)
     cplx_matrix.imag = real[::-1]
-    for m in (real, cplx_matrix, np.zeros((0, 0))):
-        got = cli._write_csv(tmp_path / "m.csv", matrix_header, cli._matrix_columns(m))
+    odd_imag = np.array([[1 - 0.0j, complex(2, nan)], [complex(-0.0, inf), complex(nan, -inf)]])
+    rng = np.random.default_rng(1)
+    big = rng.standard_normal((255, 255)) * np.logspace(-8, 8, 255)
+    matrices = [
+        real,
+        cplx_matrix,
+        np.zeros((0, 0)),
+        np.arange(-4, 8).reshape(3, 4),
+        np.arange(6).reshape(3, 2) % 3 == 0,
+        odd_imag,
+        np.full((1, 1), 0.1),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+        np.zeros((0, 3), dtype=complex),
+        big,
+        big + 1j * rng.standard_normal((255, 255)),
+    ]
+    for m in matrices:
+        got = cli._write_matrix(tmp_path / "m.csv", m)
         assert got.read_bytes() == reference_csv(matrix_header, reference_matrix_rows(m))
-    assert (tmp_path / "m.csv").read_text() == "row,col,re,im\n"  # 0 x 0: header only
-    cli._write_csv(tmp_path / "m.csv", matrix_header, cli._matrix_columns(real))
+        if m.size == 0:
+            assert got.read_text() == "row,col,re,im\n"  # header only
+    cli._write_matrix(tmp_path / "m.csv", real)
     lines = (tmp_path / "m.csv").read_text().splitlines()[1:]
     assert len(lines) == real.size and all(line.endswith(",0") for line in lines)
 
@@ -396,6 +414,30 @@ def test_ancilla_qrt_task(tmp_path):
     _, rows = read_csv(tmp_path / "anc_jumps.csv")
     for row in rows:
         assert float(row[1]) >= 0.0
+
+
+def test_shipped_ancilla_qrt_matches_reference_formatter(tmp_path):
+    # configs/ancilla_qrt_d16.yaml: every CSV byte for byte what the
+    # reference formatter makes of the QRT results on the same model
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "ancilla_qrt_d16.yaml"
+    out = str(tmp_path / "q16")
+    assert cli.main(["ancilla-qrt", "--config", str(shipped), "--out", out]) == 0
+    mcfg = yaml.safe_load(shipped.read_text())["model"]
+    model = models.random_ancilla_model(
+        mcfg["dimension"], mcfg["couplings"], mcfg["seed"], dim_system=mcfg["system_dimension"]
+    )
+    eff = qrt.effective_master_equation_2(model)
+    jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, eff.system_ops)
+    matrix_header = ["row", "col", "re", "im"]
+    expected = {
+        "coefficient": reference_csv(matrix_header, reference_matrix_rows(eff.coefficient.a_matrix)),
+        "bloch": reference_csv(matrix_header, reference_matrix_rows(eff.bloch.bloch)),
+        "jumps": reference_csv(["index", "rate"], [(k, r) for k, (r, _) in enumerate(jumps)]),
+        "hamiltonian": reference_csv(matrix_header, reference_matrix_rows(h_eff)),
+    }
+    assert eff.bloch.bloch.shape == (255, 255)
+    for name, want in expected.items():
+        assert Path(f"{out}_{name}.csv").read_bytes() == want, name
 
 
 def test_ancilla_qrt_honours_zero_tol(tmp_path, capsys):

@@ -8,6 +8,7 @@ from conftest import random_hermitian
 from lsw import models
 from lsw.exceptions import (
     DegenerateSteadyStateError,
+    DimensionMismatchError,
     NotPositiveError,
     SingularBlochMatrixError,
 )
@@ -121,6 +122,19 @@ def test_pure_hamiltonian_ancilla_rejected():
     l0 = to_dense(hamiltonian_superop(0.7 * jz))
     with pytest.raises(DegenerateSteadyStateError):
         close_operator_set(l0, [jp + jm])
+
+
+def test_malformed_l0_rejected_with_dimension_mismatch():
+    # a 5 x 5 generator is no superoperator: numpy's broadcast error once
+    # surfaced from inside the closure
+    coupling = [(np.eye(2), np.diag([1.0, -1.0]))]
+    for l0 in (np.diag([0, -1, -1, -1, -1]).astype(complex), np.zeros((4, 9)), np.zeros(4)):
+        model = AncillaModel(l0=l0, couplings=coupling)
+        with pytest.raises(DimensionMismatchError, match="l0 has shape"):
+            model.validate()
+        with pytest.raises(DimensionMismatchError):
+            effective_master_equation_2(model)
+    assert AncillaModel(l0=qubit_l0(), couplings=coupling).validate().l0.shape == (4, 4)
 
 
 def test_close_operator_set_driven_qubit_bloch_matrix():
