@@ -29,9 +29,9 @@ from .exceptions import (
     ValidationError,
 )
 from .expr import parse_operator_expr
-from .operators import spin_operators
+from .operators import spin_operators, tensor
 from .spectral import as_operand, charge_sector, check_perturbative_limit, decompose
-from .superop import LindbladSpec, lift, lindblad_superop, vectorize
+from .superop import LindbladSpec, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
 
@@ -54,11 +54,10 @@ FLOOR_ROUNDINGS = 2
 
 
 def _decomposed(run):
-    """Size check, then L0's eigensystem and V in the chosen backend's storage.
-
-    L0 = L_A (x) 1_S for the model's ancilla block L_A; a system dimension
-    above 1 selects the product backend, and only the dense backend
-    densifies V.
+    """Size check, then (sd, L0, V): L0's eigensystem, and L0 = L_A (x) 1_S
+    and V from ``AncillaModel.full_space``, so nothing of the full space is
+    allocated for a model the check refuses.  A system dimension above 1
+    selects the product backend.
     """
     anc = run.model["ancilla"]
     dim = anc.l0.shape[0] * anc.dim_s**2
@@ -67,8 +66,8 @@ def _decomposed(run):
             f"task {run.task!r}: superoperator dimension {dim} exceeds the spectral "
             f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
         )
-    sd = decompose(anc.l0, zero_tol=run.zero_tol, dim_s=anc.dim_s)
-    return sd, as_operand(sd, run.model["v"])
+    l0, v = anc.full_space()
+    return decompose(anc.l0, zero_tol=run.zero_tol, dim_s=anc.dim_s), l0, v
 
 
 # rows of a column file formatted per chunk, one `.tolist()` per column and
@@ -326,31 +325,23 @@ def _superradiance_params(mcfg):
 
 def _build_model(run):
     """The one model registry: a dict with the kind, the AncillaModel under
-    ``ancilla``, ``rho0`` (None: none on A (x) S) and the observables, plus
-    superradiance's full model and charge.  Every task but ancilla-qrt and
-    compare also gets ``l0`` = L_A (x) 1_S and ``v`` from
-    ``AncillaModel.perturbation`` (CSR for a system dimension above 1);
-    those two get superradiance's ancilla and ``n_spins`` alone."""
+    ``ancilla``, ``rho0`` (None: none on A (x) S), the observables and the
+    charge (None: none declared).  Nothing of the full space is assembled
+    here; the tasks call ``AncillaModel.full_space``.  Superradiance's
+    full-size burst state, ``iz`` observable and charge are built for
+    evolve alone, the one task that reads them."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
-    assemble = run.task not in ("ancilla-qrt", "compare")
+    charge = None
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
-        if not assemble:
-            ancilla = models.superradiance_ancilla(params)
-            return {"kind": kind, "ancilla": ancilla, "n_spins": params.n_spins}
-        model = models.superradiance_model(params)
-        return {
-            "kind": kind,
-            "ancilla": model.ancilla,
-            "l0": model.l0,
-            "v": model.v,
-            "rho0": model.initial_state,
-            "observables": {"iz": model.iz_full},
-            "model": model,
-            "charge": model.charge,
-        }
-    if kind == "decaying-qubit":
+        ancilla, rho0, observables = models.superradiance_ancilla(params), None, {}
+        if run.task == "evolve":
+            n = params.n_spins
+            rho0 = tensor(*models.superradiance_initial(n))
+            observables = {"iz": tensor(np.eye(2), models.collective_ops(n)[2])}
+            charge = np.add.outer(*models.superradiance_charges(n)).reshape(-1)
+    elif kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
             gamma=_number("model.gamma", mcfg.get("gamma", 1.0), low=0),
             omega=_number("model.omega", mcfg.get("omega", 0.0)),
@@ -383,17 +374,18 @@ def _build_model(run):
         ancilla, rho0, observables = _custom_model(mcfg)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
-    built = {"kind": kind, "ancilla": ancilla, "rho0": rho0, "observables": observables}
-    if assemble:
-        dim_s = ancilla.dim_s
-        built["l0"] = ancilla.l0 if dim_s == 1 else lift(ancilla.l0, dim_s)
-        built["v"] = ancilla.perturbation(sparse=dim_s > 1)
-    return built
+    return {
+        "kind": kind,
+        "ancilla": ancilla,
+        "rho0": rho0,
+        "observables": observables,
+        "charge": charge,
+    }
 
 
 def _task_spectrum(run):
-    sd, _ = _decomposed(run)
-    report = check_perturbative_limit(sd, run.model["v"], run.epsilon)
+    sd, _, v = _decomposed(run)
+    report = check_perturbative_limit(sd, v, run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
     lam = sd.eigenvalues[order]
     subspace = np.where(np.isin(order, sd.slow), "slow", "fast")
@@ -406,12 +398,15 @@ def _task_spectrum(run):
 
 
 def _generators_for(run):
-    sd, v = _decomposed(run)
-    return sd, v, sw.generator_terms(sd, v, run.order)
+    """(sd, L0, V, generator terms), V in the storage of sd's backend (dense
+    only on the dense backend)."""
+    sd, l0, v = _decomposed(run)
+    v = as_operand(sd, v)
+    return sd, l0, v, sw.generator_terms(sd, v, run.order)
 
 
 def _task_effective(run):
-    sd, v, gen = _generators_for(run)
+    sd, _, v, gen = _generators_for(run)
     series = sw.correction_terms(gen, sd, v, epsilon=run.epsilon)
     paths = [
         _write_matrix(f"{run.out}_effective_order{n}.csv", mat)
@@ -452,8 +447,8 @@ def _task_evolve(run):
         raise ValidationError(
             "evolve needs an initial state: a model on A (x) S has no default one"
         )
-    gen = built["l0"] + run.epsilon * built["v"]
-    traj = dynamics.evolve(gen, built["rho0"], run.times, built.get("charge"))
+    l0, v = built["ancilla"].full_space()
+    traj = dynamics.evolve(l0 + run.epsilon * v, built["rho0"], run.times, built["charge"])
     header = ["time"] + [f"re_{k}" for k in built["observables"]] + [
         f"im_{k}" for k in built["observables"]
     ]
@@ -468,7 +463,8 @@ def _task_compare(run):
     N+1 nuclear populations slow), in L0's eigen coordinates."""
     if run.model["kind"] != "superradiance":
         raise ValidationError("compare runs on the superradiance model")
-    n, ancilla = run.model["n_spins"], run.model["ancilla"]
+    ancilla = run.model["ancilla"]
+    n = ancilla.dim_s - 1
     sector = charge_sector(
         ancilla, models.superradiance_charges(n), run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT
     )
@@ -536,7 +532,7 @@ def _task_ancilla_qrt(run):
 
 
 def _task_decoupling_scan(run):
-    sd, v, gen = _generators_for(run)
+    sd, l0, v, gen = _generators_for(run)
 
     def residual(eps):
         return sw.decoupling_residual(sd, v, gen, eps, run.order)
@@ -553,7 +549,7 @@ def _task_decoupling_scan(run):
     header = ["epsilon", "residual", "fitted_slope"]
     path = _write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])
     for e, r in zip(eps, res):
-        floor = FLOOR_ROUNDINGS * np.finfo(float).eps * abs(run.model["l0"] + e * v).sum(0).max()
+        floor = FLOOR_ROUNDINGS * np.finfo(float).eps * abs(l0 + e * v).sum(0).max()
         if r <= floor:
             msg = f"residual {r:.3g} at epsilon {e:g} is at the rounding floor {floor:.3g}"
             print(f"warning: {msg}; the fitted slope does not measure the order", file=sys.stderr)

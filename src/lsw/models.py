@@ -18,7 +18,6 @@ from .superop import (
     LindbladSpec,
     factor_order,
     hamiltonian_superop,
-    lift,
     lindblad_superop,
     sandwich_superop,
     to_dense,
@@ -47,15 +46,6 @@ class SuperradianceParams:
     @classmethod
     def from_sqrt_n_g(cls, n_spins, sqrt_n_g, gamma=1.0, omega=0.0):
         return cls(n_spins=n_spins, g=sqrt_n_g / np.sqrt(n_spins), gamma=gamma, omega=omega)
-
-    @property
-    def collective_coupling(self):
-        return self.g * np.sqrt(self.n_spins)
-
-    def perturbative_flag(self, gap=None):
-        """True when the collective coupling crowds the unperturbed scales."""
-        scale = self.gamma if gap is None else min(self.gamma, gap)
-        return self.collective_coupling > 0.5 * scale
 
 
 @dataclass
@@ -114,19 +104,21 @@ def superradiance_model(params):
     The unperturbed part acts on the electron factor only: decay at rate
     gamma and detuning omega on the excited-state projector, so L0 is the
     lift of the electron block.  The perturbation is the ancilla's,
-    -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].  The model declares the
-    charge of :func:`superradiance_charges`.
+    -i g [ (1/2)(s+ I- + s- I+) + s+ s- Iz , . ].  Both come from
+    ``AncillaModel.full_space``.  The model declares the charge of
+    :func:`superradiance_charges`.
     """
     ancilla = superradiance_ancilla(params)
     n = int(params.n_spins)
     ip, im, iz = collective_ops(n)
     dn = n + 1
     electron_steady, polarized = superradiance_initial(n)
+    l0, v = ancilla.full_space()
     return SuperradianceModel(
         ancilla=ancilla,
         l_a=ancilla.l0,
-        l0=lift(ancilla.l0, dn),
-        v=ancilla.perturbation(sparse=True),
+        l0=l0,
+        v=v,
         iz=iz,
         iplus=ip,
         iminus=im,
@@ -313,22 +305,23 @@ def regrouped_generator(model):
     return out
 
 
+def _hermitian(rng, d):
+    """A random Hermitian d x d matrix: the Hermitian part of a complex Gaussian draw."""
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (x + x.conj().T)
+
+
 def random_lindblad_model(dim, n_jumps, seed):
     """Random Hermitian Hamiltonian, Gaussian jump operators, seeded."""
     if dim < 2 or n_jumps < 0 or seed < 0:
         raise ValidationError("random model needs dimension >= 2, jumps >= 0 and seed >= 0")
     rng = np.random.default_rng(seed)
-
-    def herm(d):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return 0.5 * (x + x.conj().T)
-
-    h0 = herm(dim)
+    h0 = _hermitian(rng, dim)
     jumps = []
     for _ in range(n_jumps):
         op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         jumps.append((float(rng.uniform(0.5, 1.5)), op))
-    perturbation = herm(dim)
+    perturbation = _hermitian(rng, dim)
     return LindbladSpec(hdim=dim, hamiltonian=h0, jumps=jumps, perturbations=[perturbation])
 
 
@@ -339,14 +332,9 @@ def random_ancilla_model(dim_ancilla, n_couplings, seed, dim_system=2):
             "random ancilla needs dimension >= 2, couplings >= 1, system_dimension >= 1, seed >= 0"
         )
     rng = np.random.default_rng(seed)
-
-    def herm(d):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return 0.5 * (x + x.conj().T)
-
     spec = LindbladSpec(
         hdim=dim_ancilla,
-        hamiltonian=herm(dim_ancilla),
+        hamiltonian=_hermitian(rng, dim_ancilla),
         jumps=[
             (
                 float(rng.uniform(0.5, 1.5)),
@@ -357,7 +345,9 @@ def random_ancilla_model(dim_ancilla, n_couplings, seed, dim_system=2):
         ],
     )
     l0, _ = lindblad_superop(spec, sparse=False)
-    couplings = [(herm(dim_ancilla), herm(dim_system)) for _ in range(n_couplings)]
+    couplings = [
+        (_hermitian(rng, dim_ancilla), _hermitian(rng, dim_system)) for _ in range(n_couplings)
+    ]
     return AncillaModel(l0=to_dense(l0), couplings=couplings, epsilon=1.0)
 
 
@@ -373,8 +363,7 @@ def degenerate_slow_model(seed, dim=3):
     h0 = np.diag(energies).astype(complex)
     jump = np.zeros((dim, dim), dtype=complex)
     jump[0, 1] = 1.0
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    perturbation = 0.5 * (x + x.conj().T)
+    perturbation = _hermitian(rng, dim)
     return LindbladSpec(
         hdim=dim,
         hamiltonian=h0,

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
-
 
 def spin_operators(two_j):
     """Return the ladder and z operators (J+, J-, Jz) for spin j = two_j/2.
@@ -55,24 +53,6 @@ def tensor(*ops):
     for op in ops[1:]:
         out = np.kron(out, np.asarray(op, dtype=complex))
     return out
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
-def partial_trace_left(x, dim_left, dim_right):
-    """Trace out the left (slow-index) factor of a bipartite operator."""
-    x = np.asarray(x)
-    if x.shape != (dim_left * dim_right, dim_left * dim_right):
-        raise DimensionMismatchError(
-            f"operator of shape {x.shape} does not factor as {dim_left}x{dim_right}"
-        )
-    return np.einsum("iaib->ab", x.reshape(dim_left, dim_right, dim_left, dim_right))
 
 
 def hermitian_basis(dim, traceless=True):

@@ -28,6 +28,7 @@ from .superop import (
     HERM_TOL,
     devectorize,
     hamiltonian_superop,
+    lift,
     perturbation_superop,
     sandwich_superop,
     to_dense,
@@ -77,6 +78,14 @@ class AncillaModel:
         terms = [np.kron(a, s) for a, s in self.couplings]
         hdim = math.isqrt(self.l0.shape[0]) * self.dim_s
         return perturbation_superop([self.epsilon * sum(terms)] if terms else [], hdim, sparse)
+
+    def full_space(self):
+        """(L0, V) on A (x) S, the one place either is assembled: L0 =
+        L_A (x) 1_S by ``lift`` and V by ``perturbation``, both CSR for a
+        system dimension above 1; for d_S = 1, L_A itself and a dense V."""
+        if self.dim_s == 1:
+            return self.l0, self.perturbation(sparse=False)
+        return lift(self.l0, self.dim_s), self.perturbation(sparse=True)
 
 
 def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):

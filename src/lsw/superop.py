@@ -158,17 +158,12 @@ def trace_functional(d):
 
 @dataclass
 class LindbladSpec:
-    """Defining data of a generator L0 plus a Hamiltonian perturbation V.
-
-    The perturbation prefactor ``epsilon`` is metadata only; it is never
-    folded into the assembled V so that one V serves whole epsilon scans.
-    """
+    """Defining data of a generator L0 plus a Hamiltonian perturbation V."""
 
     hdim: int
     hamiltonian: np.ndarray
     jumps: Sequence = field(default_factory=list)  # (rate, operator) pairs
     perturbations: Sequence = field(default_factory=list)  # Hamiltonian terms of V
-    epsilon: float = 1.0
 
     def validate(self):
         d = self.hdim

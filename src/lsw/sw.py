@@ -9,7 +9,8 @@ slow-space generator to a subsystem when the slow space factorizes.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,16 +35,14 @@ _XCOTH = {0: 1.0, 2: 1.0 / 3.0, 4: -1.0 / 45.0, 6: 2.0 / 945.0}
 _TANH_HALF = {1: 1.0 / 2.0, 3: -1.0 / 24.0, 5: 1.0 / 240.0, 7: -17.0 / 40320.0}
 
 
-@lru_cache(maxsize=None)
 def _compositions(total, parts):
-    """Ordered tuples of positive integers of length `parts` summing to `total`."""
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    """Ordered tuples of positive integers of length `parts` summing to `total`:
+    the gaps between 0, each choice of `parts - 1` cut points in 1..total-1,
+    and `total`, in lexicographic order."""
+    return [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+        for cuts in combinations(range(1, total), parts - 1)
+    ]
 
 
 def split_blocks(sd, v):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from lsw import cli, dynamics, models, qrt, spectral, sw
+from lsw import cli, dynamics, models, qrt, spectral, superop, sw
 from lsw.superop import lift, to_dense
 from lsw.sw import match_eigenvalues
 
@@ -378,11 +378,11 @@ def test_custom_model_matches_builtin_spectrum(tmp_path):
             ],
         },
     }
-    built = cli.Run("spectrum", cfg_custom).model
+    l0, v = cli.Run("spectrum", cfg_custom).model["ancilla"].full_space()
     p = models.SuperradianceParams(n_spins=n, g=0.1, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
-    assert np.abs(to_dense(built["l0"]) - to_dense(m.l0)).max() < 1e-12
-    assert np.abs(to_dense(built["v"]) - to_dense(m.v)).max() < 1e-12
+    assert np.abs(to_dense(l0) - to_dense(m.l0)).max() < 1e-12
+    assert np.abs(to_dense(v) - to_dense(m.v)).max() < 1e-12
 
 
 def test_compare_task_small_model(tmp_path):
@@ -733,6 +733,31 @@ def test_oversized_compare_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("huge*"))
 
 
+@pytest.mark.parametrize("task", ["spectrum", "effective", "decoupling-scan"])
+def test_oversized_spectral_task_refused_before_assembly(tmp_path, capsys, monkeypatch, task):
+    # N=40: D = 4 * 41**2 = 6,724, past SPECTRAL_DIM_LIMIT.  The size check
+    # comes before anything of the full space is built: neither the assembly
+    # method nor `lift` (under every name it is imported as) may run
+    def assembled(*args, **kwargs):
+        raise AssertionError("the full space was assembled")
+
+    for module in (superop, qrt, models, cli, spectral, sw):
+        if hasattr(module, "lift"):
+            monkeypatch.setattr(module, "lift", assembled)
+    monkeypatch.setattr(qrt.AncillaModel, "full_space", assembled, raising=False)
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"kind": "superradiance", "n_spins": 40, "sqrt_n_g": 0.2},
+            "output": str(tmp_path / "big"),
+        },
+    )
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"task {task!r}: superoperator dimension 6724 exceeds the spectral limit" in err
+    assert not list(tmp_path.glob("big*"))
+
+
 def test_compare_without_decay_exits_3(tmp_path, capsys):
     # gamma = 0 leaves two steady electron states: the sector's slow space
     # is not the nuclear populations alone
@@ -917,8 +942,8 @@ def test_exit_code_matrix(tmp_path, capsys):
 
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
     model = _EXIT_CODES["custom-couplings"][0]
-    built = cli.Run("evolve", {"model": model}).model
-    assert built["ancilla"].dim_s == 2 and built["l0"].shape == (16, 16)
+    ancilla = cli.Run("evolve", {"model": model}).model["ancilla"]
+    assert ancilla.dim_s == 2 and ancilla.full_space()[0].shape == (16, 16)
     cfg = write_config(tmp_path, {"model": model, "order": 2})
     assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "eff", dense=False) == ["product"]
     # with an initial state on A (x) S, evolve runs
@@ -1028,8 +1053,8 @@ def test_readme_examples_build_and_run(tmp_path):
     assert len(blocks) == 2
     for i, text in enumerate(blocks):
         cfg = yaml.safe_load(text)
-        built = cli.Run("spectrum", cfg).model
-        assert built["v"].shape == built["l0"].shape
+        l0, v = cli.Run("spectrum", cfg).model["ancilla"].full_space()
+        assert v.shape == l0.shape
         # written with sorted keys: `flip` now precedes the symbols it names
         path = write_config(tmp_path, cfg, f"readme{i}.yaml")
         assert cli.main(["spectrum", "--config", path, "--out", str(tmp_path / f"ex{i}")]) == 0
@@ -1044,9 +1069,10 @@ def test_symbols_resolve_by_name(tmp_path):
         "hamiltonian": "x",
         "jumps": [{"rate": 1.0, "operator": "sm"}],
     }
-    forward = cli.Run("spectrum", {"model": model}).model
-    backward = cli.Run("spectrum", {"model": {**model, "hamiltonian": "sp + sm"}}).model
-    assert np.array_equal(forward["l0"], backward["l0"])
+    def l0(m):
+        return cli.Run("spectrum", {"model": m}).model["ancilla"].full_space()[0]
+
+    assert np.array_equal(l0(model), l0({**model, "hamiltonian": "sp + sm"}))
 
 
 @pytest.mark.parametrize(

@@ -217,9 +217,3 @@ def test_random_ancilla_unique_steady_state():
         sigma = steady_state(model.l0)
         assert abs(np.trace(sigma) - 1) < 1e-10
 
-
-def test_perturbative_flag():
-    weak = models.SuperradianceParams.from_sqrt_n_g(4, 0.05, gamma=1.0)
-    strong = models.SuperradianceParams.from_sqrt_n_g(4, 0.9, gamma=1.0)
-    assert not weak.perturbative_flag()
-    assert strong.perturbative_flag()
