@@ -12,9 +12,7 @@ an allocation failure.
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -302,16 +300,10 @@ class Run:
                 f"times.n_points = {self.n_points} is more points than memory can hold"
             ) from None
 
-    def workers(self):
-        cap = os.environ.get("LSW_THREADS", "")
-        if cap.strip().isdigit():
-            return max(1, int(cap))
-        return min(4, os.cpu_count() or 1)
-
 
 def _superradiance_params(mcfg):
     """Superradiance parameters from a model section (`sqrt_n_g` or `g`)."""
-    n = _number("model.n_spins", mcfg.get("n_spins", 2), integral=True)
+    n = _number("model.n_spins", mcfg.get("n_spins", 2), integral=True, low=1)
     gamma = _number("model.gamma", mcfg.get("gamma", 1.0), low=0)
     omega = _number("model.omega", mcfg.get("omega", 0.0))
     if "sqrt_n_g" in mcfg:
@@ -407,7 +399,7 @@ def _generators_for(run):
 
 def _task_effective(run):
     sd, _, v, gen = _generators_for(run)
-    series = sw.correction_terms(gen, sd, v, epsilon=run.epsilon)
+    series = sw.correction_terms(gen, sd, epsilon=run.epsilon)
     paths = [
         _write_matrix(f"{run.out}_effective_order{n}.csv", mat)
         for n, mat in enumerate(series.slow_terms[: run.order], start=1)
@@ -475,7 +467,7 @@ def _task_compare(run):
             "populations: the electron needs exactly one steady state"
         )
     gen = sw.generator_terms(sd, v, 3)
-    series = sw.correction_terms(gen, sd, v)
+    series = sw.correction_terms(gen, sd)
     # coordinate (k, a, b) is R_k (x) |a><b|: rho0 = sum y0 R_k (x) |a><b|,
     # and Tr(I_z X) = f . x for X with coordinates x
     k, a, b = sector.index
@@ -484,19 +476,15 @@ def _task_compare(run):
     iz = models.collective_ops(n)[2]
     f = (superop.trace_functional(electron.shape[0]) @ sector.right)[k] * iz[b, a]
     slow = sd.slow
-    runs = [
-        (sd.l0_eigen + v, y0, f),
-        (sw.effective_liouvillian(series, 2), y0[slow], f[slow]),
-        (sw.effective_liouvillian(series, 3), y0[slow], f[slow]),
-    ]
     times = run.times
 
     def intensity(generator, start, functional):
         states, _ = dynamics.propagate(generator, start, times)
         return -np.real(states @ (generator.T @ functional))
 
-    with ThreadPoolExecutor(max_workers=run.workers()) as pool:
-        i_exact, i_two, i_three = pool.map(lambda r: intensity(*r), runs)
+    i_exact = intensity(sd.l0_eigen + v, y0, f)
+    i_two = intensity(sw.effective_liouvillian(series, 2), y0[slow], f[slow])
+    i_three = intensity(sw.effective_liouvillian(series, 3), y0[slow], f[slow])
 
     path = _write_csv(
         run.out + "_compare.csv",
@@ -533,14 +521,8 @@ def _task_ancilla_qrt(run):
 
 def _task_decoupling_scan(run):
     sd, l0, v, gen = _generators_for(run)
-
-    def residual(eps):
-        return sw.decoupling_residual(sd, v, gen, eps, run.order)
-
-    with ThreadPoolExecutor(max_workers=run.workers()) as pool:
-        residuals = list(pool.map(residual, run.epsilons))
     eps = np.asarray(run.epsilons)
-    res = np.asarray(residuals)
+    res = np.asarray([sw.decoupling_residual(sd, gen, e, run.order) for e in run.epsilons])
     if not np.all(np.isfinite(res)):
         raise ToleranceNotMetError(f"decoupling residuals {res.tolist()} are not all finite")
     if not np.all(res > 0):

@@ -27,6 +27,7 @@ from .exceptions import (
     DefectiveOperatorError,
     EmptySlowSpaceError,
     MixedChargeError,
+    ToleranceNotMetError,
     ValidationError,
 )
 from .superop import compact, lift, row_entries, to_csr, to_dense
@@ -327,15 +328,21 @@ def resolvent_apply(sd, a):
 
 
 def spectral_norm(a):
-    """Largest singular value, for dense or sparse input."""
-    if sp.issparse(a):
-        if min(a.shape) <= 2 or a.nnz == 0:
-            return spectral_norm(to_dense(a))
-        return float(spla.svds(a.astype(complex), k=1, return_singular_vectors=False)[0])
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    """Largest singular value, for dense or sparse input; a non-finite entry
+    raises ToleranceNotMetError.  The sparse route runs ``svds`` from a fixed
+    start on ``a`` divided by a power of two near its largest entry, so its
+    products of ``a`` with itself cannot overflow; the scaling is exact."""
+    sparse = sp.issparse(a)
+    if not np.isfinite(a.data if sparse else a).all():
+        raise ToleranceNotMetError("spectral norm of a matrix with non-finite entries")
+    if sparse and min(a.shape) > 2 and a.nnz > 0:
+        exp = np.frexp(np.abs(a.data).max())[1]
+        scaled = a.astype(complex)
+        scaled.data = np.ldexp(scaled.data.view(float), -exp).view(complex)
+        top = spla.svds(scaled, k=1, return_singular_vectors=False, random_state=0)[0]
+        return float(np.ldexp(top, exp))
+    a = to_dense(a)
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 @dataclass

@@ -131,12 +131,12 @@ class EffectiveSeries:
     nmax: int
 
 
-def correction_terms(gen, sd, v, epsilon=1.0):
+def correction_terms(gen, sd, epsilon=1.0):
     """Expand the transformed generator's slow-space correction.
 
     W_1 is the block-diagonal part of V; higher orders are odd commutator
     chains of the S_k applied to the off-diagonal part, with the tanh(x/2)
-    series coefficients.  The blocks of ``v`` are taken from ``gen``.
+    series coefficients.  V's blocks are taken from ``gen``.
     """
     v_diag, v_off = gen.v_blocks
     chains = {(): v_off}
@@ -190,7 +190,7 @@ def closed_form_slow_orders(sd, v):
     return l1, l2, l3
 
 
-def decoupling_residual(sd, v, gen, epsilon, order):
+def decoupling_residual(sd, gen, epsilon, order):
     """Norm of the slow/fast coupling left after the truncated transform.
 
     Builds S(eps) through the requested order and returns the sum of the

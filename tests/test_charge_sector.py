@@ -48,9 +48,9 @@ def test_population_blocks_match_reduced_effective(n_spins):
     m = burst(n_spins, 0.2)
     sector = charge_sector(m.ancilla, m.charges)
     ssd, sv = sector.spectral, sector.v
-    sector_series = correction_terms(generator_terms(ssd, sv, 3), ssd, sv)
+    sector_series = correction_terms(generator_terms(ssd, sv, 3), ssd)
     sd = decompose(m.l_a, dim_s=m.dims[1])
-    series = correction_terms(generator_terms(sd, m.v, 3), sd, m.v)
+    series = correction_terms(generator_terms(sd, m.v, 3), sd)
     dn = m.dims[1]
     populations = np.arange(dn) * (dn + 1)  # vec index of |a><a|
     for order in (2, 3):

@@ -1,4 +1,5 @@
 import re
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -107,7 +108,7 @@ def full_space_compare(mcfg, times, dense=False):
     l0, dim_s = (to_dense(m.l0), 1) if dense else (m.l_a, m.dims[1])
     sd = spectral.decompose(l0, dim_s=dim_s)
     v = spectral.as_operand(sd, m.v)
-    series = sw.correction_terms(sw.generator_terms(sd, v, 3), sd, v)
+    series = sw.correction_terms(sw.generator_terms(sd, v, 3), sd)
     _, mu0 = models.superradiance_initial(p.n_spins)
     for order, name in ((2, "intensity_order2"), (3, "intensity_order2plus3")):
         red = sw.reduced_effective(series, sd, m.dims, order).matrix
@@ -648,20 +649,47 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
-def test_thread_cap_honored(tmp_path, monkeypatch):
-    monkeypatch.setenv("LSW_THREADS", "1")
+def test_compare_and_scan_start_no_thread(tmp_path, monkeypatch):
+    # every task runs on the calling thread: starting one fails the run
+    def refuse(self):
+        raise RuntimeError("a task started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    model = {"kind": "superradiance", "n_spins": 2, "g": 1.0, "gamma": 1.0, "omega": 0.2}
     cfg = write_config(
         tmp_path,
         {
-            "model": {"kind": "superradiance", "n_spins": 2, "g": 1.0, "gamma": 1.0, "omega": 0.2},
-            "order": 1,
+            "model": model,
+            "order": 2,
             "epsilons": [1e-2, 1e-3],
-            "output": str(tmp_path / "capped"),
+            "times": {"t_max": 10.0, "n_points": 11},
+            "output": str(tmp_path / "serial"),
         },
     )
-    run = cli.Run("decoupling-scan", {"model": {"kind": "decaying-qubit"}})
-    assert run.workers() == 1
+    assert cli.main(["compare", "--config", cfg]) == 0
     assert cli.main(["decoupling-scan", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("n_spins", [0, -1])
+def test_nonpositive_n_spins_with_sqrt_n_g_exits_2_without_warning(tmp_path, capsys, n_spins):
+    model = {"kind": "superradiance", "n_spins": n_spins, "sqrt_n_g": 0.2}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "bad")})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["spectrum", "--config", cfg]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err == f"configuration error: model.n_spins must be >= 1, got {n_spins}\n"
+
+
+def test_spectrum_with_huge_coupling_exits_0(tmp_path):
+    # ||V|| ~ 1.7e160: the sparse norm's products of V with itself would
+    # overflow without its power-of-two scaling
+    model = {"kind": "superradiance", "n_spins": 2, "g": 1.0e160}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "huge")})
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+    header, rows = read_csv(tmp_path / "huge_spectrum.csv")
+    assert {r[header.index("perturbative_ok")] for r in rows} == {"0"}
 
 
 def test_oversized_spectral_task_exits_2(tmp_path):
@@ -1029,8 +1057,8 @@ def test_decoupling_scan_refuses_zero_and_non_finite_residuals(tmp_path, capsys,
 
 def test_decoupling_scan_exits_3_when_the_transform_overflows(tmp_path, capsys):
     # at epsilon 2 the order-8 exp(+-S) of the N=2 model overflows float64;
-    # the exit-3 message reports it, and no overflow warning from the pool
-    # threads that compute the residuals comes before it
+    # the exit-3 message reports it, and no overflow warning from the
+    # residual computations comes before it
     model = {"kind": "superradiance", "n_spins": 2, "gamma": 1.0, "omega": 0.2, "g": 1.0}
     cfg = write_config(
         tmp_path,

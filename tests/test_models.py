@@ -93,7 +93,7 @@ def test_zero_coupling_kills_all_orders():
     assert np.abs(to_dense(m.v)).max() == 0.0
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 3)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     for mat in series.slow_terms:
         assert np.abs(mat).max() == 0.0
 
@@ -133,7 +133,7 @@ def test_second_order_grid_matches_derived_closed_form(gamma, omega, g):
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 2)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, m.dims, 2, cumulative=False).matrix
     rate, shift = models.second_order_rates(p)
     target = models.collective_decay_generator(m, rate, shift)
@@ -178,7 +178,7 @@ def test_third_order_matches_eigenvalue_assembly(n_spins):
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 3)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, m.dims, 3, cumulative=False).matrix
     target = models.third_order_generator(m)
     assert np.abs(red - target).max() <= 1e-9 * np.abs(target).max()
@@ -192,7 +192,7 @@ def test_regrouped_form_deviation_scales_quadratically():
         m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
         gen = generator_terms(sd, to_dense(m.v), 3)
-        series = correction_terms(gen, sd, to_dense(m.v))
+        series = correction_terms(gen, sd)
         l23 = reduced_effective(series, sd, m.dims, 3, cumulative=True).matrix
         reg = models.regrouped_generator(m)
         rels.append(np.linalg.norm(l23 - reg) / np.linalg.norm(l23))

@@ -86,7 +86,7 @@ def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_couplin
     for sd in (decompose(l_a, dim_s=dim_s), decompose(l0)):
         op = as_operand(sd, v)
         gen = generator_terms(sd, op, order)
-        series = correction_terms(gen, sd, op)
+        series = correction_terms(gen, sd)
         rs, ls = sd.right[:, sd.slow], sd.left[sd.slow, :]
         full_slow = rs @ effective_liouvillian(series, order) @ ls
         closed = [rs @ x @ ls for x in closed_form_slow_orders(sd, op)]

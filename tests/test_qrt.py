@@ -293,7 +293,7 @@ def test_effective_generator_matches_block_route():
     m = models.superradiance_model(p)
     sd = dec(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 2)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     red2 = reduced_effective(series, sd, m.dims, 2, cumulative=False).matrix
 
     am = models.superradiance_ancilla(p)
@@ -312,7 +312,7 @@ def test_recursion_on_ancilla_model_matches_qrt(dim_a, dim_s):
     anc = models.random_ancilla_model(dim_a, 3, seed=dim_a, dim_system=dim_s)
     sd = decompose(anc.l0, dim_s=anc.dim_s)
     v = as_operand(sd, anc.perturbation(sparse=True))
-    series = correction_terms(generator_terms(sd, v, 3), sd, v)
+    series = correction_terms(generator_terms(sd, v, 3), sd)
     eff = effective_master_equation_2(anc)
     for n, want in ((1, eff.first_order), (2, eff.second_order)):
         got = reduced_effective(series, sd, (dim_a, dim_s), n, cumulative=False).matrix

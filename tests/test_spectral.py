@@ -5,11 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from conftest import model_fleet, random_density
 from lsw import models
-from lsw.exceptions import DefectiveOperatorError, EmptySlowSpaceError
+from lsw.exceptions import DefectiveOperatorError, EmptySlowSpaceError, ToleranceNotMetError
 from lsw.spectral import (
     check_perturbative_limit,
     decompose,
@@ -218,6 +219,29 @@ def test_perturbative_limit_reports():
     assert zero.ok and zero.perturbation_norm == 0.0
     crowded = check_perturbative_limit(sd, m.v, epsilon=1e3)
     assert not crowded.ok
+
+
+def test_sparse_spectral_norm_is_seed_free_and_scales():
+    # svds starts from a fixed vector: the global seed does not reach the
+    # last bit, and a power-of-two rescaling keeps huge entries finite
+    p = models.SuperradianceParams(n_spins=8, g=1.0, gamma=1.0, omega=0.2)
+    v = models.superradiance_model(p).v
+    norms = []
+    for seed in (0, 1):
+        np.random.seed(seed)
+        norms.append(spectral_norm(v))
+    assert norms[0] == norms[1]
+    assert abs(norms[0] - np.linalg.norm(to_dense(v), 2)) <= 1e-12 * norms[0]
+    assert abs(spectral_norm(v * 1e300) / 1e300 - norms[0]) <= 1e-12 * norms[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectral_norm_refuses_non_finite_entries(bad):
+    a = np.eye(4)
+    a[1, 2] = bad
+    for operand in (a, sp.csr_matrix(a)):
+        with pytest.raises(ToleranceNotMetError):
+            spectral_norm(operand)
 
 
 def test_spectrum_preserved_by_converged_transform(rng):

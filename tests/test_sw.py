@@ -106,7 +106,7 @@ def test_generator_terms_block_off_diagonal(superradiance_n2):
 def test_first_correction_is_diagonal_block(random_model):
     l0, v, sd = random_model
     gen = generator_terms(sd, v, 2)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     v_diag, _ = split_blocks(sd, v)
     w1 = series.corrections[0]
     assert np.abs(from_eigen(sd, w1) - v_diag).max() == 0.0
@@ -120,7 +120,7 @@ def test_corrections_vanish_without_off_diagonal(random_model, rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v_diag = pq.p @ a @ pq.p + pq.q @ a @ pq.q
     gen = generator_terms(sd, v_diag, 4)
-    series = correction_terms(gen, sd, v_diag)
+    series = correction_terms(gen, sd)
     for w in series.corrections[1:]:
         assert np.abs(w).max() < 1e-9
 
@@ -128,7 +128,7 @@ def test_corrections_vanish_without_off_diagonal(random_model, rng):
 def test_second_correction_slow_block_printed_form(random_model):
     l0, v, sd = random_model
     gen = generator_terms(sd, v, 2)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     pq = projectors(sd)
     finv = fast_inverse(sd)
     w2_slow = pq.p @ from_eigen(sd, series.corrections[1]) @ pq.p
@@ -149,7 +149,7 @@ def test_closed_forms_match_recursion(builder):
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
     gen = generator_terms(sd, v, 3)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     vnorm = np.linalg.norm(v, 2)
     for n, closed in enumerate(closed_form_slow_orders(sd, v), start=1):
         engine = effective_liouvillian(series, n, cumulative=False)
@@ -161,7 +161,7 @@ def test_closed_forms_match_recursion(builder):
 def test_effective_liouvillian_accumulates(random_model):
     l0, v, sd = random_model
     gen = generator_terms(sd, v, 3)
-    series = correction_terms(gen, sd, v, epsilon=0.1)
+    series = correction_terms(gen, sd, epsilon=0.1)
     total = effective_liouvillian(series, 3)
     parts = sum(
         effective_liouvillian(series, n, cumulative=False) for n in range(1, 4)
@@ -174,7 +174,7 @@ def test_effective_liouvillian_accumulates(random_model):
 def test_slow_terms_annihilate_trace(superradiance_n2):
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_dense(m.v), 3)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     trace_row = trace_functional(6) @ sd.right[:, sd.slow]
     for mat in series.slow_terms:
         assert np.abs(trace_row @ mat).max() < 1e-9
@@ -188,7 +188,7 @@ def assert_orders_keep_trace_and_hermiticity(sd, v, hdim):
     size of the order-n correction: a slow term may itself be at the
     rounding level, where a relative check only measures noise.
     """
-    series = correction_terms(generator_terms(sd, v, 4), sd, v)
+    series = correction_terms(generator_terms(sd, v, 4), sd)
     rs, ls = to_dense(sd.right[:, sd.slow]), to_dense(sd.left[sd.slow, :])
     # vec(X^dag) = conj(vec X)[swap], so a Hermiticity-preserving G has
     # conj(G)[swap][:, swap] == G
@@ -220,7 +220,7 @@ def test_slow_orders_keep_trace_and_hermiticity_product(dim_a, dim_s, seed):
 def test_decoupling_residual_zero_epsilon(superradiance_n2):
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_dense(m.v), 2)
-    assert decoupling_residual(sd, to_dense(m.v), gen, 0.0, 2) < 1e-12
+    assert decoupling_residual(sd, gen, 0.0, 2) < 1e-12
 
 
 def test_decoupling_residual_scaling_quick():
@@ -230,7 +230,7 @@ def test_decoupling_residual_scaling_quick():
     gen = generator_terms(sd, to_dense(m.v), 2)
     eps = np.array([1e-2, 1e-3])
     for order, target in ((1, 2.0), (2, 3.0)):
-        res = [decoupling_residual(sd, to_dense(m.v), gen, e, order) for e in eps]
+        res = [decoupling_residual(sd, gen, e, order) for e in eps]
         slope = np.polyfit(np.log(eps), np.log(res), 1)[0]
         assert abs(slope - target) < 0.3
 
@@ -273,7 +273,7 @@ def test_decoupling_residual_matches_two_exponential_oracle(case):
     gen = generator_terms(sd, v, 8)
     for order in range(1, 9):
         for eps in eps_grid:
-            got = decoupling_residual(sd, v, gen, eps, order)
+            got = decoupling_residual(sd, gen, eps, order)
             assert abs(got - _residual_oracle(sd, l0, v, gen, eps, order)) <= 1e-14
 
 
@@ -287,7 +287,7 @@ def test_decoupling_residual_matches_oracle_beyond_perturbative_regime(case):
     for order in range(1, 9):
         for eps in (0.3, 1.0):
             want = _residual_oracle(sd, l0, v, gen, eps, order)
-            assert abs(decoupling_residual(sd, v, gen, eps, order) - want) <= 1e-10 * want
+            assert abs(decoupling_residual(sd, gen, eps, order) - want) <= 1e-10 * want
 
 
 def test_decoupling_residual_is_inf_when_the_transform_overflows():
@@ -295,7 +295,7 @@ def test_decoupling_residual_is_inf_when_the_transform_overflows():
     sd, _, v, _ = _residual_case("superradiance-product")
     v = as_operand(sd, v)
     gen = generator_terms(sd, v, 8)
-    assert decoupling_residual(sd, v, gen, 2.0, 8) == np.inf
+    assert decoupling_residual(sd, gen, 2.0, 8) == np.inf
 
 
 @pytest.mark.parametrize("dim_s", [1, 2])
@@ -305,7 +305,7 @@ def test_decoupling_residual_without_fast_space(dim_s):
     assert sd.fast.size == 0
     v = as_operand(sd, hamiltonian_superop(random_hermitian(np.random.default_rng(6), 2 * dim_s)))
     gen = generator_terms(sd, v, 3)
-    assert decoupling_residual(sd, v, gen, 0.5, 3) == 0.0
+    assert decoupling_residual(sd, gen, 0.5, 3) == 0.0
     _, second, third = closed_form_slow_orders(sd, v)
     assert np.abs(second).max() == 0 and np.abs(third).max() == 0
 
@@ -345,7 +345,7 @@ def test_memoized_chains_match_naive_chains_bitwise(superradiance_n2):
     sd = decompose(m.l_a, dim_s=m.dims[1])
     v = as_operand(sd, m.v)
     gen = generator_terms(sd, v, 8)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     terms, corrections = _naive_terms(sd, v, 8)
     for got, want in zip(gen.terms + series.corrections, terms + corrections, strict=True):
         assert np.abs(to_dense(got) - to_dense(want)).max() == 0
@@ -355,7 +355,7 @@ def test_first_order_vanishes_for_collective_model(superradiance_n2):
     # the perturbation has no slow-space component, so order one is zero
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_dense(m.v), 1)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     first = effective_liouvillian(series, 1, cumulative=False)
     assert np.abs(first).max() < 1e-12
 
@@ -363,7 +363,7 @@ def test_first_order_vanishes_for_collective_model(superradiance_n2):
 def test_reduced_effective_matches_collective_decay(superradiance_n2):
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_dense(m.v), 2)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, m.dims, 2, cumulative=False)
     rate, shift = models.second_order_rates(m.params)
     target = models.collective_decay_generator(m, rate, shift)
@@ -377,7 +377,7 @@ def test_reduced_effective_trivial_system():
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
     gen = generator_terms(sd, v, 1)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, (3, 1), 1)
     assert red.matrix.shape == (1, 1)
     assert abs(red.matrix[0, 0]) < 1e-10
@@ -388,7 +388,7 @@ def test_reduced_effective_rejects_non_product_space():
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
     gen = generator_terms(sd, v, 1)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     with pytest.raises(NonProductSlowSpaceError):
         reduced_effective(series, sd, (3, 1), 1)
 
@@ -399,7 +399,7 @@ def test_reduced_effective_rejects_non_product_space_of_the_right_size():
     l0 = hamiltonian_superop(np.diag([0.0, 1.0, 3.0, 7.0]))
     sd = decompose(l0)
     assert sd.slow_dim == 4
-    series = correction_terms(generator_terms(sd, l0, 1), sd, l0)
+    series = correction_terms(generator_terms(sd, l0, 1), sd)
     with pytest.raises(NonProductSlowSpaceError, match="not sigma"):
         reduced_effective(series, sd, (2, 2), 1)
 
@@ -410,7 +410,7 @@ def test_reduced_effective_is_the_slow_block_on_the_product_backend():
 
     def reduced_and_block(sd):
         v = as_operand(sd, m.v)
-        series = correction_terms(generator_terms(sd, v, 3), sd, v)
+        series = correction_terms(generator_terms(sd, v, 3), sd)
         return reduced_effective(series, sd, m.dims, 3).matrix, effective_liouvillian(series, 3)
 
     product, block = reduced_and_block(decompose(m.l_a, dim_s=m.dims[1]))
@@ -427,7 +427,7 @@ def test_reduced_third_order_zero_detuning_commutator_form():
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
     gen = generator_terms(sd, to_dense(m.v), 3)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     red3 = reduced_effective(series, sd, m.dims, 3, cumulative=False).matrix
     g, gamma = p.g, p.gamma
     dn = m.dims[1]
@@ -445,7 +445,7 @@ def test_reduced_third_order_zero_detuning_commutator_form():
 def test_reduced_orders_trace_and_hermiticity_preserving(superradiance_n2, rng):
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_dense(m.v), 3)
-    series = correction_terms(gen, sd, to_dense(m.v))
+    series = correction_terms(gen, sd)
     dn = m.dims[1]
     for order in (1, 2, 3):
         red = reduced_effective(series, sd, m.dims, order, cumulative=False).matrix
@@ -464,7 +464,7 @@ def test_spectral_accuracy_slopes():
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
     gen = generator_terms(sd, v, 3)
-    series = correction_terms(gen, sd, v)
+    series = correction_terms(gen, sd)
     eps_grid = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     for order in (1, 2, 3):
         errs = []
