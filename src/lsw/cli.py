@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators, tensor
-from .spectral import as_operand, charge_sector, check_perturbative_limit, decompose
+from .spectral import charge_sector, check_perturbative_limit
 from .superop import LindbladSpec, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
@@ -37,10 +37,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# spectral tasks hold D x D superoperators, dense ones for models whose L0
-# does not factor, and compare holds sector-sized ones; refuse configs past
-# this size (D, or the sector dimension for compare) instead of crashing on
-# an allocation
+# spectral tasks hold superoperators on the whole space (D x D, stored
+# sparse where they stay sparse), and compare holds sector-sized ones;
+# refuse configs past this size (D, or the sector dimension for compare)
+# instead of crashing on an allocation
 SPECTRAL_DIM_LIMIT = 4500
 
 MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
@@ -52,10 +52,9 @@ FLOOR_ROUNDINGS = 2
 
 
 def _decomposed(run):
-    """Size check, then (sd, L0, V): L0's eigensystem, and L0 = L_A (x) 1_S
-    and V from ``AncillaModel.full_space``, so nothing of the full space is
-    allocated for a model the check refuses.  A system dimension above 1
-    selects the product backend.
+    """Size check, then the whole space as one sector: L0's eigen coordinates
+    and V's block from the model's operators (``charge_sector``, trivial
+    charges), so nothing of size D x D is built for a refused model.
     """
     anc = run.model["ancilla"]
     dim = anc.l0.shape[0] * anc.dim_s**2
@@ -64,8 +63,7 @@ def _decomposed(run):
             f"task {run.task!r}: superoperator dimension {dim} exceeds the spectral "
             f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
         )
-    l0, v = anc.full_space()
-    return decompose(anc.l0, zero_tol=run.zero_tol, dim_s=anc.dim_s), l0, v
+    return charge_sector(anc, None, run.zero_tol)
 
 
 # rows of a column file formatted per chunk, one `.tolist()` per column and
@@ -376,7 +374,8 @@ def _build_model(run):
 
 
 def _task_spectrum(run):
-    sd, _, v = _decomposed(run)
+    sd = _decomposed(run).spectral
+    _, v = run.model["ancilla"].full_space()
     report = check_perturbative_limit(sd, v, run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
     lam = sd.eigenvalues[order]
@@ -389,23 +388,16 @@ def _task_spectrum(run):
     return [path]
 
 
-def _generators_for(run):
-    """(sd, L0, V, generator terms), V in the storage of sd's backend (dense
-    only on the dense backend)."""
-    sd, l0, v = _decomposed(run)
-    v = as_operand(sd, v)
-    return sd, l0, v, sw.generator_terms(sd, v, run.order)
-
-
 def _task_effective(run):
-    sd, _, v, gen = _generators_for(run)
+    sector = _decomposed(run)
+    sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
     series = sw.correction_terms(gen, sd, epsilon=run.epsilon)
     paths = [
         _write_matrix(f"{run.out}_effective_order{n}.csv", mat)
         for n, mat in enumerate(series.slow_terms[: run.order], start=1)
     ]
     total = sw.effective_liouvillian(series, run.order)
-    hdim = math.isqrt(sd.dim)
+    hdim = math.isqrt(sd.right.shape[0])
     trace_row = superop.trace_functional(hdim) @ sd.right[:, sd.slow]
     trace_resids = [
         float(np.abs(trace_row @ mat).max()) if mat.size else 0.0
@@ -520,7 +512,8 @@ def _task_ancilla_qrt(run):
 
 
 def _task_decoupling_scan(run):
-    sd, l0, v, gen = _generators_for(run)
+    sector = _decomposed(run)
+    sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
     eps = np.asarray(run.epsilons)
     res = np.asarray([sw.decoupling_residual(sd, gen, e, run.order) for e in run.epsilons])
     if not np.all(np.isfinite(res)):
@@ -530,6 +523,7 @@ def _task_decoupling_scan(run):
     slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0])
     header = ["epsilon", "residual", "fitted_slope"]
     path = _write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])
+    l0, v = run.model["ancilla"].full_space()
     for e, r in zip(eps, res):
         floor = FLOOR_ROUNDINGS * np.finfo(float).eps * abs(l0 + e * v).sum(0).max()
         if r <= floor:

@@ -5,18 +5,18 @@ set everything else.  Left eigenvectors are rows of the inverse of the
 right-eigenvector matrix, which enforces biorthonormality and completeness
 up to inversion error and avoids any eigenvector pairing ambiguity.
 
-Two backends build the same :class:`SpectralData`.  The dense one
-diagonalizes the full D x D generator.  The product one serves a
-generator that acts on an ancilla factor only, L0 = L_A (x) 1_S: it
-diagonalizes the d_A**2 x d_A**2 block L_A and lifts the eigenvectors and
-L0's eigen-coordinate image to sparse krons with the subsystem identity.
-The model declares the factorization: it hands ``decompose`` its block L_A
-and the subsystem dimension; nothing about the structure of L0 is
-detected from its entries.  In eigen coordinates the projectors are index
-masks and the fast inverse is a diagonal scaling; their full-space forms
-are built on demand.
+Two backends build the same :class:`SpectralData`.  The dense reference,
+:func:`decompose`, diagonalizes a full D x D generator.  The structured
+one, :func:`charge_sector`, serves L0 = L_A (x) 1_S as the model declares
+it: it diagonalizes the d_A**2 x d_A**2 block L_A and builds one
+coherence-order sector (the whole space for trivial charges) from the
+model's operators, with V's block and sparse vec-space eigenvectors
+R_k (x) |a><b|.  In eigen coordinates the projectors are index masks and
+the fast inverse is a diagonal scaling; their full-space forms are built
+on demand.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .exceptions import (
     ToleranceNotMetError,
     ValidationError,
 )
-from .superop import compact, lift, row_entries, to_csr, to_dense
+from .superop import all_finite, compact, row_entries, to_csr, to_dense
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e8
@@ -48,9 +48,9 @@ class SpectralData:
 
     ``left @ right == identity`` by construction; ``gap`` is the smallest
     modulus among fast eigenvalues (+inf when the fast set is empty).
-    ``backend`` is ``"dense"`` (ndarrays) or ``"product"`` (CSR matrices
-    for every D x D member).  ``l0_eigen`` is L0 in its eigen coordinates,
-    ``left @ L0 @ right``: diag(eigenvalues) up to rounding.
+    ``right`` is D x m and ``left`` m x D for m coordinates: ndarrays on the
+    ``"dense"`` backend (m = D), CSC and CSR on the ``"sector"`` one.
+    ``l0_eigen``, ``left @ L0 @ right``, is diag(eigenvalues) up to rounding.
     """
 
     l0_eigen: object
@@ -94,54 +94,37 @@ def _eig(l0, zero_tol):
     return w, right, left, slow, fast, gap, float(condition)
 
 
-def decompose(l0, zero_tol=DEFAULT_ZERO_TOL, dim_s=1):
-    """Diagonalize a generator and split its spectrum at zero.
-
-    Returns the spectral data of ``l0 (x) 1_S`` for a subsystem of Hilbert
-    dimension ``dim_s``: the dense backend for ``dim_s == 1``, otherwise the
-    product backend, whose D x D members are CSR lifts of ``l0``'s.
-
-    Raises
-    ------
-    DefectiveOperatorError
-        If the right-eigenvector matrix has condition number above
-        ``DEFAULT_COND_LIMIT`` (no usable biorthonormal system).
-    EmptySlowSpaceError
-        If no eigenvalue is classified as zero; either ``zero_tol`` is too
-        small or the input is not a trace-preserving generator.
-    """
+def decompose(l0, zero_tol=DEFAULT_ZERO_TOL):
+    """Diagonalize a dense generator and split its spectrum at zero: the
+    dense reference backend.  Raises DefectiveOperatorError when the
+    right-eigenvector condition number exceeds ``DEFAULT_COND_LIMIT``, and
+    EmptySlowSpaceError when no eigenvalue is zero to ``zero_tol`` (the
+    tolerance is too small, or L0 is not trace preserving)."""
     l0 = to_dense(l0)
     w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol)
-    n = dim_s * dim_s
-
-    def lifted(a, vec_rows, vec_cols):
-        return a if n == 1 else lift(a, dim_s, vec_rows, vec_cols)
-
-    # eigenvector k of l0 lifts to the n eigenvectors k * n + (subsystem pair)
-    full_slow = (slow[:, None] * n + np.arange(n)).ravel()
     return SpectralData(
-        l0_eigen=lifted(left @ l0 @ right, False, False),
-        eigenvalues=np.repeat(w, n),
-        right=lifted(right, True, False),
-        left=lifted(left, False, True),
-        slow=full_slow,
-        fast=(fast[:, None] * n + np.arange(n)).ravel(),
+        l0_eigen=left @ l0 @ right,
+        eigenvalues=w,
+        right=right,
+        left=left,
+        slow=slow,
+        fast=fast,
         gap=gap,
         condition=condition,
         zero_tol=zero_tol,
-        backend="dense" if n == 1 else "product",
+        backend="dense",
     )
 
 
 @dataclass(frozen=True)
 class ChargeSector:
-    """The coherence-order-0 block of L_A (x) 1_S + V in L0's eigen coordinates.
+    """One coherence-order sector of L_A (x) 1_S + V in L0's eigen coordinates.
 
     Coordinate m is R_k (x) |a><b| for (k, a, b) = ``index[:, m]``, in the
-    order of the product backend's eigen index (k * d_S + a) * d_S + b.
-    ``spectral`` has the CSR identity as ``right`` and ``left``, so the
-    engine runs on it unchanged; ``v`` is V's block.  ``right`` and ``left``
-    of the sector are L_A's eigenvectors (columns vec R_k, rows l_k).
+    order of the whole space's eigen index (k * d_S + a) * d_S + b.
+    ``spectral`` has those vec-space vectors as ``right`` and ``left``; ``v``
+    is V's block.  ``right`` and ``left`` here are L_A's eigenvectors
+    (columns vec R_k, rows l_k).
     """
 
     spectral: SpectralData
@@ -151,7 +134,7 @@ class ChargeSector:
     left: np.ndarray
 
 
-def charge_sector(model, charges, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
+def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
     """The order-0 sector of an ancilla model's generator, from its operators.
 
     ``charges = (q_A, q_S)`` holds an integer per ancilla and per system
@@ -159,19 +142,24 @@ def charge_sector(model, charges, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
     q_A[i] - q_A[j] + q_S[a] - q_S[b].  Each eigenvector R_k of L_A must
     have one order q_k, read from its support (``MixedChargeError``
     otherwise), and R_k (x) |a><b| is in the sector when
-    q_k + q_S[a] - q_S[b] = 0.  With l_k the left eigenvectors,
+    q_k + q_S[a] - q_S[b] = 0; with ``charges=None`` (all zero) that is the
+    whole space.  With l_k the left eigenvectors,
 
         V = -i eps sum_c (aL_c (x) S_c (x) 1 - aR_c (x) 1 (x) S_c^T),
         aL_c[k, k'] = l_k . vec(A_c R_k'),  aR_c[k, k'] = l_k . vec(R_k' A_c)
 
     in eigen coordinates, for the couplings (A_c, S_c).  A single coupling
     need not conserve the charge: the entries that leave the sector are
-    summed over all couplings and must cancel (``ValidationError``).  A
-    sector larger than ``max_dim`` is refused before it is built.  No
-    full-space matrix is formed.
+    summed over all couplings and must cancel (``ValidationError``), those
+    inside that cancel are dropped, and a non-finite one raises
+    ``ToleranceNotMetError``.  A sector larger than ``max_dim`` is refused
+    before it is built.  No full-space matrix is formed: the sector's
+    eigenvectors hold at most d_A**2 entries each.
     """
     l_a = to_dense(model.l0)
     w, right, left, slow, _, _, condition = _eig(l_a, zero_tol)
+    if charges is None:
+        charges = np.zeros(math.isqrt(w.size), int), np.zeros(model.dim_s, int)
     q_a, q_s = (np.asarray(q) for q in charges)
     d_s, n_k = q_s.size, w.size
     vec_order = np.subtract.outer(q_a, q_a).reshape(-1)
@@ -220,16 +208,20 @@ def charge_sector(model, charges, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
     every = np.arange(dim)
     l0_eigen, _ = place(*entries(left @ l_a @ right, every, a, b, 1.0))
     eye_a, coeff = np.eye(q_a.size), -1j * model.epsilon
-    parts = []
-    for op_a, op_s in model.couplings:
-        s = sp.csr_matrix(op_s, dtype=complex)
-        alpha_l = left @ np.kron(op_a, eye_a) @ right
-        alpha_r = left @ np.kron(eye_a, np.transpose(op_a)) @ right
-        cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
-        parts.append(entries(alpha_l, cols, to_a, b[cols], coeff * values))
-        cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
-        parts.append(entries(alpha_r, cols, a[cols], to_b, -coeff * values))
-    v, (rows, cols, data) = place(*(np.concatenate(p) for p in zip(*parts)))
+    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op_a, op_s in model.couplings:
+            s = sp.csr_matrix(op_s, dtype=complex)
+            alpha_l = left @ np.kron(op_a, eye_a) @ right
+            alpha_r = left @ np.kron(eye_a, np.transpose(op_a)) @ right
+            cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
+            parts.append(entries(alpha_l, cols, to_a, b[cols], coeff * values))
+            cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
+            parts.append(entries(alpha_r, cols, a[cols], to_b, -coeff * values))
+        v, (rows, cols, data) = place(*(np.concatenate(p) for p in zip(*parts)))
+    if not all_finite(v):
+        raise ToleranceNotMetError("V's block has non-finite entries: epsilon * V exceeds float64")
+    v.eliminate_zeros()  # the entries that cancel across couplings
     _, where = np.unique(rows * dim + cols, return_inverse=True)
     leak = np.bincount(where, data.real) + 1j * np.bincount(where, data.imag)
     if abs(leak).max(initial=0.0) > zero_tol * abs(v.data).max(initial=0.0):
@@ -237,31 +229,35 @@ def charge_sector(model, charges, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
             "the couplings do not conserve the declared charge: they map the "
             "coherence-order-0 sector to other orders"
         )
+    # row m of left is l_k (x) <a b|, column m of right R_k (x) |a><b|: entry
+    # (i, j) of R_k is at vec index (i d_S + a) h + j d_S + b, h = d_A d_S
+    h, vectors = q_a.size * d_s, []
+    for factor in (left, right.T):
+        m, ij, values = row_entries(sp.csr_matrix(factor), k)
+        i, j = np.divmod(ij, q_a.size)
+        at = (i * d_s + a[m]) * h + j * d_s + b[m]
+        vectors.append(sp.csr_matrix((values, (m, at)), shape=(dim, h * h)))
     eigenvalues = w[k]
     fast = np.flatnonzero(~is_slow)
-    eye = sp.identity(dim, dtype=complex, format="csr")
     sd = SpectralData(
         l0_eigen=l0_eigen,
         eigenvalues=eigenvalues,
-        right=eye,
-        left=eye,
+        right=vectors[1].T,  # CSC
+        left=vectors[0],
         slow=np.flatnonzero(is_slow),
         fast=fast,
         gap=float(abs(eigenvalues[fast]).min(initial=np.inf)),
         condition=condition,
         zero_tol=zero_tol,
-        backend="product",
+        backend="sector",
     )
     return ChargeSector(spectral=sd, v=v, index=np.array([k, a, b]), right=right, left=left)
 
 
 def as_operand(sd, a):
-    """A superoperator in the storage of sd's backend.
-
-    Dense on the dense backend; CSR on the product backend unless it is as
-    full as ``superop.SPARSE_FILL_THRESHOLD`` (see ``superop.compact``).
-    """
-    return compact(to_csr(a)) if sd.backend == "product" else to_dense(a)
+    """A superoperator in the storage of sd's backend: dense, or on the
+    sector backend CSR until it is as full as ``superop.compact`` allows."""
+    return compact(to_csr(a)) if sd.backend == "sector" else to_dense(a)
 
 
 def to_eigen(sd, a):
@@ -294,8 +290,9 @@ def _weighted(a, weight):
 
 
 def eigen_split(sd, a):
-    """Block-diagonal and block-off-diagonal parts in eigen coordinates."""
-    slow, _ = _diagonals(sd)
+    """Block-diagonal and block-off-diagonal parts in eigen coordinates, both
+    in the storage ``compact`` picks for ``a``."""
+    slow, a = _diagonals(sd)[0], compact(a)
     diag = _weighted(a, lambda i, j: slow[i] == slow[j])
     return diag, a - diag
 
@@ -332,10 +329,9 @@ def spectral_norm(a):
     raises ToleranceNotMetError.  The sparse route runs ``svds`` from a fixed
     start on ``a`` divided by a power of two near its largest entry, so its
     products of ``a`` with itself cannot overflow; the scaling is exact."""
-    sparse = sp.issparse(a)
-    if not np.isfinite(a.data if sparse else a).all():
+    if not all_finite(a):
         raise ToleranceNotMetError("spectral norm of a matrix with non-finite entries")
-    if sparse and min(a.shape) > 2 and a.nnz > 0:
+    if sp.issparse(a) and min(a.shape) > 2 and a.nnz > 0:
         exp = np.frexp(np.abs(a.data).max())[1]
         scaled = a.astype(complex)
         scaled.data = np.ldexp(scaled.data.view(float), -exp).view(complex)

@@ -46,6 +46,11 @@ def zeros_like(m):
     return sp.csr_matrix(m.shape, dtype=complex) if sp.issparse(m) else np.zeros_like(m)
 
 
+def all_finite(m):
+    """Whether every stored entry of m, dense or sparse, is finite."""
+    return bool(np.isfinite(m.data if sp.issparse(m) else m).all())
+
+
 def compact(m):
     """m in the cheaper storage for products: dense once it is as full as
     ``SPARSE_FILL_THRESHOLD``, since sparse products of full matrices cost
@@ -77,23 +82,22 @@ def row_entries(m, rows):
     return np.repeat(np.arange(rows.size), counts), m.indices[src], m.data[src]
 
 
-def lift(a, dim_s, vec_rows=True, vec_cols=True):
+def lift(a, dim_s, vec_cols=True):
     """a (x) 1_S as CSR, for a block a on the ancilla pair of A (x) S.
 
     The kron with the identity on the dim_s**2 subsystem pairs lists every
-    index in :func:`factor_order`; rows and columns marked ``vec`` are
-    mapped back to row-stacked vec indices, the others keep that order.
-    Built from a's nonzeros directly: kron row r * n + p (n = dim_s**2)
-    holds row r of a at kron columns c * n + p, and for a fixed pair p
-    both orders increase with c, so each row keeps a's sorted columns.
+    index in :func:`factor_order`; rows, and columns if ``vec_cols``, are
+    mapped back to row-stacked vec indices.  Built from a's nonzeros
+    directly: kron row r * n + p (n = dim_s**2) holds row r of a at kron
+    columns c * n + p, and for a fixed pair p both orders increase with c,
+    so each row keeps a's sorted columns.
     """
     a = sp.csr_matrix(a, dtype=complex, copy=True)
     a.sum_duplicates()
     n = dim_s * dim_s
     order = factor_order(math.isqrt(a.shape[0]), dim_s)
-    kron_row = np.arange(a.shape[0] * n)  # the kron row that each output row holds
-    if vec_rows:
-        kron_row[order] = kron_row.copy()
+    kron_row = np.empty(a.shape[0] * n, dtype=int)  # the kron row that each output row holds
+    kron_row[order] = np.arange(kron_row.size)
     rows, pairs = np.divmod(kron_row, n)
     out_row, cols, data = row_entries(a, rows)
     cols = cols * n + pairs[out_row]

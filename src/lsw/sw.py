@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import expm
 
-from .exceptions import NonProductSlowSpaceError, OrderUnavailableError
+from .exceptions import NonProductSlowSpaceError, OrderUnavailableError, ToleranceNotMetError
 from .spectral import (
     as_operand,
     eigen_resolvent,
@@ -24,7 +24,7 @@ from .spectral import (
     spectral_norm,
     to_eigen,
 )
-from .superop import hat_apply, lift, to_dense, trace_functional, vectorize, zeros_like
+from .superop import all_finite, hat_apply, lift, to_dense, trace_functional, vectorize, zeros_like
 
 MAX_ORDER = 8
 REDUCTION_TOL = 1e-8  # smallest ancilla trace, largest relative product defect
@@ -93,31 +93,36 @@ def _chain(s_terms, ks, memo):
 
 
 def generator_terms(sd, v, nmax):
-    """Solve the decoupling condition for S order by order.
+    """Solve the decoupling condition for S order by order, for V in L0's
+    eigen coordinates (a sector's block, or ``to_eigen`` of a full V).
 
     Order n collects the commutator chains of lower-order terms acting on
     the diagonal and off-diagonal parts of the perturbation, resolved
     against L0.  The first terms reduce to S_1 = -R0(V_offdiag) and
-    S_2 = -R0([V_diag, S_1]).
+    S_2 = -R0([V_diag, S_1]).  A term beyond float64 raises
+    ToleranceNotMetError, without overflow warnings.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if nmax > MAX_ORDER:
         raise OrderUnavailableError(f"series coefficients tabulated up to order {MAX_ORDER}")
-    v_diag, v_off = eigen_split(sd, to_eigen(sd, v))
+    v_diag, v_off = eigen_split(sd, v)
     terms = []
     chains = {(): v_off}
-    for n in range(1, nmax + 1):
-        if n == 1:
-            rhs = v_off
-        else:
-            rhs = hat_apply(terms[n - 2], v_diag)  # [V_diag, S_{n-1}]
-            for two_m, coeff in _XCOTH.items():
-                if two_m == 0 or two_m > n - 1:
-                    continue
-                for ks in _compositions(n - 1, two_m):
-                    rhs = rhs + coeff * _chain(terms, ks, chains)
-        terms.append(-eigen_resolvent(sd, rhs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax + 1):
+            if n == 1:
+                rhs = v_off
+            else:
+                rhs = hat_apply(terms[n - 2], v_diag)  # [V_diag, S_{n-1}]
+                for two_m, coeff in _XCOTH.items():
+                    if two_m == 0 or two_m > n - 1:
+                        continue
+                    for ks in _compositions(n - 1, two_m):
+                        rhs = rhs + coeff * _chain(terms, ks, chains)
+            terms.append(-eigen_resolvent(sd, rhs))
+            if not all_finite(terms[-1]):
+                raise ToleranceNotMetError(f"generator term S_{n} is beyond float64")
     return SWGenerator(terms=terms, nmax=nmax, v_blocks=(v_diag, v_off), spectral=sd)
 
 
@@ -174,12 +179,12 @@ def effective_liouvillian(series, order, epsilon=None, cumulative=True):
 def closed_form_slow_orders(sd, v):
     """First three slow-space orders from the printed closed forms.
 
-    Evaluated entirely in eigenbasis coordinates (an independent route from
-    the recursion): order 1 is the slow block of V, order 2 the slow-fast
-    round trip through the fast inverse, order 3 adds the fast-space block
-    and the anticommutator counterterm.
+    Evaluated entirely in eigenbasis coordinates, from V's (an independent
+    route from the recursion): order 1 is the slow block of V, order 2 the
+    slow-fast round trip through the fast inverse, order 3 adds the
+    fast-space block and the anticommutator counterterm.
     """
-    v, sides = to_eigen(sd, v), (sd.slow, sd.fast)
+    sides = (sd.slow, sd.fast)
     v_pp, v_pq, v_qp, v_qq = (to_dense(v[rows][:, cols]) for rows in sides for cols in sides)
     inv = 1.0 / sd.eigenvalues[sd.fast]
     l1 = v_pp

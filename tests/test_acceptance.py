@@ -13,7 +13,7 @@ import numpy as np
 
 from conftest import model_fleet, random_hermitian
 from lsw import dynamics, models, qrt, sw
-from lsw.spectral import decompose, projectors
+from lsw.spectral import decompose, projectors, to_eigen
 from lsw.superop import lindblad_superop, to_csr, to_dense, trace_functional, vectorize
 
 
@@ -57,7 +57,7 @@ def _second_order_worst_rel_error(rate_fn, shift_fn):
                 )
                 m = models.superradiance_model(p)
                 sd = decompose(to_dense(m.l0))
-                gen = sw.generator_terms(sd, to_dense(m.v), 2)
+                gen = sw.generator_terms(sd, to_eigen(sd, to_dense(m.v)), 2)
                 series = sw.correction_terms(gen, sd)
                 red = sw.reduced_effective(series, sd, m.dims, 2, cumulative=False).matrix
                 target = models.collective_decay_generator(
@@ -110,7 +110,7 @@ def test_criterion_3_third_order_closed_form():
         p = models.SuperradianceParams(n_spins=n_spins, g=0.06, gamma=1.1, omega=0.35)
         m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
-        gen = sw.generator_terms(sd, to_dense(m.v), 3)
+        gen = sw.generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
         series = sw.correction_terms(gen, sd)
         red = sw.reduced_effective(series, sd, m.dims, 3, cumulative=False).matrix
         target = models.third_order_generator(m)
@@ -124,7 +124,7 @@ def test_criterion_4_decoupling_residual_scaling():
     p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
-    gen = sw.generator_terms(sd, to_dense(m.v), 3)
+    gen = sw.generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     eps = np.array([1e-2, 1e-3, 1e-4])
     slopes = []
     for order in (1, 2, 3):
@@ -145,7 +145,7 @@ def test_criterion_5_spectral_accuracy_scaling():
     spec = models.degenerate_slow_model(seed=11)
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
-    gen = sw.generator_terms(sd, v, 2)
+    gen = sw.generator_terms(sd, to_eigen(sd, v), 2)
     series = sw.correction_terms(gen, sd)
     eps_grid = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     errs = []
@@ -203,7 +203,7 @@ def test_criterion_7_burst_comparison():
     intensity = dynamics.emission_intensity(traj, m.iz_full, gen_exact)
 
     sd = decompose(to_dense(m.l0))
-    gen = sw.generator_terms(sd, to_dense(m.v), 3)
+    gen = sw.generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     series = sw.correction_terms(gen, sd)
     red2 = sw.reduced_effective(series, sd, m.dims, 2, cumulative=True).matrix
     red23 = sw.reduced_effective(series, sd, m.dims, 3, cumulative=True).matrix
@@ -265,7 +265,7 @@ def test_criterion_8_zero_detuning_regrouping():
         p = models.SuperradianceParams(n_spins=2, g=gr, gamma=1.0, omega=0.0)
         m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
-        gen = sw.generator_terms(sd, to_dense(m.v), 3)
+        gen = sw.generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
         series = sw.correction_terms(gen, sd)
         l23 = sw.reduced_effective(series, sd, m.dims, 3, cumulative=True).matrix
         reg = models.regrouped_generator(m)

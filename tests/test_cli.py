@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from lsw import cli, dynamics, models, qrt, spectral, superop, sw
-from lsw.superop import lift, to_dense
+from lsw.superop import to_dense
 from lsw.sw import match_eigenvalues
 
 
@@ -53,28 +53,32 @@ def record_trajectories(monkeypatch):
 
 
 def run_on_backend(monkeypatch, task, cfg, out, dense):
-    """Run a CLI task, on the dense backend if asked; return the backends used."""
-    real = spectral.decompose
+    """Run a CLI task, on the dense reference backend if asked; return the
+    backends used."""
+    real = spectral.charge_sector
     used = []
 
-    def recorded(block, zero_tol, dim_s):
-        if dense:  # the same L0, handed over whole
-            block, dim_s = to_dense(lift(block, dim_s)), 1
-        sd = real(block, zero_tol=zero_tol, dim_s=dim_s)
-        used.append(sd.backend)
-        return sd
+    def recorded(model, charges, zero_tol):
+        sector = real(model, charges, zero_tol)
+        if dense:  # the same L0 and V, handed over whole
+            l0, v = model.full_space()
+            sd = spectral.decompose(l0, zero_tol)
+            sector = spectral.ChargeSector(sd, spectral.to_eigen(sd, v), None, None, None)
+        used.append(sector.spectral.backend)
+        return sector
 
-    monkeypatch.setattr(cli, "decompose", recorded)
+    monkeypatch.setattr(cli, "charge_sector", recorded)
     assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
     return used
 
 
 def run_both_backends(tmp_path, monkeypatch, task, payload):
-    """Output prefixes of a superradiance task run on the product and the dense backend."""
+    """Output prefixes of a task run on the whole-space sector (the
+    structured backend) and on the dense one."""
     cfg = write_config(tmp_path, payload)
     product, dense = tmp_path / "product", tmp_path / "dense"
-    assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["product"]
+    assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["sector"]
     assert run_on_backend(monkeypatch, task, cfg, dense, dense=True) == ["dense"]
     return f"{product}_", f"{dense}_"
 
@@ -97,7 +101,7 @@ def full_space_compare(mcfg, times, dense=False):
     """The compare columns by the full-space library route, charge withheld:
     L0 + V propagated on all of its D components, and the order-2 and
     order-2+3 generators of ``reduced_effective`` on all of the nuclear
-    operator space, from the product (or the dense) spectral backend."""
+    operator space, from the whole-space sector (or the dense) spectral backend."""
     p = models.SuperradianceParams.from_sqrt_n_g(
         mcfg["n_spins"], mcfg["sqrt_n_g"], gamma=mcfg["gamma"], omega=mcfg["omega"]
     )
@@ -105,9 +109,12 @@ def full_space_compare(mcfg, times, dense=False):
     gen_exact = m.l0 + m.v
     traj = dynamics.evolve(gen_exact, m.initial_state, times)
     columns = {"intensity_exact": dynamics.emission_intensity(traj, m.iz_full, gen_exact)}
-    l0, dim_s = (to_dense(m.l0), 1) if dense else (m.l_a, m.dims[1])
-    sd = spectral.decompose(l0, dim_s=dim_s)
-    v = spectral.as_operand(sd, m.v)
+    if dense:
+        sd = spectral.decompose(to_dense(m.l0))
+        v = spectral.to_eigen(sd, m.v)
+    else:
+        sector = spectral.charge_sector(m.ancilla)
+        sd, v = sector.spectral, sector.v
     series = sw.correction_terms(sw.generator_terms(sd, v, 3), sd)
     _, mu0 = models.superradiance_initial(p.n_spins)
     for order, name in ((2, "intensity_order2"), (3, "intensity_order2plus3")):
@@ -968,12 +975,83 @@ def test_exit_code_matrix(tmp_path, capsys):
     assert abs(slope - 3.0) < 0.01
 
 
+def test_spectral_tasks_without_couplings(tmp_path, monkeypatch, capsys):
+    # decaying-qubit has no couplings: V's block is empty, spectrum and
+    # effective run on the sector backend, and decoupling-scan refuses the
+    # zero residual
+    cfg = write_config(tmp_path, {"model": _EXIT_CODES["decaying-qubit"][0], "order": 3})
+    for task in ("spectrum", "effective"):
+        assert run_on_backend(monkeypatch, task, cfg, tmp_path / "dq", dense=False) == ["sector"]
+    _, rows = read_csv(tmp_path / "dq_spectrum.csv")
+    assert [r[3] for r in rows].count("slow") == 1
+    for n in (1, 2, 3):
+        assert np.abs(read_matrix(tmp_path / f"dq_effective_order{n}.csv")).max() == 0
+    capsys.readouterr()
+    assert cli.main(["decoupling-scan", "--config", cfg, "--out", str(tmp_path / "scan")]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: decoupling-scan: the model has no perturbation (zero residual)\n"
+    )
+    assert not list(tmp_path.glob("scan*"))
+
+
+@pytest.mark.parametrize("task", ["spectrum", "effective", "decoupling-scan"])
+def test_system_free_model_sector_matches_dense(tmp_path, monkeypatch, task):
+    # the random model lives on A alone (d_S = 1): its one sector is L_A's
+    # eigenbasis, so both backends list the same spectrum and slow basis
+    payload = {"model": _EXIT_CODES["random"][0], "order": 3, "epsilons": [0.1, 0.05, 0.02]}
+    sector, dense = run_both_backends(tmp_path, monkeypatch, task, payload)
+    if task == "spectrum":
+        assert Path(sector + "spectrum.csv").read_text() == Path(dense + "spectrum.csv").read_text()
+    elif task == "effective":
+        # one slow mode and a trace-preserving generator: every order is
+        # zero up to rounding
+        for n in (1, 2, 3):
+            for prefix in (sector, dense):
+                assert np.abs(read_matrix(f"{prefix}effective_order{n}.csv")).max() < 1e-13
+    else:
+        # the residuals fall to 1.7e-8; they agree to 2e-17, far below one
+        # rounding of ||L0 + epsilon V||
+        got, want = read_columns(sector + "decoupling.csv"), read_columns(dense + "decoupling.csv")
+        assert np.abs(got["residual"] - want["residual"]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("g", [1.0e300, 1.0e160])
+@pytest.mark.parametrize("task", ["effective", "decoupling-scan", "compare"])
+def test_huge_coupling_exits_3_with_one_message(tmp_path, capsys, task, g):
+    # g**2 overflows in the second generator term: the task stops there,
+    # with one message and no numpy warning
+    model = {"kind": "superradiance", "n_spins": 2, "g": g}
+    cfg = write_config(tmp_path, {"model": model, "order": 3, "epsilons": [0.1, 0.05]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([task, "--config", cfg, "--out", str(tmp_path / "huge")])
+    err = capsys.readouterr().err
+    assert code == 3 and not caught
+    assert err.startswith("numerical error: generator term S_2") and err.count("\n") == 1
+    assert not list(tmp_path.glob("huge*"))
+
+
+def test_effective_assembles_no_full_space(tmp_path, monkeypatch):
+    # effective takes L0's eigen coordinates and V's block from the model's
+    # operators: neither the assembly method nor `lift` may run
+    def assembled(*args, **kwargs):
+        raise AssertionError("the full space was assembled")
+
+    for module in (superop, qrt, models, cli, spectral, sw):
+        if hasattr(module, "lift"):
+            monkeypatch.setattr(module, "lift", assembled)
+    monkeypatch.setattr(qrt.AncillaModel, "full_space", assembled)
+    model = {"kind": "superradiance", "n_spins": 2, "g": 0.1, "omega": 0.2}
+    cfg = write_config(tmp_path, {"model": model, "order": 3})
+    assert cli.main(["effective", "--config", cfg, "--out", str(tmp_path / "eff")]) == 0
+
+
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
     model = _EXIT_CODES["custom-couplings"][0]
     ancilla = cli.Run("evolve", {"model": model}).model["ancilla"]
     assert ancilla.dim_s == 2 and ancilla.full_space()[0].shape == (16, 16)
     cfg = write_config(tmp_path, {"model": model, "order": 2})
-    assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "eff", dense=False) == ["product"]
+    assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "eff", dense=False) == ["sector"]
     # with an initial state on A (x) S, evolve runs
     cfg = write_config(
         tmp_path,

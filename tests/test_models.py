@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsw import models
-from lsw.spectral import decompose
+from lsw.spectral import decompose, to_eigen
 from lsw.superop import (
     devectorize,
     lindblad_superop,
@@ -92,7 +92,7 @@ def test_zero_coupling_kills_all_orders():
     m = models.superradiance_model(p)
     assert np.abs(to_dense(m.v)).max() == 0.0
     sd = decompose(to_dense(m.l0))
-    gen = generator_terms(sd, to_dense(m.v), 3)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     series = correction_terms(gen, sd)
     for mat in series.slow_terms:
         assert np.abs(mat).max() == 0.0
@@ -132,7 +132,7 @@ def test_second_order_grid_matches_derived_closed_form(gamma, omega, g):
     p = models.SuperradianceParams(n_spins=2, g=g, gamma=gamma, omega=omega)
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
-    gen = generator_terms(sd, to_dense(m.v), 2)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 2)
     series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, m.dims, 2, cumulative=False).matrix
     rate, shift = models.second_order_rates(p)
@@ -177,7 +177,7 @@ def test_third_order_matches_eigenvalue_assembly(n_spins):
     p = models.SuperradianceParams(n_spins=n_spins, g=0.08, gamma=1.3, omega=0.4)
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
-    gen = generator_terms(sd, to_dense(m.v), 3)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, m.dims, 3, cumulative=False).matrix
     target = models.third_order_generator(m)
@@ -191,7 +191,7 @@ def test_regrouped_form_deviation_scales_quadratically():
         p = models.SuperradianceParams(n_spins=2, g=gr, gamma=1.0, omega=0.0)
         m = models.superradiance_model(p)
         sd = decompose(to_dense(m.l0))
-        gen = generator_terms(sd, to_dense(m.v), 3)
+        gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
         series = correction_terms(gen, sd)
         l23 = reduced_effective(series, sd, m.dims, 3, cumulative=True).matrix
         reg = models.regrouped_generator(m)

@@ -23,7 +23,7 @@ from lsw.qrt import (
     lindblad_decomposition,
     steady_state,
 )
-from lsw.spectral import as_operand, decompose
+from lsw.spectral import charge_sector, decompose, to_eigen
 from lsw.superop import (
     LindbladSpec,
     devectorize,
@@ -292,7 +292,7 @@ def test_effective_generator_matches_block_route():
     p = models.SuperradianceParams(n_spins=2, g=0.15, gamma=1.0, omega=0.3)
     m = models.superradiance_model(p)
     sd = dec(to_dense(m.l0))
-    gen = generator_terms(sd, to_dense(m.v), 2)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 2)
     series = correction_terms(gen, sd)
     red2 = reduced_effective(series, sd, m.dims, 2, cumulative=False).matrix
 
@@ -310,9 +310,9 @@ def test_recursion_on_ancilla_model_matches_qrt(dim_a, dim_s):
     from lsw.sw import correction_terms, generator_terms, reduced_effective
 
     anc = models.random_ancilla_model(dim_a, 3, seed=dim_a, dim_system=dim_s)
-    sd = decompose(anc.l0, dim_s=anc.dim_s)
-    v = as_operand(sd, anc.perturbation(sparse=True))
-    series = correction_terms(generator_terms(sd, v, 3), sd)
+    sector = charge_sector(anc)
+    sd = sector.spectral
+    series = correction_terms(generator_terms(sd, sector.v, 3), sd)
     eff = effective_master_equation_2(anc)
     for n, want in ((1, eff.first_order), (2, eff.second_order)):
         got = reduced_effective(series, sd, (dim_a, dim_s), n, cumulative=False).matrix

@@ -18,6 +18,7 @@ from lsw.spectral import (
     projectors,
     resolvent_apply,
     spectral_norm,
+    to_eigen,
 )
 from lsw.superop import hat_apply, lindblad_superop, to_dense, vectorize
 
@@ -254,7 +255,7 @@ def test_spectrum_preserved_by_converged_transform(rng):
     sd = decompose(l0)
     pq = projectors(sd)
     eps = 1e-3
-    gen = generator_terms(sd, v, 8)
+    gen = generator_terms(sd, to_eigen(sd, v), 8)
     s = sd.right @ gen.total(eps) @ sd.left  # the full-space image of S
     full = l0 + eps * v
     transformed = expm(-s) @ full @ expm(s)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_hermitian
-from lsw import models, sw
+from lsw import models, qrt, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
 from lsw.spectral import (
     as_operand,
+    charge_sector,
     decompose,
     eigen_resolvent,
     eigen_split,
@@ -63,7 +64,7 @@ def test_first_generator_term_block_formula(superradiance_n2):
     pq = projectors(sd)
     finv = fast_inverse(sd)
     v = to_dense(m.v)
-    gen = generator_terms(sd, v, 1)
+    gen = generator_terms(sd, to_eigen(sd, v), 1)
     explicit = (pq.p @ v @ pq.q) @ finv - finv @ (pq.q @ v @ pq.p)
     assert np.abs(from_eigen(sd, gen.terms[0]) - explicit).max() < 1e-10
 
@@ -73,14 +74,14 @@ def test_block_diagonal_perturbation_gives_zero_generator(random_model, rng):
     pq = projectors(sd)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v_diag = pq.p @ a @ pq.p + pq.q @ a @ pq.q
-    gen = generator_terms(sd, v_diag, 4)
+    gen = generator_terms(sd, to_eigen(sd, v_diag), 4)
     for s in gen.terms:
         assert np.abs(s).max() < 1e-9
 
 
 def test_second_generator_term_two_printed_forms(random_model):
     l0, v, sd = random_model
-    gen = generator_terms(sd, v, 2)
+    gen = generator_terms(sd, to_eigen(sd, v), 2)
     v_diag, v_off = split_blocks(sd, v)
     s1, s2 = (from_eigen(sd, s) for s in gen.terms)
     # R0 applied to the commutator with the diagonal part, both printed ways
@@ -97,7 +98,7 @@ def block(a, rows, cols):
 def test_generator_terms_block_off_diagonal(superradiance_n2):
     # in eigen coordinates the slow/fast mask leaves exact zeros
     m, sd = superradiance_n2
-    gen = generator_terms(sd, to_dense(m.v), 4)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 4)
     for s in gen.terms:
         assert np.abs(block(s, sd.slow, sd.slow)).max() == 0
         assert np.abs(block(s, sd.fast, sd.fast)).max() == 0
@@ -105,7 +106,7 @@ def test_generator_terms_block_off_diagonal(superradiance_n2):
 
 def test_first_correction_is_diagonal_block(random_model):
     l0, v, sd = random_model
-    gen = generator_terms(sd, v, 2)
+    gen = generator_terms(sd, to_eigen(sd, v), 2)
     series = correction_terms(gen, sd)
     v_diag, _ = split_blocks(sd, v)
     w1 = series.corrections[0]
@@ -119,7 +120,7 @@ def test_corrections_vanish_without_off_diagonal(random_model, rng):
     pq = projectors(sd)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v_diag = pq.p @ a @ pq.p + pq.q @ a @ pq.q
-    gen = generator_terms(sd, v_diag, 4)
+    gen = generator_terms(sd, to_eigen(sd, v_diag), 4)
     series = correction_terms(gen, sd)
     for w in series.corrections[1:]:
         assert np.abs(w).max() < 1e-9
@@ -127,7 +128,7 @@ def test_corrections_vanish_without_off_diagonal(random_model, rng):
 
 def test_second_correction_slow_block_printed_form(random_model):
     l0, v, sd = random_model
-    gen = generator_terms(sd, v, 2)
+    gen = generator_terms(sd, to_eigen(sd, v), 2)
     series = correction_terms(gen, sd)
     pq = projectors(sd)
     finv = fast_inverse(sd)
@@ -148,10 +149,10 @@ def test_closed_forms_match_recursion(builder):
     spec = builder()
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
-    gen = generator_terms(sd, v, 3)
+    gen = generator_terms(sd, to_eigen(sd, v), 3)
     series = correction_terms(gen, sd)
     vnorm = np.linalg.norm(v, 2)
-    for n, closed in enumerate(closed_form_slow_orders(sd, v), start=1):
+    for n, closed in enumerate(closed_form_slow_orders(sd, to_eigen(sd, v)), start=1):
         engine = effective_liouvillian(series, n, cumulative=False)
         # relative check with an absolute floor against roundoff of V**n
         tol = 1e-9 * np.abs(closed).max() + 1e-13 * vnorm**n
@@ -160,7 +161,7 @@ def test_closed_forms_match_recursion(builder):
 
 def test_effective_liouvillian_accumulates(random_model):
     l0, v, sd = random_model
-    gen = generator_terms(sd, v, 3)
+    gen = generator_terms(sd, to_eigen(sd, v), 3)
     series = correction_terms(gen, sd, epsilon=0.1)
     total = effective_liouvillian(series, 3)
     parts = sum(
@@ -173,29 +174,30 @@ def test_effective_liouvillian_accumulates(random_model):
 
 def test_slow_terms_annihilate_trace(superradiance_n2):
     m, sd = superradiance_n2
-    gen = generator_terms(sd, to_dense(m.v), 3)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     series = correction_terms(gen, sd)
     trace_row = trace_functional(6) @ sd.right[:, sd.slow]
     for mat in series.slow_terms:
         assert np.abs(trace_row @ mat).max() < 1e-9
 
 
-def assert_orders_keep_trace_and_hermiticity(sd, v, hdim):
+def assert_orders_keep_trace_and_hermiticity(sd, v_eigen, v_norm, hdim):
     """Orders 1-4: t R_s M_n = 0 for the trace row t, and the lift
     R_s M_n L_s maps Hermitian operators to Hermitian ones.
 
     Both are checked in absolute terms against |V|**n / gap**(n - 1), the
-    size of the order-n correction: a slow term may itself be at the
-    rounding level, where a relative check only measures noise.
+    size of the order-n correction (``v_norm`` is |V|): a slow term may
+    itself be at the rounding level, where a relative check only measures
+    noise.
     """
-    series = correction_terms(generator_terms(sd, v, 4), sd)
+    series = correction_terms(generator_terms(sd, v_eigen, 4), sd)
     rs, ls = to_dense(sd.right[:, sd.slow]), to_dense(sd.left[sd.slow, :])
     # vec(X^dag) = conj(vec X)[swap], so a Hermiticity-preserving G has
     # conj(G)[swap][:, swap] == G
     i, j = np.divmod(np.arange(hdim * hdim), hdim)
     swap = j * hdim + i
     for n, m in enumerate(series.slow_terms, start=1):
-        tol = 1e-12 * spectral_norm(v) ** n / sd.gap ** (n - 1)
+        tol = 1e-12 * v_norm**n / sd.gap ** (n - 1)
         assert np.abs(trace_functional(hdim) @ rs @ m).max() <= tol
         lifted = rs @ m @ ls
         assert np.abs(lifted[np.ix_(swap, swap)].conj() - lifted).max() <= tol
@@ -205,21 +207,23 @@ def assert_orders_keep_trace_and_hermiticity(sd, v, hdim):
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from((3, 4)))
 def test_slow_orders_keep_trace_and_hermiticity_dense(seed, dim):
     l0, v = lindblad_superop(models.degenerate_slow_model(seed, dim=dim))
-    assert_orders_keep_trace_and_hermiticity(decompose(l0), v, dim)
+    sd = decompose(l0)
+    assert_orders_keep_trace_and_hermiticity(sd, to_eigen(sd, v), spectral_norm(v), dim)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(dim_a=st.integers(2, 4), dim_s=st.integers(2, 3), seed=st.integers(0, 10_000))
 def test_slow_orders_keep_trace_and_hermiticity_product(dim_a, dim_s, seed):
+    # the whole space as one sector, with V's block from the couplings
     anc = models.random_ancilla_model(dim_a, 2, seed, dim_system=dim_s)
-    sd = decompose(anc.l0, dim_s=dim_s)
-    v = as_operand(sd, anc.perturbation(sparse=True))
-    assert_orders_keep_trace_and_hermiticity(sd, v, dim_a * dim_s)
+    sector = charge_sector(anc)
+    v_norm = spectral_norm(anc.perturbation(sparse=True))
+    assert_orders_keep_trace_and_hermiticity(sector.spectral, sector.v, v_norm, dim_a * dim_s)
 
 
 def test_decoupling_residual_zero_epsilon(superradiance_n2):
     m, sd = superradiance_n2
-    gen = generator_terms(sd, to_dense(m.v), 2)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 2)
     assert decoupling_residual(sd, gen, 0.0, 2) < 1e-12
 
 
@@ -227,7 +231,7 @@ def test_decoupling_residual_scaling_quick():
     p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
-    gen = generator_terms(sd, to_dense(m.v), 2)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 2)
     eps = np.array([1e-2, 1e-3])
     for order, target in ((1, 2.0), (2, 3.0)):
         res = [decoupling_residual(sd, gen, e, order) for e in eps]
@@ -246,14 +250,17 @@ def _residual_oracle(sd, l0, v, gen, epsilon, order):
 
 
 def _residual_case(name):
-    """(spectral data, assembled L0, V, epsilon grid) of one oracle comparison."""
+    """(spectral data, assembled L0, V, V in eigen coordinates, epsilon grid)
+    of one oracle comparison."""
     if name == "random-dense":
         l0, v = lindblad_superop(models.random_lindblad_model(4, 2, seed=5), sparse=False)
-        return decompose(l0), l0, v, (2e-2, 5e-3, 1e-3)
+        sd = decompose(l0)
+        return sd, l0, v, to_eigen(sd, v), (2e-2, 5e-3, 1e-3)
     p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
-    if name == "superradiance-product":
-        return decompose(m.l_a, dim_s=m.dims[1]), m.l0, m.v, (0.1, 1e-2, 1e-3)
+    if name == "superradiance-product":  # the whole space as one sector
+        sector = charge_sector(m.ancilla)
+        return sector.spectral, m.l0, m.v, sector.v, (0.1, 1e-2, 1e-3)
     # dense, with the nine zero modes mixed by a complex basis change (LAPACK
     # returns real slow vectors here, which would hide a missing conjugate)
     l0 = to_dense(m.l0)
@@ -263,14 +270,14 @@ def _residual_case(name):
     right[:, sd.slow] = right[:, sd.slow] @ mix
     left[sd.slow, :] = np.linalg.solve(mix, left[sd.slow, :])
     mixed = replace(sd, right=right, left=left, l0_eigen=left @ l0 @ right)
-    return mixed, l0, m.v, (0.1, 1e-2, 1e-3)
+    return mixed, l0, m.v, to_eigen(mixed, m.v), (0.1, 1e-2, 1e-3)
 
 
 @pytest.mark.parametrize("case", ["superradiance-product", "superradiance-mixed", "random-dense"])
 def test_decoupling_residual_matches_two_exponential_oracle(case):
-    sd, l0, v, eps_grid = _residual_case(case)
+    sd, l0, v, v_eigen, eps_grid = _residual_case(case)
     v = as_operand(sd, v)
-    gen = generator_terms(sd, v, 8)
+    gen = generator_terms(sd, v_eigen, 8)
     for order in range(1, 9):
         for eps in eps_grid:
             got = decoupling_residual(sd, gen, eps, order)
@@ -281,9 +288,9 @@ def test_decoupling_residual_matches_two_exponential_oracle(case):
 def test_decoupling_residual_matches_oracle_beyond_perturbative_regime(case):
     # at epsilon 1.0, ||S||_1 reaches 456 on the superradiance cases and
     # exp(S) has condition number 1.6e6
-    sd, l0, v, _ = _residual_case(case)
+    sd, l0, v, v_eigen, _ = _residual_case(case)
     v = as_operand(sd, v)
-    gen = generator_terms(sd, v, 8)
+    gen = generator_terms(sd, v_eigen, 8)
     for order in range(1, 9):
         for eps in (0.3, 1.0):
             want = _residual_oracle(sd, l0, v, gen, eps, order)
@@ -292,18 +299,25 @@ def test_decoupling_residual_matches_oracle_beyond_perturbative_regime(case):
 
 def test_decoupling_residual_is_inf_when_the_transform_overflows():
     # at epsilon 2, ||S||_1 is 7.7e4 and the products with exp(+-S) overflow
-    sd, _, v, _ = _residual_case("superradiance-product")
-    v = as_operand(sd, v)
-    gen = generator_terms(sd, v, 8)
+    sd, _, _, v_eigen, _ = _residual_case("superradiance-product")
+    gen = generator_terms(sd, v_eigen, 8)
     assert decoupling_residual(sd, gen, 2.0, 8) == np.inf
 
 
 @pytest.mark.parametrize("dim_s", [1, 2])
 def test_decoupling_residual_without_fast_space(dim_s):
-    # L0 = 0: every mode is slow, so S vanishes and its slow/fast blocks are empty
-    sd = decompose(np.zeros((4, 4), dtype=complex), dim_s=dim_s)
+    # L0 = 0: every mode is slow, so S vanishes and its slow/fast blocks are
+    # empty; on the dense backend (dim_s 1) and as one whole-space sector
+    rng = np.random.default_rng(6)
+    zero = np.zeros((4, 4), dtype=complex)
+    if dim_s == 1:
+        sd = decompose(zero)
+        v = to_eigen(sd, hamiltonian_superop(random_hermitian(rng, 2)))
+    else:
+        pairs = [(random_hermitian(rng, 2), random_hermitian(rng, dim_s)) for _ in range(2)]
+        sector = charge_sector(qrt.AncillaModel(l0=zero, couplings=pairs))
+        sd, v = sector.spectral, sector.v
     assert sd.fast.size == 0
-    v = as_operand(sd, hamiltonian_superop(random_hermitian(np.random.default_rng(6), 2 * dim_s)))
     gen = generator_terms(sd, v, 3)
     assert decoupling_residual(sd, gen, 0.5, 3) == 0.0
     _, second, third = closed_form_slow_orders(sd, v)
@@ -318,9 +332,9 @@ def _chain(s_terms, ks, x):
 
 
 def _naive_terms(sd, v, nmax):
-    """generator_terms and correction_terms in eigen coordinates, every
-    chain evaluated afresh."""
-    v_diag, v_off = eigen_split(sd, to_eigen(sd, v))
+    """generator_terms and correction_terms for V in eigen coordinates,
+    every chain evaluated afresh."""
+    v_diag, v_off = eigen_split(sd, v)
     terms = []
     for n in range(1, nmax + 1):
         rhs = v_off if n == 1 else hat_apply(terms[n - 2], v_diag)
@@ -342,8 +356,8 @@ def _naive_terms(sd, v, nmax):
 
 def test_memoized_chains_match_naive_chains_bitwise(superradiance_n2):
     m, _ = superradiance_n2
-    sd = decompose(m.l_a, dim_s=m.dims[1])
-    v = as_operand(sd, m.v)
+    sector = charge_sector(m.ancilla)
+    sd, v = sector.spectral, sector.v
     gen = generator_terms(sd, v, 8)
     series = correction_terms(gen, sd)
     terms, corrections = _naive_terms(sd, v, 8)
@@ -354,7 +368,7 @@ def test_memoized_chains_match_naive_chains_bitwise(superradiance_n2):
 def test_first_order_vanishes_for_collective_model(superradiance_n2):
     # the perturbation has no slow-space component, so order one is zero
     m, sd = superradiance_n2
-    gen = generator_terms(sd, to_dense(m.v), 1)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 1)
     series = correction_terms(gen, sd)
     first = effective_liouvillian(series, 1, cumulative=False)
     assert np.abs(first).max() < 1e-12
@@ -362,7 +376,7 @@ def test_first_order_vanishes_for_collective_model(superradiance_n2):
 
 def test_reduced_effective_matches_collective_decay(superradiance_n2):
     m, sd = superradiance_n2
-    gen = generator_terms(sd, to_dense(m.v), 2)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 2)
     series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, m.dims, 2, cumulative=False)
     rate, shift = models.second_order_rates(m.params)
@@ -376,7 +390,7 @@ def test_reduced_effective_trivial_system():
     spec = models.random_lindblad_model(3, 2, seed=12)
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
-    gen = generator_terms(sd, v, 1)
+    gen = generator_terms(sd, to_eigen(sd, v), 1)
     series = correction_terms(gen, sd)
     red = reduced_effective(series, sd, (3, 1), 1)
     assert red.matrix.shape == (1, 1)
@@ -387,7 +401,7 @@ def test_reduced_effective_rejects_non_product_space():
     spec = models.degenerate_slow_model(seed=8)  # slow dim 2, no product form
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
-    gen = generator_terms(sd, v, 1)
+    gen = generator_terms(sd, to_eigen(sd, v), 1)
     series = correction_terms(gen, sd)
     with pytest.raises(NonProductSlowSpaceError):
         reduced_effective(series, sd, (3, 1), 1)
@@ -408,13 +422,14 @@ def test_reduced_effective_is_the_slow_block_on_the_product_backend():
     p = models.SuperradianceParams(n_spins=4, g=0.1, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
 
-    def reduced_and_block(sd):
-        v = as_operand(sd, m.v)
+    def reduced_and_block(sd, v):
         series = correction_terms(generator_terms(sd, v, 3), sd)
         return reduced_effective(series, sd, m.dims, 3).matrix, effective_liouvillian(series, 3)
 
-    product, block = reduced_and_block(decompose(m.l_a, dim_s=m.dims[1]))
-    dense, _ = reduced_and_block(decompose(to_dense(m.l0)))
+    sector = charge_sector(m.ancilla)  # the whole space
+    product, block = reduced_and_block(sector.spectral, sector.v)
+    sd = decompose(to_dense(m.l0))
+    dense, _ = reduced_and_block(sd, to_eigen(sd, m.v))
     scale = np.abs(block).max()
     assert np.abs(product - block).max() <= 1e-15 * scale
     assert np.abs(dense - product).max() <= 1e-12 * scale
@@ -426,7 +441,7 @@ def test_reduced_third_order_zero_detuning_commutator_form():
     p = models.SuperradianceParams(n_spins=2, g=0.2, gamma=1.0, omega=0.0)
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
-    gen = generator_terms(sd, to_dense(m.v), 3)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     series = correction_terms(gen, sd)
     red3 = reduced_effective(series, sd, m.dims, 3, cumulative=False).matrix
     g, gamma = p.g, p.gamma
@@ -444,7 +459,7 @@ def test_reduced_third_order_zero_detuning_commutator_form():
 
 def test_reduced_orders_trace_and_hermiticity_preserving(superradiance_n2, rng):
     m, sd = superradiance_n2
-    gen = generator_terms(sd, to_dense(m.v), 3)
+    gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 3)
     series = correction_terms(gen, sd)
     dn = m.dims[1]
     for order in (1, 2, 3):
@@ -463,7 +478,7 @@ def test_spectral_accuracy_slopes():
     spec = models.degenerate_slow_model(seed=11)
     l0, v = lindblad_superop(spec, sparse=False)
     sd = decompose(l0)
-    gen = generator_terms(sd, v, 3)
+    gen = generator_terms(sd, to_eigen(sd, v), 3)
     series = correction_terms(gen, sd)
     eps_grid = np.array([3e-2, 1e-2, 3e-3, 1e-3])
     for order in (1, 2, 3):
