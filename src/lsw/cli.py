@@ -42,6 +42,7 @@ EXIT_NUMERICAL = 3
 # refuse configs past this size (D, or the sector dimension for compare)
 # instead of crashing on an allocation
 SPECTRAL_DIM_LIMIT = 4500
+SPECTRAL_TASKS = ("spectrum", "effective", "decoupling-scan")
 
 MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 
@@ -51,19 +52,16 @@ MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 FLOOR_ROUNDINGS = 2
 
 
-def _decomposed(run):
-    """Size check, then the whole space as one sector: L0's eigen coordinates
-    and V's block from the model's operators (``charge_sector``, trivial
-    charges), so nothing of size D x D is built for a refused model.
-    """
-    anc = run.model["ancilla"]
-    dim = anc.l0.shape[0] * anc.dim_s**2
-    if dim > SPECTRAL_DIM_LIMIT:
+def _check_size(task, dim_a, dim_s):
+    """The one size check, made from the config before the model's L0 is
+    built: a spectral task on A (x) S, of superoperator dimension
+    (d_A d_S)**2, is refused past ``SPECTRAL_DIM_LIMIT``."""
+    dim = (dim_a * dim_s) ** 2
+    if task in SPECTRAL_TASKS and dim > SPECTRAL_DIM_LIMIT:
         raise ValidationError(
-            f"task {run.task!r}: superoperator dimension {dim} exceeds the spectral "
+            f"task {task!r}: superoperator dimension {dim} exceeds the spectral "
             f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
         )
-    return charge_sector(anc, None, run.zero_tol)
 
 
 # rows of a column file formatted per chunk, one `.tolist()` per column and
@@ -204,9 +202,10 @@ def _symbol(name, d, symbols):
     raise ValidationError(f"{key}: needs one of spin/identity/matrix/expr")
 
 
-def _custom_model(cfg):
+def _custom_model(cfg, task):
     """(AncillaModel, rho0, observables) of a custom model: on A (x) S with
-    ``couplings``; on A alone with ``perturbations``, each paired with 1_1."""
+    ``couplings``; on A alone with ``perturbations``, each paired with 1_1.
+    Every operator is parsed, and the size checked, before L0 is built."""
     dim = _number("model.dimension", cfg.get("dimension", 0), integral=True, low=2)
     symbols = _Symbols(_shaped("model.symbols", cfg.get("symbols")))
 
@@ -223,7 +222,7 @@ def _custom_model(cfg):
         (_number(f"model.jumps[{i}].rate", j["rate"]), parse(j["operator"]))
         for i, j in enumerate(jumps)
     ]
-    l0, _ = lindblad_superop(LindbladSpec(hdim=dim, hamiltonian=hamiltonian, jumps=jumps))
+    spec = LindbladSpec(hdim=dim, hamiltonian=hamiltonian, jumps=jumps).validate()
     couplings = [
         (parse(p["ancilla"]), parse(p["system"]))
         for p in _shaped("model.couplings", cfg.get("couplings"), list, ("ancilla", "system"))
@@ -232,8 +231,10 @@ def _custom_model(cfg):
     perturbations = [(parse(t), np.eye(1)) for t in perturbations]
     if couplings and perturbations:
         raise ValidationError("custom model: give couplings or perturbations, not both")
+    pairs = couplings or perturbations
     epsilon = _number("model.epsilon", cfg.get("epsilon", 1.0))
-    ancilla = qrt.AncillaModel(l0, couplings or perturbations, epsilon).validate()
+    _check_size(task, dim, np.shape(pairs[0][1])[0] if pairs else 1)
+    ancilla = qrt.AncillaModel(lindblad_superop(spec), pairs, epsilon).validate()
     hdim = dim * ancilla.dim_s
     rho0_text = cfg.get("initial")
     if rho0_text:
@@ -285,8 +286,10 @@ class Run:
             raise ValidationError("tolerances.zero_tol must be > 0")
         if not all(e > 0 for e in self.epsilons):
             raise ValidationError("every entry of epsilons must be > 0")
-        if task == "decoupling-scan" and len(self.epsilons) < 2:
-            raise ValidationError("decoupling-scan fits a slope: epsilons needs two or more entries")
+        if task == "decoupling-scan" and len(set(self.epsilons)) < 2:
+            raise ValidationError(
+                "decoupling-scan fits a slope: epsilons needs two or more distinct entries"
+            )
         self.model = _build_model(self)
 
     @property
@@ -317,14 +320,16 @@ def _build_model(run):
     """The one model registry: a dict with the kind, the AncillaModel under
     ``ancilla``, ``rho0`` (None: none on A (x) S), the observables and the
     charge (None: none declared).  Nothing of the full space is assembled
-    here; the tasks call ``AncillaModel.full_space``.  Superradiance's
-    full-size burst state, ``iz`` observable and charge are built for
-    evolve alone, the one task that reads them."""
+    here; the tasks call ``AncillaModel.full_space``.  The size check comes
+    before any L0 is built.  Superradiance's full-size burst state, ``iz``
+    observable and charge are built for evolve alone, the one task that
+    reads them."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
     charge = None
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
+        _check_size(run.task, 2, params.n_spins + 1)
         ancilla, rho0, observables = models.superradiance_ancilla(params), None, {}
         if run.task == "evolve":
             n = params.n_spins
@@ -341,27 +346,29 @@ def _build_model(run):
         rho0[0, 0] = 1.0
         ancilla, observables = qrt.AncillaModel(l0=l0, couplings=[]), {"excited": jp @ jm}
     elif kind == "random":
-        spec = models.random_lindblad_model(
-            _number("model.dimension", mcfg.get("dimension", 3), integral=True),
+        dim = _number("model.dimension", mcfg.get("dimension", 3), integral=True, low=2)
+        _check_size(run.task, dim, 1)
+        ancilla = models.random_lindblad_model(
+            dim,
             _number("model.jumps", mcfg.get("jumps", 2), integral=True),
             _number("model.seed", mcfg.get("seed", 0), integral=True),
         )
-        # V comes from the ancilla model; the spec's own would be built and dropped
-        l0, _ = lindblad_superop(LindbladSpec(spec.hdim, spec.hamiltonian, spec.jumps))
-        ancilla = qrt.AncillaModel(l0=l0, couplings=[(h, np.eye(1)) for h in spec.perturbations])
-        rho0, observables = np.eye(spec.hdim, dtype=complex) / spec.hdim, {}
+        rho0, observables = np.eye(dim, dtype=complex) / dim, {}
     elif kind == "random-ancilla":
+        dim_a = _number("model.dimension", mcfg.get("dimension", 2), integral=True, low=2)
+        dim_s = _number(
+            "model.system_dimension", mcfg.get("system_dimension", 2), integral=True, low=1
+        )
+        _check_size(run.task, dim_a, dim_s)
         ancilla = models.random_ancilla_model(
-            _number("model.dimension", mcfg.get("dimension", 2), integral=True),
+            dim_a,
             _number("model.couplings", mcfg.get("couplings", 2), integral=True),
             _number("model.seed", mcfg.get("seed", 0), integral=True),
-            dim_system=_number(
-                "model.system_dimension", mcfg.get("system_dimension", 2), integral=True
-            ),
+            dim_system=dim_s,
         )
         rho0, observables = None, {}
     elif kind == "custom":
-        ancilla, rho0, observables = _custom_model(mcfg)
+        ancilla, rho0, observables = _custom_model(mcfg, run.task)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
     return {
@@ -374,9 +381,9 @@ def _build_model(run):
 
 
 def _task_spectrum(run):
-    sd = _decomposed(run).spectral
-    _, v = run.model["ancilla"].full_space()
-    report = check_perturbative_limit(sd, v, run.epsilon)
+    ancilla = run.model["ancilla"]
+    sd = charge_sector(ancilla, None, run.zero_tol).spectral
+    report = check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
     lam = sd.eigenvalues[order]
     subspace = np.where(np.isin(order, sd.slow), "slow", "fast")
@@ -389,7 +396,7 @@ def _task_spectrum(run):
 
 
 def _task_effective(run):
-    sector = _decomposed(run)
+    sector = charge_sector(run.model["ancilla"], None, run.zero_tol)
     sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
     series = sw.correction_terms(gen, sd, epsilon=run.epsilon)
     paths = [
@@ -512,7 +519,7 @@ def _task_ancilla_qrt(run):
 
 
 def _task_decoupling_scan(run):
-    sector = _decomposed(run)
+    sector = charge_sector(run.model["ancilla"], None, run.zero_tol)
     sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
     eps = np.asarray(run.epsilons)
     res = np.asarray([sw.decoupling_residual(sd, gen, e, run.order) for e in run.epsilons])
@@ -567,7 +574,8 @@ def main(argv=None):
 
     try:
         paths = _TASK_FN[run.task](run)
-    except (ValidationError, DimensionMismatchError) as exc:
+    # OSError: an output path that cannot be written
+    except (ValidationError, DimensionMismatchError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (LswError, np.linalg.LinAlgError) as exc:

@@ -154,8 +154,7 @@ def decaying_qubit(gamma=1.0, omega=0.0):
     """Single decaying qubit: the unperturbed electron block on its own."""
     sp_, sm_, ne = _qubit_ops()
     spec = LindbladSpec(hdim=2, hamiltonian=omega * ne, jumps=[(gamma, sm_)])
-    l0, _ = lindblad_superop(spec, sparse=False)
-    return l0, spec
+    return lindblad_superop(spec), spec
 
 
 # electron-block eigensystem used for golden block comparisons: right
@@ -312,7 +311,8 @@ def _hermitian(rng, d):
 
 
 def random_lindblad_model(dim, n_jumps, seed):
-    """Random Hermitian Hamiltonian, Gaussian jump operators, seeded."""
+    """Random Hermitian Hamiltonian, Gaussian jump operators and a random
+    Hermitian perturbation, seeded: an AncillaModel on A alone (d_S = 1)."""
     if dim < 2 or n_jumps < 0 or seed < 0:
         raise ValidationError("random model needs dimension >= 2, jumps >= 0 and seed >= 0")
     rng = np.random.default_rng(seed)
@@ -321,8 +321,8 @@ def random_lindblad_model(dim, n_jumps, seed):
     for _ in range(n_jumps):
         op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         jumps.append((float(rng.uniform(0.5, 1.5)), op))
-    perturbation = _hermitian(rng, dim)
-    return LindbladSpec(hdim=dim, hamiltonian=h0, jumps=jumps, perturbations=[perturbation])
+    l0 = lindblad_superop(LindbladSpec(hdim=dim, hamiltonian=h0, jumps=jumps))
+    return AncillaModel(l0=l0, couplings=[(_hermitian(rng, dim), np.eye(1))])
 
 
 def random_ancilla_model(dim_ancilla, n_couplings, seed, dim_system=2):
@@ -344,11 +344,10 @@ def random_ancilla_model(dim_ancilla, n_couplings, seed, dim_system=2):
             for _ in range(2)
         ],
     )
-    l0, _ = lindblad_superop(spec, sparse=False)
     couplings = [
         (_hermitian(rng, dim_ancilla), _hermitian(rng, dim_system)) for _ in range(n_couplings)
     ]
-    return AncillaModel(l0=to_dense(l0), couplings=couplings, epsilon=1.0)
+    return AncillaModel(l0=lindblad_superop(spec), couplings=couplings, epsilon=1.0)
 
 
 def degenerate_slow_model(seed, dim=3):
@@ -356,17 +355,14 @@ def degenerate_slow_model(seed, dim=3):
 
     One jump empties level 1 into level 0 while level 2 stays dark, so two
     populations are steady; distinct level energies push every coherence
-    into the fast set.  The Hermitian perturbation mixes everything.
+    into the fast set.  The Hermitian perturbation mixes everything: an
+    AncillaModel on A alone (d_S = 1).
     """
     rng = np.random.default_rng(seed)
     energies = np.concatenate([[0.0], np.sort(rng.uniform(0.8, 2.5, size=dim - 1))])
     h0 = np.diag(energies).astype(complex)
     jump = np.zeros((dim, dim), dtype=complex)
     jump[0, 1] = 1.0
-    perturbation = _hermitian(rng, dim)
-    return LindbladSpec(
-        hdim=dim,
-        hamiltonian=h0,
-        jumps=[(float(rng.uniform(0.8, 1.2)), jump)],
-        perturbations=[perturbation],
-    )
+    perturbation = _hermitian(rng, dim)  # drawn before the jump rate
+    spec = LindbladSpec(hdim=dim, hamiltonian=h0, jumps=[(float(rng.uniform(0.8, 1.2)), jump)])
+    return AncillaModel(l0=lindblad_superop(spec), couplings=[(perturbation, np.eye(1))])

@@ -29,7 +29,6 @@ from .superop import (
     devectorize,
     hamiltonian_superop,
     lift,
-    perturbation_superop,
     sandwich_superop,
     to_dense,
     trace_functional,
@@ -45,7 +44,8 @@ RATE_TOL = 1e-9  # dissipation rates within +-RATE_TOL are zero
 @dataclass
 class AncillaModel:
     """Fast ancilla generator plus Hermitian coupling pairs (A_a, S_a): the
-    generator L0 (x) 1_S + V on A (x) S, with V = -i[epsilon sum_a A_a (x) S_a, .]."""
+    generator L0 (x) 1_S + V on A (x) S, with V = -i[epsilon sum_a A_a (x) S_a, .].
+    The one place a perturbation is defined, assembled or measured."""
 
     l0: np.ndarray  # superoperator on the ancilla space, (dA**2, dA**2)
     couplings: Sequence  # (ancilla_op, system_op) pairs
@@ -72,20 +72,26 @@ class AncillaModel:
                     raise ValidationError(f"coupling {i}: {name} operator not Hermitian")
         return self
 
-    def perturbation(self, sparse):
-        """V on the row-stacked A (x) S space, CSR when ``sparse``: one
-        commutator superoperator of the summed coupling operators."""
-        terms = [np.kron(a, s) for a, s in self.couplings]
+    def coupling_hamiltonian(self):
+        """H = sum_a A_a (x) S_a on A (x) S, without epsilon (zero without couplings)."""
         hdim = math.isqrt(self.l0.shape[0]) * self.dim_s
-        return perturbation_superop([self.epsilon * sum(terms)] if terms else [], hdim, sparse)
+        return sum((np.kron(a, s) for a, s in self.couplings), np.zeros((hdim, hdim), complex))
+
+    def perturbation(self):
+        """V = -i[epsilon H, .] on the row-stacked A (x) S space, as CSR."""
+        return hamiltonian_superop(self.epsilon * self.coupling_hamiltonian(), sparse=True)
+
+    def perturbation_norm(self):
+        """||V||_2 without assembling V: |epsilon| (h_max - h_min) over the
+        eigenvalues h of H.  -i[H, .] is normal with eigenvalues -i(h_i - h_j),
+        so its largest singular value is the spread of H's spectrum."""
+        h = np.linalg.eigvalsh(self.coupling_hamiltonian())
+        return abs(self.epsilon) * float(h[-1] - h[0])
 
     def full_space(self):
-        """(L0, V) on A (x) S, the one place either is assembled: L0 =
-        L_A (x) 1_S by ``lift`` and V by ``perturbation``, both CSR for a
-        system dimension above 1; for d_S = 1, L_A itself and a dense V."""
-        if self.dim_s == 1:
-            return self.l0, self.perturbation(sparse=False)
-        return lift(self.l0, self.dim_s), self.perturbation(sparse=True)
+        """(L0, V) on A (x) S as CSR, the one place either is assembled:
+        L0 = L_A (x) 1_S by ``lift`` and V by ``perturbation``."""
+        return lift(self.l0, self.dim_s), self.perturbation()
 
 
 def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):

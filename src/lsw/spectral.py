@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .exceptions import (
     DefectiveOperatorError,
@@ -325,18 +324,10 @@ def resolvent_apply(sd, a):
 
 
 def spectral_norm(a):
-    """Largest singular value, for dense or sparse input; a non-finite entry
-    raises ToleranceNotMetError.  The sparse route runs ``svds`` from a fixed
-    start on ``a`` divided by a power of two near its largest entry, so its
-    products of ``a`` with itself cannot overflow; the scaling is exact."""
+    """Largest singular value of a dense or sparse matrix, by a dense SVD; a
+    non-finite entry raises ToleranceNotMetError."""
     if not all_finite(a):
         raise ToleranceNotMetError("spectral norm of a matrix with non-finite entries")
-    if sp.issparse(a) and min(a.shape) > 2 and a.nnz > 0:
-        exp = np.frexp(np.abs(a.data).max())[1]
-        scaled = a.astype(complex)
-        scaled.data = np.ldexp(scaled.data.view(float), -exp).view(complex)
-        top = spla.svds(scaled, k=1, return_singular_vectors=False, random_state=0)[0]
-        return float(np.ldexp(top, exp))
     a = to_dense(a)
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
@@ -349,12 +340,12 @@ class GapReport:
     ok: bool
 
 
-def check_perturbative_limit(sd, v, epsilon):
-    """Check the gap condition gap > 2 * epsilon * ||V|| (spectral norm)."""
-    norm = spectral_norm(v)
+def check_perturbative_limit(sd, v_norm, epsilon):
+    """Check the gap condition gap > 2 * epsilon * ||V|| for the spectral
+    norm ``v_norm`` (``AncillaModel.perturbation_norm``)."""
     return GapReport(
         gap=sd.gap,
-        perturbation_norm=norm,
+        perturbation_norm=v_norm,
         epsilon=float(epsilon),
-        ok=bool(sd.gap > 2.0 * abs(epsilon) * norm),
+        ok=bool(sd.gap > 2.0 * abs(epsilon) * v_norm),
     )

@@ -108,38 +108,35 @@ def lift(a, dim_s, vec_cols=True):
     return sp.csr_matrix((data, cols, indptr), shape=shape)
 
 
-def _kron(a, b, sparse):
+def _kron(a, b, sparse=False):
     if sparse:
         return sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="csr")
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def sandwich_superop(a, b, sparse=False):
-    """Matrix of the map rho -> A rho B."""
+def sandwich_superop(a, b):
+    """Matrix of the map rho -> A rho B, dense."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"sandwich factors {a.shape} vs {b.shape}")
-    return _kron(a, b.T, sparse)
+    return _kron(a, b.T)
 
 
 def hamiltonian_superop(h, sparse=False):
-    """Matrix of the commutator generator rho -> -i [H, rho]."""
+    """Matrix of the commutator generator rho -> -i [H, rho], CSR when
+    ``sparse`` (the perturbation V), dense otherwise."""
     h = np.asarray(h, dtype=complex)
     eye = np.eye(h.shape[0])
     return -1j * (_kron(h, eye, sparse) - _kron(eye, h.T, sparse))
 
 
-def dissipator_superop(l, sparse=False):
-    """Matrix of rho -> L rho L† - (1/2){L†L, rho}."""
+def dissipator_superop(l):
+    """Matrix of rho -> L rho L† - (1/2){L†L, rho}, dense."""
     l = np.asarray(l, dtype=complex)
     eye = np.eye(l.shape[0])
     ldl = l.conj().T @ l
-    return (
-        _kron(l, l.conj(), sparse)
-        - 0.5 * _kron(ldl, eye, sparse)
-        - 0.5 * _kron(eye, ldl.T, sparse)
-    )
+    return _kron(l, l.conj()) - 0.5 * _kron(ldl, eye) - 0.5 * _kron(eye, ldl.T)
 
 
 def hat_apply(generator, target):
@@ -162,24 +159,20 @@ def trace_functional(d):
 
 @dataclass
 class LindbladSpec:
-    """Defining data of a generator L0 plus a Hamiltonian perturbation V."""
+    """Defining data of an unperturbed generator L0; perturbations belong to
+    ``qrt.AncillaModel``."""
 
     hdim: int
     hamiltonian: np.ndarray
     jumps: Sequence = field(default_factory=list)  # (rate, operator) pairs
-    perturbations: Sequence = field(default_factory=list)  # Hamiltonian terms of V
 
     def validate(self):
         d = self.hdim
-        ops = [("hamiltonian", self.hamiltonian)] + [
-            (f"perturbation {i}", h) for i, h in enumerate(self.perturbations)
-        ]
-        for name, h in ops:
-            h = np.asarray(h)
-            if h.shape != (d, d):
-                raise DimensionMismatchError(f"{name} has shape {h.shape}, expected ({d}, {d})")
-            if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
-                raise ValidationError(f"{name} is not Hermitian to {HERM_TOL}")
+        h = np.asarray(self.hamiltonian)
+        if h.shape != (d, d):
+            raise DimensionMismatchError(f"hamiltonian has shape {h.shape}, expected ({d}, {d})")
+        if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+            raise ValidationError(f"hamiltonian is not Hermitian to {HERM_TOL}")
         for i, (rate, l) in enumerate(self.jumps):
             if rate < 0:
                 raise ValidationError(f"jump {i} has negative rate {rate}")
@@ -188,30 +181,13 @@ class LindbladSpec:
         return self
 
 
-def perturbation_superop(perturbations, hdim, sparse=False):
-    """V = sum of -i[H_t, .] over the perturbation Hamiltonians H_t.
-
-    Stored as CSR when ``sparse``, dense otherwise, so a model can assemble
-    its perturbation without an unperturbed part.
-    """
-    if perturbations:
-        return sum(hamiltonian_superop(h, sparse) for h in perturbations)
-    shape = (hdim * hdim, hdim * hdim)
-    return sp.csr_matrix(shape, dtype=complex) if sparse else np.zeros(shape, complex)
-
-
-def lindblad_superop(spec, sparse=False):
-    """Assemble (L0, V) from a :class:`LindbladSpec`.
-
-    L0 collects all jump terms and -i[H0, .]; V is the sum of -i[H_t, .]
-    over the perturbation Hamiltonians, without the epsilon prefactor.
-    Both are stored as CSR when ``sparse``, dense otherwise.
-    """
+def lindblad_superop(spec):
+    """The dense L0 of a :class:`LindbladSpec`: -i[H0, .] plus every jump term."""
     spec.validate()
-    l0 = hamiltonian_superop(spec.hamiltonian, sparse)
+    l0 = hamiltonian_superop(spec.hamiltonian)
     for rate, l in spec.jumps:
-        l0 = l0 + rate * dissipator_superop(l, sparse)
-    return l0, perturbation_superop(spec.perturbations, spec.hdim, sparse)
+        l0 = l0 + rate * dissipator_superop(l)
+    return l0
 
 
 def kossakowski_matrix(g):

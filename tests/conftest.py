@@ -27,17 +27,33 @@ def random_hermitian(rng, dim):
     return 0.5 * (x + x.conj().T)
 
 
-def lindblad_rhs(spec, rho, epsilon=0.0):
-    """Direct evaluation of the master-equation right-hand side."""
-    h = np.asarray(spec.hamiltonian, dtype=complex)
-    for hp in spec.perturbations:
-        h = h + epsilon * np.asarray(hp, dtype=complex)
+def lindblad_rhs(spec, rho, perturbation=0.0, epsilon=0.0):
+    """Direct evaluation of the master-equation right-hand side, with the
+    Hamiltonian H0 + epsilon * perturbation."""
+    h = np.asarray(spec.hamiltonian, dtype=complex) + epsilon * np.asarray(perturbation)
     out = -1j * (h @ rho - rho @ h)
     for rate, l in spec.jumps:
         l = np.asarray(l, dtype=complex)
         ldl = l.conj().T @ l
         out = out + rate * (l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
     return out
+
+
+def random_spec(dim, n_jumps, seed):
+    """The L0 data that ``models.random_lindblad_model(dim, n_jumps, seed)``
+    draws, in its order: H0, then each jump's operator and rate."""
+    rng = np.random.default_rng(seed)
+    h0 = models._hermitian(rng, dim)
+    jumps = []
+    for _ in range(n_jumps):
+        op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        jumps.append((float(rng.uniform(0.5, 1.5)), op))
+    return superop.LindbladSpec(hdim=dim, hamiltonian=h0, jumps=jumps), rng
+
+
+def dense_full_space(model):
+    """(L0, V) of an ancilla model on its full space, as dense arrays."""
+    return tuple(superop.to_dense(m) for m in model.full_space())
 
 
 def model_fleet():
@@ -50,7 +66,6 @@ def model_fleet():
         m = models.superradiance_model(p)
         fleet.append((f"superradiance_n{n}", superop.to_dense(m.l0), superop.to_dense(m.v)))
     for dim, seed in ((2, 3), (3, 5), (4, 7)):
-        spec = models.random_lindblad_model(dim, 2, seed)
-        l0, v = superop.lindblad_superop(spec, sparse=False)
+        l0, v = dense_full_space(models.random_lindblad_model(dim, 2, seed))
         fleet.append((f"random_d{dim}_s{seed}", l0, v))
     return fleet

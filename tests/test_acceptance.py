@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 
-from conftest import model_fleet, random_hermitian
+from conftest import dense_full_space, model_fleet, random_hermitian
 from lsw import dynamics, models, qrt, sw
 from lsw.spectral import decompose, projectors, to_eigen
-from lsw.superop import lindblad_superop, to_csr, to_dense, trace_functional, vectorize
+from lsw.superop import to_csr, to_dense, trace_functional, vectorize
 
 
 def report(number, ok, detail):
@@ -142,8 +142,7 @@ def test_criterion_4_decoupling_residual_scaling():
 
 
 def test_criterion_5_spectral_accuracy_scaling():
-    spec = models.degenerate_slow_model(seed=11)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.degenerate_slow_model(seed=11))
     sd = decompose(l0)
     gen = sw.generator_terms(sd, to_eigen(sd, v), 2)
     series = sw.correction_terms(gen, sd)

@@ -580,9 +580,10 @@ def test_decoupling_scan_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
     assert not list(tmp_path.glob("scan*"))
 
 
-@pytest.mark.parametrize("epsilons", [[], [0.01]])
+@pytest.mark.parametrize("epsilons", [[], [0.01], [0.01, 0.01]])
 def test_decoupling_scan_needs_two_epsilons(tmp_path, capsys, epsilons):
-    # one residual fixes no slope; the scan must not report one
+    # one residual, or one epsilon twice, fixes no slope; the scan must not
+    # report one
     cfg = write_config(
         tmp_path,
         {
@@ -768,18 +769,28 @@ def test_oversized_compare_exits_2(tmp_path, capsys):
     assert not list(tmp_path.glob("huge*"))
 
 
+def forbid(monkeypatch, name, modules=(superop, qrt, models, cli, spectral, sw)):
+    """Make the function ``name`` raise under every name it is imported as."""
+    def assembled(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, assembled)
+
+
+def forbid_full_space(monkeypatch):
+    """Make the assembly method and `lift` raise."""
+    forbid(monkeypatch, "lift")
+    forbid(monkeypatch, "full_space", (qrt.AncillaModel,))
+
+
 @pytest.mark.parametrize("task", ["spectrum", "effective", "decoupling-scan"])
 def test_oversized_spectral_task_refused_before_assembly(tmp_path, capsys, monkeypatch, task):
     # N=40: D = 4 * 41**2 = 6,724, past SPECTRAL_DIM_LIMIT.  The size check
     # comes before anything of the full space is built: neither the assembly
     # method nor `lift` (under every name it is imported as) may run
-    def assembled(*args, **kwargs):
-        raise AssertionError("the full space was assembled")
-
-    for module in (superop, qrt, models, cli, spectral, sw):
-        if hasattr(module, "lift"):
-            monkeypatch.setattr(module, "lift", assembled)
-    monkeypatch.setattr(qrt.AncillaModel, "full_space", assembled, raising=False)
+    forbid_full_space(monkeypatch)
     cfg = write_config(
         tmp_path,
         {
@@ -791,6 +802,47 @@ def test_oversized_spectral_task_refused_before_assembly(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert f"task {task!r}: superoperator dimension 6724 exceeds the spectral limit" in err
     assert not list(tmp_path.glob("big*"))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "random", "dimension": 68},
+        {"kind": "random-ancilla", "dimension": 34, "system_dimension": 2},
+        {"kind": "custom", "dimension": 68},
+        {
+            "kind": "custom",
+            "dimension": 34,
+            "symbols": {"a": {"identity": 34}, "s": {"spin": 1}},
+            "couplings": [{"ancilla": "a", "system": "s"}],
+        },
+    ],
+    ids=["random", "random-ancilla", "custom", "custom-couplings"],
+)
+def test_oversized_model_refused_before_l0(tmp_path, capsys, monkeypatch, model):
+    # D = 68**2 = 4,624, past SPECTRAL_DIM_LIMIT: d_A and d_S come from the
+    # config, so the d**4 dense L0 is never assembled
+    forbid(monkeypatch, "lindblad_superop")
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "big")})
+    for task in cli.SPECTRAL_TASKS:
+        assert cli.main([task, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"task {task!r}: superoperator dimension 4624 exceeds the spectral limit" in err
+    assert not list(tmp_path.glob("big*"))
+
+
+@pytest.mark.parametrize("task", ["spectrum", "ancilla-qrt"])
+def test_unwritable_output_exits_2(tmp_path, capsys, task):
+    # the output prefix lies under a regular file, so no output directory
+    # can be made: a configuration error naming the path, not a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    model = {"kind": "superradiance", "n_spins": 2, "g": 0.1}
+    cfg = write_config(tmp_path, {"model": model})
+    assert cli.main([task, "--config", cfg, "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(blocker) in err
+    assert "Traceback" not in err
 
 
 def test_compare_without_decay_exits_3(tmp_path, capsys):
@@ -1034,16 +1086,20 @@ def test_huge_coupling_exits_3_with_one_message(tmp_path, capsys, task, g):
 def test_effective_assembles_no_full_space(tmp_path, monkeypatch):
     # effective takes L0's eigen coordinates and V's block from the model's
     # operators: neither the assembly method nor `lift` may run
-    def assembled(*args, **kwargs):
-        raise AssertionError("the full space was assembled")
-
-    for module in (superop, qrt, models, cli, spectral, sw):
-        if hasattr(module, "lift"):
-            monkeypatch.setattr(module, "lift", assembled)
-    monkeypatch.setattr(qrt.AncillaModel, "full_space", assembled)
+    forbid_full_space(monkeypatch)
     model = {"kind": "superradiance", "n_spins": 2, "g": 0.1, "omega": 0.2}
     cfg = write_config(tmp_path, {"model": model, "order": 3})
     assert cli.main(["effective", "--config", cfg, "--out", str(tmp_path / "eff")]) == 0
+
+
+def test_spectrum_assembles_no_full_space(tmp_path, monkeypatch):
+    # spectrum takes the eigenvalues from the sector and ||V|| in closed
+    # form from the couplings: neither the assembly method nor `lift` may
+    # run, for a system of dimension 1 or more
+    forbid_full_space(monkeypatch)
+    for i, model in enumerate([_EXIT_CODES["superradiance"][0], _EXIT_CODES["random"][0]]):
+        cfg = write_config(tmp_path, {"model": model}, f"m{i}.yaml")
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"s{i}")]) == 0
 
 
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
@@ -1176,7 +1232,7 @@ def test_symbols_resolve_by_name(tmp_path):
         "jumps": [{"rate": 1.0, "operator": "sm"}],
     }
     def l0(m):
-        return cli.Run("spectrum", {"model": m}).model["ancilla"].full_space()[0]
+        return cli.Run("spectrum", {"model": m}).model["ancilla"].l0
 
     assert np.array_equal(l0(model), l0({**model, "hamiltonian": "sp + sm"}))
 

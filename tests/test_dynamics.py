@@ -205,7 +205,7 @@ def u1_symmetric_model(charges, seed):
         hamiltonian=random_hermitian(rng, q.size) * (order == 0),
         jumps=[(0.5, gaussian() * (order == -1)), (0.5, gaussian() * (order == 0))],
     )
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = lindblad_superop(spec)
     return l0, order, rng
 
 

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import dense_full_space, random_spec
 from lsw import models
 from lsw.spectral import decompose, to_eigen
 from lsw.superop import (
+    LindbladSpec,
     devectorize,
     lindblad_superop,
     to_dense,
@@ -30,7 +32,7 @@ def test_superradiance_perturbation_is_its_ancilla_form(n):
     # one coupling definition: the model's V is its ancilla's, bit for bit
     p = models.SuperradianceParams.from_sqrt_n_g(n, 0.2, gamma=1.0, omega=0.2)
     got = models.superradiance_model(p).v.tocsr()
-    want = models.superradiance_ancilla(p).perturbation(sparse=True).tocsr()
+    want = models.superradiance_ancilla(p).perturbation()
     assert got.nnz == want.nnz
     assert np.abs(got - want).max() == 0
 
@@ -112,15 +114,32 @@ def test_initial_state_polarized_dark():
 def test_random_lindblad_deterministic():
     a = models.random_lindblad_model(3, 2, seed=5)
     b = models.random_lindblad_model(3, 2, seed=5)
-    assert np.array_equal(a.hamiltonian, b.hamiltonian)
-    for (ra, la), (rb, lb) in zip(a.jumps, b.jumps):
-        assert ra == rb and np.array_equal(la, lb)
-    assert np.array_equal(a.perturbations[0], b.perturbations[0])
+    assert np.array_equal(a.l0, b.l0)
+    assert np.array_equal(a.couplings[0][0], b.couplings[0][0])
+
+
+def test_random_models_keep_their_draw_order():
+    # H0, then each jump's operator and rate, then the perturbation; in the
+    # degenerate model the perturbation comes before the jump rate
+    spec, rng = random_spec(3, 2, seed=5)
+    h_v = models._hermitian(rng, 3)
+    model = models.random_lindblad_model(3, 2, seed=5)
+    assert np.array_equal(model.l0, lindblad_superop(spec))
+    assert np.array_equal(model.couplings[0][0], h_v) and model.couplings[0][1].shape == (1, 1)
+
+    rng = np.random.default_rng(11)
+    energies = np.concatenate([[0.0], np.sort(rng.uniform(0.8, 2.5, size=2))])
+    h_v = models._hermitian(rng, 3)
+    jump = np.zeros((3, 3), dtype=complex)
+    jump[0, 1] = 1.0
+    spec = LindbladSpec(3, np.diag(energies).astype(complex), [(float(rng.uniform(0.8, 1.2)), jump)])
+    model = models.degenerate_slow_model(seed=11)
+    assert np.array_equal(model.l0, lindblad_superop(spec))
+    assert np.array_equal(model.couplings[0][0], h_v)
 
 
 def test_random_lindblad_generator_properties():
-    spec = models.random_lindblad_model(4, 3, seed=8)
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = models.random_lindblad_model(4, 3, seed=8).l0
     assert np.abs(trace_functional(4) @ l0).max() < 1e-10
     assert np.linalg.eigvals(l0).real.max() <= 1e-10
 
@@ -201,8 +220,7 @@ def test_regrouped_form_deviation_scales_quadratically():
 
 
 def test_degenerate_slow_model_structure():
-    spec = models.degenerate_slow_model(seed=11)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.degenerate_slow_model(seed=11))
     sd = decompose(l0)
     assert sd.slow_dim == 2
     assert sd.gap > 0

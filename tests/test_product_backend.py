@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_spec
 from lsw import models
 from lsw.operators import hermitian_basis
 from lsw.qrt import AncillaModel
@@ -41,8 +42,8 @@ def ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling, assembled):
     flip-flop plus z-type coupling in three pairs, whose block stays sparse.
     """
     rng = np.random.default_rng(seed)
-    spec = models.random_lindblad_model(dim_a, 2, seed)
-    l_a, _ = lindblad_superop(spec, sparse=False)
+    spec, _ = random_spec(dim_a, 2, seed)  # models.random_lindblad_model's L0 data
+    l_a = lindblad_superop(spec)
     eye = np.eye(dim_s)
     dim = (dim_a * dim_s) ** 2
     if assembled:
@@ -51,7 +52,7 @@ def ancilla_times_identity(dim_a, dim_s, seed, sparse_coupling, assembled):
             hamiltonian=np.kron(spec.hamiltonian, eye),
             jumps=[(rate, np.kron(op, eye)) for rate, op in spec.jumps],
         )
-        l0, _ = lindblad_superop(full, sparse=False)
+        l0 = lindblad_superop(full)
     else:
         l0 = np.einsum(
             "ijkl,ac,bd->iajbkcld", l_a.reshape((dim_a,) * 4), eye, eye
@@ -93,7 +94,7 @@ def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_couplin
     if not assembled:
         assert np.array_equal(to_dense(lift(l_a, dim_s)), l0)
     dims = (dim_a, dim_s)
-    v = model.perturbation(sparse=False)
+    v = model.perturbation()
     sector, sd_d = charge_sector(model), decompose(l0)
     # the sector's block is V in its vec-space eigen coordinates
     assert_close(sector.v, to_eigen(sector.spectral, v))

@@ -23,7 +23,7 @@ from lsw.qrt import (
     lindblad_decomposition,
     steady_state,
 )
-from lsw.spectral import charge_sector, decompose, to_eigen
+from lsw.spectral import charge_sector, decompose, spectral_norm, to_eigen
 from lsw.superop import (
     LindbladSpec,
     devectorize,
@@ -38,7 +38,7 @@ def qubit_l0(gamma=1.0, omega=0.2, rabi=0.0):
     jp, jm, jz = spin_operators(1)
     h = omega * (jp @ jm) + 0.5 * rabi * (jp + jm)
     spec = LindbladSpec(hdim=2, hamiltonian=h, jumps=[(gamma, jm)])
-    return to_dense(lindblad_superop(spec, sparse=False)[0])
+    return lindblad_superop(spec)
 
 
 def test_steady_state_decaying_qubit():
@@ -52,7 +52,7 @@ def test_steady_state_depolarizing_is_maximally_mixed():
     jp, jm, jz = spin_operators(1)
     jumps = [(1.0, jp), (1.0, jm), (1.0, jp + jm)]
     spec = LindbladSpec(hdim=2, hamiltonian=np.zeros((2, 2)), jumps=jumps)
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = lindblad_superop(spec)
     sigma = steady_state(to_dense(l0))
     assert np.abs(sigma - np.eye(2) / 2).max() < 1e-12
 
@@ -75,7 +75,7 @@ def dark_levels_l0(levels):
     jump[0, 1] = 1.0
     energies = np.diag(np.arange(levels, dtype=float))
     spec = LindbladSpec(hdim=levels, hamiltonian=energies, jumps=[(1.0, jump)])
-    return to_dense(lindblad_superop(spec, sparse=False)[0])
+    return lindblad_superop(spec)
 
 
 def test_steady_state_degenerate_rejected():
@@ -135,6 +135,41 @@ def test_malformed_l0_rejected_with_dimension_mismatch():
         with pytest.raises(DimensionMismatchError):
             effective_master_equation_2(model)
     assert AncillaModel(l0=qubit_l0(), couplings=coupling).validate().l0.shape == (4, 4)
+
+
+def assert_norm_is_exact(model):
+    """The closed-form ||V|| equals the dense SVD norm of the assembled V."""
+    want = spectral_norm(model.full_space()[1])
+    assert abs(model.perturbation_norm() - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 5, 8, 16])
+def test_perturbation_norm_superradiance(n_spins):
+    p = models.SuperradianceParams.from_sqrt_n_g(n_spins, 0.2, gamma=1.0, omega=0.2)
+    assert_norm_is_exact(models.superradiance_ancilla(p))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dim_a=st.integers(2, 6),
+    dim_s=st.integers(1, 3),
+    n_couplings=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_perturbation_norm_random_ancilla(dim_a, dim_s, n_couplings, seed):
+    assert_norm_is_exact(models.random_ancilla_model(dim_a, n_couplings, seed, dim_system=dim_s))
+
+
+def test_perturbation_norm_non_commuting_couplings():
+    # neither the ancilla nor the system operators commute across the two
+    # pairs, and a negative epsilon counts by its modulus
+    jp, jm, jz = spin_operators(1)
+    couplings = [(jp + jm, jz), (jp @ jm, jp + jm)]
+    for a, b in [(couplings[0][k], couplings[1][k]) for k in (0, 1)]:
+        assert np.abs(a @ b - b @ a).max() > 0.5
+    model = AncillaModel(l0=qubit_l0(), couplings=couplings, epsilon=-0.7)
+    assert_norm_is_exact(model)
+    assert model.perturbation_norm() > 0
 
 
 def test_close_operator_set_driven_qubit_bloch_matrix():

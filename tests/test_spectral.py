@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from conftest import model_fleet, random_density
+from conftest import dense_full_space, model_fleet, random_density
 from lsw import models
 from lsw.exceptions import DefectiveOperatorError, EmptySlowSpaceError, ToleranceNotMetError
 from lsw.spectral import (
@@ -20,7 +20,7 @@ from lsw.spectral import (
     spectral_norm,
     to_eigen,
 )
-from lsw.superop import hat_apply, lindblad_superop, to_dense, vectorize
+from lsw.superop import hat_apply, to_dense, vectorize
 
 
 def vec_dn_dn():
@@ -52,10 +52,7 @@ def test_zero_generator_is_all_slow():
 
 
 def test_completeness_random_model():
-    spec = models.random_lindblad_model(3, 2, seed=31)
-    from lsw.superop import lindblad_superop
-
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = models.random_lindblad_model(3, 2, seed=31).l0
     sd = decompose(l0)
     resolution = sd.right @ sd.left
     assert np.abs(resolution - np.eye(9)).max() < 1e-9
@@ -101,7 +98,7 @@ def test_projectors_first_calls_race_free():
     # eight threads make the first projectors() call on a fresh copy of a
     # decomposition at once, with thread switches forced every microsecond;
     # each must get both P and Q
-    l0, _ = lindblad_superop(models.random_lindblad_model(5, 2, 0), sparse=False)
+    l0 = models.random_lindblad_model(5, 2, 0).l0
     base = decompose(to_dense(l0))  # projectors() builds P and Q from it on each call
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -144,10 +141,7 @@ def test_fast_inverse_is_inverse_on_fast_space(qubit_table):
 
 def test_fast_inverse_laplace_quadrature_oracle():
     # -integral_0^T exp(L0 t) Q dt with Simpson steps reproduces the inverse
-    spec = models.random_lindblad_model(3, 2, seed=17)
-    from lsw.superop import lindblad_superop
-
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = models.random_lindblad_model(3, 2, seed=17).l0
     sd = decompose(l0)
     pq = projectors(sd)
     finv = fast_inverse(sd)
@@ -199,10 +193,7 @@ def test_resolvent_of_v_is_minus_first_generator_term():
 
 
 def test_resolvent_output_block_off_diagonal(rng):
-    spec = models.random_lindblad_model(3, 2, seed=23)
-    from lsw.superop import lindblad_superop
-
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.random_lindblad_model(3, 2, seed=23))
     sd = decompose(l0)
     pq = projectors(sd)
     out = resolvent_apply(sd, v)
@@ -213,18 +204,18 @@ def test_perturbative_limit_reports():
     p = models.SuperradianceParams.from_sqrt_n_g(4, 0.2, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     sd = decompose(to_dense(m.l0))
-    report = check_perturbative_limit(sd, m.v, epsilon=0.0)
+    report = check_perturbative_limit(sd, m.ancilla.perturbation_norm(), epsilon=0.0)
     assert report.ok and report.perturbation_norm > 0
     assert abs(report.gap - abs(-0.5 + 0.2j)) < 1e-12
-    zero = check_perturbative_limit(sd, np.zeros_like(to_dense(m.v)), epsilon=1.0)
+    zero = check_perturbative_limit(sd, 0.0, epsilon=1.0)
     assert zero.ok and zero.perturbation_norm == 0.0
-    crowded = check_perturbative_limit(sd, m.v, epsilon=1e3)
+    crowded = check_perturbative_limit(sd, m.ancilla.perturbation_norm(), epsilon=1e3)
     assert not crowded.ok
 
 
 def test_sparse_spectral_norm_is_seed_free_and_scales():
-    # svds starts from a fixed vector: the global seed does not reach the
-    # last bit, and a power-of-two rescaling keeps huge entries finite
+    # the global seed does not reach the last bit, and the SVD keeps huge
+    # entries finite
     p = models.SuperradianceParams(n_spins=8, g=1.0, gamma=1.0, omega=0.2)
     v = models.superradiance_model(p).v
     norms = []
@@ -247,11 +238,9 @@ def test_spectral_norm_refuses_non_finite_entries(bad):
 
 def test_spectrum_preserved_by_converged_transform(rng):
     # block spectra of the numerically converged transform reproduce eig(L)
-    from lsw.superop import lindblad_superop
     from lsw.sw import generator_terms
 
-    spec = models.random_lindblad_model(2, 1, seed=5)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.random_lindblad_model(2, 1, seed=5))
     sd = decompose(l0)
     pq = projectors(sd)
     eps = 1e-3

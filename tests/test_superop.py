@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import lindblad_rhs, random_density, random_hermitian
+from conftest import dense_full_space, lindblad_rhs, random_density, random_hermitian
 from lsw import models
 from lsw.exceptions import DimensionMismatchError
 from lsw.operators import hermitian_basis, spin_operators
+from lsw.qrt import AncillaModel
 from lsw.superop import (
     LindbladSpec,
     devectorize,
     factor_order,
+    hamiltonian_superop,
     hat_apply,
     kossakowski_matrix,
     lift,
@@ -77,18 +79,22 @@ def test_lindblad_qubit_eigenvalues(qubit_table):
 
 def test_lindblad_empty_spec_is_zero():
     spec = LindbladSpec(hdim=2, hamiltonian=np.zeros((2, 2)))
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0 = lindblad_superop(spec)
+    v = AncillaModel(l0, []).perturbation()
     assert np.abs(l0).max() == 0.0
-    assert np.abs(v).max() == 0.0
+    assert np.abs(to_dense(v)).max() == 0.0
 
 
 def test_lindblad_matches_direct_rhs(rng):
-    spec = models.random_lindblad_model(3, 2, seed=42)
-    l0, v = lindblad_superop(spec, sparse=False)
+    jumps = [(rate, rng.standard_normal((3, 3, 2)) @ [1, 1j]) for rate in (0.7, 1.2)]
+    spec = LindbladSpec(hdim=3, hamiltonian=random_hermitian(rng, 3), jumps=jumps)
+    h_v = random_hermitian(rng, 3)
+    l0 = lindblad_superop(spec)
+    v = to_dense(AncillaModel(l0, [(h_v, np.eye(1))]).perturbation())
     rho = random_density(rng, 3)
     for eps in (0.0, 0.37):
         lhs = devectorize((l0 + eps * v) @ vectorize(rho))
-        rhs = lindblad_rhs(spec, rho, epsilon=eps)
+        rhs = lindblad_rhs(spec, rho, h_v, epsilon=eps)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -112,16 +118,14 @@ def test_hat_apply_commutator_oracle(rng):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generator_trace_preservation(seed):
-    spec = models.random_lindblad_model(3, 2, seed=seed)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.random_lindblad_model(3, 2, seed=seed))
     tr = trace_functional(3)
     assert np.abs(tr @ l0).max() < 1e-10
     assert np.abs(tr @ v).max() < 1e-10
 
 
 def test_generator_hermiticity_preservation(rng):
-    spec = models.random_lindblad_model(3, 2, seed=9)
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = models.random_lindblad_model(3, 2, seed=9).l0
     rho = random_hermitian(rng, 3)
     out = devectorize(l0 @ vectorize(rho))
     assert np.abs(out - out.conj().T).max() < 1e-12
@@ -129,18 +133,18 @@ def test_generator_hermiticity_preservation(rng):
 
 def test_generator_spectrum_in_left_half_plane():
     for seed in (11, 12, 13):
-        spec = models.random_lindblad_model(4, 3, seed=seed)
-        l0, _ = lindblad_superop(spec, sparse=False)
+        l0 = models.random_lindblad_model(4, 3, seed=seed).l0
         assert np.linalg.eigvals(l0).real.max() <= 1e-10
 
 
 def test_sparse_dense_construction_agree():
-    spec = models.random_lindblad_model(3, 2, seed=21)
-    dense_l0, dense_v = lindblad_superop(spec, sparse=False)
-    sparse_l0, sparse_v = lindblad_superop(spec, sparse=True)
-    assert sp.issparse(sparse_l0)
-    assert np.abs(to_dense(sparse_l0) - dense_l0).max() < 1e-14
-    assert np.abs(to_dense(sparse_v) - dense_v).max() < 1e-14
+    # the commutator superoperator: CSR for V, dense for L0, the same entries
+    model = models.random_lindblad_model(3, 2, seed=21)
+    h_v = model.couplings[0][0]
+    dense = hamiltonian_superop(h_v)
+    for sparse in (hamiltonian_superop(h_v, sparse=True), model.perturbation()):
+        assert sp.issparse(sparse)
+        assert np.abs(to_dense(sparse) - dense).max() < 1e-14
 
 
 def _kron_lift(a, dim_s, vec_cols):
@@ -192,7 +196,7 @@ def test_kossakowski_of_pure_dissipator():
     # a single decay channel must give a PSD rank-one traceless block
     jp, jm, _ = spin_operators(1)
     spec = LindbladSpec(hdim=2, hamiltonian=np.zeros((2, 2)), jumps=[(0.7, jm)])
-    l0, _ = lindblad_superop(spec, sparse=False)
+    l0 = lindblad_superop(spec)
     chi = kossakowski_matrix(l0)
     herm = 0.5 * (chi + chi.conj().T)
     eigs = np.linalg.eigvalsh(herm)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_hermitian
+from conftest import dense_full_space, random_hermitian
 from lsw import models, qrt, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
 from lsw.spectral import (
@@ -26,7 +26,6 @@ from lsw.superop import (
     devectorize,
     hamiltonian_superop,
     hat_apply,
-    lindblad_superop,
     to_dense,
     trace_functional,
     vectorize,
@@ -53,8 +52,7 @@ def superradiance_n2():
 
 @pytest.fixture(scope="module")
 def random_model():
-    spec = models.random_lindblad_model(2, 1, seed=77)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.random_lindblad_model(2, 1, seed=77))
     sd = decompose(l0)
     return l0, v, sd
 
@@ -138,16 +136,15 @@ def test_second_correction_slow_block_printed_form(random_model):
 
 
 @pytest.mark.parametrize(
-    "builder",
+    "make_model",
     [
         lambda: models.random_lindblad_model(2, 1, seed=101),
         lambda: models.random_lindblad_model(3, 2, seed=5),
         lambda: models.degenerate_slow_model(seed=3),
     ],
 )
-def test_closed_forms_match_recursion(builder):
-    spec = builder()
-    l0, v = lindblad_superop(spec, sparse=False)
+def test_closed_forms_match_recursion(make_model):
+    l0, v = dense_full_space(make_model())
     sd = decompose(l0)
     gen = generator_terms(sd, to_eigen(sd, v), 3)
     series = correction_terms(gen, sd)
@@ -206,7 +203,7 @@ def assert_orders_keep_trace_and_hermiticity(sd, v_eigen, v_norm, hdim):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from((3, 4)))
 def test_slow_orders_keep_trace_and_hermiticity_dense(seed, dim):
-    l0, v = lindblad_superop(models.degenerate_slow_model(seed, dim=dim))
+    l0, v = dense_full_space(models.degenerate_slow_model(seed, dim=dim))
     sd = decompose(l0)
     assert_orders_keep_trace_and_hermiticity(sd, to_eigen(sd, v), spectral_norm(v), dim)
 
@@ -217,7 +214,7 @@ def test_slow_orders_keep_trace_and_hermiticity_product(dim_a, dim_s, seed):
     # the whole space as one sector, with V's block from the couplings
     anc = models.random_ancilla_model(dim_a, 2, seed, dim_system=dim_s)
     sector = charge_sector(anc)
-    v_norm = spectral_norm(anc.perturbation(sparse=True))
+    v_norm = spectral_norm(anc.perturbation())
     assert_orders_keep_trace_and_hermiticity(sector.spectral, sector.v, v_norm, dim_a * dim_s)
 
 
@@ -253,7 +250,7 @@ def _residual_case(name):
     """(spectral data, assembled L0, V, V in eigen coordinates, epsilon grid)
     of one oracle comparison."""
     if name == "random-dense":
-        l0, v = lindblad_superop(models.random_lindblad_model(4, 2, seed=5), sparse=False)
+        l0, v = dense_full_space(models.random_lindblad_model(4, 2, seed=5))
         sd = decompose(l0)
         return sd, l0, v, to_eigen(sd, v), (2e-2, 5e-3, 1e-3)
     p = models.SuperradianceParams(n_spins=2, g=1.0, gamma=1.0, omega=0.2)
@@ -387,8 +384,7 @@ def test_reduced_effective_matches_collective_decay(superradiance_n2):
 
 def test_reduced_effective_trivial_system():
     # unique-steady ancilla with a one-dimensional system factor
-    spec = models.random_lindblad_model(3, 2, seed=12)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.random_lindblad_model(3, 2, seed=12))
     sd = decompose(l0)
     gen = generator_terms(sd, to_eigen(sd, v), 1)
     series = correction_terms(gen, sd)
@@ -398,8 +394,8 @@ def test_reduced_effective_trivial_system():
 
 
 def test_reduced_effective_rejects_non_product_space():
-    spec = models.degenerate_slow_model(seed=8)  # slow dim 2, no product form
-    l0, v = lindblad_superop(spec, sparse=False)
+    # slow dim 2, no product form
+    l0, v = dense_full_space(models.degenerate_slow_model(seed=8))
     sd = decompose(l0)
     gen = generator_terms(sd, to_eigen(sd, v), 1)
     series = correction_terms(gen, sd)
@@ -475,8 +471,7 @@ def test_reduced_orders_trace_and_hermiticity_preserving(superradiance_n2, rng):
 def test_spectral_accuracy_slopes():
     # eigenvalues of the order-n slow generator track the exact slow
     # spectrum with error of order epsilon**(n+1)
-    spec = models.degenerate_slow_model(seed=11)
-    l0, v = lindblad_superop(spec, sparse=False)
+    l0, v = dense_full_space(models.degenerate_slow_model(seed=11))
     sd = decompose(l0)
     gen = generator_terms(sd, to_eigen(sd, v), 3)
     series = correction_terms(gen, sd)
