@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators, tensor
-from .spectral import charge_sector, check_perturbative_limit
+from .spectral import AncillaBasis, charge_sector, check_perturbative_limit
 from .superop import LindbladSpec, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
@@ -319,23 +319,23 @@ def _superradiance_params(mcfg):
 def _build_model(run):
     """The one model registry: a dict with the kind, the AncillaModel under
     ``ancilla``, ``rho0`` (None: none on A (x) S), the observables and the
-    charge (None: none declared).  Nothing of the full space is assembled
-    here; the tasks call ``AncillaModel.full_space``.  The size check comes
-    before any L0 is built.  Superradiance's full-size burst state, ``iz``
-    observable and charge are built for evolve alone, the one task that
-    reads them."""
+    ``charges`` (q_A, q_S) of ``charge_sector`` (None: none declared).
+    Nothing of the full space is assembled here; the tasks call
+    ``AncillaModel.full_space``.  The size check comes before any L0 is
+    built.  Superradiance's full-size burst state and ``iz`` observable are
+    built for evolve alone, the one task that reads them."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
-    charge = None
+    charges = None
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
         _check_size(run.task, 2, params.n_spins + 1)
         ancilla, rho0, observables = models.superradiance_ancilla(params), None, {}
+        charges = models.superradiance_charges(params.n_spins)
         if run.task == "evolve":
             n = params.n_spins
             rho0 = tensor(*models.superradiance_initial(n))
             observables = {"iz": tensor(np.eye(2), models.collective_ops(n)[2])}
-            charge = np.add.outer(*models.superradiance_charges(n)).reshape(-1)
     elif kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
             gamma=_number("model.gamma", mcfg.get("gamma", 1.0), low=0),
@@ -376,13 +376,13 @@ def _build_model(run):
         "ancilla": ancilla,
         "rho0": rho0,
         "observables": observables,
-        "charge": charge,
+        "charges": charges,
     }
 
 
 def _task_spectrum(run):
     ancilla = run.model["ancilla"]
-    sd = charge_sector(ancilla, None, run.zero_tol).spectral
+    sd = AncillaBasis(ancilla, None, run.zero_tol).sectors([0], perturbation=False)[0].spectral
     report = check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
     lam = sd.eigenvalues[order]
@@ -439,7 +439,8 @@ def _task_evolve(run):
             "evolve needs an initial state: a model on A (x) S has no default one"
         )
     l0, v = built["ancilla"].full_space()
-    traj = dynamics.evolve(l0 + run.epsilon * v, built["rho0"], run.times, built["charge"])
+    charge = None if built["charges"] is None else np.add.outer(*built["charges"]).reshape(-1)
+    traj = dynamics.evolve(l0 + run.epsilon * v, built["rho0"], run.times, charge)
     header = ["time"] + [f"re_{k}" for k in built["observables"]] + [
         f"im_{k}" for k in built["observables"]
     ]
@@ -457,7 +458,7 @@ def _task_compare(run):
     ancilla = run.model["ancilla"]
     n = ancilla.dim_s - 1
     sector = charge_sector(
-        ancilla, models.superradiance_charges(n), run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT
+        ancilla, run.model["charges"], run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT
     )
     sd, v = sector.spectral, sector.v
     if sd.slow_dim != n + 1:
@@ -519,10 +520,18 @@ def _task_ancilla_qrt(run):
 
 
 def _task_decoupling_scan(run):
-    sector = charge_sector(run.model["ancilla"], None, run.zero_tol)
-    sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
-    eps = np.asarray(run.epsilons)
-    res = np.asarray([sw.decoupling_residual(sd, gen, e, run.order) for e in run.epsilons])
+    """max_q ||P_q T Q_q|| + max_q ||Q_q T P_q||: L0, V and each S_n keep every
+    coherence order q, and Hermiticity maps q to -q with equal norms, so only the
+    q >= 0 holding a zero mode are built (one whole-space sector without charges)."""
+    basis = AncillaBasis(run.model["ancilla"], run.model["charges"], run.zero_tol)
+    if basis.slow.size == basis.eigenvalues.size:
+        raise ValidationError("decoupling-scan: L0 has no fast mode to decouple (zero residual)")
+    blocks = []
+    for sector in basis.sectors([q for q in basis.orders() if q >= 0]):
+        sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
+        blocks.append([sw.decoupling_blocks(sd, gen, e, run.order) for e in run.epsilons])
+    pq, qp = np.max(blocks, axis=0).T
+    eps, res = np.asarray(run.epsilons), pq + qp
     if not np.all(np.isfinite(res)):
         raise ToleranceNotMetError(f"decoupling residuals {res.tolist()} are not all finite")
     if not np.all(res > 0):

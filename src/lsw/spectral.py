@@ -7,13 +7,13 @@ up to inversion error and avoids any eigenvector pairing ambiguity.
 
 Two backends build the same :class:`SpectralData`.  The dense reference,
 :func:`decompose`, diagonalizes a full D x D generator.  The structured
-one, :func:`charge_sector`, serves L0 = L_A (x) 1_S as the model declares
-it: it diagonalizes the d_A**2 x d_A**2 block L_A and builds one
-coherence-order sector (the whole space for trivial charges) from the
-model's operators, with V's block and sparse vec-space eigenvectors
-R_k (x) |a><b|.  In eigen coordinates the projectors are index masks and
-the fast inverse is a diagonal scaling; their full-space forms are built
-on demand.
+one, :class:`AncillaBasis` (:func:`charge_sector` for one sector), serves
+L0 = L_A (x) 1_S as the model declares it: it diagonalizes the block L_A
+once and builds coherence-order sectors (the whole space for trivial
+charges) from the model's operators, with V's blocks and sparse vec-space
+eigenvectors R_k (x) |a><b|.  In eigen coordinates the projectors are
+index masks and the fast inverse is a diagonal scaling; their full-space
+forms are built on demand.
 """
 
 import math
@@ -122,8 +122,8 @@ class ChargeSector:
     Coordinate m is R_k (x) |a><b| for (k, a, b) = ``index[:, m]``, in the
     order of the whole space's eigen index (k * d_S + a) * d_S + b.
     ``spectral`` has those vec-space vectors as ``right`` and ``left``; ``v``
-    is V's block.  ``right`` and ``left`` here are L_A's eigenvectors
-    (columns vec R_k, rows l_k).
+    is V's block (None when it was not asked for).  ``right`` and ``left``
+    here are L_A's eigenvectors (columns vec R_k, rows l_k).
     """
 
     spectral: SpectralData
@@ -133,16 +133,152 @@ class ChargeSector:
     left: np.ndarray
 
 
-def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
-    """The order-0 sector of an ancilla model's generator, from its operators.
+def _entries(alpha, k, d_s, cols, rows_a, rows_b, values):
+    """alpha[k', k[cols]] * values at (k', rows_a, rows_b), every k', zeros dropped."""
+    to_k = np.arange(alpha.shape[0])[:, None]
+    data = (alpha[to_k, k[cols]] * values).ravel()
+    rows = ((to_k * d_s + rows_a) * d_s + rows_b).ravel()
+    keep = data != 0
+    return rows[keep], np.tile(cols, alpha.shape[0])[keep], data[keep]
+
+
+def _place(keys, size, rows, cols, data):
+    """The entries whose row (of ``size`` whole-space ones) is in their
+    column's sector as a CSR block on the stacked ``keys``, and the others."""
+    rows = keys[cols] - keys[cols] % size + rows
+    pos = np.minimum(np.searchsorted(keys, rows), keys.size - 1)
+    inside = keys[pos] == rows
+    block = sp.csr_matrix((data[inside], (pos[inside], cols[inside])), shape=(keys.size,) * 2)
+    return block, (rows[~inside], cols[~inside], data[~inside])
+
+
+class AncillaBasis:
+    """What the coherence-order sectors of an ancilla model share (see
+    :func:`charge_sector`): L_A's eigensystem, L_A in its eigen coordinates
+    (``l0_eigen``), the order ``q_k`` of each eigenvector and the charges ``q_s``."""
+
+    def __init__(self, model, charges=None, zero_tol=DEFAULT_ZERO_TOL):
+        w, right, left, slow, _, _, condition = _eig(to_dense(model.l0), zero_tol)
+        if charges is None:
+            charges = np.zeros(math.isqrt(w.size), int), np.zeros(model.dim_s, int)
+        q_a, self.q_s = (np.asarray(q) for q in charges)
+        vec_order = np.subtract.outer(q_a, q_a).reshape(-1)
+        self.q_k = np.empty(w.size, dtype=int)
+        for k, r in enumerate(right.T):
+            found = np.unique(vec_order[abs(r) > zero_tol * abs(r).max()])
+            if found.size != 1:
+                raise MixedChargeError(
+                    f"ancilla eigenvector {k} spans coherence orders {found.tolist()}"
+                )
+            self.q_k[k] = found[0]
+        self.model, self.eigenvalues, self.right, self.left = model, w, right, left
+        self.slow, self.condition, self.zero_tol = slow, condition, zero_tol
+        self.l0_eigen = left @ to_dense(model.l0) @ right  # diag(w) up to rounding
+
+    def orders(self):
+        """The orders of the sectors that hold a zero mode of L0, ascending."""
+        return np.unique(np.add.outer(self.q_k[self.slow], np.subtract.outer(self.q_s, self.q_s)))
+
+    def sectors(self, orders, max_dim=np.inf, perturbation=True):
+        """The :class:`ChargeSector` of each coherence order in ``orders``, with
+        V's block if ``perturbation``, cut from one block-diagonal matrix on
+        their stacked coordinates (keyed label * D + whole-space eigen index)."""
+        orders, q_s, q_k = np.asarray(orders), self.q_s, self.q_k
+        d_s, n_k = q_s.size, q_k.size
+        # per order and (k, a), the b of charge q_S[a] + q_k - order, ascending
+        by_charge = np.argsort(q_s, kind="stable")
+        wanted = ((q_s + q_k[:, None]).ravel() - orders[:, None]).ravel()
+        lo = np.searchsorted(q_s[by_charge], wanted, "left")
+        counts = np.searchsorted(q_s[by_charge], wanted, "right") - lo
+        dims = counts.reshape(orders.size, -1).sum(1)
+        if dims.max() > max_dim:
+            raise ValidationError(
+                f"charge sector dimension {dims.max()} exceeds the limit {max_dim} "
+                "(reduce the model size)"
+            )
+        total, size = int(dims.sum()), n_k * d_s * d_s
+        ka = np.repeat(np.arange(counts.size) % (n_k * d_s), counts)
+        b = by_charge[np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)]
+        k, a = np.divmod(ka, d_s)
+        is_slow = np.isin(k, self.slow)
+        keys = np.repeat(np.arange(orders.size) * size, dims) + ka * d_s + b  # increasing
+        # L_A's off-diagonal rounding between orders never meets in a sector
+        every = np.arange(total)
+        l0_eigen, _ = _place(keys, size, *_entries(self.l0_eigen, k, d_s, every, a, b, 1.0))
+        v = self.perturbation_block(k, a, b, keys, size) if perturbation else None
+        # row m of left is l_k (x) <a b|, column m of right R_k (x) |a><b|: entry
+        # (i, j) of R_k is at vec index (i d_S + a) h + j d_S + b, h = d_A d_S
+        d_a = math.isqrt(n_k)
+        h, vectors = d_a * d_s, []
+        for factor in (self.left, self.right.T):
+            m, ij, values = row_entries(sp.csr_matrix(factor), k)
+            i, j = np.divmod(ij, d_a)
+            at = (i * d_s + a[m]) * h + j * d_s + b[m]
+            vectors.append(sp.csr_matrix((values, (m, at)), shape=(total, h * h)))
+        out = []
+        for order, start, stop in zip(orders, np.cumsum(dims) - dims, np.cumsum(dims)):
+            cut = slice(start, stop)
+            if not is_slow[cut].any():
+                raise EmptySlowSpaceError(f"the order-{order} sector holds no zero mode of L0")
+            eigenvalues, fast = self.eigenvalues[k[cut]], np.flatnonzero(~is_slow[cut])
+            sd = SpectralData(
+                l0_eigen=l0_eigen[cut, cut],
+                eigenvalues=eigenvalues,
+                right=vectors[1][cut].T,  # CSC
+                left=vectors[0][cut],
+                slow=np.flatnonzero(is_slow[cut]),
+                fast=fast,
+                gap=float(abs(eigenvalues[fast]).min(initial=np.inf)),
+                condition=self.condition,
+                zero_tol=self.zero_tol,
+                backend="sector",
+            )
+            v_block = None if v is None else v[cut, cut]
+            index = np.array([k[cut], a[cut], b[cut]])
+            out.append(ChargeSector(sd, v_block, index, self.right, self.left))
+        return out
+
+    def perturbation_block(self, k, a, b, keys, size):
+        """V on the stacked sector coordinates (k, a, b) of :meth:`sectors`,
+        block-diagonal, with the checks of :func:`charge_sector`."""
+        d_s, coeff = self.q_s.size, -1j * self.model.epsilon
+        eye_a = np.eye(math.isqrt(self.eigenvalues.size))
+        parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for op_a, op_s in self.model.couplings:
+                s = sp.csr_matrix(op_s, dtype=complex)
+                alpha_l = self.left @ np.kron(op_a, eye_a) @ self.right
+                alpha_r = self.left @ np.kron(eye_a, np.transpose(op_a)) @ self.right
+                cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
+                parts.append(_entries(alpha_l, k, d_s, cols, to_a, b[cols], coeff * values))
+                cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
+                parts.append(_entries(alpha_r, k, d_s, cols, a[cols], to_b, -coeff * values))
+            v, (rows, cols, data) = _place(keys, size, *(np.concatenate(p) for p in zip(*parts)))
+        if not all_finite(v):
+            raise ToleranceNotMetError(
+                "V's block has non-finite entries: epsilon * V exceeds float64"
+            )
+        v.eliminate_zeros()  # the entries that cancel across couplings
+        _, where = np.unique(rows * keys.size + cols, return_inverse=True)
+        leak = np.bincount(where, data.real) + 1j * np.bincount(where, data.imag)
+        if abs(leak).max(initial=0.0) > self.zero_tol * abs(v.data).max(initial=0.0):
+            raise ValidationError(
+                "the couplings do not conserve the declared charge: they map a "
+                "coherence order to others"
+            )
+        return v
+
+
+def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf, order=0):
+    """One coherence-order sector of an ancilla model's generator, from its operators.
 
     ``charges = (q_A, q_S)`` holds an integer per ancilla and per system
     basis state; the vec component |i a><j b| has coherence order
     q_A[i] - q_A[j] + q_S[a] - q_S[b].  Each eigenvector R_k of L_A must
     have one order q_k, read from its support (``MixedChargeError``
     otherwise), and R_k (x) |a><b| is in the sector when
-    q_k + q_S[a] - q_S[b] = 0; with ``charges=None`` (all zero) that is the
-    whole space.  With l_k the left eigenvectors,
+    q_k + q_S[a] - q_S[b] = ``order``; with ``charges=None`` (all zero)
+    order 0 is the whole space.  With l_k the left eigenvectors,
 
         V = -i eps sum_c (aL_c (x) S_c (x) 1 - aR_c (x) 1 (x) S_c^T),
         aL_c[k, k'] = l_k . vec(A_c R_k'),  aR_c[k, k'] = l_k . vec(R_k' A_c)
@@ -152,105 +288,12 @@ def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf
     summed over all couplings and must cancel (``ValidationError``), those
     inside that cancel are dropped, and a non-finite one raises
     ``ToleranceNotMetError``.  A sector larger than ``max_dim`` is refused
-    before it is built.  No full-space matrix is formed: the sector's
-    eigenvectors hold at most d_A**2 entries each.
+    before it is built, and one without a zero mode of L0 raises
+    ``EmptySlowSpaceError``.  No full-space matrix is formed: the sector's
+    eigenvectors hold at most d_A**2 entries each.  :class:`AncillaBasis`
+    builds several sectors of one model at once.
     """
-    l_a = to_dense(model.l0)
-    w, right, left, slow, _, _, condition = _eig(l_a, zero_tol)
-    if charges is None:
-        charges = np.zeros(math.isqrt(w.size), int), np.zeros(model.dim_s, int)
-    q_a, q_s = (np.asarray(q) for q in charges)
-    d_s, n_k = q_s.size, w.size
-    vec_order = np.subtract.outer(q_a, q_a).reshape(-1)
-    q_k = np.empty(n_k, dtype=int)
-    for k, r in enumerate(right.T):
-        found = np.unique(vec_order[abs(r) > zero_tol * abs(r).max()])
-        if found.size != 1:
-            raise MixedChargeError(
-                f"ancilla eigenvector {k} spans coherence orders {found.tolist()}"
-            )
-        q_k[k] = found[0]
-    # for each (k, a), the b of charge q_S[a] + q_k, ascending
-    by_charge = np.argsort(q_s, kind="stable")
-    wanted = (q_s + q_k[:, None]).ravel()
-    lo = np.searchsorted(q_s[by_charge], wanted, "left")
-    counts = np.searchsorted(q_s[by_charge], wanted, "right") - lo
-    dim = int(counts.sum())
-    if dim > max_dim:
-        raise ValidationError(
-            f"charge sector dimension {dim} exceeds the limit {max_dim} (reduce the model size)"
-        )
-    ka = np.repeat(np.arange(counts.size), counts)
-    b = by_charge[np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(dim)]
-    k, a = np.divmod(ka, d_s)
-    flat = ka * d_s + b  # increasing
-    is_slow = np.isin(k, slow)
-    if not is_slow.any():
-        raise EmptySlowSpaceError("the coherence-order-0 sector holds no zero mode of L0")
-
-    def entries(alpha, cols, rows_a, rows_b, values):
-        """alpha[k', k of cols] * values at coordinates (k', rows_a, rows_b), every k'."""
-        to_k = np.arange(n_k)[:, None]
-        data = (alpha[to_k, k[cols]] * values).ravel()
-        rows = ((to_k * d_s + rows_a) * d_s + rows_b).ravel()
-        keep = data != 0
-        return rows[keep], np.tile(cols, n_k)[keep], data[keep]
-
-    def place(rows, cols, data):
-        """The entries inside the sector as a CSR block, and those outside."""
-        pos = np.minimum(np.searchsorted(flat, rows), dim - 1)
-        inside = flat[pos] == rows
-        block = sp.csr_matrix((data[inside], (pos[inside], cols[inside])), shape=(dim, dim))
-        return block, (rows[~inside], cols[~inside], data[~inside])
-
-    # L_A's off-diagonal rounding between orders never meets in the sector
-    every = np.arange(dim)
-    l0_eigen, _ = place(*entries(left @ l_a @ right, every, a, b, 1.0))
-    eye_a, coeff = np.eye(q_a.size), -1j * model.epsilon
-    parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for op_a, op_s in model.couplings:
-            s = sp.csr_matrix(op_s, dtype=complex)
-            alpha_l = left @ np.kron(op_a, eye_a) @ right
-            alpha_r = left @ np.kron(eye_a, np.transpose(op_a)) @ right
-            cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
-            parts.append(entries(alpha_l, cols, to_a, b[cols], coeff * values))
-            cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
-            parts.append(entries(alpha_r, cols, a[cols], to_b, -coeff * values))
-        v, (rows, cols, data) = place(*(np.concatenate(p) for p in zip(*parts)))
-    if not all_finite(v):
-        raise ToleranceNotMetError("V's block has non-finite entries: epsilon * V exceeds float64")
-    v.eliminate_zeros()  # the entries that cancel across couplings
-    _, where = np.unique(rows * dim + cols, return_inverse=True)
-    leak = np.bincount(where, data.real) + 1j * np.bincount(where, data.imag)
-    if abs(leak).max(initial=0.0) > zero_tol * abs(v.data).max(initial=0.0):
-        raise ValidationError(
-            "the couplings do not conserve the declared charge: they map the "
-            "coherence-order-0 sector to other orders"
-        )
-    # row m of left is l_k (x) <a b|, column m of right R_k (x) |a><b|: entry
-    # (i, j) of R_k is at vec index (i d_S + a) h + j d_S + b, h = d_A d_S
-    h, vectors = q_a.size * d_s, []
-    for factor in (left, right.T):
-        m, ij, values = row_entries(sp.csr_matrix(factor), k)
-        i, j = np.divmod(ij, q_a.size)
-        at = (i * d_s + a[m]) * h + j * d_s + b[m]
-        vectors.append(sp.csr_matrix((values, (m, at)), shape=(dim, h * h)))
-    eigenvalues = w[k]
-    fast = np.flatnonzero(~is_slow)
-    sd = SpectralData(
-        l0_eigen=l0_eigen,
-        eigenvalues=eigenvalues,
-        right=vectors[1].T,  # CSC
-        left=vectors[0],
-        slow=np.flatnonzero(is_slow),
-        fast=fast,
-        gap=float(abs(eigenvalues[fast]).min(initial=np.inf)),
-        condition=condition,
-        zero_tol=zero_tol,
-        backend="sector",
-    )
-    return ChargeSector(spectral=sd, v=v, index=np.array([k, a, b]), right=right, left=left)
+    return AncillaBasis(model, charges, zero_tol).sectors([order], max_dim)[0]
 
 
 def as_operand(sd, a):

@@ -62,12 +62,14 @@ class SWGenerator:
     spectral: object  # the SpectralData the terms were built from
 
     @cached_property
-    def slow_triangles(self):
+    def residual_factors(self):
         """Triangular factors of qr(R_s) and qr(L_s^H) for the slow vectors
-        R_s, L_s of ``spectral``, computed once for all residuals."""
+        R_s, L_s of ``spectral``, and its fast vectors L_f and R_f, taken
+        once for all residuals."""
         sd = self.spectral
         rs, ls = to_dense(sd.right[:, sd.slow]), to_dense(sd.left[sd.slow, :])
-        return np.linalg.qr(rs, mode="r"), np.linalg.qr(ls.conj().T, mode="r")
+        triangles = (np.linalg.qr(x, mode="r") for x in (rs, ls.conj().T))
+        return (*triangles, sd.left[sd.fast, :], sd.right[:, sd.fast])
 
     def total(self, epsilon, order=None):
         order = self.nmax if order is None else order
@@ -196,11 +198,17 @@ def closed_form_slow_orders(sd, v):
 
 
 def decoupling_residual(sd, gen, epsilon, order):
-    """Norm of the slow/fast coupling left after the truncated transform.
+    """Norm of the slow/fast coupling left after the truncated transform:
+    ||P T Q|| + ||Q T P||, the sum of :func:`decoupling_blocks`."""
+    return sum(decoupling_blocks(sd, gen, epsilon, order))
 
-    Builds S(eps) through the requested order and returns the sum of the
-    spectral norms of the two off-diagonal blocks P T Q and Q T P of
-    T = exp(-S) (L0 + eps V) exp(S), for the V that ``gen`` was built from.
+
+def decoupling_blocks(sd, gen, epsilon, order):
+    """Spectral norms of the two off-diagonal blocks left by the truncated transform.
+
+    Builds S(eps) through the requested order and returns the spectral
+    norms of P T Q and Q T P, in that order, for
+    T = exp(-S) (L0 + eps V) exp(S) and the V that ``gen`` was built from.
     In L0's eigen coordinates, L0 + eps V is ``sd.l0_eigen`` plus eps times
     V's blocks in ``gen``, and S is [[0, A], [B, 0]] with A = <l_s|S|r_f>
     and B = <l_f|S|r_s>, so exp(+-S) is fixed by functions of the
@@ -220,16 +228,16 @@ def decoupling_residual(sd, gen, epsilon, order):
         Q T P = R_f <l_f|T|r_s> L_s,   ||Q T P|| = ||R_f <l_f|T|r_s> M^H||
 
     where K and M are the triangular factors of qr(R_s) and qr(L_s^H)
-    (``gen.slow_triangles``).  No D x D exponential, factorization or SVD
-    is formed.  Returns inf, without overflow warnings, when exp(+-S) is
-    too large for these products in float64.
+    (``gen.residual_factors``).  No D x D exponential, factorization or SVD
+    is formed.  Returns (inf, inf), without overflow warnings, when exp(+-S)
+    is too large for these products in float64.
     """
     k, slow, fast = sd.slow_dim, sd.slow, sd.fast
     s = gen.total(epsilon, order)
     v_diag, v_off = gen.v_blocks
     l_full = as_operand(sd, sd.l0_eigen + epsilon * (v_diag + v_off))
     a, b = to_dense(s[slow][:, fast]), to_dense(s[fast][:, slow])
-    r_tri, l_tri = gen.slow_triangles
+    r_tri, l_tri, left_f, right_f = gen.residual_factors
     with np.errstate(over="ignore", invalid="ignore"):
         zero, one = np.zeros((k, k)), np.eye(k)
         quarter = expm(np.block([[zero, one], [(a @ b) / 4, zero]]))
@@ -244,11 +252,11 @@ def decoupling_residual(sd, gen, epsilon, order):
         cols = l_full[:, slow] @ c + l_full[:, fast] @ b_sh
         cols_s, cols_f = cols[slow], cols[fast]
         t_fs = cols_f - b_sh @ cols_s + b @ (g_a @ cols_f)
-        pq_factor = r_tri @ (t_sf @ sd.left[fast, :])
-        qp_factor = (sd.right[:, fast] @ t_fs) @ l_tri.conj().T
+        pq_factor = r_tri @ (t_sf @ left_f)
+        qp_factor = (right_f @ t_fs) @ l_tri.conj().T
     if not (np.isfinite(pq_factor).all() and np.isfinite(qp_factor).all()):
-        return np.inf  # exp(+-S) overflowed: the residual is beyond float64
-    return spectral_norm(pq_factor) + spectral_norm(qp_factor)
+        return np.inf, np.inf  # exp(+-S) overflowed: the norms are beyond float64
+    return spectral_norm(pq_factor), spectral_norm(qp_factor)
 
 
 @dataclass

@@ -1,16 +1,34 @@
-"""The coherence-order-0 sector built from the ancilla operators, against
-the same block cut out of the whole space (the sector of trivial charges)."""
+"""The coherence-order sectors built from the ancilla operators, against
+the same blocks cut out of the whole space (the sector of trivial charges)."""
 
+import contextlib
+import csv
+import io
 import warnings
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lsw import models, qrt
-from lsw.exceptions import MixedChargeError, ToleranceNotMetError, ValidationError
-from lsw.spectral import charge_sector, to_eigen
+from lsw import cli, models, qrt
+from lsw.exceptions import (
+    EmptySlowSpaceError,
+    MixedChargeError,
+    ToleranceNotMetError,
+    ValidationError,
+)
+from lsw.spectral import AncillaBasis, charge_sector, to_eigen
 from lsw.superop import lift, to_dense
-from lsw.sw import correction_terms, effective_liouvillian, generator_terms, reduced_effective
+from lsw.sw import (
+    correction_terms,
+    decoupling_blocks,
+    decoupling_residual,
+    effective_liouvillian,
+    generator_terms,
+    reduced_effective,
+)
 
 
 def burst(n_spins, omega):
@@ -118,3 +136,88 @@ def test_non_finite_block_raises_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(ToleranceNotMetError, match="non-finite"):
             charge_sector(huge)
+
+
+def flip_flop(n_spins, g=1.0, gamma=1.0, omega=0.2):
+    """The superradiance ancilla model and its charges."""
+    params = models.SuperradianceParams(n_spins=n_spins, g=g, gamma=gamma, omega=omega)
+    return models.superradiance_ancilla(params), models.superradiance_charges(n_spins)
+
+
+@pytest.mark.parametrize("n_spins", [1, 3, 8])
+def test_sectors_tile_the_space(n_spins):
+    # the orders -N..N hold the zero modes; with them the two coordinates of
+    # orders +-(N+1) (|up><dn| (x) |a><b| at the extreme nuclear ladder
+    # states), which hold none, make up the whole space
+    ancilla, charges = flip_flop(n_spins)
+    basis = AncillaBasis(ancilla, charges)
+    orders = basis.orders()
+    assert orders.tolist() == list(range(-n_spins, n_spins + 1))
+    sectors = basis.sectors(orders)
+    assert sum(s.spectral.dim for s in sectors) == 4 * (n_spins + 1) ** 2 - 2
+    assert sum(s.spectral.slow_dim for s in sectors) == (n_spins + 1) ** 2
+    for order in (n_spins + 1, -n_spins - 1):
+        with pytest.raises(EmptySlowSpaceError, match=f"order-{order} sector"):
+            charge_sector(ancilla, charges, order=order)
+    # a sector cut from the stack is bit for bit the one built alone, and
+    # order 0 is what compare reads
+    for order, stacked in zip(orders, sectors):
+        alone = charge_sector(ancilla, charges, order=order)
+        for name in ("l0_eigen", "right", "left"):
+            got, want = getattr(stacked.spectral, name), getattr(alone.spectral, name)
+            assert (got != want).nnz == 0 and got.shape == want.shape
+        assert (stacked.v != alone.v).nnz == 0
+        assert np.array_equal(stacked.index, alone.index)
+        assert np.array_equal(stacked.spectral.eigenvalues, alone.spectral.eigenvalues)
+        assert np.array_equal(stacked.spectral.slow, alone.spectral.slow)
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 4, 6])
+def test_mirror_sectors_have_equal_block_norms(n_spins):
+    # every generator here preserves Hermiticity, which maps order q to -q:
+    # the scan builds only q >= 0
+    ancilla, charges = flip_flop(n_spins, g=0.7, omega=0.3)
+    basis = AncillaBasis(ancilla, charges)
+    norms = {}
+    for order, sector in zip(basis.orders(), basis.sectors(basis.orders())):
+        gen = generator_terms(sector.spectral, sector.v, 3)
+        norms[order] = np.array([decoupling_blocks(sector.spectral, gen, e, 3) for e in (0.1, 0.03)])
+    for order in range(1, n_spins + 1):
+        assert np.abs(norms[-order] / norms[order] - 1).max() <= 1e-10
+
+
+def test_charge_breaking_coupling_raises_in_every_sector():
+    ancilla, charges = flip_flop(4)
+    single = qrt.AncillaModel(l0=ancilla.l0, couplings=ancilla.couplings[:1], epsilon=1.0)
+    for order in (0, 2, -3):
+        with pytest.raises(ValidationError, match="do not conserve the declared charge"):
+            charge_sector(single, charges, order=order)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    n_spins=st.integers(1, 8),
+    g=st.floats(0.2, 1.5),
+    gamma=st.floats(0.5, 2.0),
+    omega=st.floats(-0.6, 0.6),
+    order=st.integers(1, 5),
+)
+def test_scan_per_order_matches_whole_space_residual(tmp_path_factory, n_spins, g, gamma, omega, order):
+    # the CLI scan, per coherence order, against the whole-space sector
+    model = {"kind": "superradiance", "n_spins": n_spins, "g": g, "gamma": gamma, "omega": omega}
+    tmp = tmp_path_factory.mktemp("scan")
+    (tmp / "run.yaml").write_text(yaml.safe_dump({"model": model, "order": order, "epsilons": [0.1, 0.03]}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["decoupling-scan", "--config", str(tmp / "run.yaml"), "--out", str(tmp / "o")])
+    assert code == 0
+    with open(tmp / "o_decoupling.csv") as fh:
+        got = [float(row["residual"]) for row in csv.DictReader(fh)]
+    ancilla, _ = flip_flop(n_spins, g, gamma, omega)
+    whole = charge_sector(ancilla)
+    gen = generator_terms(whole.spectral, whole.v, order)
+    want = [decoupling_residual(whole.spectral, gen, e, order) for e in (0.1, 0.03)]
+    # 1e-9 relative, or 1e-16 absolute, below one rounding of the O(1)
+    # entries of L0 + eps V: near 1e-9 both routes round at about 1e-17
+    # (6.5e-18 apart, 1.1e-8 relative, on a 5.7e-10 residual at N=6, order 5)
+    for r, w in zip(got, want):
+        assert abs(r - w) <= max(1e-9 * w, 1e-16), (r, w)

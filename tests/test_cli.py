@@ -53,32 +53,36 @@ def record_trajectories(monkeypatch):
 
 
 def run_on_backend(monkeypatch, task, cfg, out, dense):
-    """Run a CLI task, on the dense reference backend if asked; return the
-    backends used."""
-    real = spectral.charge_sector
+    """Run a CLI task, on the dense reference backend if asked (the whole
+    space, any charges withheld); return the backend of every sector built."""
+    real, real_basis = spectral.AncillaBasis.sectors, spectral.AncillaBasis
     used = []
 
-    def recorded(model, charges, zero_tol):
-        sector = real(model, charges, zero_tol)
+    def recorded(basis, orders, max_dim=np.inf, perturbation=True):
+        sectors = real(basis, orders, max_dim, perturbation)
         if dense:  # the same L0 and V, handed over whole
-            l0, v = model.full_space()
-            sd = spectral.decompose(l0, zero_tol)
-            sector = spectral.ChargeSector(sd, spectral.to_eigen(sd, v), None, None, None)
-        used.append(sector.spectral.backend)
-        return sector
+            l0, v = basis.model.full_space()
+            sd = spectral.decompose(l0, basis.zero_tol)
+            sectors = [spectral.ChargeSector(sd, spectral.to_eigen(sd, v), None, None, None)]
+        used.extend(sector.spectral.backend for sector in sectors)
+        return sectors
 
-    monkeypatch.setattr(cli, "charge_sector", recorded)
+    monkeypatch.setattr(spectral.AncillaBasis, "sectors", recorded)
+    if dense:
+        monkeypatch.setattr(
+            cli, "AncillaBasis", lambda model, charges, zero_tol: real_basis(model, None, zero_tol)
+        )
     assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
     return used
 
 
-def run_both_backends(tmp_path, monkeypatch, task, payload):
-    """Output prefixes of a task run on the whole-space sector (the
-    structured backend) and on the dense one."""
+def run_both_backends(tmp_path, monkeypatch, task, payload, sectors=1):
+    """Output prefixes of a task run on its charge sectors (the structured
+    backend; ``sectors`` of them) and on the dense one."""
     cfg = write_config(tmp_path, payload)
     product, dense = tmp_path / "product", tmp_path / "dense"
-    assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["sector"]
+    assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["sector"] * sectors
     assert run_on_backend(monkeypatch, task, cfg, dense, dense=True) == ["dense"]
     return f"{product}_", f"{dense}_"
 
@@ -871,6 +875,7 @@ def test_decoupling_scan_product_backend_matches_dense(tmp_path, monkeypatch):
             "order": 4,
             "epsilons": [0.08, 0.04, 0.02],
         },
+        sectors=5,  # the coherence orders 0 to N
     )
     got, want = read_columns(product + "decoupling.csv"), read_columns(dense + "decoupling.csv")
     assert np.abs(got["residual"] / want["residual"] - 1).max() <= 1e-10
@@ -1046,6 +1051,18 @@ def test_spectral_tasks_without_couplings(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.glob("scan*"))
 
 
+def test_decoupling_scan_without_fast_mode_exits_2(tmp_path, capsys):
+    # gamma = omega = 0: L0 = 0, every mode is slow and the residual is zero
+    # although g = 1, so the refusal names L0, not the perturbation
+    model = {"kind": "superradiance", "n_spins": 3, "g": 1.0, "gamma": 0.0, "omega": 0.0}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "scan")})
+    assert cli.main(["decoupling-scan", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: decoupling-scan: L0 has no fast mode to decouple (zero residual)\n"
+    )
+    assert not list(tmp_path.glob("scan*"))
+
+
 @pytest.mark.parametrize("task", ["spectrum", "effective", "decoupling-scan"])
 def test_system_free_model_sector_matches_dense(tmp_path, monkeypatch, task):
     # the random model lives on A alone (d_S = 1): its one sector is L_A's
@@ -1100,6 +1117,18 @@ def test_spectrum_assembles_no_full_space(tmp_path, monkeypatch):
     for i, model in enumerate([_EXIT_CODES["superradiance"][0], _EXIT_CODES["random"][0]]):
         cfg = write_config(tmp_path, {"model": model}, f"m{i}.yaml")
         assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"s{i}")]) == 0
+
+
+def test_spectrum_builds_no_perturbation_block(tmp_path, monkeypatch):
+    # spectrum reads the eigenvalues, the slow set and the gap: the
+    # couplings are neither rotated nor placed into V's block, which
+    # effective does need
+    forbid(monkeypatch, "perturbation_block", (spectral.AncillaBasis,))
+    for i, model in enumerate([_EXIT_CODES["superradiance"][0], _EXIT_CODES["random"][0]]):
+        cfg = write_config(tmp_path, {"model": model}, f"m{i}.yaml")
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"s{i}")]) == 0
+    with pytest.raises(AssertionError, match="perturbation_block ran"):
+        cli.main(["effective", "--config", cfg, "--out", str(tmp_path / "eff")])
 
 
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
@@ -1179,7 +1208,7 @@ def test_decoupling_scan_refuses_zero_and_non_finite_residuals(tmp_path, capsys,
     )
     assert cli.main(["decoupling-scan", "--config", cfg]) == 2
     assert "no perturbation" in capsys.readouterr().err
-    monkeypatch.setattr(cli.sw, "decoupling_residual", lambda *args: float("nan"))
+    monkeypatch.setattr(cli.sw, "decoupling_blocks", lambda *args: (float("nan"), float("nan")))
     cfg = write_config(
         tmp_path,
         {"model": {"kind": "random", "seed": 1}, "output": str(tmp_path / "scan")},
