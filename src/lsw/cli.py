@@ -382,7 +382,7 @@ def _build_model(run):
 
 def _task_spectrum(run):
     ancilla = run.model["ancilla"]
-    sd = AncillaBasis(ancilla, None, run.zero_tol).sectors([0], perturbation=False)[0].spectral
+    sd = charge_sector(ancilla, None, run.zero_tol, perturbation=False).spectral
     report = check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
     lam = sd.eigenvalues[order]
@@ -530,8 +530,7 @@ def _task_decoupling_scan(run):
     for sector in basis.sectors([q for q in basis.orders() if q >= 0]):
         sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
         blocks.append([sw.decoupling_blocks(sd, gen, e, run.order) for e in run.epsilons])
-    pq, qp = np.max(blocks, axis=0).T
-    eps, res = np.asarray(run.epsilons), pq + qp
+    eps, res = np.asarray(run.epsilons), np.max(blocks, axis=0).sum(1)
     if not np.all(np.isfinite(res)):
         raise ToleranceNotMetError(f"decoupling residuals {res.tolist()} are not all finite")
     if not np.all(res > 0):

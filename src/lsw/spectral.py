@@ -7,7 +7,7 @@ up to inversion error and avoids any eigenvector pairing ambiguity.
 
 Two backends build the same :class:`SpectralData`.  The dense reference,
 :func:`decompose`, diagonalizes a full D x D generator.  The structured
-one, :class:`AncillaBasis` (:func:`charge_sector` for one sector), serves
+one, :class:`AncillaBasis` (:func:`charge_sector` for order 0), serves
 L0 = L_A (x) 1_S as the model declares it: it diagonalizes the block L_A
 once and builds coherence-order sectors (the whole space for trivial
 charges) from the model's operators, with V's blocks and sparse vec-space
@@ -269,16 +269,18 @@ class AncillaBasis:
         return v
 
 
-def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf, order=0):
-    """One coherence-order sector of an ancilla model's generator, from its operators.
+def charge_sector(
+    model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf, perturbation=True
+):
+    """The coherence-order-0 sector of an ancilla model's generator, from its operators.
 
     ``charges = (q_A, q_S)`` holds an integer per ancilla and per system
     basis state; the vec component |i a><j b| has coherence order
     q_A[i] - q_A[j] + q_S[a] - q_S[b].  Each eigenvector R_k of L_A must
     have one order q_k, read from its support (``MixedChargeError``
-    otherwise), and R_k (x) |a><b| is in the sector when
-    q_k + q_S[a] - q_S[b] = ``order``; with ``charges=None`` (all zero)
-    order 0 is the whole space.  With l_k the left eigenvectors,
+    otherwise); R_k (x) |a><b| is in the order-q sector of
+    :meth:`AncillaBasis.sectors` when q_k + q_S[a] - q_S[b] = q, and with
+    ``charges=None`` (all zero) order 0 is the whole space.  With l_k the left eigenvectors,
 
         V = -i eps sum_c (aL_c (x) S_c (x) 1 - aR_c (x) 1 (x) S_c^T),
         aL_c[k, k'] = l_k . vec(A_c R_k'),  aR_c[k, k'] = l_k . vec(R_k' A_c)
@@ -289,11 +291,10 @@ def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf
     inside that cancel are dropped, and a non-finite one raises
     ``ToleranceNotMetError``.  A sector larger than ``max_dim`` is refused
     before it is built, and one without a zero mode of L0 raises
-    ``EmptySlowSpaceError``.  No full-space matrix is formed: the sector's
-    eigenvectors hold at most d_A**2 entries each.  :class:`AncillaBasis`
-    builds several sectors of one model at once.
+    ``EmptySlowSpaceError``.  No full-space matrix is formed: the eigenvectors
+    hold at most d_A**2 entries each.  V's block is None unless ``perturbation``.
     """
-    return AncillaBasis(model, charges, zero_tol).sectors([order], max_dim)[0]
+    return AncillaBasis(model, charges, zero_tol).sectors([0], max_dim, perturbation)[0]
 
 
 def as_operand(sd, a):
