@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 import yaml
 
 from . import dynamics, models, qrt, superop, sw
@@ -27,7 +28,7 @@ from .exceptions import (
     ValidationError,
 )
 from .expr import parse_operator_expr
-from .operators import spin_operators, tensor
+from .operators import spin_operators
 from .spectral import AncillaBasis, charge_sector, check_perturbative_limit
 from .superop import LindbladSpec, lindblad_superop, vectorize
 
@@ -249,11 +250,11 @@ def _custom_model(cfg, task):
         rho0 = np.eye(dim, dtype=complex) / dim if hdim == dim else None
     observables = _shaped("model.observables", cfg.get("observables"))
     observables = {name: parse(text) for name, text in observables.items()}
-    for name, op in observables.items():
+    operators = [("initial state", rho0)] if rho0_text else []
+    operators += [(f"observable {name!r}", op) for name, op in observables.items()]
+    for name, op in operators:
         if op.shape != (hdim, hdim):
-            raise DimensionMismatchError(
-                f"observable {name!r} has shape {op.shape}, expected ({hdim}, {hdim})"
-            )
+            raise DimensionMismatchError(f"{name} has shape {op.shape}, expected ({hdim}, {hdim})")
     return ancilla, rho0, observables
 
 
@@ -320,10 +321,10 @@ def _build_model(run):
     """The one model registry: a dict with the kind, the AncillaModel under
     ``ancilla``, ``rho0`` (None: none on A (x) S), the observables and the
     ``charges`` (q_A, q_S) of ``charge_sector`` (None: none declared).
-    Nothing of the full space is assembled here; the tasks call
-    ``AncillaModel.full_space``.  The size check comes before any L0 is
-    built.  Superradiance's full-size burst state and ``iz`` observable are
-    built for evolve alone, the one task that reads them."""
+    Nothing of the full space is assembled here; decoupling-scan's rounding
+    floor calls ``AncillaModel.full_space``.  The size check comes before any L0 is
+    built.  Superradiance's burst state and ``iz`` observable are built, as
+    CSR, for evolve alone, the one task that reads them."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
     charges = None
@@ -334,8 +335,8 @@ def _build_model(run):
         charges = models.superradiance_charges(params.n_spins)
         if run.task == "evolve":
             n = params.n_spins
-            rho0 = tensor(*models.superradiance_initial(n))
-            observables = {"iz": tensor(np.eye(2), models.collective_ops(n)[2])}
+            rho0 = sp.kron(*models.superradiance_initial(n), format="csr")
+            observables = {"iz": sp.kron(np.eye(2), models.collective_ops(n)[2], format="csr")}
     elif kind == "decaying-qubit":
         l0, _ = models.decaying_qubit(
             gamma=_number("model.gamma", mcfg.get("gamma", 1.0), low=0),
@@ -433,19 +434,27 @@ def _task_effective(run):
 
 
 def _task_evolve(run):
+    """The coherence orders of rho0 in L_A's own basis: coordinate (k, a, b),
+    k = i d_A + j, is |i a><j b|, where rho0 and each functional are read."""
     built = run.model
-    if built["rho0"] is None:
+    rho0, ancilla = built["rho0"], built["ancilla"]
+    if rho0 is None:
         raise ValidationError(
             "evolve needs an initial state: a model on A (x) S has no default one"
         )
-    l0, v = built["ancilla"].full_space()
-    charge = None if built["charges"] is None else np.add.outer(*built["charges"]).reshape(-1)
-    traj = dynamics.evolve(l0 + run.epsilon * v, built["rho0"], run.times, charge)
-    header = ["time"] + [f"re_{k}" for k in built["observables"]] + [
-        f"im_{k}" for k in built["observables"]
-    ]
-    series = [traj.expectation(op) for op in built["observables"].values()]
-    columns = [traj.times] + [s.real for s in series] + [s.imag for s in series]
+    basis = AncillaBasis.vec(ancilla, built["charges"], run.zero_tol)
+    (k, a, b), _, l0, v = basis.block(basis.orders_of(rho0))
+    i, j = np.divmod(k, math.isqrt(basis.q_k.size))
+    rows, cols = i * ancilla.dim_s + a, j * ancilla.dim_s + b
+
+    def at(op, r, c):  # the entries op[r, c], of a dense or a CSR operator
+        return np.asarray(op[r, c]).reshape(-1)
+
+    states, _ = dynamics.propagate(l0 + run.epsilon * v, at(rho0, rows, cols), run.times)
+    series = [states @ at(op, cols, rows) for op in built["observables"].values()]
+    names = list(built["observables"])
+    header = ["time"] + [f"re_{k}" for k in names] + [f"im_{k}" for k in names]
+    columns = [run.times] + [s.real for s in series] + [s.imag for s in series]
     return [_write_csv(run.out + "_trajectory.csv", header, columns)]
 
 

@@ -1,33 +1,27 @@
 """Exact and effective time evolution, observables, emission intensity.
 
-Propagation runs in the charge sector of the initial state.  A model may
-declare an integer charge q_i for each basis state such that its generator
-conserves the coherence order q_i - q_j of every vec component |i><j|
-(Buca & Prosen, arXiv:1203.0943): a Hamiltonian block-diagonal in q and
-jumps that each shift q by a fixed amount.  ``evolve`` then propagates only
-the components whose order occurs in rho0, after checking exactly that the
-generator maps none of them outside.  The trajectory keeps only that
-block, so observables are dot products over it, and a full-size state is
-built only when asked for.  Without a charge the sector is the whole space.
-
 ``propagate`` is the one vector propagator.  A small dimension k steps
 with its one-step propagator ``expm(h G)``, computed once per grid span at
 O(k^3) cost however long the span; otherwise ``expm_multiply`` acts on the
 state with a number of matvecs that grows with ||G||_1 t_max, and at
 least a fixed cost per output point.  The stiffness guard and the
 non-finite check cover both ways.
+
+``evolve`` is the whole-space reference: it propagates every vec component
+of a state under a full generator.  Coherence-order sectors (Buca &
+Prosen, arXiv:1203.0943) are built in :mod:`lsw.spectral` from a model's
+operators; the CLI propagates those blocks with ``propagate`` directly.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from .exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
-from .superop import devectorize, to_csr, vectorize
+from .superop import to_csr, vectorize
 
 # expm_multiply does not fail on very stiff input, it runs (nearly) forever;
 # propagations with ||G||_1 * t_max above this are refused up front
@@ -50,39 +44,15 @@ DENSE_STEP_FLOOR = 5e4
 
 @dataclass
 class Trajectory:
-    """Vectorized states on a fixed time grid, held as their propagated block:
-    row k of ``sector`` is vec rho(t_k) at ``keep``, and zero elsewhere."""
+    """Vectorized states on a fixed time grid: row k of ``states`` is vec rho(t_k)."""
 
     times: np.ndarray
-    sector: np.ndarray  # shape (n_times, keep.size)
-    keep: np.ndarray  # the propagated vec indices, increasing
-    dim: int  # d**2
+    states: np.ndarray  # shape (n_times, d**2)
     stepper: str  # "expm" (dense one-step propagator) or "expm_multiply"
-
-    @property
-    def sector_dim(self):
-        return self.keep.size
-
-    @property
-    def hdim(self):
-        return math.isqrt(self.dim)
-
-    @cached_property
-    def states(self):
-        """The full vectorized states, shape (n_times, d**2), built on first access."""
-        states = np.zeros((self.times.size, self.dim), dtype=complex)
-        states[:, self.keep] = self.sector
-        return states
-
-    def operator(self, index):
-        state = np.zeros(self.dim, dtype=complex)
-        state[self.keep] = self.sector[index]
-        return devectorize(state)
 
     def expectation(self, op):
         """Tr(op rho(t)) along the trajectory."""
-        flat = np.asarray(op, dtype=complex).T.reshape(-1)
-        return self.sector @ flat[self.keep]
+        return self.states @ np.asarray(op, dtype=complex).T.reshape(-1)
 
 
 def _validate_times(times):
@@ -150,42 +120,19 @@ def propagate(generator, y0, times):
     return states, "expm" if dense else "expm_multiply"
 
 
-def evolve(generator, rho0, times, charge=None):
-    """Propagate rho0 under a fixed generator, landing exactly on `times`.
-
-    The vec components in the sector of rho0 go through :func:`propagate`,
-    whose stepper the trajectory records.  ``charge`` holds an integer per
-    basis state (None: all zero).  Only the vec components whose coherence
-    order occurs in rho0 are propagated; a generator entry that maps them
-    to any other component means the charge is not conserved and raises
-    :class:`ValidationError`.
-    """
+def evolve(generator, rho0, times):
+    """Propagate rho0 under a fixed generator on the whole space, landing
+    exactly on ``times``, by :func:`propagate`, whose stepper the trajectory
+    records: the reference the sector blocks are checked against."""
     times = _validate_times(times)
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1]:
+        raise DimensionMismatchError(f"initial state of shape {rho0.shape} is not square")
     trace = np.trace(rho0)
     if not abs(trace - 1.0) <= 1e-8:  # NaN fails too
         raise ValidationError(f"initial state has trace {trace:.6g}, expected 1")
-    d = rho0.shape[0]
-    g = to_csr(generator)
-    if rho0.shape != (d, d) or g.shape != (d * d, d * d):
-        raise DimensionMismatchError(
-            f"generator of shape {g.shape} does not act on states of shape {rho0.shape}"
-        )
-    charge = np.zeros(d, dtype=int) if charge is None else np.asarray(charge)
-    if charge.shape != (d,):
-        raise ValidationError(f"charge has shape {charge.shape}, expected ({d},)")
-    order = np.subtract.outer(charge, charge).reshape(-1)
-    y0 = vectorize(rho0)
-    inside = np.isin(order, order[y0 != 0])
-    keep = np.flatnonzero(inside)
-    cols = g[:, keep]
-    if cols[np.flatnonzero(~inside)].count_nonzero():
-        raise ValidationError(
-            "the generator does not conserve the declared charge: it maps the "
-            "coherence orders of the initial state to others"
-        )
-    sector, stepper = propagate(cols[keep], y0[keep], times)
-    return Trajectory(times=times, sector=sector, keep=keep, dim=order.size, stepper=stepper)
+    states, stepper = propagate(generator, vectorize(rho0), times)
+    return Trajectory(times=times, states=states, stepper=stepper)
 
 
 def emission_intensity(traj, op, generator):
@@ -195,23 +142,18 @@ def emission_intensity(traj, op, generator):
     emitted intensity.
     """
     flat = np.asarray(op, dtype=complex).T.reshape(-1)
-    return -np.real(traj.sector @ (generator.T @ flat)[traj.keep])
+    return -np.real(traj.states @ (generator.T @ flat))
 
 
 def trace_drift(traj):
     """Maximum deviation of the state trace from one along the trajectory."""
-    # the diagonal has coherence order 0, which the trace puts in every sector
-    d = traj.hdim
-    idx = np.searchsorted(traj.keep, np.arange(d) * (d + 1))
-    traces = traj.sector[:, idx].sum(axis=1)
+    d = math.isqrt(traj.states.shape[1])
+    traces = traj.states[:, np.arange(d) * (d + 1)].sum(axis=1)
     return float(np.max(np.abs(traces - 1.0)))
 
 
 def min_state_eigenvalue(traj):
     """Smallest eigenvalue of the hermitized state along the trajectory."""
-    lows = []
-    for k in range(traj.times.size):
-        rho = traj.operator(k)
-        rho = 0.5 * (rho + rho.conj().T)
-        lows.append(np.linalg.eigvalsh(rho).min())
-    return float(min(lows))
+    d = math.isqrt(traj.states.shape[1])
+    rho = traj.states.reshape(-1, d, d)
+    return float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().transpose(0, 2, 1))).min())

@@ -67,11 +67,6 @@ class SuperradianceModel:
     def iz_full(self):
         return tensor(np.eye(2), self.iz)
 
-    @property
-    def charge(self):
-        """Charge of each full-space basis state: the electron's plus the nuclear."""
-        return np.add.outer(*self.charges).reshape(-1)
-
 
 def collective_ops(n_spins):
     """Collective operators (I+, I-, Iz) with homogeneous 1/sqrt(N) weights."""

@@ -14,6 +14,10 @@ charges) from the model's operators, with V's blocks and sparse vec-space
 eigenvectors R_k (x) |a><b|.  In eigen coordinates the projectors are
 index masks and the fast inverse is a diagonal scaling; their full-space
 forms are built on demand.
+
+This module is the one place coherence-order sectors are built: the same
+:meth:`AncillaBasis.block` also runs in L_A's own basis |i><j|
+(:meth:`AncillaBasis.vec`), for propagation (the CLI's ``evolve``).
 """
 
 import math
@@ -153,16 +157,15 @@ def _place(keys, size, rows, cols, data):
 
 
 class AncillaBasis:
-    """What the coherence-order sectors of an ancilla model share (see
-    :func:`charge_sector`): L_A's eigensystem, L_A in its eigen coordinates
-    (``l0_eigen``), the order ``q_k`` of each eigenvector and the charges ``q_s``."""
+    """What the coherence-order sectors of an ancilla model share, for L_A's
+    eigenvectors R_k (this constructor, see :func:`charge_sector`) or its own
+    basis |i><j| (:meth:`vec`): L_A in those coordinates (``l0_eigen``), their
+    vectors (columns of ``right``, rows of ``left``), the order ``q_k`` of
+    each and the charges ``q_a`` and ``q_s``."""
 
     def __init__(self, model, charges=None, zero_tol=DEFAULT_ZERO_TOL):
         w, right, left, slow, _, _, condition = _eig(to_dense(model.l0), zero_tol)
-        if charges is None:
-            charges = np.zeros(math.isqrt(w.size), int), np.zeros(model.dim_s, int)
-        q_a, self.q_s = (np.asarray(q) for q in charges)
-        vec_order = np.subtract.outer(q_a, q_a).reshape(-1)
+        vec_order = self._declare(model, charges, zero_tol)
         self.q_k = np.empty(w.size, dtype=int)
         for k, r in enumerate(right.T):
             found = np.unique(vec_order[abs(r) > zero_tol * abs(r).max()])
@@ -171,18 +174,61 @@ class AncillaBasis:
                     f"ancilla eigenvector {k} spans coherence orders {found.tolist()}"
                 )
             self.q_k[k] = found[0]
-        self.model, self.eigenvalues, self.right, self.left = model, w, right, left
-        self.slow, self.condition, self.zero_tol = slow, condition, zero_tol
-        self.l0_eigen = left @ to_dense(model.l0) @ right  # diag(w) up to rounding
+        self.eigenvalues, self.right, self.left = w, right, left
+        self.slow, self.condition = slow, condition
+        self.l0_eigen = self.coordinates(to_dense(model.l0))  # diag(w) up to rounding
+
+    @classmethod
+    def vec(cls, model, charges=None, zero_tol=DEFAULT_ZERO_TOL):
+        """L_A's own basis |i><j|, for propagation: coordinate k = i d_A + j
+        has order q_A[i] - q_A[j], ``right`` and ``left`` are None (the
+        identity) and ``l0_eigen`` is L_A.  Nothing is diagonalized, so a
+        defective L_A builds too; only :meth:`block` applies.  An entry of L_A
+        that maps one order to another (beyond ``zero_tol`` of its largest)
+        raises ValidationError."""
+        basis = cls.__new__(cls)
+        basis.q_k = basis._declare(model, charges, zero_tol)
+        basis.right = basis.left = None
+        basis.l0_eigen = l_a = to_dense(model.l0)
+        leak = l_a[np.not_equal.outer(basis.q_k, basis.q_k)]
+        if abs(leak).max(initial=0.0) > zero_tol * abs(l_a).max(initial=0.0):
+            raise ValidationError(
+                "L_A does not conserve the declared charge: it maps an ancilla "
+                "coherence order to others"
+            )
+        return basis
+
+    def _declare(self, model, charges, zero_tol):
+        """Keep the model, the tolerance and the charges (all zero for None);
+        return the order q_A[i] - q_A[j] of L_A's vec component i d_A + j."""
+        if charges is None:
+            charges = np.zeros(math.isqrt(np.shape(model.l0)[0]), int), np.zeros(model.dim_s, int)
+        self.q_a, self.q_s = (np.asarray(q) for q in charges)
+        self.model, self.zero_tol = model, zero_tol
+        return np.subtract.outer(self.q_a, self.q_a).reshape(-1)
+
+    def coordinates(self, op):
+        """A superoperator on A in the basis's coordinates, left @ op @ right."""
+        return op if self.right is None else self.left @ op @ self.right
 
     def orders(self):
         """The orders of the sectors that hold a zero mode of L0, ascending."""
         return np.unique(np.add.outer(self.q_k[self.slow], np.subtract.outer(self.q_s, self.q_s)))
 
-    def sectors(self, orders, max_dim=np.inf, perturbation=True):
-        """The :class:`ChargeSector` of each coherence order in ``orders``, with
-        V's block if ``perturbation``, cut from one block-diagonal matrix on
-        their stacked coordinates (keyed label * D + whole-space eigen index)."""
+    def orders_of(self, op):
+        """The coherence orders of an operator's nonzero entries on A (x) S, ascending."""
+        charge = np.add.outer(self.q_a, self.q_s).reshape(-1)
+        rows, cols = op.nonzero()
+        return np.unique(charge[rows] - charge[cols])
+
+    def block(self, orders, max_dim=np.inf, perturbation=True):
+        """The coherence orders ``orders`` on their stacked coordinates: the
+        index (k, a, b) of each, the dimension of each order, and L0 and V
+        (None unless ``perturbation``) as block-diagonal CSR matrices.
+
+        Coordinate (k, a, b) is c_k (x) |a><b| for L_A's coordinate vector c_k,
+        of order q_k + q_S[a] - q_S[b], keyed label * D + (k d_S + a) d_S + b.
+        An order larger than ``max_dim`` is refused before anything is built."""
         orders, q_s, q_k = np.asarray(orders), self.q_s, self.q_k
         d_s, n_k = q_s.size, q_k.size
         # per order and (k, a), the b of charge q_S[a] + q_k - order, ascending
@@ -200,15 +246,23 @@ class AncillaBasis:
         ka = np.repeat(np.arange(counts.size) % (n_k * d_s), counts)
         b = by_charge[np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)]
         k, a = np.divmod(ka, d_s)
-        is_slow = np.isin(k, self.slow)
         keys = np.repeat(np.arange(orders.size) * size, dims) + ka * d_s + b  # increasing
-        # L_A's off-diagonal rounding between orders never meets in a sector
+        # L_A's entries between orders (rounding at most) never meet in a sector
         every = np.arange(total)
-        l0_eigen, _ = _place(keys, size, *_entries(self.l0_eigen, k, d_s, every, a, b, 1.0))
+        l0, _ = _place(keys, size, *_entries(self.l0_eigen, k, d_s, every, a, b, 1.0))
         v = self.perturbation_block(k, a, b, keys, size) if perturbation else None
+        return np.array([k, a, b]), dims, l0, v
+
+    def sectors(self, orders, max_dim=np.inf, perturbation=True):
+        """The :class:`ChargeSector` of each coherence order in ``orders``, with
+        V's block if ``perturbation``, cut from :meth:`block` (eigen
+        coordinates only)."""
+        index, dims, l0_eigen, v = self.block(orders, max_dim, perturbation)
+        k, a, b = index
+        total, is_slow = k.size, np.isin(k, self.slow)
         # row m of left is l_k (x) <a b|, column m of right R_k (x) |a><b|: entry
         # (i, j) of R_k is at vec index (i d_S + a) h + j d_S + b, h = d_A d_S
-        d_a = math.isqrt(n_k)
+        d_a, d_s = math.isqrt(self.q_k.size), self.q_s.size
         h, vectors = d_a * d_s, []
         for factor in (self.left, self.right.T):
             m, ij, values = row_entries(sp.csr_matrix(factor), k)
@@ -234,21 +288,20 @@ class AncillaBasis:
                 backend="sector",
             )
             v_block = None if v is None else v[cut, cut]
-            index = np.array([k[cut], a[cut], b[cut]])
-            out.append(ChargeSector(sd, v_block, index, self.right, self.left))
+            out.append(ChargeSector(sd, v_block, index[:, cut], self.right, self.left))
         return out
 
     def perturbation_block(self, k, a, b, keys, size):
-        """V on the stacked sector coordinates (k, a, b) of :meth:`sectors`,
+        """V on the stacked coordinates (k, a, b) of :meth:`block`,
         block-diagonal, with the checks of :func:`charge_sector`."""
         d_s, coeff = self.q_s.size, -1j * self.model.epsilon
-        eye_a = np.eye(math.isqrt(self.eigenvalues.size))
+        eye_a = np.eye(math.isqrt(self.q_k.size))
         parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
         with np.errstate(over="ignore", invalid="ignore"):
             for op_a, op_s in self.model.couplings:
                 s = sp.csr_matrix(op_s, dtype=complex)
-                alpha_l = self.left @ np.kron(op_a, eye_a) @ self.right
-                alpha_r = self.left @ np.kron(eye_a, np.transpose(op_a)) @ self.right
+                alpha_l = self.coordinates(np.kron(op_a, eye_a))
+                alpha_r = self.coordinates(np.kron(eye_a, np.transpose(op_a)))
                 cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
                 parts.append(_entries(alpha_l, k, d_s, cols, to_a, b[cols], coeff * values))
                 cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]

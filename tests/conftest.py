@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from lsw import models, superop
+from lsw import models, spectral, superop
 
 
 @pytest.fixture
@@ -69,3 +71,15 @@ def model_fleet():
         l0, v = dense_full_space(models.random_lindblad_model(dim, 2, seed))
         fleet.append((f"random_d{dim}_s{seed}", l0, v))
     return fleet
+
+
+def vec_sector(model, charges, rho0):
+    """The block the CLI's evolve propagates: the coherence orders of rho0 in
+    L_A's own basis.  Returns the generator L0 + V there, the state's
+    coordinates and the whole-space (row, column) of each coordinate, at
+    which an operator's functional is read transposed."""
+    basis = spectral.AncillaBasis.vec(model, charges)
+    (k, a, b), _, l0, v = basis.block(basis.orders_of(rho0))
+    i, j = np.divmod(k, math.isqrt(basis.q_k.size))
+    rows, cols = i * model.dim_s + a, j * model.dim_s + b
+    return l0 + v, np.asarray(rho0[rows, cols]).reshape(-1), rows, cols

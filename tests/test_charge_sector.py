@@ -20,7 +20,8 @@ from lsw.exceptions import (
     ValidationError,
 )
 from lsw.spectral import AncillaBasis, charge_sector, to_eigen
-from lsw.superop import lift, to_dense
+from lsw.operators import spin_operators
+from lsw.superop import LindbladSpec, lift, lindblad_superop, to_dense
 from lsw.sw import (
     correction_terms,
     decoupling_blocks,
@@ -99,6 +100,23 @@ def test_mixed_charge_eigenvector_raises():
     mixed = qrt.AncillaModel(l0=l0, couplings=m.ancilla.couplings, epsilon=m.ancilla.epsilon)
     with pytest.raises(MixedChargeError, match="spans coherence orders"):
         charge_sector(mixed, m.charges)
+
+
+def test_vec_basis_refuses_an_l_a_that_mixes_orders():
+    # a drive sx mixes the qubit's levels, so L_A maps the populations (order
+    # 0) to the coherences (orders +-1): L_A's own basis refuses those
+    # charges, as its eigenvectors do, and without them it is the whole space
+    sp_, sm_, _ = spin_operators(1)
+    spec = LindbladSpec(hdim=2, hamiltonian=0.5 * (sp_ + sm_), jumps=[(1.0, sm_)])
+    model = qrt.AncillaModel(l0=lindblad_superop(spec), couplings=[])
+    charges = (np.array([1, 0]), np.zeros(1, int))
+    with pytest.raises(ValidationError, match="L_A does not conserve the declared charge"):
+        AncillaBasis.vec(model, charges)
+    with pytest.raises(MixedChargeError):
+        AncillaBasis(model, charges)
+    index, dims, l0, v = AncillaBasis.vec(model).block([0])
+    assert dims.tolist() == [4] and np.array_equal(index[0], np.arange(4))
+    assert np.array_equal(to_dense(l0), model.l0) and v.shape == (4, 4) and v.nnz == 0
 
 
 def test_single_flip_flop_coupling_leaves_the_sector():

@@ -39,19 +39,6 @@ def read_matrix(path):
     return m
 
 
-def record_trajectories(monkeypatch):
-    """Patch dynamics.evolve to keep every trajectory it returns."""
-    real = dynamics.evolve
-    trajs = []
-
-    def recorded(*args):
-        trajs.append(real(*args))
-        return trajs[-1]
-
-    monkeypatch.setattr(dynamics, "evolve", recorded)
-    return trajs
-
-
 def run_on_backend(monkeypatch, task, cfg, out, dense):
     """Run a CLI task, on the dense reference backend if asked (the whole
     space, any charges withheld); return the backend of every sector built."""
@@ -266,13 +253,13 @@ def test_spectrum_deterministic_bytes(tmp_path, monkeypatch):
             },
             name="evolve.yaml",
         )
-        trajs, outputs = record_trajectories(monkeypatch), []
+        used, outputs = record_propagations(monkeypatch), []
         for seed in (1, 2, 3):
             np.random.seed(seed)
             assert cli.main(["evolve", "--config", cfg]) == 0
             outputs.append((tmp_path / "evo_trajectory.csv").read_bytes())
         monkeypatch.undo()
-        assert [t.stepper for t in trajs] == [stepper] * 3
+        assert [s for _, s in used] == [stepper] * 3
         # the expm_multiply runs did draw from it, so the seeds were exercised
         drew = np.random.randint(2**31) != np.random.RandomState(3).randint(2**31)
         assert drew == (stepper == "expm_multiply")
@@ -942,33 +929,42 @@ def test_burst_sectors_step_densely(tmp_path, monkeypatch):
 
 
 def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
+    # evolve propagates the coherence orders of the initial state, built
+    # from the operators; whole-space evolve, charge withheld, propagates
+    # every component.  N=4: the diagonal sector has 18 of 100 components
+    times = {"t_max": 400.0, "n_points": 41}
     mcfg = {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2}
-    cfg = write_config(tmp_path, {"model": mcfg, "times": {"t_max": 400.0, "n_points": 41}})
-    real = dynamics.evolve
-    # N=4: the diagonal charge sector has 18 of 100 components, the
-    # reduced nuclear one 5 of 25
-    columns = {}
-    for withheld, dims in ((False, [18]), (True, [100])):
-        used = []
-
-        def recorded(generator, rho0, times, charge=None):
-            traj = real(generator, rho0, times, None if withheld else charge)
-            used.append(traj.sector_dim)
-            return traj
-
-        monkeypatch.setattr(dynamics, "evolve", recorded)
-        out = tmp_path / f"evolve_{withheld}"
-        assert cli.main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    coupled = {
+        **_EXIT_CODES["custom-couplings"][0],
+        "initial": "(sp*sm) kron (sp*sm) + 0.3 * (sp kron sm + sm kron sp)",
+        "observables": {"ee": "(sp*sm) kron (sp*sm)", "coh": "sp kron sm", "x": "(sp+sm) kron sz"},
+    }
+    cases = [
+        (mcfg, times, 18),
+        ({"kind": "random", "dimension": 4, "seed": 3}, {"t_max": 2.0, "n_points": 21}, 16),
+        ({"kind": "decaying-qubit", "omega": 0.2}, {"t_max": 6.0, "n_points": 31}, 4),
+        (coupled, {"t_max": 3.0, "n_points": 31}, 16),
+    ]
+    for i, (model, grid, dim) in enumerate(cases):
+        payload = {"model": model, "times": grid, "epsilon": 0.8}
+        cfg = write_config(tmp_path, payload, f"evolve{i}.yaml")
+        used = record_propagations(monkeypatch)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / f"e{i}")]) == 0
         monkeypatch.undo()
-        assert sorted(used) == dims
-        columns[withheld] = read_columns(f"{out}_trajectory.csv")
-    got, want = columns[False], columns[True]
-    for name in want:
-        scale = 1.0 if name.startswith("im_") else np.abs(want[name]).max()
-        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale
+        assert [d for d, _ in used] == [dim]
+        got = read_columns(tmp_path / f"e{i}_trajectory.csv")
+        run = cli.Run("evolve", payload)
+        l0, v = run.model["ancilla"].full_space()
+        traj = dynamics.evolve(l0 + run.epsilon * v, superop.to_dense(run.model["rho0"]), run.times)
+        for name, op in run.model["observables"].items():
+            want = traj.expectation(superop.to_dense(op))
+            scale = np.abs(want).max()
+            assert np.abs(got[f"re_{name}"] - want.real).max() <= 1e-12 * scale
+            assert np.abs(got[f"im_{name}"] - want.imag).max() <= 1e-12 * scale
 
     # compare propagates the sector alone; the full-space route, charge
     # withheld, propagates every component
+    cfg = write_config(tmp_path, {"model": mcfg, "times": times}, "compare.yaml")
     used = record_propagations(monkeypatch)
     out = tmp_path / "compare"
     assert cli.main(["compare", "--config", cfg, "--out", str(out)]) == 0
@@ -1160,8 +1156,13 @@ def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
             "coupling 1: system",
         ),
         ("evolve", {"observables": {"big": "id3"}}, "observable 'big'"),
+        (
+            "evolve",
+            {"couplings": [{"ancilla": "sp+sm", "system": "sz"}], "initial": "sp*sm"},
+            "initial state has shape (2, 2), expected (4, 4)",
+        ),
     ],
-    ids=["ancilla-operator", "system-operators-differ", "observable"],
+    ids=["ancilla-operator", "system-operators-differ", "observable", "initial"],
 )
 def test_wrong_sized_operator_exits_2(tmp_path, capsys, task, model, name):
     cfg = write_config(tmp_path, {"model": {**_CUSTOM_QUBIT, **model}, "output": str(tmp_path / "bad")})
@@ -1440,13 +1441,36 @@ def test_negative_gamma_exits_2_and_sign_flips_run(tmp_path, capsys):
 
 
 def test_evolve_task_reads_the_sector_block_only(tmp_path, monkeypatch):
-    # full-size states are built only when asked for; the evolve task reads
-    # its observables off the sector block and never asks
-    def refuse(self):
-        raise AssertionError("the evolve task built full-size states")
-
-    monkeypatch.setattr(dynamics.Trajectory, "states", property(refuse))
+    # evolve builds its block from the operators: neither the assembly
+    # method, `lift` nor whole-space evolve may run
+    forbid_full_space(monkeypatch)
+    forbid(monkeypatch, "evolve", (dynamics,))
     mcfg = {"kind": "superradiance", "n_spins": 4, "sqrt_n_g": 0.2, "gamma": 1.0, "omega": 0.2}
     cfg = write_config(tmp_path, {"model": mcfg, "times": {"t_max": 400.0, "n_points": 41}})
     assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "evolve")]) == 0
     assert len(read_columns(tmp_path / "evolve_trajectory.csv")["re_iz"]) == 41
+
+
+def test_defective_l_a_evolves(tmp_path, capsys):
+    # a cascade 2 -> 1 -> 0 at equal rates: L_A is defective (a Jordan block
+    # at -1), so it has no eigen coordinates and spectrum refuses it, while
+    # evolve, in L_A's own basis, gives the ground population exactly
+    symbols = {
+        "a": {"matrix": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]},
+        "b": {"matrix": [[0, 0, 0], [0, 0, 1], [0, 0, 0]]},
+        "p0": {"matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        "p2": {"matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]},
+    }
+    model = {
+        "kind": "custom", "dimension": 3, "symbols": symbols,
+        "jumps": [{"rate": 1.0, "operator": "a"}, {"rate": 1.0, "operator": "b"}],
+        "initial": "p2", "observables": {"ground": "p0"},
+    }
+    cfg = write_config(tmp_path, {"model": model, "times": {"t_max": 10.0, "n_points": 101}})
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "cascade")]) == 0
+    got = read_columns(tmp_path / "cascade_trajectory.csv")
+    t = got["time"]
+    assert np.abs(got["re_ground"] - (1 - np.exp(-t) - t * np.exp(-t))).max() <= 1e-12
+    capsys.readouterr()
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "cascade")]) == 3
+    assert "condition number" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_hermitian
+from conftest import random_hermitian, vec_sector
 from lsw import dynamics, models
 from lsw.dynamics import (
     DENSE_STEP_FLOOR,
@@ -20,6 +20,7 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
+from lsw.qrt import AncillaModel
 from lsw.superop import LindbladSpec, devectorize, lift, lindblad_superop, to_dense, vectorize
 
 # evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max
@@ -74,7 +75,7 @@ def test_dense_and_sparse_paths_agree():
             assert np.abs(traj.states - reference).max() < 1e-10
             assert trace_drift(traj) < 1e-8
             for k in (0, len(times) // 2, len(times) - 1):
-                state = traj.operator(k)
+                state = devectorize(traj.states[k])
                 assert np.abs(state - state.conj().T).max() < 1e-8
 
 
@@ -186,39 +187,65 @@ def test_unreachable_tolerance_raises():
             evolve(np.diag([100.0] * dim**2).astype(complex), rho0, times)
 
 
-def u1_symmetric_model(charges, seed):
-    """Random U(1)-symmetric generator, the coherence order of each vec
-    component, and the generator's rng for further draws.
+def u1_symmetric_model(q_a, q_s, seed):
+    """Random U(1)-symmetric ancilla model, its charges and its rng.
 
-    The Hamiltonian is block-diagonal in the charge, one jump lowers the
-    charge by 1 and one keeps it, so every coherence order is conserved.
+    L_A's Hamiltonian is block-diagonal in q_A, one jump lowers q_A by 1 and
+    one keeps it.  With a system (``q_s`` of size 2 or more), a flip-flop
+    A_+ (x) S_- + h.c., as two Hermitian pairs neither of which conserves
+    the charge alone, and a z-type pair couple it.  Every coherence order
+    q_A[i] - q_A[j] + q_S[a] - q_S[b] is conserved.
     """
     rng = np.random.default_rng(seed)
-    q = np.asarray(charges)
-    order = np.subtract.outer(q, q)  # of |i><j|; as an operator, its charge change
+    q_a, q_s = np.asarray(q_a), np.asarray(q_s)
+    order_a, order_s = (np.subtract.outer(q, q) for q in (q_a, q_s))
 
-    def gaussian():
-        return rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+    def gaussian(order, shift):  # entries (i, j) that shift the charge by `shift`
+        x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+        return x * (order == shift)
 
     spec = LindbladSpec(
-        hdim=q.size,
-        hamiltonian=random_hermitian(rng, q.size) * (order == 0),
-        jumps=[(0.5, gaussian() * (order == -1)), (0.5, gaussian() * (order == 0))],
+        hdim=q_a.size,
+        hamiltonian=random_hermitian(rng, q_a.size) * (order_a == 0),
+        jumps=[(0.5, gaussian(order_a, -1)), (0.5, gaussian(order_a, 0))],
     )
-    l0 = lindblad_superop(spec)
-    return l0, order, rng
+    couplings = []
+    if q_s.size > 1:
+        up, down = gaussian(order_a, 1), gaussian(order_s, -1)
+        # A_+ (x) S_- + h.c. = (A_x (x) S_x + A_y (x) S_y) / 2
+        couplings = [
+            (0.5 * (up + up.conj().T), down + down.conj().T),
+            (-0.5j * (up - up.conj().T), -1j * (down.conj().T - down)),
+            (random_hermitian(rng, q_a.size) * (order_a == 0),
+             random_hermitian(rng, q_s.size) * (order_s == 0)),
+        ]
+    model = AncillaModel(lindblad_superop(spec), couplings, epsilon=0.7).validate()
+    return model, (q_a, q_s), rng
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+def expected_stepper(k, scale, spans, steps, floor):
+    dense = spans * k**3 <= DENSE_STEP_RATIO * scale + floor * (steps - 1)
+    return "expm" if dense else "expm_multiply"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
-    charges=st.lists(st.integers(0, 3), min_size=2, max_size=5),
+    q_a=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    q_s=st.lists(st.integers(0, 2), min_size=1, max_size=3),
     seed=st.integers(0, 2**16),
     two_orders=st.booleans(),
     uniform=st.booleans(),
     stepper=st.sampled_from(["expm", "expm_multiply"]),
 )
-def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, uniform, stepper):
-    gen, order, rng = u1_symmetric_model(charges, seed)
+def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, uniform, stepper):
+    # the block the CLI's evolve propagates (the coherence orders of rho0,
+    # built from the operators in L_A's own basis) and whole-space evolve,
+    # the reference, both against expm of the whole-space generator; a
+    # system of dimension 1 leaves L_A uncoupled
+    model, charges, rng = u1_symmetric_model(q_a, q_s, seed)
+    gen = to_dense(sum(model.full_space()))
+    charge = np.add.outer(*charges).reshape(-1)
+    order = np.subtract.outer(charge, charge)
     # a positive order-0 part, plus one nonzero order when asked and present
     x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
     rho0 = (x @ x.conj().T) * (order == 0)
@@ -229,7 +256,7 @@ def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, unifor
         rho0 = rho0 + 0.3 * x * (order == orders[1])
     rho0 = rho0 / np.trace(rho0)
     times = np.linspace(0.0, 3.0, 7) if uniform else np.array([0.0, 0.3, 1.1, 3.0])
-    inside = np.isin(order.reshape(-1), orders)
+    inside = np.flatnonzero(np.isin(order.reshape(-1), orders))
     spans = 1 if uniform else times.size - 1
 
     def norm(g):
@@ -242,77 +269,49 @@ def test_charge_sector_matches_full_space_expm(charges, seed, two_orders, unifor
         # the sector; the whole space, larger and with no smaller norm,
         # stays below it too
         floor = 0.0
-        ratio = spans * inside.sum() ** 3 / (DENSE_STEP_RATIO * norm(gen) * times[-1])
+        ratio = spans * inside.size**3 / (DENSE_STEP_RATIO * norm(gen) * times[-1])
         times = times * (0.5 * ratio)
-    y0 = vectorize(rho0)
-    reference = np.array([expm(gen * t) @ y0 for t in times])
+    reference = np.array([expm(gen * t) @ vectorize(rho0) for t in times])
+    block, y0, rows, cols = vec_sector(model, charges, rho0)
     with mock.patch.object(dynamics, "DENSE_STEP_FLOOR", floor):
-        traj = evolve(gen, rho0, times, charge=charges)
+        states, used = dynamics.propagate(block, y0, times)
         whole = evolve(gen, rho0, times)
-    assert traj.sector_dim == inside.sum()
+    at = rows * charge.size + cols  # each coordinate's whole-space vec index
+    assert np.array_equal(np.sort(at), inside)
+    assert np.abs(states - reference[:, at]).max() < 1e-10
+    # the sector is closed: nothing reaches the other orders
+    assert np.abs(np.delete(reference, inside, axis=1)).max(initial=0.0) < 1e-10
     # a sector the generator barely moves may fall below the threshold
-    scale = norm(gen[np.ix_(inside, inside)]) * times[-1]
-    dense = spans * inside.sum() ** 3 <= DENSE_STEP_RATIO * scale + floor * (times.size - 1)
-    assert traj.stepper == ("expm" if dense else "expm_multiply")
-    assert np.abs(traj.states - reference).max() < 1e-10
-    assert whole.sector_dim == order.size
-    assert whole.stepper == stepper
+    scale = norm(block.toarray()) * times[-1]
+    assert used == expected_stepper(inside.size, scale, spans, times.size, floor)
+    assert whole.stepper == expected_stepper(order.size, norm(gen) * times[-1], spans, times.size, floor)
+    if stepper == "expm_multiply":
+        assert used == whole.stepper == stepper
     assert np.abs(whole.states - reference).max() < 1e-10
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(
-    charges=st.lists(st.integers(0, 3), min_size=2, max_size=5),
-    seed=st.integers(0, 2**16),
-    two_orders=st.booleans(),
-)
-def test_sector_readers_match_full_states(charges, seed, two_orders):
-    # the trajectory holds only its sector block; every reader must give
-    # what it gives on the full states: the scatters bit for bit, the dot
-    # products to rounding of their terms, the trace and eigenvalue scans
-    # bit for bit since they read the same numbers in the same order
-    gen, order, rng = u1_symmetric_model(charges, seed)
-    x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
-    rho0 = (x @ x.conj().T) * (order == 0)
-    nonzero = np.unique(order[order != 0])
-    if two_orders and nonzero.size:
-        rho0 = rho0 + 0.3 * x * (order == rng.choice(nonzero))
-    rho0 = rho0 / np.trace(rho0)
-    traj = evolve(gen, rho0, np.linspace(0.0, 2.0, 5), charge=charges)
-    full = traj.states
-    outside = np.ones(order.size, dtype=bool)
-    outside[traj.keep] = False
-    assert np.array_equal(full[:, traj.keep], traj.sector) and not full[:, outside].any()
-    for k in range(full.shape[0]):
-        assert np.array_equal(traj.operator(k), devectorize(full[k]))
-
+    assert trace_drift(whole) < 1e-10
+    # the batched eigenvalue scan reads the same numbers as one state at a time
+    lows = [np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() for r in map(devectorize, whole.states)]
+    assert min_state_eigenvalue(whole) == float(min(lows))
+    # an observable's functional, read transposed at the sector index, gives
+    # the whole-space expectation and emission intensity
     op = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
-    flat = op.T.reshape(-1)
-    image = gen.T @ flat
-    for got, want, terms in (
-        (traj.expectation(op), full @ flat, np.abs(full) @ np.abs(flat)),
-        (emission_intensity(traj, op, gen), -np.real(full @ image), np.abs(full) @ np.abs(image)),
+    f = op[cols, rows]
+    for got, want in (
+        (states @ f, whole.expectation(op)),
+        (-np.real(states @ (block.T @ f)), emission_intensity(whole, op, gen)),
     ):
-        assert np.all(np.abs(got - want) <= 1e-14 * terms)
-
-    d = order.shape[0]
-    traces = full[:, np.arange(d) * (d + 1)].sum(axis=1)
-    assert trace_drift(traj) == float(np.max(np.abs(traces - 1.0)))
-    lows = [np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() for r in map(devectorize, full)]
-    assert min_state_eigenvalue(traj) == float(min(lows))
+        assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
 def test_wrong_charge_raises():
-    m = models.superradiance_model(models.SuperradianceParams(n_spins=2, g=0.1))
-    gen = m.l0 + m.v
-    times = np.linspace(0, 1, 3)
-    assert evolve(gen, m.initial_state, times, m.charge).sector_dim == 10
     # the flip-flop raises the electron and lowers the nuclei, so a charge
-    # that counts the electron with the wrong sign is not conserved
-    wrong = np.add.outer(-m.charges[0], m.charges[1]).reshape(-1)
-    with pytest.raises(ValidationError, match="does not conserve"):
-        evolve(gen, m.initial_state, times, wrong)
-    with pytest.raises(ValidationError, match="charge has shape"):
-        evolve(gen, m.initial_state, times, m.charges[1])
+    # that counts the electron with the wrong sign is not conserved by V;
+    # whole-space evolve checks the shapes only
+    p = models.SuperradianceParams(n_spins=2, g=0.1)
+    m = models.superradiance_model(p)
+    (q_e, q_n), rho0 = m.charges, m.initial_state
+    assert vec_sector(m.ancilla, (q_e, q_n), rho0)[1].size == 10
+    with pytest.raises(ValidationError, match="do not conserve"):
+        vec_sector(m.ancilla, (-q_e, q_n), rho0)
     with pytest.raises(DimensionMismatchError):
-        evolve(gen, m.electron_steady, times)
+        evolve(m.l0 + m.v, m.electron_steady, np.linspace(0, 1, 3))
