@@ -303,6 +303,61 @@ def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, unifo
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    q_a=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    q_s=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+    two_orders=st.booleans(),
+)
+def test_sector_readers_match_full_states(q_a, q_s, seed, two_orders):
+    # the evolve task holds only the sector block's states; every reader
+    # must give what the whole-space readers give on those states placed at
+    # their vec index: the functional and its image under the block to
+    # rounding of their terms, the trace and eigenvalue scans bit for bit
+    # since the states outside the sector are zero; and the whole-space
+    # states, propagated apart, agree to propagation accuracy
+    model, charges, rng = u1_symmetric_model(q_a, q_s, seed)
+    gen = to_dense(sum(model.full_space()))
+    charge = np.add.outer(*charges).reshape(-1)
+    order = np.subtract.outer(charge, charge)
+    x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+    rho0 = (x @ x.conj().T) * (order == 0)
+    nonzero = np.unique(order[order != 0])
+    if two_orders and nonzero.size:
+        rho0 = rho0 + 0.3 * x * (order == rng.choice(nonzero))
+    rho0 = rho0 / np.trace(rho0)
+    times = np.linspace(0.0, 2.0, 5)
+    block, y0, rows, cols = vec_sector(model, charges, rho0)
+    states, used = dynamics.propagate(block, y0, times)
+    at = rows * charge.size + cols
+    full = np.zeros((times.size, order.size), dtype=complex)
+    full[:, at] = states
+    placed = dynamics.Trajectory(times, full, used)
+    whole = evolve(gen, rho0, times)
+    assert np.abs(whole.states - full).max() < 1e-10
+    for k in range(times.size):
+        assert np.array_equal(devectorize(full[k])[rows, cols], states[k])
+
+    op = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+    f = op[cols, rows]
+    image = block.T @ f
+    terms_image = np.abs(block.T) @ np.abs(f)
+    assert np.abs(image - (gen.T @ op.T.reshape(-1))[at]).max() <= 1e-14 * terms_image.max()
+    for got, want, terms in (
+        (states @ f, placed.expectation(op), np.abs(states) @ np.abs(f)),
+        (-np.real(states @ image), emission_intensity(placed, op, gen), np.abs(states) @ terms_image),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-13 * terms)
+
+    d = order.shape[0]
+    traces = full[:, np.arange(d) * (d + 1)].sum(axis=1)
+    assert trace_drift(placed) == float(np.max(np.abs(traces - 1.0)))
+    assert trace_drift(placed) < 1e-10
+    lows = [np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min() for r in map(devectorize, full)]
+    assert min_state_eigenvalue(placed) == float(min(lows))
+
+
 def test_wrong_charge_raises():
     # the flip-flop raises the electron and lowers the nuclei, so a charge
     # that counts the electron with the wrong sign is not conserved by V;
