@@ -16,6 +16,12 @@ from .operators import hermitian_basis
 
 # superoperators denser than this are stored dense (entries scale as d**4)
 SPARSE_FILL_THRESHOLD = 0.1
+# and so are those with at most this many entries (64 x 64), however sparse:
+# on superradiance sectors at order 3 (one BLAS thread) dense blocks ran the
+# engine at N=16 (blocks up to 49 x 49) in 0.7 ms against 3.6 ms by fill
+# alone, while a limit of 16384 made N=64 and N=100 (blocks from 65 x 65)
+# 2.8 and 3.5 times slower: dense products lose the sparsity the terms keep
+DENSE_ENTRIES = 4096
 HERM_TOL = 1e-12  # largest entry of H - H^dag accepted for a Hermitian operator
 
 
@@ -41,11 +47,6 @@ def to_csr(m):
     return m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
 
 
-def zeros_like(m):
-    """All-zero superoperator of the same shape and storage as m."""
-    return sp.csr_matrix(m.shape, dtype=complex) if sp.issparse(m) else np.zeros_like(m)
-
-
 def all_finite(m):
     """Whether every stored entry of m, dense or sparse, is finite."""
     return bool(np.isfinite(m.data if sp.issparse(m) else m).all())
@@ -54,8 +55,10 @@ def all_finite(m):
 def compact(m):
     """m in the cheaper storage for products: dense once it is as full as
     ``SPARSE_FILL_THRESHOLD``, since sparse products of full matrices cost
-    far more than dense ones."""
-    if sp.issparse(m) and m.nnz / (m.shape[0] * m.shape[1]) >= SPARSE_FILL_THRESHOLD:
+    far more than dense ones, or once it has at most ``DENSE_ENTRIES``
+    entries, where a sparse product's overhead outweighs its savings."""
+    size = m.shape[0] * m.shape[1]
+    if sp.issparse(m) and (size <= DENSE_ENTRIES or m.nnz / size >= SPARSE_FILL_THRESHOLD):
         return m.toarray()
     return m
 

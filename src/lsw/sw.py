@@ -6,25 +6,31 @@ This module computes the generator terms S_n by recursion, the resulting
 correction series acting in the slow space, and diagnostics: the
 off-diagonal residual of the truncated transform and the reduction of the
 slow-space generator to a subsystem when the slow space factorizes.
+
+The recursion runs on the four slow/fast blocks of L0's eigen coordinates
+(Bravyi, DiVincenzo & Loss, arXiv:1105.0675).  An odd operator (S_n, the
+off-diagonal part of V) is held as its pair (sf, fs), an even one (the
+diagonal part of V, the corrections W_n) as its pair (ss, ff); a commutator
+with S flips the parity and costs four block products.  The commutator
+chains are summed per depth p and order j in the table
+
+    U(0, 0) = V_off,   U(p, j) = sum_k [U(p - 1, j - k), S_k],
+
+so order n costs a number of commutators polynomial in n.  Each block is
+stored as ``superop.compact`` picks: dense when small or full, CSR otherwise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
+from . import superop
 from .exceptions import NonProductSlowSpaceError, OrderUnavailableError, ToleranceNotMetError
-from .spectral import (
-    as_operand,
-    eigen_resolvent,
-    eigen_split,
-    from_eigen,
-    spectral_norm,
-    to_eigen,
-)
-from .superop import all_finite, hat_apply, lift, to_dense, trace_functional, vectorize, zeros_like
+from .spectral import eigen_split, from_eigen, spectral_norm, to_eigen
+from .superop import all_finite, compact, lift, to_csr, to_dense, trace_functional, vectorize
 
 MAX_ORDER = 8
 REDUCTION_TOL = 1e-8  # smallest ancilla trace, largest relative product defect
@@ -35,31 +41,96 @@ _XCOTH = {0: 1.0, 2: 1.0 / 3.0, 4: -1.0 / 45.0, 6: 2.0 / 945.0}
 _TANH_HALF = {1: 1.0 / 2.0, 3: -1.0 / 24.0, 5: 1.0 / 240.0, 7: -17.0 / 40320.0}
 
 
-def _compositions(total, parts):
-    """Ordered tuples of positive integers of length `parts` summing to `total`:
-    the gaps between 0, each choice of `parts - 1` cut points in 1..total-1,
-    and `total`, in lexicographic order."""
-    return [
-        tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
-        for cuts in combinations(range(1, total), parts - 1)
-    ]
-
-
 def split_blocks(sd, v):
     """Block-diagonal and block-off-diagonal parts of a superoperator."""
     return tuple(from_eigen(sd, x) for x in eigen_split(sd, to_eigen(sd, v)))
 
 
+def _split(sd, a):
+    """The blocks (ss, sf, fs, ff) of an eigen-coordinate matrix, in the
+    storage ``compact`` picks for each: sliced from CSR only where the
+    largest block may stay sparse, else from the dense matrix."""
+    sides = (sd.slow, sd.fast)
+    if sp.issparse(a) and max(sd.slow.size, sd.fast.size) ** 2 > superop.DENSE_ENTRIES:
+        a = to_csr(a)
+        return tuple(compact(a[rows][:, cols]) for rows in sides for cols in sides)
+    a = to_dense(a)
+    return tuple(a[np.ix_(rows, cols)] for rows in sides for cols in sides)
+
+
+def _assemble(sd, ss=None, sf=None, fs=None, ff=None):
+    """The dense eigen-coordinate matrix with the given slow/fast blocks
+    (None is zero)."""
+    out, sides = np.zeros((sd.dim, sd.dim), dtype=complex), (sd.slow, sd.fast)
+    for i, x in enumerate((ss, sf, fs, ff)):
+        if x is not None:
+            out[np.ix_(sides[i // 2], sides[i % 2])] = to_dense(x)
+    return out
+
+
+def _add(x, y, coeff=1.0):
+    """x + coeff * y for dense or sparse blocks of one shape: dense if either
+    is, else in the storage ``compact`` picks."""
+    y = y if coeff == 1.0 else coeff * y
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):  # skips scipy's type checks
+        return x + y
+    if sp.issparse(x) and sp.issparse(y):
+        return compact(x + y)
+    return to_dense(x) + to_dense(y)
+
+
+def _combine(terms):
+    """sum_i c_i X_i, left to right, for (c_i, X_i) in ``terms``: X_i pairs
+    of one parity."""
+    (c, x), *rest = terms
+    total = x if c == 1.0 else (c * x[0], c * x[1])
+    for c, x in rest:
+        total = (_add(total[0], x[0], c), _add(total[1], x[1], c))
+    return total
+
+
+def _commutator(s, x, even):
+    """[X, S] for S = (A, B), its blocks (sf, fs), and X's pair: (ss, ff) if
+    ``even``, else (sf, fs).  The result is the pair of the other parity:
+
+        even X:  (X_ss A - A X_ff,  X_ff B - B X_ss)
+        odd X:   (X_sf B - A X_fs,  X_fs A - B X_sf)
+    """
+    a, b = s
+    if even:
+        x_ss, x_ff = x
+        return _add(x_ss @ a, a @ x_ff, -1.0), _add(x_ff @ b, b @ x_ss, -1.0)
+    x_sf, x_fs = x
+    return _add(x_sf @ b, a @ x_fs, -1.0), _add(x_fs @ a, b @ x_sf, -1.0)
+
+
+def _scaled(x, weights, axis):
+    """x with its rows (axis 0) or columns (axis 1) multiplied by ``weights``."""
+    if not sp.issparse(x):
+        return x * (weights[:, None] if axis == 0 else weights)
+    x = to_csr(x).copy()
+    x.data *= np.repeat(weights, np.diff(x.indptr)) if axis == 0 else weights[x.indices]
+    return x
+
+
 @dataclass
 class SWGenerator:
-    """Terms S_1..S_nmax of the block-off-diagonal transform generator, and
-    the block-diagonal and off-diagonal parts of V, all in L0's eigen
-    coordinates: entry (i, j) of ``terms[n - 1]`` is <l_i|S_n|r_j>."""
+    """Terms S_1..S_nmax of the block-off-diagonal transform generator and
+    the blocks of V, all in L0's eigen coordinates.
 
-    terms: list
+    ``blocks[n - 1]`` is S_n's pair (<l_s|S_n|r_f>, <l_f|S_n|r_s>) and
+    ``v_blocks`` is V's (ss, sf, fs, ff).  ``terms`` assembles the full
+    dense matrices on access: entry (i, j) of ``terms[n - 1]`` is
+    <l_i|S_n|r_j>."""
+
+    blocks: list
     nmax: int
     v_blocks: tuple
     spectral: object  # the SpectralData the terms were built from
+
+    @property
+    def terms(self):
+        return [_assemble(self.spectral, sf=a, fs=b) for a, b in self.blocks]
 
     @cached_property
     def residual_factors(self):
@@ -67,101 +138,131 @@ class SWGenerator:
         R_s, L_s of ``spectral``, and its fast vectors L_f and R_f, taken
         once for all residuals."""
         sd = self.spectral
-        rs, ls = to_dense(sd.right[:, sd.slow]), to_dense(sd.left[sd.slow, :])
-        triangles = (np.linalg.qr(x, mode="r") for x in (rs, ls.conj().T))
+        slow = (sd.right[:, sd.slow], sd.left[sd.slow, :].conj().T)  # one dense at a time
+        triangles = [np.linalg.qr(to_dense(x), mode="r") for x in slow]
         return (*triangles, sd.left[sd.fast, :], sd.right[:, sd.fast])
 
+    @cached_property
+    def l0_blocks(self):
+        """The blocks (ss, sf, fs, ff) of ``spectral.l0_eigen``."""
+        return _split(self.spectral, self.spectral.l0_eigen)
+
     def total(self, epsilon, order=None):
+        """S(eps) = sum_n eps**n S_n through ``order``, as a full matrix."""
+        a, b = self.total_blocks(epsilon, order)
+        return _assemble(self.spectral, sf=a, fs=b)
+
+    def total_blocks(self, epsilon, order=None):
+        """The dense blocks (A, B) = (<l_s|S(eps)|r_f>, <l_f|S(eps)|r_s>)."""
         order = self.nmax if order is None else order
         if order > self.nmax:
             raise OrderUnavailableError(f"order {order} > computed nmax {self.nmax}")
-        s = zeros_like(self.terms[0])
+        slow, fast = self.spectral.slow.size, self.spectral.fast.size
+        a, b = np.zeros((slow, fast), dtype=complex), np.zeros((fast, slow), dtype=complex)
         for n in range(1, order + 1):
-            s += epsilon**n * self.terms[n - 1]
-        return s
+            a += epsilon**n * to_dense(self.blocks[n - 1][0])
+            b += epsilon**n * to_dense(self.blocks[n - 1][1])
+        return a, b
 
 
-def _chain(s_terms, ks, memo):
-    """Nested commutator maps of S_{k1}..S_{kp} applied to x, rightmost first.
-
-    ``memo`` maps suffixes of ``ks`` to their chains and starts as
-    ``{(): x}``.  The chain of ``ks`` is the map of S_{ks[0]} applied to the
-    chain of ``ks[1:]``, so each distinct suffix costs one :func:`hat_apply`
-    per memo, and the terms are bit-identical to applying the maps one by one.
-    """
-    if ks not in memo:
-        memo[ks] = hat_apply(s_terms[ks[0] - 1], _chain(s_terms, ks[1:], memo))
-    return memo[ks]
+def _summed_chain(s_blocks, table, p, j):
+    """U(p, j), the sum over k_1 + ... + k_p = j of the nested commutators
+    [...[V_off, S_k_p]..., S_k_1] for the S_k pairs ``s_blocks``: odd for
+    even p, even for odd p.  It is sum_k [U(p - 1, j - k), S_k] for p >= 1,
+    with U(0, 0) = V_off and U(0, j) = 0 otherwise; ``table`` starts as
+    {(0, 0): V_off's pair} and keeps every entry computed."""
+    if (p, j) not in table:
+        ks = range(1, j - p + 2) if p > 1 else [j]
+        table[p, j] = _combine([
+            (1.0, _commutator(s_blocks[k - 1], _summed_chain(s_blocks, table, p - 1, j - k),
+                              even=p % 2 == 0))
+            for k in ks
+        ])
+    return table[p, j]
 
 
 def generator_terms(sd, v, nmax):
     """Solve the decoupling condition for S order by order, for V in L0's
     eigen coordinates (a sector's block, or ``to_eigen`` of a full V).
 
-    Order n collects the commutator chains of lower-order terms acting on
-    the diagonal and off-diagonal parts of the perturbation, resolved
-    against L0.  The first terms reduce to S_1 = -R0(V_offdiag) and
-    S_2 = -R0([V_diag, S_1]).  A term beyond float64 raises
-    ToleranceNotMetError, without overflow warnings.
+    V is split once into its slow/fast blocks.  Order n resolves
+
+        rhs_n = [V_diag, S_{n-1}] + sum_{m >= 1} c_2m U(2m, n - 1)
+
+    against L0 (rhs_1 = V_off), for the x coth(x) coefficients c_2m and
+    the chain table U (:func:`_summed_chain`): S_n's blocks are
+    rhs_sf / lambda_f by column and -rhs_fs / lambda_f by row, for the
+    fast eigenvalues lambda_f.  So S_1 = -R0(V_offdiag) and
+    S_2 = -R0([V_diag, S_1]).  Every block keeps ``superop.compact``'s
+    storage.  A term beyond float64 raises ToleranceNotMetError, without
+    overflow warnings.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if nmax > MAX_ORDER:
         raise OrderUnavailableError(f"series coefficients tabulated up to order {MAX_ORDER}")
-    v_diag, v_off = eigen_split(sd, v)
-    terms = []
-    chains = {(): v_off}
+    v_ss, v_sf, v_fs, v_ff = v_blocks = _split(sd, v)
+    gen = SWGenerator(blocks=[], nmax=nmax, v_blocks=v_blocks, spectral=sd)
+    table = {(0, 0): (v_sf, v_fs)}
+    inverse = 1.0 / sd.eigenvalues[sd.fast]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, nmax + 1):
             if n == 1:
-                rhs = v_off
+                rhs_sf, rhs_fs = v_sf, v_fs
             else:
-                rhs = hat_apply(terms[n - 2], v_diag)  # [V_diag, S_{n-1}]
-                for two_m, coeff in _XCOTH.items():
-                    if two_m == 0 or two_m > n - 1:
-                        continue
-                    for ks in _compositions(n - 1, two_m):
-                        rhs = rhs + coeff * _chain(terms, ks, chains)
-            terms.append(-eigen_resolvent(sd, rhs))
-            if not all_finite(terms[-1]):
+                rhs_sf, rhs_fs = _combine(
+                    [(1.0, _commutator(gen.blocks[n - 2], (v_ss, v_ff), even=True))]
+                    + [(c, _summed_chain(gen.blocks, table, two_m, n - 1))
+                       for two_m, c in _XCOTH.items() if 0 < two_m <= n - 1]
+                )
+            term = (_scaled(rhs_sf, inverse, 1), _scaled(rhs_fs, -inverse, 0))
+            if not (all_finite(term[0]) and all_finite(term[1])):
                 raise ToleranceNotMetError(f"generator term S_{n} is beyond float64")
-    return SWGenerator(terms=terms, nmax=nmax, v_blocks=(v_diag, v_off), spectral=sd)
+            gen.blocks.append(term)
+    return gen
 
 
 @dataclass
 class EffectiveSeries:
-    """Per-order corrections W_n and their slow-space restrictions."""
+    """Per-order corrections W_n and their slow-space restrictions.
 
-    corrections: list  # W_1..W_nmax in L0's eigen coordinates
-    slow_terms: list  # slow_dim x slow_dim matrices <l_a|W_n|r_b>
+    ``blocks[n - 1]`` is W_n's pair (ss, ff) in L0's eigen coordinates and
+    ``slow_terms[n - 1]`` its dense slow_dim x slow_dim block
+    <l_a|W_n|r_b>; ``corrections`` assembles the full dense matrices on
+    access."""
+
+    blocks: list
+    slow_terms: list
     epsilon: float
     nmax: int
+    spectral: object = field(repr=False)
+
+    @property
+    def corrections(self):
+        return [_assemble(self.spectral, ss=ss, ff=ff) for ss, ff in self.blocks]
 
 
 def correction_terms(gen, sd, epsilon=1.0):
     """Expand the transformed generator's slow-space correction.
 
-    W_1 is the block-diagonal part of V; higher orders are odd commutator
-    chains of the S_k applied to the off-diagonal part, with the tanh(x/2)
-    series coefficients.  V's blocks are taken from ``gen``.
+    W_1 is the block-diagonal part of V, and W_n = sum_p c_p U(p, n - 1)
+    over odd p, for the tanh(x/2) coefficients c_p and the chain table U
+    (:func:`_summed_chain`) of ``gen``'s terms, built anew here so that a
+    generator holds no table.  V's blocks are taken from ``gen``.
     """
-    v_diag, v_off = gen.v_blocks
-    chains = {(): v_off}
-    corrections = [v_diag]
+    v_ss, v_sf, v_fs, v_ff = gen.v_blocks
+    blocks, table = [(v_ss, v_ff)], {(0, 0): (v_sf, v_fs)}
     for n in range(2, gen.nmax + 1):
-        w = zeros_like(v_diag)
-        for p, coeff in _TANH_HALF.items():
-            if p > n - 1:
-                continue
-            for ks in _compositions(n - 1, p):
-                w = w + coeff * _chain(gen.terms, ks, chains)
-        corrections.append(w)
-    slow_terms = [to_dense(w[sd.slow][:, sd.slow]) for w in corrections]
+        blocks.append(_combine([
+            (c, _summed_chain(gen.blocks, table, p, n - 1))
+            for p, c in _TANH_HALF.items() if p <= n - 1
+        ]))
     return EffectiveSeries(
-        corrections=corrections,
-        slow_terms=slow_terms,
+        blocks=blocks,
+        slow_terms=[to_dense(ss) for ss, _ in blocks],
         epsilon=epsilon,
         nmax=gen.nmax,
+        spectral=sd,
     )
 
 
@@ -209,9 +310,10 @@ def decoupling_blocks(sd, gen, epsilon, order):
     Builds S(eps) through the requested order and returns the spectral
     norms of P T Q and Q T P, in that order, for
     T = exp(-S) (L0 + eps V) exp(S) and the V that ``gen`` was built from.
-    In L0's eigen coordinates, L0 + eps V is ``sd.l0_eigen`` plus eps times
-    V's blocks in ``gen``, and S is [[0, A], [B, 0]] with A = <l_s|S|r_f>
-    and B = <l_f|S|r_s>, so exp(+-S) is fixed by functions of the
+    In L0's eigen coordinates, each slow/fast block of L0 + eps V is that
+    block of ``sd.l0_eigen`` (``gen.l0_blocks``) plus eps times V's
+    (``gen.v_blocks``), and S is [[0, A], [B, 0]] with A = <l_s|S|r_f> and
+    B = <l_f|S|r_s> (``gen.total_blocks``), so exp(+-S) is fixed by functions of the
     slow_dim x slow_dim matrix X = A B:
 
         exp(+-S) = [[C, +-Sh A], [+-B Sh, 1 + B G A]],
@@ -232,11 +334,11 @@ def decoupling_blocks(sd, gen, epsilon, order):
     is formed.  Returns (inf, inf), without overflow warnings, when exp(+-S)
     is too large for these products in float64.
     """
-    k, slow, fast = sd.slow_dim, sd.slow, sd.fast
-    s = gen.total(epsilon, order)
-    v_diag, v_off = gen.v_blocks
-    l_full = as_operand(sd, sd.l0_eigen + epsilon * (v_diag + v_off))
-    a, b = to_dense(s[slow][:, fast]), to_dense(s[fast][:, slow])
+    k = sd.slow_dim
+    a, b = gen.total_blocks(epsilon, order)
+    l_ss, l_sf, l_fs, l_ff = (
+        _add(l0, v, epsilon) for l0, v in zip(gen.l0_blocks, gen.v_blocks)
+    )
     r_tri, l_tri, left_f, right_f = gen.residual_factors
     with np.errstate(over="ignore", invalid="ignore"):
         zero, one = np.zeros((k, k)), np.eye(k)
@@ -245,15 +347,15 @@ def decoupling_blocks(sd, gen, epsilon, order):
         c, sh, g = 2 * c4 @ c4 - one, sh4 @ c4, sh4 @ sh4 / 2
         sh_a, b_sh, g_a = sh @ a, b @ sh, g @ a
         # <l_s|T|r_f>: the slow rows of exp(-S), through L, into the fast columns of exp(S)
-        rows = c @ l_full[slow] - sh_a @ l_full[fast]
-        rows_s, rows_f = rows[:, slow], rows[:, fast]
+        rows_s = c @ l_ss - sh_a @ l_fs
+        rows_f = c @ l_sf - sh_a @ l_ff
         t_sf = rows_s @ sh_a + rows_f + (rows_f @ b) @ g_a
         # <l_f|T|r_s>: the slow columns of exp(S), through L, into the fast rows of exp(-S)
-        cols = l_full[:, slow] @ c + l_full[:, fast] @ b_sh
-        cols_s, cols_f = cols[slow], cols[fast]
+        cols_s = l_ss @ c + l_sf @ b_sh
+        cols_f = l_fs @ c + l_ff @ b_sh
         t_fs = cols_f - b_sh @ cols_s + b @ (g_a @ cols_f)
-        pq_factor = r_tri @ (t_sf @ left_f)
-        qp_factor = (right_f @ t_fs) @ l_tri.conj().T
+        pq_factor = (r_tri @ t_sf) @ left_f  # the slow_dim-sized products first
+        qp_factor = right_f @ (t_fs @ l_tri.conj().T)
     if not (np.isfinite(pq_factor).all() and np.isfinite(qp_factor).all()):
         return np.inf, np.inf  # exp(+-S) overflowed: the norms are beyond float64
     return spectral_norm(pq_factor), spectral_norm(qp_factor)

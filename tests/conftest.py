@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lsw import models, spectral, superop
+from lsw import models, qrt, spectral, superop
 
 
 @pytest.fixture
@@ -83,3 +83,39 @@ def vec_sector(model, charges, rho0):
     i, j = np.divmod(k, math.isqrt(basis.q_k.size))
     rows, cols = i * model.dim_s + a, j * model.dim_s + b
     return l0 + v, np.asarray(rho0[rows, cols]).reshape(-1), rows, cols
+
+
+def u1_symmetric_model(q_a, q_s, seed):
+    """Random U(1)-symmetric ancilla model, its charges and its rng.
+
+    L_A's Hamiltonian is block-diagonal in q_A, one jump lowers q_A by 1 and
+    one keeps it.  With a system (``q_s`` of size 2 or more), a flip-flop
+    A_+ (x) S_- + h.c., as two Hermitian pairs neither of which conserves
+    the charge alone, and a z-type pair couple it.  Every coherence order
+    q_A[i] - q_A[j] + q_S[a] - q_S[b] is conserved.
+    """
+    rng = np.random.default_rng(seed)
+    q_a, q_s = np.asarray(q_a), np.asarray(q_s)
+    order_a, order_s = (np.subtract.outer(q, q) for q in (q_a, q_s))
+
+    def gaussian(order, shift):  # entries (i, j) that shift the charge by `shift`
+        x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
+        return x * (order == shift)
+
+    spec = superop.LindbladSpec(
+        hdim=q_a.size,
+        hamiltonian=random_hermitian(rng, q_a.size) * (order_a == 0),
+        jumps=[(0.5, gaussian(order_a, -1)), (0.5, gaussian(order_a, 0))],
+    )
+    couplings = []
+    if q_s.size > 1:
+        up, down = gaussian(order_a, 1), gaussian(order_s, -1)
+        # A_+ (x) S_- + h.c. = (A_x (x) S_x + A_y (x) S_y) / 2
+        couplings = [
+            (0.5 * (up + up.conj().T), down + down.conj().T),
+            (-0.5j * (up - up.conj().T), -1j * (down.conj().T - down)),
+            (random_hermitian(rng, q_a.size) * (order_a == 0),
+             random_hermitian(rng, q_s.size) * (order_s == 0)),
+        ]
+    model = qrt.AncillaModel(superop.lindblad_superop(spec), couplings, epsilon=0.7).validate()
+    return model, (q_a, q_s), rng

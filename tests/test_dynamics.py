@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_hermitian, vec_sector
+from conftest import u1_symmetric_model, vec_sector
 from lsw import dynamics, models
 from lsw.dynamics import (
     DENSE_STEP_FLOOR,
@@ -20,8 +20,7 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
-from lsw.qrt import AncillaModel
-from lsw.superop import LindbladSpec, devectorize, lift, lindblad_superop, to_dense, vectorize
+from lsw.superop import devectorize, lift, to_dense, vectorize
 
 # evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max
 # + DENSE_STEP_FLOOR * steps; the tests below pick inputs on both sides of
@@ -185,42 +184,6 @@ def test_unreachable_tolerance_raises():
         assert np.abs(decay.states[-1]).max() == 0.0
         with pytest.raises(ToleranceNotMetError, match="non-finite"):
             evolve(np.diag([100.0] * dim**2).astype(complex), rho0, times)
-
-
-def u1_symmetric_model(q_a, q_s, seed):
-    """Random U(1)-symmetric ancilla model, its charges and its rng.
-
-    L_A's Hamiltonian is block-diagonal in q_A, one jump lowers q_A by 1 and
-    one keeps it.  With a system (``q_s`` of size 2 or more), a flip-flop
-    A_+ (x) S_- + h.c., as two Hermitian pairs neither of which conserves
-    the charge alone, and a z-type pair couple it.  Every coherence order
-    q_A[i] - q_A[j] + q_S[a] - q_S[b] is conserved.
-    """
-    rng = np.random.default_rng(seed)
-    q_a, q_s = np.asarray(q_a), np.asarray(q_s)
-    order_a, order_s = (np.subtract.outer(q, q) for q in (q_a, q_s))
-
-    def gaussian(order, shift):  # entries (i, j) that shift the charge by `shift`
-        x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
-        return x * (order == shift)
-
-    spec = LindbladSpec(
-        hdim=q_a.size,
-        hamiltonian=random_hermitian(rng, q_a.size) * (order_a == 0),
-        jumps=[(0.5, gaussian(order_a, -1)), (0.5, gaussian(order_a, 0))],
-    )
-    couplings = []
-    if q_s.size > 1:
-        up, down = gaussian(order_a, 1), gaussian(order_s, -1)
-        # A_+ (x) S_- + h.c. = (A_x (x) S_x + A_y (x) S_y) / 2
-        couplings = [
-            (0.5 * (up + up.conj().T), down + down.conj().T),
-            (-0.5j * (up - up.conj().T), -1j * (down.conj().T - down)),
-            (random_hermitian(rng, q_a.size) * (order_a == 0),
-             random_hermitian(rng, q_s.size) * (order_s == 0)),
-        ]
-    model = AncillaModel(lindblad_superop(spec), couplings, epsilon=0.7).validate()
-    return model, (q_a, q_s), rng
 
 
 def expected_stepper(k, scale, spans, steps, floor):

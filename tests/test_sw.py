@@ -1,15 +1,18 @@
 from dataclasses import replace
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import dense_full_space, random_hermitian
-from lsw import models, qrt, sw
+from conftest import dense_full_space, random_hermitian, u1_symmetric_model
+from lsw import models, qrt, superop, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
 from lsw.spectral import (
+    AncillaBasis,
     as_operand,
     charge_sector,
     decompose,
@@ -23,6 +26,7 @@ from lsw.spectral import (
     to_eigen,
 )
 from lsw.superop import (
+    DENSE_ENTRIES,
     devectorize,
     hamiltonian_superop,
     hat_apply,
@@ -33,6 +37,7 @@ from lsw.superop import (
 from lsw.sw import (
     closed_form_slow_orders,
     correction_terms,
+    decoupling_blocks,
     decoupling_residual,
     effective_liouvillian,
     generator_terms,
@@ -321,6 +326,16 @@ def test_decoupling_residual_without_fast_space(dim_s):
     assert np.abs(second).max() == 0 and np.abs(third).max() == 0
 
 
+def _compositions(total, parts):
+    """Ordered tuples of positive integers of length `parts` summing to `total`:
+    the gaps between 0, each choice of `parts - 1` cut points in 1..total-1,
+    and `total`, in lexicographic order."""
+    return [
+        tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+        for cuts in combinations(range(1, total), parts - 1)
+    ]
+
+
 def _chain(s_terms, ks, x):
     """Nested commutator maps of S_{k1}..S_{kp} applied to x, one by one."""
     for k in reversed(ks):
@@ -329,15 +344,15 @@ def _chain(s_terms, ks, x):
 
 
 def _naive_terms(sd, v, nmax):
-    """generator_terms and correction_terms for V in eigen coordinates,
-    every chain evaluated afresh."""
+    """generator_terms and correction_terms for V in eigen coordinates, on
+    whole matrices, every chain of every composition evaluated afresh."""
     v_diag, v_off = eigen_split(sd, v)
     terms = []
     for n in range(1, nmax + 1):
         rhs = v_off if n == 1 else hat_apply(terms[n - 2], v_diag)
         for two_m, coeff in sw._XCOTH.items():
             if n > 1 and 0 < two_m <= n - 1:
-                for ks in sw._compositions(n - 1, two_m):
+                for ks in _compositions(n - 1, two_m):
                     rhs = rhs + coeff * _chain(terms, ks, v_off)
         terms.append(-eigen_resolvent(sd, rhs))
     corrections = [v_diag]
@@ -345,21 +360,150 @@ def _naive_terms(sd, v, nmax):
         w = 0 * v_diag
         for p, coeff in sw._TANH_HALF.items():
             if p <= n - 1:
-                for ks in sw._compositions(n - 1, p):
+                for ks in _compositions(n - 1, p):
                     w = w + coeff * _chain(terms, ks, v_off)
         corrections.append(w)
     return terms, corrections
 
 
-def test_memoized_chains_match_naive_chains_bitwise(superradiance_n2):
+# The block engine sums each chain per depth and order (sw._summed_chain),
+# which reassociates the naive sums.  On superradiance (N = 2, 4 and 8,
+# eigenvector condition 2.4) it differs from them through order 8 by at
+# most 7.6e-16 of each term's largest entry.  Where the eigenvectors are
+# ill-conditioned, both round intermediate products far larger than the
+# term (7.6e-12 of S_5's largest entry at condition 2.9e3), so the property
+# test scales by the size the order-n term can reach, |V|^n / gap^n for S_n
+# and |V|^n / gap^(n - 1) for W_n, |V| the largest entry of V's eigen
+# coordinates: there the differences measured at most 8.7e-15 of it over
+# 320 random cases of its strategy
+CHAIN_REL_TOL = 4e-15
+CHAIN_SIZE_TOL = 5e-14
+# decoupling_blocks against the two-exponential norms of the naive terms:
+# over 320 random cases at most 4.3e-16 of the norm where it is large
+# (7.3e-12 on 1.7e4, past the perturbative regime); the absolute part is
+# the oracle tests' 1e-14
+BLOCK_NORM_REL_TOL, BLOCK_NORM_ABS_TOL = 1e-9, 1e-14
+
+
+def assert_terms_match_naive(gen, series, terms, corrections):
+    for got, want in zip(gen.terms + series.corrections, terms + corrections, strict=True):
+        want = to_dense(want)
+        assert np.abs(to_dense(got) - want).max() <= CHAIN_REL_TOL * np.abs(want).max()
+
+
+def assert_terms_match_naive_by_size(sd, v, gen, series, terms, corrections):
+    v_max = np.abs(to_dense(v)).max()
+    growth = v_max / sd.gap  # 0 without fast modes
+    for n, (got, want) in enumerate(zip(gen.terms, terms, strict=True), start=1):
+        assert np.abs(to_dense(got) - to_dense(want)).max() <= CHAIN_SIZE_TOL * growth**n
+    for n, (got, want) in enumerate(zip(series.corrections, corrections, strict=True), start=1):
+        bound = CHAIN_SIZE_TOL * v_max * growth ** (n - 1)
+        assert np.abs(to_dense(got) - to_dense(want)).max() <= bound
+
+
+def test_chain_table_matches_naive_chains(superradiance_n2):
     m, _ = superradiance_n2
     sector = charge_sector(m.ancilla)
     sd, v = sector.spectral, sector.v
     gen = generator_terms(sd, v, 8)
     series = correction_terms(gen, sd)
-    terms, corrections = _naive_terms(sd, v, 8)
-    for got, want in zip(gen.terms + series.corrections, terms + corrections, strict=True):
-        assert np.abs(to_dense(got) - to_dense(want)).max() == 0
+    assert_terms_match_naive(gen, series, *_naive_terms(sd, v, 8))
+
+
+def test_generator_terms_commutator_count(superradiance_n2, monkeypatch):
+    # orders 1-8 take (n - 1) commutators with V_diag and the table entries
+    # U(p, j), p <= j < n and p <= 6, that the even depths need: U(1, j) =
+    # [V_off, S_j] costs one, U(p, j) for p >= 2 costs j - p + 1.  Chains
+    # memoized per composition suffix took 102 at order 8 and doubled with
+    # each order
+    m, _ = superradiance_n2
+    sector = charge_sector(m.ancilla)
+    real, calls = sw._commutator, []
+    monkeypatch.setattr(sw, "_commutator", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    counts = []
+    for nmax in range(1, 9):
+        calls.clear()
+        generator_terms(sector.spectral, sector.v, nmax)
+        counts.append(len(calls))
+    assert counts == [0, 1, 4, 8, 15, 25, 40, 60]
+
+
+def _naive_block_norms(sd, v, terms, epsilon, order):
+    """The spectral norms of P T Q and Q T P by definition, for S(eps) summed
+    from ``terms``: T = exp(-S) (L0 + eps V) exp(S) in eigen coordinates,
+    its off-diagonal blocks mapped to the full space by the eigenvectors."""
+    s = sum(epsilon**n * to_dense(terms[n - 1]) for n in range(1, order + 1))
+    t = expm(-s) @ (to_dense(sd.l0_eigen) + epsilon * to_dense(v)) @ expm(s)
+    norms = []
+    for rows, cols in ((sd.slow, sd.fast), (sd.fast, sd.slow)):
+        block = to_dense(sd.right[:, rows]) @ t[np.ix_(rows, cols)] @ to_dense(sd.left[cols, :])
+        norms.append(spectral_norm(block))
+    return norms
+
+
+def _engine_case(kind, seed, pick):
+    """(spectral data, V in its eigen coordinates) of one engine comparison:
+    a charged random model or superradiance, on one coherence-order sector
+    or dense over the whole space, or the no-fast-mode space of
+    :func:`test_decoupling_residual_without_fast_space`."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("no-fast"):
+        zero = np.zeros((4, 4), dtype=complex)
+        if kind == "no-fast-dense":
+            sd = decompose(zero)
+            return sd, to_eigen(sd, hamiltonian_superop(random_hermitian(rng, 2)))
+        pairs = [(random_hermitian(rng, 2), random_hermitian(rng, 2)) for _ in range(2)]
+        sector = charge_sector(qrt.AncillaModel(l0=zero, couplings=pairs))
+        return sector.spectral, sector.v
+    if kind.startswith("u1"):
+        q_a = rng.integers(0, 3, size=rng.integers(2, 4))
+        q_s = rng.integers(0, 2, size=rng.integers(2, 4))
+        ancilla, charges, _ = u1_symmetric_model(q_a, q_s, seed)
+    else:
+        n_spins = 1 + pick % (8 if kind.endswith("sector") else 2)
+        p = models.SuperradianceParams(n_spins=n_spins, g=1.0, gamma=1.0, omega=0.2)
+        ancilla, charges = models.superradiance_ancilla(p), models.superradiance_charges(n_spins)
+    if kind.endswith("dense"):
+        l0, v = dense_full_space(ancilla)
+        sd = decompose(l0)
+        return sd, to_eigen(sd, v)
+    basis = AncillaBasis(ancilla, charges)
+    orders = basis.orders()
+    sector = basis.sectors([orders[pick % orders.size]])[0]
+    return sector.spectral, sector.v
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        ["u1-sector", "u1-dense", "superradiance-sector", "superradiance-dense",
+         "no-fast-sector", "no-fast-dense"]
+    ),
+    seed=st.integers(0, 2**16),
+    pick=st.integers(0, 64),
+    nmax=st.integers(1, 8),
+    dense_entries=st.sampled_from([0, DENSE_ENTRIES]),
+)
+@example(kind="no-fast-sector", seed=6, pick=0, nmax=3, dense_entries=DENSE_ENTRIES)
+@example(kind="no-fast-dense", seed=6, pick=0, nmax=3, dense_entries=0)
+@example(kind="superradiance-sector", seed=0, pick=7, nmax=8, dense_entries=0)
+@example(kind="u1-dense", seed=1, pick=0, nmax=8, dense_entries=0)
+def test_block_engine_matches_naive_terms(kind, seed, pick, nmax, dense_entries):
+    # DENSE_ENTRIES 0 leaves every block to the fill rule alone, so sparse
+    # and dense blocks meet in the same products
+    with mock.patch.object(superop, "DENSE_ENTRIES", dense_entries):
+        sd, v = _engine_case(kind, seed, pick)
+        gen = generator_terms(sd, v, nmax)
+        series = correction_terms(gen, sd)
+        terms, corrections = _naive_terms(sd, v, nmax)
+        assert_terms_match_naive_by_size(sd, v, gen, series, terms, corrections)
+        for eps in (0.1, 0.02):
+            got = decoupling_blocks(sd, gen, eps, nmax)
+            want = _naive_block_norms(sd, v, terms, eps, nmax)
+            if sd.fast.size == 0:
+                assert got == (0.0, 0.0)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= BLOCK_NORM_REL_TOL * w + BLOCK_NORM_ABS_TOL, (g, w)
 
 
 def test_first_order_vanishes_for_collective_model(superradiance_n2):
