@@ -11,9 +11,11 @@ one, :class:`AncillaBasis` (:func:`charge_sector` for order 0), serves
 L0 = L_A (x) 1_S as the model declares it: it diagonalizes the block L_A
 once and builds coherence-order sectors (the whole space for trivial
 charges) from the model's operators, with V's blocks and sparse vec-space
-eigenvectors R_k (x) |a><b|.  In eigen coordinates the projectors are
-index masks and the fast inverse is a diagonal scaling; their full-space
-forms are built on demand.
+eigenvectors R_k (x) |a><b|.  In eigen coordinates the slow/fast split is
+the four blocks of :func:`blocks`, joined by :func:`assemble`, and the fast
+inverse scales a block's rows or columns (:func:`scaled`).  This is the one
+split: the recursion in :mod:`lsw.sw` runs on it, and the full-space
+wrappers (:func:`resolvent_apply`, ``sw.split_blocks``) are built on it.
 
 This module is the one place coherence-order sectors are built: the same
 :meth:`AncillaBasis.block` also runs in L_A's own basis |i><j|
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import superop
 from .exceptions import (
     DefectiveOperatorError,
     EmptySlowSpaceError,
@@ -350,15 +353,12 @@ def charge_sector(
     return AncillaBasis(model, charges, zero_tol).sectors([0], max_dim, perturbation)[0]
 
 
-def as_operand(sd, a):
-    """A superoperator in the storage of sd's backend: dense, or on the
-    sector backend CSR until it is as full as ``superop.compact`` allows."""
-    return compact(to_csr(a)) if sd.backend == "sector" else to_dense(a)
-
-
 def to_eigen(sd, a):
-    """A superoperator in L0's eigen coordinates: entry (i, j) is <l_i|A|r_j>."""
-    return compact(sd.left @ as_operand(sd, a) @ sd.right)
+    """A superoperator in L0's eigen coordinates: entry (i, j) is <l_i|A|r_j>.
+    ``a`` is taken dense, or on the sector backend as CSR until it is as full
+    as ``superop.compact`` allows."""
+    a = compact(to_csr(a)) if sd.backend == "sector" else to_dense(a)
+    return compact(sd.left @ a @ sd.right)
 
 
 def from_eigen(sd, a):
@@ -366,38 +366,35 @@ def from_eigen(sd, a):
     return compact(sd.right @ a @ sd.left)
 
 
-def _diagonals(sd):
-    """The slow mask, and 1/lambda on the fast modes (0 on the slow ones)."""
-    slow = np.isin(np.arange(sd.dim), sd.slow)
-    return slow, np.divide(1.0, sd.eigenvalues, out=np.zeros(sd.dim, complex), where=~slow)
+def blocks(sd, a):
+    """The blocks (ss, sf, fs, ff) of an eigen-coordinate matrix, in the
+    storage ``compact`` picks for each: sliced from CSR only where the
+    largest block may stay sparse, else from the dense matrix."""
+    sides = (sd.slow, sd.fast)
+    if sp.issparse(a) and max(sd.slow.size, sd.fast.size) ** 2 > superop.DENSE_ENTRIES:
+        a = to_csr(a)
+        return tuple(compact(a[rows][:, cols]) for rows in sides for cols in sides)
+    a = to_dense(a)
+    return tuple(a[np.ix_(rows, cols)] for rows in sides for cols in sides)
 
 
-def _weighted(a, weight):
-    """``a`` with entry (i, j) multiplied by ``weight(i, j)``, dense or sparse;
-    a sparse result keeps only its nonzero entries."""
-    if not sp.issparse(a):
-        i = np.arange(a.shape[0])
-        return np.asarray(a) * weight(i[:, None], i)
-    a = to_csr(a)
-    data = a.data * weight(np.repeat(np.arange(a.shape[0]), np.diff(a.indptr)), a.indices)
-    out = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    out.eliminate_zeros()  # in place, so a's index arrays are copied above
-    return compact(out)
+def assemble(sd, ss=None, sf=None, fs=None, ff=None):
+    """The dense eigen-coordinate matrix with the given slow/fast blocks
+    (None is zero)."""
+    out, sides = np.zeros((sd.dim, sd.dim), dtype=complex), (sd.slow, sd.fast)
+    for i, x in enumerate((ss, sf, fs, ff)):
+        if x is not None:
+            out[np.ix_(sides[i // 2], sides[i % 2])] = to_dense(x)
+    return out
 
 
-def eigen_split(sd, a):
-    """Block-diagonal and block-off-diagonal parts in eigen coordinates, both
-    in the storage ``compact`` picks for ``a``."""
-    slow, a = _diagonals(sd)[0], compact(a)
-    diag = _weighted(a, lambda i, j: slow[i] == slow[j])
-    return diag, a - diag
-
-
-def eigen_resolvent(sd, a):
-    """:func:`resolvent_apply` in eigen coordinates: entry (i, j) times
-    1/lambda_i (i fast, j slow) or -1/lambda_j (i slow, j fast), else 0."""
-    slow, inverse = _diagonals(sd)
-    return _weighted(a, lambda i, j: inverse[i] * slow[j] - slow[i] * inverse[j])
+def scaled(x, weights, axis):
+    """x with its rows (axis 0) or columns (axis 1) multiplied by ``weights``."""
+    if not sp.issparse(x):
+        return x * (weights[:, None] if axis == 0 else weights)
+    x = to_csr(x).copy()
+    x.data *= np.repeat(weights, np.diff(x.indptr)) if axis == 0 else weights[x.indices]
+    return x
 
 
 def projectors(sd):
@@ -408,16 +405,22 @@ def projectors(sd):
 
 def fast_inverse(sd):
     """Inverse of L0 restricted to the fast space, zero on the slow space."""
-    return from_eigen(sd, sp.diags(_diagonals(sd)[1], format="csr"))
+    inverse = np.zeros(sd.dim, complex)
+    inverse[sd.fast] = 1.0 / sd.eigenvalues[sd.fast]
+    return from_eigen(sd, sp.diags(inverse, format="csr"))
 
 
 def resolvent_apply(sd, a):
     """Invert the block-off-diagonal action of L0 on a superoperator.
 
     Returns Q L0inv A P - P A L0inv Q; for block-off-diagonal X this is the
-    unique block-off-diagonal solution of [solution, L0] = A.
+    unique block-off-diagonal solution of [solution, L0] = A.  In eigen
+    coordinates it scales A's :func:`blocks`: sf by -1/lambda_f by column and
+    fs by 1/lambda_f by row, for the fast eigenvalues lambda_f.
     """
-    return from_eigen(sd, eigen_resolvent(sd, to_eigen(sd, a)))
+    _, a_sf, a_fs, _ = blocks(sd, to_eigen(sd, a))
+    inverse = 1.0 / sd.eigenvalues[sd.fast]
+    return from_eigen(sd, assemble(sd, sf=scaled(a_sf, -inverse, 1), fs=scaled(a_fs, inverse, 0)))
 
 
 def spectral_norm(a):

@@ -27,10 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from . import superop
 from .exceptions import NonProductSlowSpaceError, OrderUnavailableError, ToleranceNotMetError
-from .spectral import eigen_split, from_eigen, spectral_norm, to_eigen
-from .superop import all_finite, compact, lift, to_csr, to_dense, trace_functional, vectorize
+from .spectral import assemble, blocks, from_eigen, scaled, spectral_norm, to_eigen
+from .superop import all_finite, compact, lift, to_dense, trace_functional, vectorize
 
 MAX_ORDER = 8
 REDUCTION_TOL = 1e-8  # smallest ancilla trace, largest relative product defect
@@ -43,29 +42,8 @@ _TANH_HALF = {1: 1.0 / 2.0, 3: -1.0 / 24.0, 5: 1.0 / 240.0, 7: -17.0 / 40320.0}
 
 def split_blocks(sd, v):
     """Block-diagonal and block-off-diagonal parts of a superoperator."""
-    return tuple(from_eigen(sd, x) for x in eigen_split(sd, to_eigen(sd, v)))
-
-
-def _split(sd, a):
-    """The blocks (ss, sf, fs, ff) of an eigen-coordinate matrix, in the
-    storage ``compact`` picks for each: sliced from CSR only where the
-    largest block may stay sparse, else from the dense matrix."""
-    sides = (sd.slow, sd.fast)
-    if sp.issparse(a) and max(sd.slow.size, sd.fast.size) ** 2 > superop.DENSE_ENTRIES:
-        a = to_csr(a)
-        return tuple(compact(a[rows][:, cols]) for rows in sides for cols in sides)
-    a = to_dense(a)
-    return tuple(a[np.ix_(rows, cols)] for rows in sides for cols in sides)
-
-
-def _assemble(sd, ss=None, sf=None, fs=None, ff=None):
-    """The dense eigen-coordinate matrix with the given slow/fast blocks
-    (None is zero)."""
-    out, sides = np.zeros((sd.dim, sd.dim), dtype=complex), (sd.slow, sd.fast)
-    for i, x in enumerate((ss, sf, fs, ff)):
-        if x is not None:
-            out[np.ix_(sides[i // 2], sides[i % 2])] = to_dense(x)
-    return out
+    ss, sf, fs, ff = blocks(sd, to_eigen(sd, v))
+    return from_eigen(sd, assemble(sd, ss=ss, ff=ff)), from_eigen(sd, assemble(sd, sf=sf, fs=fs))
 
 
 def _add(x, y, coeff=1.0):
@@ -104,15 +82,6 @@ def _commutator(s, x, even):
     return _add(x_sf @ b, a @ x_fs, -1.0), _add(x_fs @ a, b @ x_sf, -1.0)
 
 
-def _scaled(x, weights, axis):
-    """x with its rows (axis 0) or columns (axis 1) multiplied by ``weights``."""
-    if not sp.issparse(x):
-        return x * (weights[:, None] if axis == 0 else weights)
-    x = to_csr(x).copy()
-    x.data *= np.repeat(weights, np.diff(x.indptr)) if axis == 0 else weights[x.indices]
-    return x
-
-
 @dataclass
 class SWGenerator:
     """Terms S_1..S_nmax of the block-off-diagonal transform generator and
@@ -130,7 +99,7 @@ class SWGenerator:
 
     @property
     def terms(self):
-        return [_assemble(self.spectral, sf=a, fs=b) for a, b in self.blocks]
+        return [assemble(self.spectral, sf=a, fs=b) for a, b in self.blocks]
 
     @cached_property
     def residual_factors(self):
@@ -145,12 +114,12 @@ class SWGenerator:
     @cached_property
     def l0_blocks(self):
         """The blocks (ss, sf, fs, ff) of ``spectral.l0_eigen``."""
-        return _split(self.spectral, self.spectral.l0_eigen)
+        return blocks(self.spectral, self.spectral.l0_eigen)
 
     def total(self, epsilon, order=None):
         """S(eps) = sum_n eps**n S_n through ``order``, as a full matrix."""
         a, b = self.total_blocks(epsilon, order)
-        return _assemble(self.spectral, sf=a, fs=b)
+        return assemble(self.spectral, sf=a, fs=b)
 
     def total_blocks(self, epsilon, order=None):
         """The dense blocks (A, B) = (<l_s|S(eps)|r_f>, <l_f|S(eps)|r_s>)."""
@@ -201,7 +170,7 @@ def generator_terms(sd, v, nmax):
         raise ValueError("nmax must be >= 1")
     if nmax > MAX_ORDER:
         raise OrderUnavailableError(f"series coefficients tabulated up to order {MAX_ORDER}")
-    v_ss, v_sf, v_fs, v_ff = v_blocks = _split(sd, v)
+    v_ss, v_sf, v_fs, v_ff = v_blocks = blocks(sd, v)
     gen = SWGenerator(blocks=[], nmax=nmax, v_blocks=v_blocks, spectral=sd)
     table = {(0, 0): (v_sf, v_fs)}
     inverse = 1.0 / sd.eigenvalues[sd.fast]
@@ -215,7 +184,7 @@ def generator_terms(sd, v, nmax):
                     + [(c, _summed_chain(gen.blocks, table, two_m, n - 1))
                        for two_m, c in _XCOTH.items() if 0 < two_m <= n - 1]
                 )
-            term = (_scaled(rhs_sf, inverse, 1), _scaled(rhs_fs, -inverse, 0))
+            term = (scaled(rhs_sf, inverse, 1), scaled(rhs_fs, -inverse, 0))
             if not (all_finite(term[0]) and all_finite(term[1])):
                 raise ToleranceNotMetError(f"generator term S_{n} is beyond float64")
             gen.blocks.append(term)
@@ -239,7 +208,7 @@ class EffectiveSeries:
 
     @property
     def corrections(self):
-        return [_assemble(self.spectral, ss=ss, ff=ff) for ss, ff in self.blocks]
+        return [assemble(self.spectral, ss=ss, ff=ff) for ss, ff in self.blocks]
 
 
 def correction_terms(gen, sd, epsilon=1.0):
@@ -251,15 +220,15 @@ def correction_terms(gen, sd, epsilon=1.0):
     generator holds no table.  V's blocks are taken from ``gen``.
     """
     v_ss, v_sf, v_fs, v_ff = gen.v_blocks
-    blocks, table = [(v_ss, v_ff)], {(0, 0): (v_sf, v_fs)}
+    w_blocks, table = [(v_ss, v_ff)], {(0, 0): (v_sf, v_fs)}
     for n in range(2, gen.nmax + 1):
-        blocks.append(_combine([
+        w_blocks.append(_combine([
             (c, _summed_chain(gen.blocks, table, p, n - 1))
             for p, c in _TANH_HALF.items() if p <= n - 1
         ]))
     return EffectiveSeries(
-        blocks=blocks,
-        slow_terms=[to_dense(ss) for ss, _ in blocks],
+        blocks=w_blocks,
+        slow_terms=[to_dense(ss) for ss, _ in w_blocks],
         epsilon=epsilon,
         nmax=gen.nmax,
         spectral=sd,
@@ -287,8 +256,7 @@ def closed_form_slow_orders(sd, v):
     slow-fast round trip through the fast inverse, order 3 adds the
     fast-space block and the anticommutator counterterm.
     """
-    sides = (sd.slow, sd.fast)
-    v_pp, v_pq, v_qp, v_qq = (to_dense(v[rows][:, cols]) for rows in sides for cols in sides)
+    v_pp, v_pq, v_qp, v_qq = (to_dense(x) for x in blocks(sd, v))
     inv = 1.0 / sd.eigenvalues[sd.fast]
     l1 = v_pp
     l2 = -(v_pq * inv) @ v_qp

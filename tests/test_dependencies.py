@@ -1,6 +1,8 @@
-"""The declared dependencies match what the package imports."""
+"""The declared dependencies match what the package imports, and the
+functions the benchmark traces exist."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -57,3 +59,20 @@ def test_cli_import_skips_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_traced_layers_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 looks up every (module, function) of
+    # perfbench/spans.py LAYERS by getattr, so a deleted or renamed layer
+    # function breaks the traced benchmark; spans.py is only read here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}"
+        for module, names in spans.LAYERS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert spans.LAYERS and missing == []

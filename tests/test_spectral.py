@@ -9,9 +9,10 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from conftest import dense_full_space, model_fleet, random_density
-from lsw import models
+from lsw import models, superop
 from lsw.exceptions import DefectiveOperatorError, EmptySlowSpaceError, ToleranceNotMetError
 from lsw.spectral import (
+    charge_sector,
     check_perturbative_limit,
     decompose,
     fast_inverse,
@@ -20,7 +21,8 @@ from lsw.spectral import (
     spectral_norm,
     to_eigen,
 )
-from lsw.superop import hat_apply, to_dense, vectorize
+from lsw.superop import DENSE_ENTRIES, hat_apply, to_dense, vectorize
+from lsw.sw import split_blocks
 
 
 def vec_dn_dn():
@@ -198,6 +200,26 @@ def test_resolvent_output_block_off_diagonal(rng):
     pq = projectors(sd)
     out = resolvent_apply(sd, v)
     assert spectral_norm(pq.p @ out @ pq.p) + spectral_norm(pq.q @ out @ pq.q) <= 1e-10
+
+
+@pytest.mark.parametrize("backend", ["sector", "dense"])
+@pytest.mark.parametrize("dense_entries", [0, DENSE_ENTRIES])
+def test_block_wrappers_match_projector_definitions(backend, dense_entries, monkeypatch):
+    # DENSE_ENTRIES 0 keeps the sector backend's sparse blocks as CSR, so
+    # the wrappers take the sparse branches of blocks and scaled
+    monkeypatch.setattr(superop, "DENSE_ENTRIES", dense_entries)
+    params = models.SuperradianceParams(n_spins=3, g=0.3, gamma=1.0, omega=0.2)
+    m = models.superradiance_model(params)
+    sd = charge_sector(m.ancilla).spectral if backend == "sector" else decompose(m.l0)
+    pq = projectors(sd)
+    p, q, finv, a = (to_dense(x) for x in (pq.p, pq.q, fast_inverse(sd), m.v))
+    tol = 1e-12 * np.abs(a).max()
+    want = q @ finv @ a @ p - p @ a @ finv @ q
+    assert np.abs(to_dense(resolvent_apply(sd, m.v)) - want).max() <= tol
+    diag, off = split_blocks(sd, m.v)
+    assert np.abs(to_dense(diag) - (p @ a @ p + q @ a @ q)).max() <= tol
+    assert np.abs(to_dense(off) - (p @ a @ q + q @ a @ p)).max() <= tol
+    assert np.abs(finv @ to_dense(m.l0) - q).max() < 1e-12
 
 
 def test_perturbative_limit_reports():

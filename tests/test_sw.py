@@ -13,11 +13,8 @@ from lsw import models, qrt, superop, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
 from lsw.spectral import (
     AncillaBasis,
-    as_operand,
     charge_sector,
     decompose,
-    eigen_resolvent,
-    eigen_split,
     fast_inverse,
     from_eigen,
     projectors,
@@ -244,7 +241,7 @@ def test_decoupling_residual_scaling_quick():
 def _residual_oracle(sd, l0, v, gen, epsilon, order):
     """The residual by definition: two exponentials and full D x D SVDs."""
     s = to_dense(from_eigen(sd, gen.total(epsilon, order)))
-    l_full = to_dense(l0 + epsilon * as_operand(sd, v))
+    l_full = to_dense(l0) + epsilon * to_dense(v)
     transformed = expm(-s) @ l_full @ expm(s)
     pq = projectors(sd)
     p, q = to_dense(pq.p), to_dense(pq.q)
@@ -278,7 +275,7 @@ def _residual_case(name):
 @pytest.mark.parametrize("case", ["superradiance-product", "superradiance-mixed", "random-dense"])
 def test_decoupling_residual_matches_two_exponential_oracle(case):
     sd, l0, v, v_eigen, eps_grid = _residual_case(case)
-    v = as_operand(sd, v)
+    v = to_dense(v)
     gen = generator_terms(sd, v_eigen, 8)
     for order in range(1, 9):
         for eps in eps_grid:
@@ -291,7 +288,7 @@ def test_decoupling_residual_matches_oracle_beyond_perturbative_regime(case):
     # at epsilon 1.0, ||S||_1 reaches 456 on the superradiance cases and
     # exp(S) has condition number 1.6e6
     sd, l0, v, v_eigen, _ = _residual_case(case)
-    v = as_operand(sd, v)
+    v = to_dense(v)
     gen = generator_terms(sd, v_eigen, 8)
     for order in range(1, 9):
         for eps in (0.3, 1.0):
@@ -345,8 +342,16 @@ def _chain(s_terms, ks, x):
 
 def _naive_terms(sd, v, nmax):
     """generator_terms and correction_terms for V in eigen coordinates, on
-    whole matrices, every chain of every composition evaluated afresh."""
-    v_diag, v_off = eigen_split(sd, v)
+    whole matrices, every chain of every composition evaluated afresh.  The
+    slow/fast split and the resolvent are masks on the dense matrices."""
+    slow = np.isin(np.arange(sd.dim), sd.slow)
+    inverse = np.divide(1.0, sd.eigenvalues, out=np.zeros(sd.dim, complex), where=~slow)
+    # entry (i, j) of R0's eigen coordinates: 1/lambda_i (i fast, j slow),
+    # -1/lambda_j (i slow, j fast), else 0
+    resolvent = inverse[:, None] * slow - slow[:, None] * inverse
+    v = to_dense(v)
+    v_diag = v * (slow[:, None] == slow)
+    v_off = v - v_diag
     terms = []
     for n in range(1, nmax + 1):
         rhs = v_off if n == 1 else hat_apply(terms[n - 2], v_diag)
@@ -354,7 +359,7 @@ def _naive_terms(sd, v, nmax):
             if n > 1 and 0 < two_m <= n - 1:
                 for ks in _compositions(n - 1, two_m):
                     rhs = rhs + coeff * _chain(terms, ks, v_off)
-        terms.append(-eigen_resolvent(sd, rhs))
+        terms.append(-to_dense(rhs) * resolvent)
     corrections = [v_diag]
     for n in range(2, nmax + 1):
         w = 0 * v_diag
