@@ -9,7 +9,7 @@ propagation for validating both.
 
 from . import dynamics, expr, models, qrt, spectral, superop, sw
 from .exceptions import LswError
-from .operators import dagger, spin_operators, tensor
+from .operators import spin_operators, tensor
 from .superop import (
     LindbladSpec,
     devectorize,
@@ -48,7 +48,6 @@ __all__ = [
     "coefficient_matrix",
     "coefficient_matrix_resolvent_oracle",
     "correction_terms",
-    "dagger",
     "decompose",
     "decoupling_residual",
     "devectorize",

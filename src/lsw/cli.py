@@ -29,7 +29,7 @@ from .exceptions import (
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators
-from .spectral import AncillaBasis, charge_sector, check_perturbative_limit
+from .spectral import AncillaBasis, charge_sector, check_perturbative_limit, decompose
 from .superop import LindbladSpec, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
@@ -285,6 +285,8 @@ class Run:
             raise ValidationError("times.t_max must be > 0")
         if not self.zero_tol > 0:
             raise ValidationError("tolerances.zero_tol must be > 0")
+        if not self.zero_tol < 1:  # relative: at 1 or more no eigenvector keeps a support
+            raise ValidationError(f"tolerances.zero_tol must be < 1, got {self.zero_tol}")
         if not all(e > 0 for e in self.epsilons):
             raise ValidationError("every entry of epsilons must be > 0")
         if task == "decoupling-scan" and len(set(self.epsilons)) < 2:
@@ -382,16 +384,20 @@ def _build_model(run):
 
 
 def _task_spectrum(run):
+    """L0 = L_A (x) 1_S: L_A's eigenvalues and slow set, each repeated d_S**2
+    times as in the whole space's eigen order (k d_S + a) d_S + b, and L_A's gap."""
     ancilla = run.model["ancilla"]
-    sd = charge_sector(ancilla, None, run.zero_tol, perturbation=False).spectral
-    report = check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
-    order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))  # deterministic listing
-    lam = sd.eigenvalues[order]
-    subspace = np.where(np.isin(order, sd.slow), "slow", "fast")
+    sd = decompose(ancilla.l0, run.zero_tol)
+    ok = check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
+    copies = ancilla.dim_s**2
+    eigenvalues = np.repeat(sd.eigenvalues, copies)
+    order = np.lexsort((eigenvalues.imag, eigenvalues.real))  # deterministic listing
+    lam, slow = eigenvalues[order], np.repeat(np.isin(np.arange(sd.dim), sd.slow), copies)
+    subspace = np.where(slow[order], "slow", "fast")
     path = _write_csv(
         run.out + "_spectrum.csv",
         ["index", "re", "im", "subspace", "gap", "perturbative_ok"],
-        [np.arange(order.size), lam.real, lam.imag, subspace, sd.gap, int(report.ok)],
+        [np.arange(order.size), lam.real, lam.imag, subspace, sd.gap, int(ok)],
     )
     return [path]
 

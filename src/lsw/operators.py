@@ -36,11 +36,6 @@ def spin_operators(two_j):
     return jplus, jminus, jz
 
 
-def dagger(a):
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def tensor(*ops):
     """Kronecker product with the first factor's index slowest.
 

@@ -6,16 +6,18 @@ right-eigenvector matrix, which enforces biorthonormality and completeness
 up to inversion error and avoids any eigenvector pairing ambiguity.
 
 Two backends build the same :class:`SpectralData`.  The dense reference,
-:func:`decompose`, diagonalizes a full D x D generator.  The structured
-one, :class:`AncillaBasis` (:func:`charge_sector` for order 0), serves
-L0 = L_A (x) 1_S as the model declares it: it diagonalizes the block L_A
-once and builds coherence-order sectors (the whole space for trivial
-charges) from the model's operators, with V's blocks and sparse vec-space
-eigenvectors R_k (x) |a><b|.  In eigen coordinates the slow/fast split is
-the four blocks of :func:`blocks`, joined by :func:`assemble`, and the fast
-inverse scales a block's rows or columns (:func:`scaled`).  This is the one
-split: the recursion in :mod:`lsw.sw` runs on it, and the full-space
-wrappers (:func:`resolvent_apply`, ``sw.split_blocks``) are built on it.
+:func:`decompose`, diagonalizes a full D x D generator; on L_A alone it is
+all the CLI's ``spectrum`` needs, since L0 = L_A (x) 1_S repeats each of
+L_A's eigenvalues d_S**2 times.  The structured one, :class:`AncillaBasis`
+(:func:`charge_sector` for order 0), serves L0 = L_A (x) 1_S as the model
+declares it: it diagonalizes the block L_A once and builds coherence-order
+sectors (the whole space for trivial charges) from the model's operators,
+with V's blocks and sparse vec-space eigenvectors R_k (x) |a><b|.  In
+eigen coordinates the slow/fast split is the four blocks of :func:`blocks`,
+joined by :func:`assemble`, and the fast inverse scales a block's rows or
+columns (:func:`scaled`).  This is the one split: the recursion in
+:mod:`lsw.sw` runs on it, and the full-space wrappers
+(:func:`resolvent_apply`, ``sw.split_blocks``) are built on it.
 
 This module is the one place coherence-order sectors are built: the same
 :meth:`AncillaBasis.block` also runs in L_A's own basis |i><j|
@@ -129,8 +131,8 @@ class ChargeSector:
     Coordinate m is R_k (x) |a><b| for (k, a, b) = ``index[:, m]``, in the
     order of the whole space's eigen index (k * d_S + a) * d_S + b.
     ``spectral`` has those vec-space vectors as ``right`` and ``left``; ``v``
-    is V's block (None when it was not asked for).  ``right`` and ``left``
-    here are L_A's eigenvectors (columns vec R_k, rows l_k).
+    is V's block.  ``right`` and ``left`` here are L_A's eigenvectors
+    (columns vec R_k, rows l_k).
     """
 
     spectral: SpectralData
@@ -224,10 +226,10 @@ class AncillaBasis:
         rows, cols = op.nonzero()
         return np.unique(charge[rows] - charge[cols])
 
-    def block(self, orders, max_dim=np.inf, perturbation=True):
+    def block(self, orders, max_dim=np.inf):
         """The coherence orders ``orders`` on their stacked coordinates: the
         index (k, a, b) of each, the dimension of each order, and L0 and V
-        (None unless ``perturbation``) as block-diagonal CSR matrices.
+        as block-diagonal CSR matrices.
 
         Coordinate (k, a, b) is c_k (x) |a><b| for L_A's coordinate vector c_k,
         of order q_k + q_S[a] - q_S[b], keyed label * D + (k d_S + a) d_S + b.
@@ -253,14 +255,12 @@ class AncillaBasis:
         # L_A's entries between orders (rounding at most) never meet in a sector
         every = np.arange(total)
         l0, _ = _place(keys, size, *_entries(self.l0_eigen, k, d_s, every, a, b, 1.0))
-        v = self.perturbation_block(k, a, b, keys, size) if perturbation else None
-        return np.array([k, a, b]), dims, l0, v
+        return np.array([k, a, b]), dims, l0, self.perturbation_block(k, a, b, keys, size)
 
-    def sectors(self, orders, max_dim=np.inf, perturbation=True):
+    def sectors(self, orders, max_dim=np.inf):
         """The :class:`ChargeSector` of each coherence order in ``orders``, with
-        V's block if ``perturbation``, cut from :meth:`block` (eigen
-        coordinates only)."""
-        index, dims, l0_eigen, v = self.block(orders, max_dim, perturbation)
+        V's block, cut from :meth:`block` (eigen coordinates only)."""
+        index, dims, l0_eigen, v = self.block(orders, max_dim)
         k, a, b = index
         total, is_slow = k.size, np.isin(k, self.slow)
         # row m of left is l_k (x) <a b|, column m of right R_k (x) |a><b|: entry
@@ -290,8 +290,7 @@ class AncillaBasis:
                 zero_tol=self.zero_tol,
                 backend="sector",
             )
-            v_block = None if v is None else v[cut, cut]
-            out.append(ChargeSector(sd, v_block, index[:, cut], self.right, self.left))
+            out.append(ChargeSector(sd, v[cut, cut], index[:, cut], self.right, self.left))
         return out
 
     def perturbation_block(self, k, a, b, keys, size):
@@ -325,10 +324,9 @@ class AncillaBasis:
         return v
 
 
-def charge_sector(
-    model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf, perturbation=True
-):
-    """The coherence-order-0 sector of an ancilla model's generator, from its operators.
+def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
+    """The coherence-order-0 sector of an ancilla model's generator, from its
+    operators, with V's block: what ``effective`` and ``compare`` run on.
 
     ``charges = (q_A, q_S)`` holds an integer per ancilla and per system
     basis state; the vec component |i a><j b| has coherence order
@@ -348,9 +346,9 @@ def charge_sector(
     ``ToleranceNotMetError``.  A sector larger than ``max_dim`` is refused
     before it is built, and one without a zero mode of L0 raises
     ``EmptySlowSpaceError``.  No full-space matrix is formed: the eigenvectors
-    hold at most d_A**2 entries each.  V's block is None unless ``perturbation``.
+    hold at most d_A**2 entries each.
     """
-    return AncillaBasis(model, charges, zero_tol).sectors([0], max_dim, perturbation)[0]
+    return AncillaBasis(model, charges, zero_tol).sectors([0], max_dim)[0]
 
 
 def to_eigen(sd, a):
@@ -432,20 +430,7 @@ def spectral_norm(a):
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
-@dataclass
-class GapReport:
-    gap: float
-    perturbation_norm: float
-    epsilon: float
-    ok: bool
-
-
 def check_perturbative_limit(sd, v_norm, epsilon):
-    """Check the gap condition gap > 2 * epsilon * ||V|| for the spectral
-    norm ``v_norm`` (``AncillaModel.perturbation_norm``)."""
-    return GapReport(
-        gap=sd.gap,
-        perturbation_norm=v_norm,
-        epsilon=float(epsilon),
-        ok=bool(sd.gap > 2.0 * abs(epsilon) * v_norm),
-    )
+    """Whether the gap condition gap > 2 * epsilon * ||V|| holds, for the
+    spectral norm ``v_norm`` (``AncillaModel.perturbation_norm``)."""
+    return bool(sd.gap > 2.0 * abs(epsilon) * v_norm)

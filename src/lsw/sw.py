@@ -88,18 +88,12 @@ class SWGenerator:
     the blocks of V, all in L0's eigen coordinates.
 
     ``blocks[n - 1]`` is S_n's pair (<l_s|S_n|r_f>, <l_f|S_n|r_s>) and
-    ``v_blocks`` is V's (ss, sf, fs, ff).  ``terms`` assembles the full
-    dense matrices on access: entry (i, j) of ``terms[n - 1]`` is
-    <l_i|S_n|r_j>."""
+    ``v_blocks`` is V's (ss, sf, fs, ff)."""
 
     blocks: list
     nmax: int
     v_blocks: tuple
     spectral: object  # the SpectralData the terms were built from
-
-    @property
-    def terms(self):
-        return [assemble(self.spectral, sf=a, fs=b) for a, b in self.blocks]
 
     @cached_property
     def residual_factors(self):
@@ -116,14 +110,9 @@ class SWGenerator:
         """The blocks (ss, sf, fs, ff) of ``spectral.l0_eigen``."""
         return blocks(self.spectral, self.spectral.l0_eigen)
 
-    def total(self, epsilon, order=None):
-        """S(eps) = sum_n eps**n S_n through ``order``, as a full matrix."""
-        a, b = self.total_blocks(epsilon, order)
-        return assemble(self.spectral, sf=a, fs=b)
-
-    def total_blocks(self, epsilon, order=None):
-        """The dense blocks (A, B) = (<l_s|S(eps)|r_f>, <l_f|S(eps)|r_s>)."""
-        order = self.nmax if order is None else order
+    def total_blocks(self, epsilon, order):
+        """The dense blocks (A, B) = (<l_s|S(eps)|r_f>, <l_f|S(eps)|r_s>) of
+        S(eps) = sum_n eps**n S_n through ``order``."""
         if order > self.nmax:
             raise OrderUnavailableError(f"order {order} > computed nmax {self.nmax}")
         slow, fast = self.spectral.slow.size, self.spectral.fast.size
@@ -197,18 +186,13 @@ class EffectiveSeries:
 
     ``blocks[n - 1]`` is W_n's pair (ss, ff) in L0's eigen coordinates and
     ``slow_terms[n - 1]`` its dense slow_dim x slow_dim block
-    <l_a|W_n|r_b>; ``corrections`` assembles the full dense matrices on
-    access."""
+    <l_a|W_n|r_b>."""
 
     blocks: list
     slow_terms: list
     epsilon: float
     nmax: int
     spectral: object = field(repr=False)
-
-    @property
-    def corrections(self):
-        return [assemble(self.spectral, ss=ss, ff=ff) for ss, ff in self.blocks]
 
 
 def correction_terms(gen, sd, epsilon=1.0):

@@ -45,8 +45,8 @@ def run_on_backend(monkeypatch, task, cfg, out, dense):
     real, real_basis = spectral.AncillaBasis.sectors, spectral.AncillaBasis
     used = []
 
-    def recorded(basis, orders, max_dim=np.inf, perturbation=True):
-        sectors = real(basis, orders, max_dim, perturbation)
+    def recorded(basis, orders, max_dim=np.inf):
+        sectors = real(basis, orders, max_dim)
         if dense:  # the same L0 and V, handed over whole
             l0, v = basis.model.full_space()
             sd = spectral.decompose(l0, basis.zero_tol)
@@ -72,6 +72,25 @@ def run_both_backends(tmp_path, monkeypatch, task, payload, sectors=1):
     assert run_on_backend(monkeypatch, task, cfg, product, dense=False) == ["sector"] * sectors
     assert run_on_backend(monkeypatch, task, cfg, dense, dense=True) == ["dense"]
     return f"{product}_", f"{dense}_"
+
+
+def spectrum_both_ways(tmp_path, payload):
+    """Output prefixes of the spectrum task and of the dense reference: the
+    same columns from `decompose` of the whole-space L0 (`full_space()`)."""
+    cfg, task, dense = write_config(tmp_path, payload), tmp_path / "task", tmp_path / "dense"
+    assert cli.main(["spectrum", "--config", cfg, "--out", str(task)]) == 0
+    run = cli.Run("spectrum", payload)
+    ancilla = run.model["ancilla"]
+    sd = spectral.decompose(ancilla.full_space()[0], run.zero_tol)
+    ok = spectral.check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
+    order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))
+    lam, subspace = sd.eigenvalues[order], np.where(np.isin(order, sd.slow), "slow", "fast")
+    cli._write_csv(
+        f"{dense}_spectrum.csv",
+        ["index", "re", "im", "subspace", "gap", "perturbative_ok"],
+        [np.arange(order.size), lam.real, lam.imag, subspace, sd.gap, int(ok)],
+    )
+    return f"{task}_", f"{dense}_"
 
 
 def record_propagations(monkeypatch):
@@ -523,11 +542,22 @@ def test_invalid_custom_model_exits_2(tmp_path, capsys, task, model):
         ("spectrum", {"tolerances": {"zero_tol": -1e-9}}, "zero_tol"),
         ("spectrum", {"tolerances": {"zero_tol": float("inf")}}, "zero_tol"),
         ("ancilla-qrt", {"tolerances": {"zero_tol": 0.0}}, "zero_tol"),
+        ("spectrum", {"tolerances": {"zero_tol": 1}}, "zero_tol"),
+        ("effective", {"tolerances": {"zero_tol": 1.0}}, "zero_tol"),
+        ("evolve", {"tolerances": {"zero_tol": 1}}, "zero_tol"),
+        ("spectrum", {"tolerances": {"zero_tol": 10}}, "zero_tol"),
+        ("effective", {"tolerances": {"zero_tol": 10.0}}, "zero_tol"),
+        ("evolve", {"tolerances": {"zero_tol": 10}}, "zero_tol"),
         ("evolve", {"times": {"t_max": float("nan")}}, "t_max"),
         ("evolve", {"times": {"t_max": float("inf")}}, "t_max"),
         ("spectrum", {"model": {"kind": "random", "jumps": -1}}, "jumps"),
     ],
-    ids=["zero-tol-nan", "zero-tol-negative", "zero-tol-inf", "zero-tol-zero", "t-max-nan", "t-max-inf", "jumps-negative"],
+    ids=[
+        "zero-tol-nan", "zero-tol-negative", "zero-tol-inf", "zero-tol-zero",
+        "zero-tol-one-spectrum", "zero-tol-one-effective", "zero-tol-one-evolve",
+        "zero-tol-ten-spectrum", "zero-tol-ten-effective", "zero-tol-ten-evolve",
+        "t-max-nan", "t-max-inf", "jumps-negative",
+    ],
 )
 def test_bad_numeric_keys_exit_2_naming_the_key(tmp_path, capsys, task, section, key):
     model = {"kind": "random-ancilla"} if task == "ancilla-qrt" else {"kind": "random"}
@@ -869,11 +899,10 @@ def test_decoupling_scan_product_backend_matches_dense(tmp_path, monkeypatch):
     assert abs(got["fitted_slope"][0] - want["fitted_slope"][0]) <= 1e-6
 
 
-def test_spectrum_product_backend_matches_dense(tmp_path, monkeypatch):
-    product, dense = run_both_backends(
+def test_spectrum_product_backend_matches_dense(tmp_path):
+    # L_A's eigenvalues, each repeated d_S**2 times, are the whole space's
+    product, dense = spectrum_both_ways(
         tmp_path,
-        monkeypatch,
-        "spectrum",
         {"model": {"kind": "superradiance", "n_spins": 4, "g": 0.1, "gamma": 1.0, "omega": 0.2}},
     )
     spectra = []
@@ -1029,13 +1058,15 @@ def test_exit_code_matrix(tmp_path, capsys):
 
 
 def test_spectral_tasks_without_couplings(tmp_path, monkeypatch, capsys):
-    # decaying-qubit has no couplings: V's block is empty, spectrum and
-    # effective run on the sector backend, and decoupling-scan refuses the
-    # zero residual
-    cfg = write_config(tmp_path, {"model": _EXIT_CODES["decaying-qubit"][0], "order": 3})
-    for task in ("spectrum", "effective"):
-        assert run_on_backend(monkeypatch, task, cfg, tmp_path / "dq", dense=False) == ["sector"]
-    _, rows = read_csv(tmp_path / "dq_spectrum.csv")
+    # decaying-qubit has no couplings: V's block is empty, effective runs on
+    # the sector backend, spectrum lists the dense reference's spectrum, and
+    # decoupling-scan refuses the zero residual
+    payload = {"model": _EXIT_CODES["decaying-qubit"][0], "order": 3}
+    cfg = write_config(tmp_path, payload)
+    assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "dq", dense=False) == ["sector"]
+    task, dense = spectrum_both_ways(tmp_path, payload)
+    assert Path(task + "spectrum.csv").read_text() == Path(dense + "spectrum.csv").read_text()
+    _, rows = read_csv(Path(task + "spectrum.csv"))
     assert [r[3] for r in rows].count("slow") == 1
     for n in (1, 2, 3):
         assert np.abs(read_matrix(tmp_path / f"dq_effective_order{n}.csv")).max() == 0
@@ -1064,10 +1095,12 @@ def test_system_free_model_sector_matches_dense(tmp_path, monkeypatch, task):
     # the random model lives on A alone (d_S = 1): its one sector is L_A's
     # eigenbasis, so both backends list the same spectrum and slow basis
     payload = {"model": _EXIT_CODES["random"][0], "order": 3, "epsilons": [0.1, 0.05, 0.02]}
-    sector, dense = run_both_backends(tmp_path, monkeypatch, task, payload)
     if task == "spectrum":
+        sector, dense = spectrum_both_ways(tmp_path, payload)
         assert Path(sector + "spectrum.csv").read_text() == Path(dense + "spectrum.csv").read_text()
-    elif task == "effective":
+        return
+    sector, dense = run_both_backends(tmp_path, monkeypatch, task, payload)
+    if task == "effective":
         # one slow mode and a trace-preserving generator: every order is
         # zero up to rounding
         for n in (1, 2, 3):
@@ -1106,8 +1139,8 @@ def test_effective_assembles_no_full_space(tmp_path, monkeypatch):
 
 
 def test_spectrum_assembles_no_full_space(tmp_path, monkeypatch):
-    # spectrum takes the eigenvalues from the sector and ||V|| in closed
-    # form from the couplings: neither the assembly method nor `lift` may
+    # spectrum takes the eigenvalues from L_A and ||V|| in closed form
+    # from the couplings: neither the assembly method nor `lift` may
     # run, for a system of dimension 1 or more
     forbid_full_space(monkeypatch)
     for i, model in enumerate([_EXIT_CODES["superradiance"][0], _EXIT_CODES["random"][0]]):
@@ -1125,6 +1158,24 @@ def test_spectrum_builds_no_perturbation_block(tmp_path, monkeypatch):
         assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"s{i}")]) == 0
     with pytest.raises(AssertionError, match="perturbation_block ran"):
         cli.main(["effective", "--config", cfg, "--out", str(tmp_path / "eff")])
+
+
+def test_spectrum_builds_no_sector(tmp_path, monkeypatch):
+    # spectrum reads L_A's eigensystem alone: with the sector builder made
+    # to raise it writes the same bytes, for superradiance with its charges
+    # and for a random ancilla on a qubit system
+    payloads = [
+        {"kind": "superradiance", "n_spins": 4, "g": 0.1, "gamma": 1.0, "omega": 0.2},
+        {"kind": "random-ancilla", "dimension": 3, "system_dimension": 2, "seed": 1},
+    ]
+    for i, model in enumerate(payloads):
+        cfg = write_config(tmp_path, {"model": model}, f"m{i}.yaml")
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"plain{i}")]) == 0
+        forbid(monkeypatch, "block", (spectral.AncillaBasis,))
+        assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / f"bare{i}")]) == 0
+        monkeypatch.undo()
+        plain, bare = (tmp_path / f"{prefix}{i}_spectrum.csv" for prefix in ("plain", "bare"))
+        assert bare.read_bytes() == plain.read_bytes()
 
 
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):

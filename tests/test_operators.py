@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lsw.operators import (
-    dagger,
     hermitian_basis,
     spin_operators,
     tensor,
@@ -34,11 +33,6 @@ def test_su2_commutators(two_j):
     assert np.abs((jz @ jp - jp @ jz) - jp).max() < 1e-12
     assert np.abs((jz @ jm - jm @ jz) + jm).max() < 1e-12
     assert np.abs((jp @ jm - jm @ jp) - 2 * jz).max() < 1e-12
-
-
-def test_dagger_involution(rng):
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.array_equal(dagger(dagger(a)), a)
 
 
 def test_tensor_identity():

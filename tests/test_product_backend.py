@@ -15,7 +15,7 @@ from conftest import random_spec
 from lsw import models
 from lsw.operators import hermitian_basis
 from lsw.qrt import AncillaModel
-from lsw.spectral import charge_sector, decompose, fast_inverse, projectors, to_eigen
+from lsw.spectral import assemble, charge_sector, decompose, fast_inverse, projectors, to_eigen
 from lsw.superop import LindbladSpec, lift, lindblad_superop, to_dense
 from lsw.sw import (
     closed_form_slow_orders,
@@ -117,7 +117,12 @@ def test_product_backend_matches_dense(dim_a, dim_s, order, seed, sparse_couplin
         assert_close(c_p, c_d)
     # the two backends order and scale their eigenvectors differently, so
     # the eigen-coordinate terms are compared by their full-space images
-    for x_p, x_d in zip(gen_p.terms + ser_p.corrections, gen_d.terms + ser_d.corrections):
+    terms = [
+        [assemble(sd, sf=a, fs=b) for a, b in gen.blocks]
+        + [assemble(sd, ss=ss, ff=ff) for ss, ff in series.blocks]
+        for sd, gen, series in ((sd_p, gen_p, ser_p), (sd_d, gen_d, ser_d))
+    ]
+    for x_p, x_d in zip(*terms, strict=True):
         assert_close(sd_p.right @ x_p @ sd_p.left, sd_d.right @ x_d @ sd_d.left)
     assert_close(full_p, full_d)
     assert_close(red_p, red_d)

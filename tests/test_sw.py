@@ -13,6 +13,7 @@ from lsw import models, qrt, superop, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
 from lsw.spectral import (
     AncillaBasis,
+    assemble,
     charge_sector,
     decompose,
     fast_inverse,
@@ -66,7 +67,8 @@ def test_first_generator_term_block_formula(superradiance_n2):
     v = to_dense(m.v)
     gen = generator_terms(sd, to_eigen(sd, v), 1)
     explicit = (pq.p @ v @ pq.q) @ finv - finv @ (pq.q @ v @ pq.p)
-    assert np.abs(from_eigen(sd, gen.terms[0]) - explicit).max() < 1e-10
+    s1 = assemble(sd, sf=gen.blocks[0][0], fs=gen.blocks[0][1])
+    assert np.abs(from_eigen(sd, s1) - explicit).max() < 1e-10
 
 
 def test_block_diagonal_perturbation_gives_zero_generator(random_model, rng):
@@ -75,15 +77,15 @@ def test_block_diagonal_perturbation_gives_zero_generator(random_model, rng):
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     v_diag = pq.p @ a @ pq.p + pq.q @ a @ pq.q
     gen = generator_terms(sd, to_eigen(sd, v_diag), 4)
-    for s in gen.terms:
-        assert np.abs(s).max() < 1e-9
+    for sf, fs in gen.blocks:
+        assert np.abs(assemble(sd, sf=sf, fs=fs)).max() < 1e-9
 
 
 def test_second_generator_term_two_printed_forms(random_model):
     l0, v, sd = random_model
     gen = generator_terms(sd, to_eigen(sd, v), 2)
     v_diag, v_off = split_blocks(sd, v)
-    s1, s2 = (from_eigen(sd, s) for s in gen.terms)
+    s1, s2 = (from_eigen(sd, assemble(sd, sf=a, fs=b)) for a, b in gen.blocks)
     # R0 applied to the commutator with the diagonal part, both printed ways
     alt1 = resolvent_apply(sd, hat_apply(v_diag, s1))
     alt2 = -resolvent_apply(sd, hat_apply(v_diag, resolvent_apply(sd, v_off)))
@@ -99,7 +101,7 @@ def test_generator_terms_block_off_diagonal(superradiance_n2):
     # in eigen coordinates the slow/fast mask leaves exact zeros
     m, sd = superradiance_n2
     gen = generator_terms(sd, to_eigen(sd, to_dense(m.v)), 4)
-    for s in gen.terms:
+    for s in (assemble(sd, sf=a, fs=b) for a, b in gen.blocks):
         assert np.abs(block(s, sd.slow, sd.slow)).max() == 0
         assert np.abs(block(s, sd.fast, sd.fast)).max() == 0
 
@@ -109,7 +111,7 @@ def test_first_correction_is_diagonal_block(random_model):
     gen = generator_terms(sd, to_eigen(sd, v), 2)
     series = correction_terms(gen, sd)
     v_diag, _ = split_blocks(sd, v)
-    w1 = series.corrections[0]
+    w1 = assemble(sd, ss=series.blocks[0][0], ff=series.blocks[0][1])
     assert np.abs(from_eigen(sd, w1) - v_diag).max() == 0.0
     assert np.abs(block(w1, sd.slow, sd.fast)).max() == 0
     assert np.abs(block(w1, sd.fast, sd.slow)).max() == 0
@@ -122,8 +124,8 @@ def test_corrections_vanish_without_off_diagonal(random_model, rng):
     v_diag = pq.p @ a @ pq.p + pq.q @ a @ pq.q
     gen = generator_terms(sd, to_eigen(sd, v_diag), 4)
     series = correction_terms(gen, sd)
-    for w in series.corrections[1:]:
-        assert np.abs(w).max() < 1e-9
+    for ss, ff in series.blocks[1:]:
+        assert np.abs(assemble(sd, ss=ss, ff=ff)).max() < 1e-9
 
 
 def test_second_correction_slow_block_printed_form(random_model):
@@ -132,7 +134,8 @@ def test_second_correction_slow_block_printed_form(random_model):
     series = correction_terms(gen, sd)
     pq = projectors(sd)
     finv = fast_inverse(sd)
-    w2_slow = pq.p @ from_eigen(sd, series.corrections[1]) @ pq.p
+    w2 = assemble(sd, ss=series.blocks[1][0], ff=series.blocks[1][1])
+    w2_slow = pq.p @ from_eigen(sd, w2) @ pq.p
     printed = -(pq.p @ v @ pq.q) @ finv @ (pq.q @ v @ pq.p)
     assert np.abs(w2_slow - printed).max() < 1e-10
 
@@ -240,7 +243,8 @@ def test_decoupling_residual_scaling_quick():
 
 def _residual_oracle(sd, l0, v, gen, epsilon, order):
     """The residual by definition: two exponentials and full D x D SVDs."""
-    s = to_dense(from_eigen(sd, gen.total(epsilon, order)))
+    a, b = gen.total_blocks(epsilon, order)
+    s = to_dense(from_eigen(sd, assemble(sd, sf=a, fs=b)))
     l_full = to_dense(l0) + epsilon * to_dense(v)
     transformed = expm(-s) @ l_full @ expm(s)
     pq = projectors(sd)
@@ -390,8 +394,18 @@ CHAIN_SIZE_TOL = 5e-14
 BLOCK_NORM_REL_TOL, BLOCK_NORM_ABS_TOL = 1e-9, 1e-14
 
 
+def assembled(gen, series):
+    """The dense eigen-coordinate S_n and W_n, from their blocks."""
+    sd = gen.spectral
+    return (
+        [assemble(sd, sf=a, fs=b) for a, b in gen.blocks],
+        [assemble(sd, ss=ss, ff=ff) for ss, ff in series.blocks],
+    )
+
+
 def assert_terms_match_naive(gen, series, terms, corrections):
-    for got, want in zip(gen.terms + series.corrections, terms + corrections, strict=True):
+    s_terms, w_terms = assembled(gen, series)
+    for got, want in zip(s_terms + w_terms, terms + corrections, strict=True):
         want = to_dense(want)
         assert np.abs(to_dense(got) - want).max() <= CHAIN_REL_TOL * np.abs(want).max()
 
@@ -399,9 +413,10 @@ def assert_terms_match_naive(gen, series, terms, corrections):
 def assert_terms_match_naive_by_size(sd, v, gen, series, terms, corrections):
     v_max = np.abs(to_dense(v)).max()
     growth = v_max / sd.gap  # 0 without fast modes
-    for n, (got, want) in enumerate(zip(gen.terms, terms, strict=True), start=1):
+    s_terms, w_terms = assembled(gen, series)
+    for n, (got, want) in enumerate(zip(s_terms, terms, strict=True), start=1):
         assert np.abs(to_dense(got) - to_dense(want)).max() <= CHAIN_SIZE_TOL * growth**n
-    for n, (got, want) in enumerate(zip(series.corrections, corrections, strict=True), start=1):
+    for n, (got, want) in enumerate(zip(w_terms, corrections, strict=True), start=1):
         bound = CHAIN_SIZE_TOL * v_max * growth ** (n - 1)
         assert np.abs(to_dense(got) - to_dense(want)).max() <= bound
 
