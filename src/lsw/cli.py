@@ -45,6 +45,10 @@ EXIT_NUMERICAL = 3
 SPECTRAL_DIM_LIMIT = 4500
 SPECTRAL_TASKS = ("spectrum", "effective", "decoupling-scan")
 
+# libyaml's safe loader where PyYAML was built with it: the pure-Python
+# parser took 2-4 ms of a 16-22 ms run on the shipped configs
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 
 # a decoupling residual at most this many roundings of ||L0 + epsilon V||_1 is
@@ -53,10 +57,19 @@ MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 FLOOR_ROUNDINGS = 2
 
 
-def _check_size(task, dim_a, dim_s):
-    """The one size check, made from the config before the model's L0 is
-    built: a spectral task on A (x) S, of superoperator dimension
-    (d_A d_S)**2, is refused past ``SPECTRAL_DIM_LIMIT``."""
+def _check_task(task, kind, dim_a, dim_s):
+    """The one task check, made from the config before the model's L0 is
+    built: ``compare`` runs on the superradiance model alone, ``ancilla-qrt``
+    needs a system (d_S > 1), and a spectral task on A (x) S, of
+    superoperator dimension (d_A d_S)**2, is refused past
+    ``SPECTRAL_DIM_LIMIT``."""
+    if task == "compare" and kind != "superradiance":
+        raise ValidationError("compare runs on the superradiance model")
+    if task == "ancilla-qrt" and dim_s == 1:
+        raise ValidationError(
+            f"model kind {kind!r} has no system to reduce to: "
+            "ancilla-qrt needs couplings to a system of dimension 2 or more"
+        )
     dim = (dim_a * dim_s) ** 2
     if task in SPECTRAL_TASKS and dim > SPECTRAL_DIM_LIMIT:
         raise ValidationError(
@@ -206,7 +219,7 @@ def _symbol(name, d, symbols):
 def _custom_model(cfg, task):
     """(AncillaModel, rho0, observables) of a custom model: on A (x) S with
     ``couplings``; on A alone with ``perturbations``, each paired with 1_1.
-    Every operator is parsed, and the size checked, before L0 is built."""
+    Every operator is parsed, and the task checked, before L0 is built."""
     dim = _number("model.dimension", cfg.get("dimension", 0), integral=True, low=2)
     symbols = _Symbols(_shaped("model.symbols", cfg.get("symbols")))
 
@@ -234,9 +247,8 @@ def _custom_model(cfg, task):
         raise ValidationError("custom model: give couplings or perturbations, not both")
     pairs = couplings or perturbations
     epsilon = _number("model.epsilon", cfg.get("epsilon", 1.0))
-    _check_size(task, dim, np.shape(pairs[0][1])[0] if pairs else 1)
-    ancilla = qrt.AncillaModel(lindblad_superop(spec), pairs, epsilon).validate()
-    hdim = dim * ancilla.dim_s
+    dim_s = np.shape(pairs[0][1])[0] if pairs else 1
+    hdim = dim * dim_s
     rho0_text = cfg.get("initial")
     if rho0_text:
         rho0 = parse(rho0_text)
@@ -255,6 +267,8 @@ def _custom_model(cfg, task):
     for name, op in operators:
         if op.shape != (hdim, hdim):
             raise DimensionMismatchError(f"{name} has shape {op.shape}, expected ({hdim}, {hdim})")
+    _check_task(task, "custom", dim, dim_s)
+    ancilla = qrt.AncillaModel(lindblad_superop(spec), pairs, epsilon).validate()
     return ancilla, rho0, observables
 
 
@@ -324,15 +338,16 @@ def _build_model(run):
     ``ancilla``, ``rho0`` (None: none on A (x) S), the observables and the
     ``charges`` (q_A, q_S) of ``charge_sector`` (None: none declared).
     Nothing of the full space is assembled here; decoupling-scan's rounding
-    floor calls ``AncillaModel.full_space``.  The size check comes before any L0 is
-    built.  Superradiance's burst state and ``iz`` observable are built, as
-    CSR, for evolve alone, the one task that reads them."""
+    floor calls ``AncillaModel.full_space``.  The task check (``_check_task``)
+    comes before any L0 is built.  Superradiance's burst state and ``iz``
+    observable are built, as CSR, for evolve alone, the one task that reads
+    them."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
     charges = None
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
-        _check_size(run.task, 2, params.n_spins + 1)
+        _check_task(run.task, kind, 2, params.n_spins + 1)
         ancilla, rho0, observables = models.superradiance_ancilla(params), None, {}
         charges = models.superradiance_charges(params.n_spins)
         if run.task == "evolve":
@@ -340,6 +355,7 @@ def _build_model(run):
             rho0 = sp.kron(*models.superradiance_initial(n), format="csr")
             observables = {"iz": sp.kron(np.eye(2), models.collective_ops(n)[2], format="csr")}
     elif kind == "decaying-qubit":
+        _check_task(run.task, kind, 2, 1)
         l0, _ = models.decaying_qubit(
             gamma=_number("model.gamma", mcfg.get("gamma", 1.0), low=0),
             omega=_number("model.omega", mcfg.get("omega", 0.0)),
@@ -350,7 +366,7 @@ def _build_model(run):
         ancilla, observables = qrt.AncillaModel(l0=l0, couplings=[]), {"excited": jp @ jm}
     elif kind == "random":
         dim = _number("model.dimension", mcfg.get("dimension", 3), integral=True, low=2)
-        _check_size(run.task, dim, 1)
+        _check_task(run.task, kind, dim, 1)
         ancilla = models.random_lindblad_model(
             dim,
             _number("model.jumps", mcfg.get("jumps", 2), integral=True),
@@ -362,7 +378,7 @@ def _build_model(run):
         dim_s = _number(
             "model.system_dimension", mcfg.get("system_dimension", 2), integral=True, low=1
         )
-        _check_size(run.task, dim_a, dim_s)
+        _check_task(run.task, kind, dim_a, dim_s)
         ancilla = models.random_ancilla_model(
             dim_a,
             _number("model.couplings", mcfg.get("couplings", 2), integral=True),
@@ -468,8 +484,6 @@ def _task_compare(run):
     """Exact and order-2, order-2+3 emission of the burst, in the
     coherence-order-0 sector of the polarized state (4N+2 coordinates, the
     N+1 nuclear populations slow), in L0's eigen coordinates."""
-    if run.model["kind"] != "superradiance":
-        raise ValidationError("compare runs on the superradiance model")
     ancilla = run.model["ancilla"]
     n = ancilla.dim_s - 1
     sector = charge_sector(
@@ -514,13 +528,7 @@ def _task_compare(run):
 
 
 def _task_ancilla_qrt(run):
-    model = run.model["ancilla"]
-    if model.dim_s == 1:
-        raise ValidationError(
-            f"model kind {run.model['kind']!r} has no system to reduce to: "
-            "ancilla-qrt needs couplings to a system of dimension 2 or more"
-        )
-    eff = qrt.effective_master_equation_2(model, zero_tol=run.zero_tol)
+    eff = qrt.effective_master_equation_2(run.model["ancilla"], zero_tol=run.zero_tol)
     jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, eff.system_ops)
     return [
         _write_matrix(run.out + "_coefficient.csv", eff.coefficient.a_matrix),
@@ -586,7 +594,7 @@ def main(argv=None):
 
     try:
         with open(args.config) as fh:
-            cfg = _shaped("config root", yaml.safe_load(fh))
+            cfg = _shaped("config root", yaml.load(fh, Loader=YAML_LOADER))
         run = Run(args.task, cfg, order=args.order, epsilon=args.epsilon, out=args.out)
     # RecursionError: symbols nesting parentheses, each within both caps;
     # MemoryError: an operator too large to allocate

@@ -1,6 +1,7 @@
 """Finite-dimensional operator construction: spin ladders, tensor products."""
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def spin_operators(two_j):
@@ -50,27 +51,41 @@ def tensor(*ops):
     return out
 
 
+def hermitian_frame(dim):
+    """The orthonormal Hermitian basis of :func:`hermitian_basis` as the rows
+    of a sparse dim**2 x dim**2 CSR matrix of row-stacked operators, in its
+    one order: the normalized identity, the dim - 1 diagonal generalized
+    Gell-Mann matrices, then for each i < j the symmetric and the
+    antisymmetric one.  Diagonal row k > 0 has k + 1 nonzeros, the identity
+    dim, every other row 2.  The matrix is unitary.
+    """
+    k = np.arange(dim)
+    width = np.where(k > 0, k + 1, dim)
+    row = np.repeat(k, width)
+    level = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    kr = k[row]  # row k > 0 holds 1, ..., 1, -k over sqrt(k (k + 1))
+    numer = np.where((kr > 0) & (level == kr), -kr, 1)
+    denom = np.where(kr > 0, np.sqrt(kr * (kr + 1.0)), np.sqrt(dim))
+    i, j = np.triu_indices(dim, 1)
+    r = dim + 2 * np.arange(i.size)
+    rows = np.concatenate((row, np.stack((r, r, r + 1, r + 1), 1).ravel()))
+    pair = (i * dim + j, j * dim + i)
+    cols = np.concatenate((level * (dim + 1), np.stack(pair * 2, 1).ravel()))
+    numer = np.concatenate((numer, np.tile([1, 1, -1j, 1j], i.size)))
+    denom = np.concatenate((denom, np.full(4 * i.size, np.sqrt(2))))
+    # numpy's complex-over-real division: the same bits as scaling each dense
+    # basis matrix by its norm, the -0.0 real part of -1j / sqrt(2) included
+    return sp.csr_matrix((numer / denom, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
 def hermitian_basis(dim, traceless=True):
-    """Orthonormal Hermitian basis under the Hilbert-Schmidt inner product.
+    """Orthonormal Hermitian basis under the Hilbert-Schmidt inner product,
+    the rows of :func:`hermitian_frame` as dense matrices.
 
     With ``traceless=True`` returns the dim**2 - 1 generalized Gell-Mann
     matrices; otherwise prepends the normalized identity.
     """
-    basis = []
-    if not traceless:
-        basis.append(np.eye(dim, dtype=complex) / np.sqrt(dim))
-    for k in range(1, dim):
-        d = np.zeros(dim, dtype=complex)
-        d[:k] = 1.0
-        d[k] = -k
-        basis.append(np.diag(d) / np.sqrt(k * (k + 1)))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2)
-            basis.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[i, j] = -1j / np.sqrt(2)
-            asym[j, i] = 1j / np.sqrt(2)
-            basis.append(asym)
-    return basis
+    frame = hermitian_frame(dim).tocoo()
+    dense = np.zeros(frame.shape, dtype=complex)
+    dense[frame.row, frame.col] = frame.data  # assigned, not summed as by toarray: -0.0 stays
+    return list(dense.reshape(-1, dim, dim)[int(traceless) :])

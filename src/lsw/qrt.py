@@ -5,7 +5,12 @@ through Hermitian pairs A_a (x) S_a, the reduced system generator is fixed
 by the integrated correlation matrix of the ancilla deviations.  The
 quantum regression theorem turns that integral into a linear solve against
 the Bloch matrix of the closed operator set, so no fast-space inverse of
-the full generator is ever needed.
+the full generator is ever needed.  The route runs in the real Hermitian
+frame: a Hermitian operator is its real coordinates over the orthonormal
+basis ``operators.hermitian_frame``, where the generator is a real matrix,
+so the steady state and the closure take real arithmetic, every change of
+frame is a sparse product, and the covariance is formed for the seed
+columns alone.
 """
 
 import math
@@ -22,7 +27,7 @@ from .exceptions import (
     SingularBlochMatrixError,
     ValidationError,
 )
-from .operators import hermitian_basis
+from .operators import hermitian_frame
 from .spectral import DEFAULT_ZERO_TOL, decompose, fast_inverse
 from .superop import (
     HERM_TOL,
@@ -31,7 +36,6 @@ from .superop import (
     lift,
     sandwich_superop,
     to_dense,
-    trace_functional,
     vectorize,
 )
 
@@ -94,15 +98,28 @@ class AncillaModel:
         return lift(self.l0, self.dim_s), self.perturbation()
 
 
-def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
-    """Unique fixed point of the generator, hermitized and trace-normalized.
+def _frame_generator(l0):
+    """(F, R): the Hermitian frame F (``operators.hermitian_frame``) of L0's
+    dimension and L0 in it, the real R = conj(F) L0 F^T, by two sparse-dense
+    products.  Hermitian X has real coordinates x = conj(F) vec X, and L0 maps
+    them by R; R^T is the adjoint generator, since F is unitary and the real
+    Hilbert-Schmidt product is the dot product of coordinates."""
+    l0 = to_dense(l0)
+    frame = hermitian_frame(math.isqrt(l0.shape[0]))
+    return frame, (frame.conj() @ (frame @ l0.T).T).real
 
-    No eigendecomposition: the kernel dimension counts the singular values
-    of L0 at most ``zero_tol * max(1, s_max)`` (the relative rule
-    ``decompose`` applies to eigenvalue moduli).  Tr o L0 = 0 makes row 0
-    (vec index of rho[0, 0]) a combination of the other diagonal rows, so
-    with a one-dimensional kernel L0 with that row replaced by the trace
-    functional is nonsingular and maps the trace-one fixed point to e_0.
+
+def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
+    """Unique fixed point of the generator, trace-normalized.
+
+    No eigendecomposition, and real arithmetic throughout: the kernel
+    dimension counts the singular values of the frame generator R of
+    :func:`_frame_generator`, L0's own since F is unitary, at most
+    ``zero_tol * max(1, s_max)`` (the relative rule ``decompose`` applies to
+    eigenvalue moduli).  Tr o L0 = 0 makes R's row 0, the coordinate along
+    1/sqrt(d), zero, so with a one-dimensional kernel R with that row
+    replaced by the trace functional sqrt(d) e_0 is nonsingular and maps the
+    trace-one fixed point to e_0.  Real coordinates give a Hermitian state.
     Without eigenvectors, ``decompose``'s eigenvector-condition refusal
     (DefectiveOperatorError) does not apply.
 
@@ -110,17 +127,17 @@ def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
     one-dimensional, and NotPositiveError when the fixed point fails
     positivity.
     """
-    l0 = to_dense(l0)
-    sv = np.linalg.svd(l0, compute_uv=False)
+    frame, gen = _frame_generator(l0)
+    sv = np.linalg.svd(gen, compute_uv=False)
     nullity = int(np.count_nonzero(sv <= zero_tol * max(1.0, sv[0])))
     if nullity != 1:
         raise DegenerateSteadyStateError(f"kernel of the generator has dimension {nullity}")
     # numpy's solve, not scipy's: scipy calls its own bundled LAPACK, whose
     # first call faulted in about 1.3 MB more of library pages
-    bordered = np.array(l0, dtype=complex)
-    bordered[0] = trace_functional(math.isqrt(l0.shape[0]))
-    sigma = devectorize(np.linalg.solve(bordered, np.eye(1, l0.shape[0], dtype=complex)[0]))
-    sigma = 0.5 * (sigma + sigma.conj().T)
+    e0 = np.eye(1, gen.shape[0])[0]
+    bordered = gen.copy()
+    bordered[0] = math.sqrt(math.isqrt(gen.shape[0])) * e0  # Tr X = sqrt(d) x_0
+    sigma = devectorize(frame.T @ np.linalg.solve(bordered, e0))
     low = np.linalg.eigvalsh(sigma).min()
     if low < -PSD_TOL:
         raise NotPositiveError(f"steady state has eigenvalue {low:.3e}")
@@ -140,7 +157,7 @@ class BlochSystem:
     ops: list
     bloch: np.ndarray  # M with d<dA_i>/dt = sum_k M_ik <dA_k>
     steady_means: np.ndarray  # <A_a> over the seed operators
-    covariance: np.ndarray  # Tr(E_m E_n sigma) over the basis
+    seed_covariance: np.ndarray  # Tr(E_m dA_a sigma), shape (len(ops), n_seeds)
     seed_coeffs: np.ndarray  # real, shape (len(ops), n_seeds)
     sigma: np.ndarray
     seed_count: int
@@ -149,56 +166,62 @@ class BlochSystem:
 def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
     """Close the seed operators under the adjoint evolution.
 
-    Works in real coordinates over the orthonormal Hermitian basis F, where
-    the adjoint generator is the real matrix A = Re(F^H L0^dag F) and the
-    real Hilbert-Schmidt product is a dot product.  The seed deviations,
-    then the image of each basis vector in turn, are orthonormalized with
-    two projection passes against a basis whose first row is the direction
-    of sigma; since Tr(X sigma) = <sigma, X>, that row keeps every later
-    vector a deviation and is dropped at the end.  The deviation space is
-    invariant, so the loop ends at the latest once it is spanned.
-    ``zero_tol`` is the kernel rule of :func:`steady_state`.
+    Works in the real coordinates of :func:`_frame_generator`, where the
+    adjoint generator is R^T and the real Hilbert-Schmidt product is a dot
+    product.  The seed deviations, then in turn the images of the vectors
+    each pass added, are orthonormalized against a basis whose first row is
+    the direction of sigma; since Tr(X sigma) = <sigma, X>, that row keeps
+    every later vector a deviation and is dropped at the end.  A pass
+    projects its whole block off the basis it starts from with two block
+    passes, then orthonormalizes the block's vectors one by one, two passes
+    each, against those the block has added, deflating any that fall below
+    ``CLOSURE_TOL`` of the largest seed.  The deviation space is invariant,
+    so the loop ends at the latest once it is spanned.  ``zero_tol`` is the
+    kernel rule of :func:`steady_state`.
     """
-    l0 = to_dense(l0)
-    dim = math.isqrt(l0.shape[0])
+    frame, gen = _frame_generator(l0)
+    dim = math.isqrt(gen.shape[0])
     sigma = steady_state(l0, zero_tol=zero_tol)
-    frame = np.array(hermitian_basis(dim, traceless=False)).reshape(dim * dim, dim * dim)
-    adjoint = (frame.conj() @ l0.conj().T @ frame.T).real
 
     means = np.array([np.trace(np.asarray(a) @ sigma).real for a in seed_ops])
     deltas = [np.asarray(a, dtype=complex) - m * np.eye(dim) for a, m in zip(seed_ops, means)]
-    seeds = (np.reshape(deltas, (-1, dim * dim)) @ frame.conj().T).real
+    seeds = (frame.conj() @ np.reshape(deltas, (-1, dim * dim)).T).real.T
     scale = max(np.linalg.norm(seeds, axis=1), default=1.0) or 1.0
 
     basis = np.zeros((dim * dim, dim * dim))
-    basis[0] = (vectorize(sigma) @ frame.conj().T).real / np.linalg.norm(sigma)
+    basis[0] = (frame.conj() @ vectorize(sigma)).real
+    basis[0] /= np.linalg.norm(basis[0])
     size = 1
 
-    def adjoin(vec):
+    def adjoin(block):
+        """Append what ``block`` adds to the basis; return the added rows."""
         nonlocal size
+        start = size
         for _ in range(2):
-            vec = vec - basis[:size].T @ (basis[:size] @ vec)
-        norm = np.linalg.norm(vec)
-        if norm > CLOSURE_TOL * scale:
-            basis[size] = vec / norm
-            size += 1
+            block = block - (block @ basis[:start].T) @ basis[:start]
+        for vec in block:
+            if size == dim * dim:  # deviation space spanned
+                break
+            for _ in range(2):
+                vec = vec - basis[start:size].T @ (basis[start:size] @ vec)
+            norm = np.linalg.norm(vec)
+            if norm > CLOSURE_TOL * scale:
+                basis[size] = vec / norm
+                size += 1
+        return basis[start:size]
 
-    for vec in seeds:
-        adjoin(vec)
-    cursor = 1
-    while cursor < size < dim * dim:  # size == dim**2: deviation space spanned
-        adjoin(adjoint @ basis[cursor])
-        cursor += 1
+    frontier = adjoin(seeds)
+    while frontier.size and size < dim * dim:
+        frontier = adjoin(frontier @ gen)
 
     coords = basis[1:size]
-    flat = coords @ frame
-    ops = flat.reshape(-1, dim, dim)
-    covariance = flat @ (ops @ sigma).transpose(0, 2, 1).reshape(len(ops), dim * dim).T
+    # Tr(E_m dA_a sigma) = c_m . (F vec (dA_a sigma)^T), for E_m = devec(F^T c_m)
+    products = np.reshape([(d @ sigma).T for d in deltas], (-1, dim * dim))
     return BlochSystem(
-        ops=list(ops),
-        bloch=coords @ adjoint.T @ coords.T,
+        ops=list((coords @ frame).reshape(-1, dim, dim)),
+        bloch=coords @ gen @ coords.T,
         steady_means=means,
-        covariance=covariance,
+        seed_covariance=coords @ (frame @ products.T),
         seed_coeffs=coords @ seeds.T,
         sigma=sigma,
         seed_count=len(deltas),
@@ -225,8 +248,9 @@ def coefficient_matrix(bs):
 
     The correlation matrix entry (i, j) integrates the mean of the i-th
     deviation evolved from the j-th deviation applied to the steady state,
-    which the regression theorem closes as -M^{-1} C; the seed block is
-    then read off through the seed coordinates.
+    which the regression theorem closes as -M^{-1} C.  Only the seed block
+    is read, -s^T M^{-1} (C s) over the seed coordinates s, so the solve
+    takes the k seed columns C s of the covariance as its right-hand sides.
     """
     k = bs.seed_count
     if len(bs.ops) == 0:
@@ -238,8 +262,7 @@ def coefficient_matrix(bs):
         raise SingularBlochMatrixError(
             f"Bloch matrix eigenvalue with real part {np.max(eigs.real):.3e}"
         )
-    full = -np.linalg.solve(bs.bloch, bs.covariance)
-    a = bs.seed_coeffs.T @ full @ bs.seed_coeffs
+    a = -bs.seed_coeffs.T @ np.linalg.solve(bs.bloch, bs.seed_covariance)
     dissipation = a + a.conj().T
     ham = (a - a.conj().T) / 2j
     return CoefficientMatrix(

@@ -678,6 +678,20 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["spectrum", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["model: {kind: random\n", "model:\n  kind: random\n dimension: 3\n", "a: b: c\n", "model: &a [*b]\n"],
+    ids=["open-flow-mapping", "bad-indent", "nested-mapping-value", "undefined-alias"],
+)
+def test_malformed_yaml_exits_2_naming_the_place(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f'in "{cfg}", line' in err
+    assert not list(tmp_path.glob("bad_*"))
+
+
 def test_compare_and_scan_start_no_thread(tmp_path, monkeypatch):
     # every task runs on the calling thread: starting one fails the run
     def refuse(self):
@@ -1220,6 +1234,43 @@ def test_wrong_sized_operator_exits_2(tmp_path, capsys, task, model, name):
     assert cli.main([task, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and name in err and "shape" in err
+    assert not list(tmp_path.glob("bad*"))
+
+
+@pytest.mark.parametrize(
+    "task,model,message",
+    [
+        ("compare", {"kind": "random", "dimension": 68}, "compare runs on the superradiance model"),
+        ("ancilla-qrt", {"kind": "random", "dimension": 68}, "model kind 'random' has no system"),
+        ("compare", {"kind": "decaying-qubit"}, "compare runs on the superradiance model"),
+        ("ancilla-qrt", {"kind": "decaying-qubit"}, "model kind 'decaying-qubit' has no system"),
+        ("compare", {"kind": "random-ancilla"}, "compare runs on the superradiance model"),
+        (
+            "ancilla-qrt",
+            {"kind": "random-ancilla", "system_dimension": 1},
+            "model kind 'random-ancilla' has no system",
+        ),
+        ("compare", {**_CUSTOM_QUBIT, "perturbations": ["sp+sm"]}, "compare runs on"),
+        ("ancilla-qrt", {**_CUSTOM_QUBIT, "perturbations": ["sp+sm"]}, "model kind 'custom' has no system"),
+    ],
+    ids=[
+        "compare-random68", "qrt-random68", "compare-qubit", "qrt-qubit", "compare-random-ancilla",
+        "qrt-random-ancilla-no-system", "compare-custom", "qrt-custom-perturbations",
+    ],
+)
+def test_task_refusals_come_before_the_model_is_built(tmp_path, capsys, monkeypatch, task, model, message):
+    # {kind: random, dimension: 68} has a dense L_A of 4,624**2 entries: the
+    # task and model kind alone refuse it, before any builder runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model was built before the task was refused")
+
+    for name in ("random_lindblad_model", "decaying_qubit", "random_ancilla_model"):
+        monkeypatch.setattr(models, name, refuse)
+    monkeypatch.setattr(cli, "lindblad_superop", refuse)
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "bad")})
+    assert cli.main([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
     assert not list(tmp_path.glob("bad*"))
 
 

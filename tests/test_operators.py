@@ -3,6 +3,7 @@ import pytest
 
 from lsw.operators import (
     hermitian_basis,
+    hermitian_frame,
     spin_operators,
     tensor,
 )
@@ -72,3 +73,38 @@ def test_hermitian_basis_orthonormal():
         for j, fj in enumerate(basis):
             expected = 1.0 if i == j else 0.0
             assert abs(np.trace(fi.conj().T @ fj) - expected) < 1e-13
+
+
+def loop_built_basis(dim):
+    """The normalized identity, the diagonal and the off-diagonal generalized
+    Gell-Mann matrices, built one dense matrix at a time."""
+    basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
+    for k in range(1, dim):
+        d = np.zeros(dim, dtype=complex)
+        d[:k] = 1.0
+        d[k] = -k
+        basis.append(np.diag(d) / np.sqrt(k * (k + 1)))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2)
+            asym = np.zeros((dim, dim), dtype=complex)
+            asym[i, j] = -1j / np.sqrt(2)
+            asym[j, i] = 1j / np.sqrt(2)
+            basis += [sym, asym]
+    return np.array(basis)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_hermitian_frame_is_the_dense_basis(dim):
+    # the sparse frame holds the dense basis row by row, and the dense basis
+    # keeps every bit of the loop-built one, signs of zeros included
+    frame = hermitian_frame(dim)
+    dense = np.array(hermitian_basis(dim, traceless=False)).reshape(dim * dim, dim * dim)
+    assert np.array_equal(frame.toarray(), dense)
+    assert np.diff(frame.indptr).max() == max(dim, 2 if dim > 1 else 1)
+    want = loop_built_basis(dim)
+    assert np.array_equal(dense.view(np.uint64), want.reshape(dim * dim, -1).view(np.uint64))
+    traceless = hermitian_basis(dim, traceless=True)
+    assert len(traceless) == dim * dim - 1
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(traceless, want[1:]))
