@@ -39,9 +39,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # spectral tasks hold superoperators on the whole space (D x D, stored
-# sparse where they stay sparse), and compare holds sector-sized ones;
-# refuse configs past this size (D, or the sector dimension for compare)
-# instead of crashing on an allocation
+# sparse where they stay sparse), compare holds sector-sized ones and
+# evolve a dense L_A; refuse configs past this size (D, the sector
+# dimension for compare, d_A**2 for evolve) instead of crashing on an
+# allocation
 SPECTRAL_DIM_LIMIT = 4500
 SPECTRAL_TASKS = ("spectrum", "effective", "decoupling-scan")
 
@@ -61,8 +62,8 @@ def _check_task(task, kind, dim_a, dim_s):
     """The one task check, made from the config before the model's L0 is
     built: ``compare`` runs on the superradiance model alone, ``ancilla-qrt``
     needs a system (d_S > 1), and a spectral task on A (x) S, of
-    superoperator dimension (d_A d_S)**2, is refused past
-    ``SPECTRAL_DIM_LIMIT``."""
+    superoperator dimension (d_A d_S)**2, or ``evolve``, whose dense L_A
+    has dimension d_A**2, is refused past ``SPECTRAL_DIM_LIMIT``."""
     if task == "compare" and kind != "superradiance":
         raise ValidationError("compare runs on the superradiance model")
     if task == "ancilla-qrt" and dim_s == 1:
@@ -70,8 +71,8 @@ def _check_task(task, kind, dim_a, dim_s):
             f"model kind {kind!r} has no system to reduce to: "
             "ancilla-qrt needs couplings to a system of dimension 2 or more"
         )
-    dim = (dim_a * dim_s) ** 2
-    if task in SPECTRAL_TASKS and dim > SPECTRAL_DIM_LIMIT:
+    dim = dim_a**2 if task == "evolve" else (dim_a * dim_s) ** 2
+    if (task in SPECTRAL_TASKS or task == "evolve") and dim > SPECTRAL_DIM_LIMIT:
         raise ValidationError(
             f"task {task!r}: superoperator dimension {dim} exceeds the spectral "
             f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"

@@ -5,7 +5,9 @@ with its one-step propagator ``expm(h G)``, computed once per grid span at
 O(k^3) cost however long the span; otherwise ``expm_multiply`` acts on the
 state with a number of matvecs that grows with ||G||_1 t_max, and at
 least a fixed cost per output point.  The stiffness guard and the
-non-finite check cover both ways.
+non-finite check cover both ways.  ``scipy.sparse.linalg`` is imported on
+the ``expm_multiply`` way alone, so a CLI start that never takes it does
+not load it.
 
 ``evolve`` is the whole-space reference: it propagates every vec component
 of a state under a full generator.  Coherence-order sectors (Buca &
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from .exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
@@ -66,6 +67,13 @@ def _validate_times(times):
     return times
 
 
+def one_norm(g):
+    """||g||_1 of a sparse matrix, its largest absolute column sum: the
+    expression of ``scipy.sparse.linalg.norm(g, 1)``, which stays unimported
+    until ``expm_multiply`` is needed."""
+    return abs(g).sum(axis=0).max()
+
+
 def propagate(generator, y0, times):
     """The states exp(t G) y0 at every t in ``times``, as rows, and the stepper.
 
@@ -86,7 +94,7 @@ def propagate(generator, y0, times):
             f"generator of shape {g.shape} does not act on vectors of size {y0.size}"
         )
     t_max = times[-1]
-    scale = spla.norm(g, 1) * t_max
+    scale = one_norm(g) * t_max
     if not scale <= MAX_NORM_TIME:  # NaN fails too
         raise ToleranceNotMetError(
             f"||G||_1 * t_max = {scale:.3g} is not finite or exceeds {MAX_NORM_TIME:.0e}; "
@@ -109,6 +117,8 @@ def propagate(generator, y0, times):
                 for _ in range(num - 1):
                     states.append(step @ states[-1])
             else:
+                import scipy.sparse.linalg as spla
+
                 states.extend(
                     spla.expm_multiply(
                         g, states[-1], start=0.0, stop=stop, num=num, endpoint=True

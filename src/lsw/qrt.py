@@ -11,6 +11,13 @@ basis ``operators.hermitian_frame``, where the generator is a real matrix,
 so the steady state and the closure take real arithmetic, every change of
 frame is a sparse product, and the covariance is formed for the seed
 columns alone.
+
+The Bloch matrix M must be stable before it is inverted.  By Lindblad's
+dissipation inequality (Lindblad 1976, Commun. Math. Phys. 48, 119) the
+steady-state-weighted Gram matrix of the closure operators is a Lyapunov
+matrix for M, so two Cholesky factorizations certify stability
+(:func:`stability_certified`); only when they fail does the dense
+eigenvalue test run, the one check that refuses.
 """
 
 import math
@@ -109,7 +116,7 @@ def _frame_generator(l0):
     return frame, (frame.conj() @ (frame @ l0.T).T).real
 
 
-def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
+def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, framed=None):
     """Unique fixed point of the generator, trace-normalized.
 
     No eigendecomposition, and real arithmetic throughout: the kernel
@@ -123,11 +130,12 @@ def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
     Without eigenvectors, ``decompose``'s eigenvector-condition refusal
     (DefectiveOperatorError) does not apply.
 
+    ``framed`` is ``_frame_generator(l0)`` when the caller has built it.
     Raises DegenerateSteadyStateError when the kernel is not
     one-dimensional, and NotPositiveError when the fixed point fails
     positivity.
     """
-    frame, gen = _frame_generator(l0)
+    frame, gen = framed or _frame_generator(l0)
     sv = np.linalg.svd(gen, compute_uv=False)
     nullity = int(np.count_nonzero(sv <= zero_tol * max(1.0, sv[0])))
     if nullity != 1:
@@ -148,13 +156,13 @@ def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL):
 class BlochSystem:
     """Closed operator set with its mean-deviation evolution matrix.
 
-    ``ops`` is an orthonormal Hermitian basis (under the real part of the
+    ``ops`` stacks an orthonormal Hermitian basis (under the real part of the
     Hilbert-Schmidt product) spanning the seed deviations and everything
     their adjoint evolution generates.  ``seed_coeffs[:, a]`` expresses the
     a-th seed deviation in that basis.
     """
 
-    ops: list
+    ops: np.ndarray  # (n, d, d), E_m = ops[m]
     bloch: np.ndarray  # M with d<dA_i>/dt = sum_k M_ik <dA_k>
     steady_means: np.ndarray  # <A_a> over the seed operators
     seed_covariance: np.ndarray  # Tr(E_m dA_a sigma), shape (len(ops), n_seeds)
@@ -179,9 +187,9 @@ def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
     so the loop ends at the latest once it is spanned.  ``zero_tol`` is the
     kernel rule of :func:`steady_state`.
     """
-    frame, gen = _frame_generator(l0)
+    frame, gen = framed = _frame_generator(l0)
     dim = math.isqrt(gen.shape[0])
-    sigma = steady_state(l0, zero_tol=zero_tol)
+    sigma = steady_state(l0, zero_tol=zero_tol, framed=framed)
 
     means = np.array([np.trace(np.asarray(a) @ sigma).real for a in seed_ops])
     deltas = [np.asarray(a, dtype=complex) - m * np.eye(dim) for a, m in zip(seed_ops, means)]
@@ -218,7 +226,7 @@ def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
     # Tr(E_m dA_a sigma) = c_m . (F vec (dA_a sigma)^T), for E_m = devec(F^T c_m)
     products = np.reshape([(d @ sigma).T for d in deltas], (-1, dim * dim))
     return BlochSystem(
-        ops=list((coords @ frame).reshape(-1, dim, dim)),
+        ops=(coords @ frame).reshape(-1, dim, dim),
         bloch=coords @ gen @ coords.T,
         steady_means=means,
         seed_covariance=coords @ (frame @ products.T),
@@ -243,6 +251,55 @@ class CoefficientMatrix:
         return float(np.linalg.eigvalsh(self.dissipation).min())
 
 
+def stability_certified(bs):
+    """Whether a Lyapunov certificate proves every eigenvalue of the Bloch
+    matrix M to have real part at most -tau, which the eigenvalue test of
+    :func:`coefficient_matrix` would accept.
+
+    With E_m = ``bs.ops[m]``, a deviation X = sum_m c_m E_m flows as
+    c' = M^T c, and G_mn = Re Tr(sigma E_m E_n), formed as Re(Y Y^H) over
+    the rows Y_m = vec(E_m sigma^(1/2)), gives Tr(sigma X^2) = c^T G c.
+    Lindblad's dissipation inequality makes that non-increasing, so
+    G M^T + M G is negative semidefinite.  The certificate asks for more:
+    Cholesky factorizations of G and of H = -(G M^T + M G) / 2 - tau G.  For
+    an eigenpair M^T v = lambda v, v^H H v = -(Re lambda + tau) v^H G v, so
+    both succeeding gives Re lambda < -tau for every eigenvalue, and
+    tau >= STABILITY_TOL max(1, ||M||_F) >= STABILITY_TOL max(1, rho(M)).
+    tau also carries a rounding allowance of n eps ||M||_F sigma_max /
+    sigma_min: H's products and the factorizations round at about
+    n eps ||M||_F ||G||, and for orthonormal E_m the eigenvalues of G lie
+    in [sigma_min, sigma_max], so relative to G that is the allowance.  A
+    sigma singular to rounding (sigma_min <= eps sigma_max: a pure steady
+    state) leaves no such bound, and a complex, non-finite or empty M no
+    such proof; these return False, as does any failed factorization.
+    """
+    m = bs.bloch
+    if m.size == 0 or np.iscomplexobj(m) or not np.isfinite(m).all():
+        return False
+    eps = np.finfo(float).eps
+    p, u = np.linalg.eigh(bs.sigma)
+    if not p[0] > eps * p[-1]:
+        return False
+    root = (u * np.sqrt(p)) @ u.conj().T
+    y = (np.reshape(bs.ops, (-1, p.size)) @ root).reshape(m.shape[0], -1)
+    gram = y.real @ y.real.T
+    gram += y.imag @ y.imag.T
+    del y
+    fro = float(np.linalg.norm(m))
+    tau = STABILITY_TOL * max(1.0, fro) + m.shape[0] * eps * fro * p[-1] / p[0]
+    try:
+        np.linalg.cholesky(gram)
+        h = gram @ m.T
+        h += h.T
+        h *= -0.5
+        gram *= tau
+        h -= gram
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def coefficient_matrix(bs):
     """Integrate the regression evolution against the equal-time covariance.
 
@@ -251,17 +308,23 @@ def coefficient_matrix(bs):
     which the regression theorem closes as -M^{-1} C.  Only the seed block
     is read, -s^T M^{-1} (C s) over the seed coordinates s, so the solve
     takes the k seed columns C s of the covariance as its right-hand sides.
+
+    M must be stable: where :func:`stability_certified` cannot prove it,
+    the dense eigenvalue test refuses any eigenvalue with real part above
+    ``-STABILITY_TOL * max(1, max |lambda|)`` (SingularBlochMatrixError).
+    In exact arithmetic the certificate accepts only what that test accepts.
     """
     k = bs.seed_count
     if len(bs.ops) == 0:
         zero = np.zeros((k, k), dtype=complex)
         return CoefficientMatrix(zero, zero.copy(), zero.copy())
-    eigs = np.linalg.eigvals(bs.bloch)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if np.max(eigs.real) > -STABILITY_TOL * scale:
-        raise SingularBlochMatrixError(
-            f"Bloch matrix eigenvalue with real part {np.max(eigs.real):.3e}"
-        )
+    if not stability_certified(bs):
+        eigs = np.linalg.eigvals(bs.bloch)
+        scale = max(1.0, float(np.abs(eigs).max()))
+        if np.max(eigs.real) > -STABILITY_TOL * scale:
+            raise SingularBlochMatrixError(
+                f"Bloch matrix eigenvalue with real part {np.max(eigs.real):.3e}"
+            )
     a = -bs.seed_coeffs.T @ np.linalg.solve(bs.bloch, bs.seed_covariance)
     dissipation = a + a.conj().T
     ham = (a - a.conj().T) / 2j

@@ -1252,10 +1252,17 @@ def test_wrong_sized_operator_exits_2(tmp_path, capsys, task, model, name):
         ),
         ("compare", {**_CUSTOM_QUBIT, "perturbations": ["sp+sm"]}, "compare runs on"),
         ("ancilla-qrt", {**_CUSTOM_QUBIT, "perturbations": ["sp+sm"]}, "model kind 'custom' has no system"),
+        ("evolve", {"kind": "random", "dimension": 68}, "superoperator dimension 4624 exceeds"),
+        (
+            "evolve",
+            {"kind": "random-ancilla", "dimension": 68, "system_dimension": 1},
+            "superoperator dimension 4624 exceeds",
+        ),
     ],
     ids=[
         "compare-random68", "qrt-random68", "compare-qubit", "qrt-qubit", "compare-random-ancilla",
         "qrt-random-ancilla-no-system", "compare-custom", "qrt-custom-perturbations",
+        "evolve-random68", "evolve-random-ancilla68",
     ],
 )
 def test_task_refusals_come_before_the_model_is_built(tmp_path, capsys, monkeypatch, task, model, message):

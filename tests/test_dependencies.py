@@ -50,11 +50,15 @@ def test_test_imports_are_declared():
     assert "hypothesis" in third_party_imports(ROOT / "tests")
 
 
-def test_cli_import_skips_scipy_optimize():
+def test_cli_import_skips_lazy_scipy_modules():
     # only match_eigenvalues needs scipy.optimize, and no CLI task calls it;
-    # importing it added about 0.2 s and 17 MB of RSS to every CLI start
+    # importing it added about 0.2 s and 17 MB of RSS to every CLI start.
+    # scipy.sparse.linalg loads only where propagate takes expm_multiply
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, lsw.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    code = (
+        "import sys, lsw.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

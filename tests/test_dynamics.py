@@ -16,6 +16,7 @@ from lsw.dynamics import (
     emission_intensity,
     evolve,
     min_state_eigenvalue,
+    one_norm,
     trace_drift,
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
@@ -184,6 +185,27 @@ def test_unreachable_tolerance_raises():
         assert np.abs(decay.states[-1]).max() == 0.0
         with pytest.raises(ToleranceNotMetError, match="non-finite"):
             evolve(np.diag([100.0] * dim**2).astype(complex), rho0, times)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 40),
+    cols=st.integers(1, 40),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    cplx=st.booleans(),
+)
+def test_one_norm_is_scipys_bit_for_bit(rows, cols, density, seed, cplx):
+    # propagate's ||G||_1 without importing scipy.sparse.linalg: the same
+    # expression, so the same bits and the same stepper choice
+    import scipy.sparse.linalg as spla
+
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8, 8, (rows, cols))
+    if cplx:
+        dense = dense + 1j * rng.standard_normal((rows, cols))
+    g = sp.csr_matrix(np.where(rng.random((rows, cols)) < density, dense, 0))
+    assert one_norm(g) == spla.norm(g, 1)
 
 
 def expected_stepper(k, scale, spans, steps, floor):

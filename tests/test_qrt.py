@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from lsw.exceptions import (
 from lsw.operators import hermitian_basis, spin_operators
 from lsw.qrt import (
     CLOSURE_TOL,
+    STABILITY_TOL,
     AncillaModel,
     BlochSystem,
     close_operator_set,
@@ -24,6 +26,7 @@ from lsw.qrt import (
     coefficient_matrix_resolvent_oracle,
     effective_master_equation_2,
     lindblad_decomposition,
+    stability_certified,
     steady_state,
 )
 from lsw.spectral import charge_sector, decompose, spectral_norm, to_eigen
@@ -346,6 +349,148 @@ def test_singular_bloch_matrix_rejected():
     )
     with pytest.raises(SingularBlochMatrixError):
         coefficient_matrix(bs)
+
+
+def eigen_test_accepts(m):
+    """The dense eigenvalue test of coefficient_matrix, as a predicate."""
+    eigs = np.linalg.eigvals(m)
+    return bool(np.max(eigs.real) <= -STABILITY_TOL * max(1.0, np.abs(eigs).max()))
+
+
+def weighted_gram(bs):
+    """G_mn = Re Tr(sigma E_m E_n), by one einsum over the operators."""
+    return np.einsum("ab,mbc,nca->mn", bs.sigma, bs.ops, bs.ops).real
+
+
+def with_bloch(bs, bloch):
+    return dataclasses.replace(bs, bloch=bloch)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 10),
+    dim_s=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    where=st.floats(-0.5, 1.5),
+)
+@example(dim=16, dim_s=3, seed=7, where=1.0)
+@example(dim=6, dim_s=2, seed=3, where=0.0)
+def test_stability_certificate_on_shifted_closures(dim, dim_s, seed, where):
+    # M + s I of a real closure, with s = -(alpha + where (omega - alpha)):
+    # alpha is M's spectral abscissa, where the eigenvalue test's boundary
+    # lies (where = 0), and omega the largest eigenvalue of the G-weighted
+    # symmetric part, where the certificate's lies (where = 1).  Whatever the
+    # certificate accepts the eigenvalue test accepts, and it accepts from
+    # just past its own boundary on
+    model = models.random_ancilla_model(dim, 2, seed, dim_system=dim_s)
+    bs = close_operator_set(model.l0, [a for a, _ in model.couplings])
+    m = bs.bloch
+    chol = np.linalg.cholesky(weighted_gram(bs))
+    weighted = np.linalg.solve(chol, m @ chol)  # L^-1 M L for G = L L^T
+    omega = np.linalg.eigvalsh(0.5 * (weighted + weighted.T)).max()
+    alpha = np.linalg.eigvals(m).real.max()
+    assert omega > alpha
+    shifted = with_bloch(bs, m - (alpha + where * (omega - alpha)) * np.eye(len(m)))
+    certified = stability_certified(shifted)
+    if certified:
+        assert eigen_test_accepts(shifted.bloch)
+    margin = 1e-6 * max(1.0, np.abs(m).max()) / (omega - alpha)
+    if where >= 1 + margin:
+        assert certified
+    if where <= 1 - margin:
+        assert not certified
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(2, 5),
+    mixed=st.booleans(),
+    seed=st.integers(0, 2**16),
+    exponent=st.floats(-16.0, -6.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@example(dim=2, mixed=True, seed=0, exponent=-12.0, sign=-1.0)
+@example(dim=3, mixed=False, seed=1, exponent=-11.5, sign=-1.0)
+def test_stability_certificate_on_tight_normal_cases(dim, mixed, seed, exponent, sign):
+    # hand-built M that is self-adjoint in the G-weighted product, so the
+    # weighted symmetric part has M's own eigenvalues and the certificate
+    # is as sharp as it can be: the top eigenvalue sits at sign * 10**exponent
+    # of the spectral scale, across both tests' boundaries
+    rng = np.random.default_rng(seed)
+    ops = np.array(hermitian_basis(dim, traceless=True))
+    p = rng.uniform(0.2, 1.0, dim) if not mixed else np.ones(dim)
+    sigma = np.diag(p / p.sum()).astype(complex)
+    n = len(ops)
+    bs = BlochSystem(
+        ops=ops,
+        bloch=np.zeros((n, n)),
+        steady_means=np.zeros(0),
+        seed_covariance=np.zeros((n, 0), dtype=complex),
+        seed_coeffs=np.zeros((n, 0)),
+        sigma=sigma,
+        seed_count=0,
+    )
+    gram = weighted_gram(bs)
+    w, u = np.linalg.eigh(gram)
+    root = (u * np.sqrt(w)) @ u.T
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    lam = -rng.uniform(0.5, 20.0, n)
+    lam[0] = sign * 10.0**exponent * max(1.0, np.abs(lam).max())
+    s = root @ (q * lam) @ q.T @ root
+    bloch = s @ np.linalg.inv(gram)  # M^T = G^-1 S, similar to a symmetric matrix
+    certified = stability_certified(with_bloch(bs, bloch))
+    if certified:
+        assert eigen_test_accepts(bloch)
+    if sign > 0:
+        assert not certified
+    if sign < 0 and exponent >= -8:
+        assert certified
+
+
+def test_stability_certificate_declines_what_it_cannot_prove():
+    model = models.random_ancilla_model(4, 2, 5)
+    bs = close_operator_set(model.l0, [a for a, _ in model.couplings])
+    assert stability_certified(bs)
+    bad = bs.bloch.copy()
+    bad[0, 0] = np.nan
+    for bloch in (bs.bloch.astype(complex), bad, np.zeros((0, 0))):
+        assert not stability_certified(with_bloch(bs, bloch))
+    pure = np.zeros((4, 4), dtype=complex)
+    pure[0, 0] = 1.0
+    assert not stability_certified(dataclasses.replace(bs, sigma=pure))
+
+
+@pytest.mark.parametrize("dim", range(4, 17))
+def test_qrt_mix_shapes_need_no_eigenvalues(monkeypatch, dim):
+    # three couplings to a qutrit, as the qrt-mix benchmark runs them: the
+    # certificate settles stability, so the dense eigvals never runs
+    model = models.random_ancilla_model(dim, 3, seed=100 + dim, dim_system=3)
+    ops = [a for a, _ in model.couplings]
+    bs = close_operator_set(model.l0, ops)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvals ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    cm = coefficient_matrix(bs)
+    monkeypatch.undo()
+    oracle = coefficient_matrix_resolvent_oracle(model.l0, steady_state(model.l0), ops)
+    assert np.abs(cm.a_matrix - oracle).max() < 1e-10
+
+
+def test_pure_steady_state_takes_the_eigenvalue_test(monkeypatch):
+    # the superradiance recast's ancilla relaxes to a pure state, so G is
+    # singular: the eigenvalue test runs, and the result is the plain solve
+    p = models.SuperradianceParams(n_spins=2, g=0.15, gamma=1.0, omega=0.3)
+    am = models.superradiance_ancilla(p)
+    bs = close_operator_set(am.l0, [a for a, _ in am.couplings])
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+    cm = coefficient_matrix(bs)
+    assert len(calls) == 1 and calls[0] is bs.bloch
+    expected = -bs.seed_coeffs.T @ np.linalg.solve(bs.bloch, bs.seed_covariance)
+    assert np.array_equal(cm.a_matrix, expected)
 
 
 # the last three have the shape of the qrt-mix benchmark: three couplings
