@@ -213,8 +213,15 @@ def _symbol(name, d, symbols):
             return entries.astype(complex)
         raise ValidationError(f"{key}: matrix must be 2-d (or 2-d of [re, im] pairs)")
     if "expr" in d:
-        return parse_operator_expr(str(d["expr"]), symbols)
+        return _evaluate(d["expr"], symbols)
     raise ValidationError(f"{key}: needs one of spin/identity/matrix/expr")
+
+
+# overflow and inf * 0 make non-finite entries, which the operator's finite
+# check refuses; numpy's RuntimeWarning would only precede that refusal
+@np.errstate(over="ignore", invalid="ignore")
+def _evaluate(text, symbols):
+    return parse_operator_expr(str(text), symbols)
 
 
 def _custom_model(cfg, task):
@@ -225,7 +232,7 @@ def _custom_model(cfg, task):
     symbols = _Symbols(_shaped("model.symbols", cfg.get("symbols")))
 
     def parse(text):
-        op = parse_operator_expr(str(text), symbols)
+        op = _evaluate(text, symbols)
         if not np.isfinite(op).all():
             raise ValidationError(f"operator {str(text)!r} has non-finite entries")
         return op
@@ -275,7 +282,8 @@ def _custom_model(cfg, task):
 
 class Run:
     """Validated run description assembled from config plus CLI overrides,
-    with the model built from it (``model``, see ``_build_model``)."""
+    with the model's parts built from it (``ancilla``, ``rho0``,
+    ``observables`` and ``charges``, see ``_build_model``)."""
 
     def __init__(self, task, cfg, order=None, epsilon=None, out=None):
         if task not in TASKS:
@@ -308,7 +316,7 @@ class Run:
             raise ValidationError(
                 "decoupling-scan fits a slope: epsilons needs two or more distinct entries"
             )
-        self.model = _build_model(self)
+        self.ancilla, self.rho0, self.observables, self.charges = _build_model(self)
 
     @property
     def times(self):
@@ -335,9 +343,9 @@ def _superradiance_params(mcfg):
 
 
 def _build_model(run):
-    """The one model registry: a dict with the kind, the AncillaModel under
-    ``ancilla``, ``rho0`` (None: none on A (x) S), the observables and the
-    ``charges`` (q_A, q_S) of ``charge_sector`` (None: none declared).
+    """The one model registry: (ancilla, rho0, observables, charges), the
+    AncillaModel, its initial state (None: none on A (x) S), its observables
+    by name and the (q_A, q_S) of ``charge_sector`` (None: none declared).
     Nothing of the full space is assembled here; decoupling-scan's rounding
     floor calls ``AncillaModel.full_space``.  The task check (``_check_task``)
     comes before any L0 is built.  Superradiance's burst state and ``iz``
@@ -391,19 +399,13 @@ def _build_model(run):
         ancilla, rho0, observables = _custom_model(mcfg, run.task)
     else:
         raise ValidationError(f"unknown model kind {kind!r}")
-    return {
-        "kind": kind,
-        "ancilla": ancilla,
-        "rho0": rho0,
-        "observables": observables,
-        "charges": charges,
-    }
+    return ancilla, rho0, observables, charges
 
 
 def _task_spectrum(run):
     """L0 = L_A (x) 1_S: L_A's eigenvalues and slow set, each repeated d_S**2
     times as in the whole space's eigen order (k d_S + a) d_S + b, and L_A's gap."""
-    ancilla = run.model["ancilla"]
+    ancilla = run.ancilla
     sd = decompose(ancilla.l0, run.zero_tol)
     ok = check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
     copies = ancilla.dim_s**2
@@ -420,7 +422,7 @@ def _task_spectrum(run):
 
 
 def _task_effective(run):
-    sector = charge_sector(run.model["ancilla"], None, run.zero_tol)
+    sector = charge_sector(run.ancilla, None, run.zero_tol)
     sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
     series = sw.correction_terms(gen, sd, epsilon=run.epsilon)
     paths = [
@@ -459,13 +461,12 @@ def _task_effective(run):
 def _task_evolve(run):
     """The coherence orders of rho0 in L_A's own basis: coordinate (k, a, b),
     k = i d_A + j, is |i a><j b|, where rho0 and each functional are read."""
-    built = run.model
-    rho0, ancilla = built["rho0"], built["ancilla"]
+    rho0, ancilla = run.rho0, run.ancilla
     if rho0 is None:
         raise ValidationError(
             "evolve needs an initial state: a model on A (x) S has no default one"
         )
-    basis = AncillaBasis.vec(ancilla, built["charges"], run.zero_tol)
+    basis = AncillaBasis.vec(ancilla, run.charges, run.zero_tol)
     (k, a, b), _, l0, v = basis.block(basis.orders_of(rho0))
     i, j = np.divmod(k, math.isqrt(basis.q_k.size))
     rows, cols = i * ancilla.dim_s + a, j * ancilla.dim_s + b
@@ -474,8 +475,8 @@ def _task_evolve(run):
         return np.asarray(op[r, c]).reshape(-1)
 
     states, _ = dynamics.propagate(l0 + run.epsilon * v, at(rho0, rows, cols), run.times)
-    series = [states @ at(op, cols, rows) for op in built["observables"].values()]
-    names = list(built["observables"])
+    series = [states @ at(op, cols, rows) for op in run.observables.values()]
+    names = list(run.observables)
     header = ["time"] + [f"re_{k}" for k in names] + [f"im_{k}" for k in names]
     columns = [run.times] + [s.real for s in series] + [s.imag for s in series]
     return [_write_csv(run.out + "_trajectory.csv", header, columns)]
@@ -485,11 +486,9 @@ def _task_compare(run):
     """Exact and order-2, order-2+3 emission of the burst, in the
     coherence-order-0 sector of the polarized state (4N+2 coordinates, the
     N+1 nuclear populations slow), in L0's eigen coordinates."""
-    ancilla = run.model["ancilla"]
+    ancilla = run.ancilla
     n = ancilla.dim_s - 1
-    sector = charge_sector(
-        ancilla, run.model["charges"], run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT
-    )
+    sector = charge_sector(ancilla, run.charges, run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT)
     sd, v = sector.spectral, sector.v
     if sd.slow_dim != n + 1:
         raise NonProductSlowSpaceError(
@@ -497,7 +496,7 @@ def _task_compare(run):
             "populations: the electron needs exactly one steady state"
         )
     gen = sw.generator_terms(sd, v, 3)
-    series = sw.correction_terms(gen, sd)
+    series = sw.correction_terms(gen, sd, epsilon=run.epsilon)
     # coordinate (k, a, b) is R_k (x) |a><b|: rho0 = sum y0 R_k (x) |a><b|,
     # and Tr(I_z X) = f . x for X with coordinates x
     k, a, b = sector.index
@@ -512,7 +511,7 @@ def _task_compare(run):
         states, _ = dynamics.propagate(generator, start, times)
         return -np.real(states @ (generator.T @ functional))
 
-    i_exact = intensity(sd.l0_eigen + v, y0, f)
+    i_exact = intensity(sd.l0_eigen + run.epsilon * v, y0, f)
     i_two = intensity(sw.effective_liouvillian(series, 2), y0[slow], f[slow])
     i_three = intensity(sw.effective_liouvillian(series, 3), y0[slow], f[slow])
 
@@ -529,7 +528,7 @@ def _task_compare(run):
 
 
 def _task_ancilla_qrt(run):
-    eff = qrt.effective_master_equation_2(run.model["ancilla"], zero_tol=run.zero_tol)
+    eff = qrt.effective_master_equation_2(run.ancilla, zero_tol=run.zero_tol)
     jumps, h_eff = qrt.lindblad_decomposition(eff.coefficient, eff.system_ops)
     return [
         _write_matrix(run.out + "_coefficient.csv", eff.coefficient.a_matrix),
@@ -547,7 +546,7 @@ def _task_decoupling_scan(run):
     """max_q ||P_q T Q_q|| + max_q ||Q_q T P_q||: L0, V and each S_n keep every
     coherence order q, and Hermiticity maps q to -q with equal norms, so only the
     q >= 0 holding a zero mode are built (one whole-space sector without charges)."""
-    basis = AncillaBasis(run.model["ancilla"], run.model["charges"], run.zero_tol)
+    basis = AncillaBasis(run.ancilla, run.charges, run.zero_tol)
     if basis.slow.size == basis.eigenvalues.size:
         raise ValidationError("decoupling-scan: L0 has no fast mode to decouple (zero residual)")
     blocks = []
@@ -562,7 +561,7 @@ def _task_decoupling_scan(run):
     slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0])
     header = ["epsilon", "residual", "fitted_slope"]
     path = _write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])
-    l0, v = run.model["ancilla"].full_space()
+    l0, v = run.ancilla.full_space()
     for e, r in zip(eps, res):
         floor = FLOOR_ROUNDINGS * np.finfo(float).eps * abs(l0 + e * v).sum(0).max()
         if r <= floor:

@@ -23,72 +23,42 @@ from .exceptions import DimensionMismatchError, ExprSyntaxError, UnknownSymbolEr
 from .operators import tensor
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"(?P<re>{_NUM})(?:(?P<im>[+-]{_NUM})i|(?P<only>i))?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_WS_RE = re.compile(r"\s+")
+# one token after optional whitespace; ``bad`` is any other character
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<lit>(?P<re>{_NUM})(?:(?P<im>[+-]{_NUM})i|(?P<only>i))?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*()⊗†])|(?P<end>\Z)|(?P<bad>.))"
+)
+_OP_KINDS = {"⊗": "kron", "†": "dag"}
 MAX_PAREN_DEPTH = 100  # each level recurses; deeper nesting is refused
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            pos = ws.end()
-            continue
-        ch = text[pos]
-        m = _COMPLEX_RE.match(text, pos)
-        if m:
-            real = float(m.group("re"))
-            if m.group("im") is not None:
-                value = complex(real, float(m.group("im")))
-            elif m.group("only") is not None:
-                value = complex(0.0, real)
-            else:
-                value = complex(real)
-            tokens.append(("lit", value, pos))
-            pos = m.end()
-            continue
-        nm = _NAME_RE.match(text, pos)
-        if nm:
-            word = nm.group(0)
-            tokens.append(("kron" if word == "kron" else "name", word, pos))
-            pos = nm.end()
-            continue
-        if ch in "+-*()":
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        if ch == "⊗":
-            tokens.append(("kron", ch, pos))
-            pos += 1
-            continue
-        if ch == "†":
-            tokens.append(("dag", ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 class _Parser:
-    """Recursive descent over the tokens; the first error in reading order
-    is the one reported."""
+    """Recursive descent that reads each token from the text only when it
+    looks at it, so the first error in reading order is the one reported."""
 
     def __init__(self, text, symbols):
-        self.tokens = _tokenize(text)
-        self.index = 0
+        self.text, self.pos, self.next = text, 0, None
         self.depth = 0
         self.symbols = symbols
 
     def peek(self):
-        return self.tokens[self.index]
+        """The next token (kind, value, position), read but not consumed."""
+        if self.next is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            self.pos, kind = m.end(), m.lastgroup
+            value, pos = m[kind], m.start(kind)
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {value!r}", pos)
+            if kind == "lit":
+                real = float(m["re"])
+                value = complex(0.0, real) if m["only"] else complex(real, float(m["im"] or 0))
+            elif kind == "op" or value == "kron":
+                kind = _OP_KINDS.get(value, value)
+            self.next = kind, value, pos
+        return self.next
 
     def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
+        tok, self.next = self.peek(), None
         return tok
 
     def expr(self):

@@ -81,8 +81,13 @@ class SpectralData:
         return self.slow.size
 
 
-def _eig(l0, zero_tol):
-    """Eigensystem of a dense generator and its zero/non-zero split."""
+def decompose(l0, zero_tol=DEFAULT_ZERO_TOL):
+    """Diagonalize a dense generator and split its spectrum at zero: the
+    dense reference backend.  Raises DefectiveOperatorError when the
+    right-eigenvector condition number exceeds ``DEFAULT_COND_LIMIT``, and
+    EmptySlowSpaceError when no eigenvalue is zero to ``zero_tol`` (the
+    tolerance is too small, or L0 is not trace preserving)."""
+    l0 = to_dense(l0)
     w, right = np.linalg.eig(l0)
     condition = np.linalg.cond(right)
     if not np.isfinite(condition) or condition > DEFAULT_COND_LIMIT:
@@ -98,18 +103,6 @@ def _eig(l0, zero_tol):
             f"no eigenvalue within {zero_tol:.1e} * {scale:.3e} of zero"
         )
     fast = np.flatnonzero(mods > zero_tol * scale)
-    gap = float(mods[fast].min()) if fast.size else np.inf
-    return w, right, left, slow, fast, gap, float(condition)
-
-
-def decompose(l0, zero_tol=DEFAULT_ZERO_TOL):
-    """Diagonalize a dense generator and split its spectrum at zero: the
-    dense reference backend.  Raises DefectiveOperatorError when the
-    right-eigenvector condition number exceeds ``DEFAULT_COND_LIMIT``, and
-    EmptySlowSpaceError when no eigenvalue is zero to ``zero_tol`` (the
-    tolerance is too small, or L0 is not trace preserving)."""
-    l0 = to_dense(l0)
-    w, right, left, slow, fast, gap, condition = _eig(l0, zero_tol)
     return SpectralData(
         l0_eigen=left @ l0 @ right,
         eigenvalues=w,
@@ -117,8 +110,8 @@ def decompose(l0, zero_tol=DEFAULT_ZERO_TOL):
         left=left,
         slow=slow,
         fast=fast,
-        gap=gap,
-        condition=condition,
+        gap=float(mods[fast].min()) if fast.size else np.inf,
+        condition=float(condition),
         zero_tol=zero_tol,
         backend="dense",
     )
@@ -169,19 +162,18 @@ class AncillaBasis:
     each and the charges ``q_a`` and ``q_s``."""
 
     def __init__(self, model, charges=None, zero_tol=DEFAULT_ZERO_TOL):
-        w, right, left, slow, _, _, condition = _eig(to_dense(model.l0), zero_tol)
+        sd = decompose(model.l0, zero_tol)
         vec_order = self._declare(model, charges, zero_tol)
-        self.q_k = np.empty(w.size, dtype=int)
-        for k, r in enumerate(right.T):
+        self.q_k = np.empty(sd.dim, dtype=int)
+        for k, r in enumerate(sd.right.T):
             found = np.unique(vec_order[abs(r) > zero_tol * abs(r).max()])
             if found.size != 1:
                 raise MixedChargeError(
                     f"ancilla eigenvector {k} spans coherence orders {found.tolist()}"
                 )
             self.q_k[k] = found[0]
-        self.eigenvalues, self.right, self.left = w, right, left
-        self.slow, self.condition = slow, condition
-        self.l0_eigen = self.coordinates(to_dense(model.l0))  # diag(w) up to rounding
+        self.eigenvalues, self.right, self.left = sd.eigenvalues, sd.right, sd.left
+        self.slow, self.condition, self.l0_eigen = sd.slow, sd.condition, sd.l0_eigen
 
     @classmethod
     def vec(cls, model, charges=None, zero_tol=DEFAULT_ZERO_TOL):

@@ -80,7 +80,7 @@ def spectrum_both_ways(tmp_path, payload):
     cfg, task, dense = write_config(tmp_path, payload), tmp_path / "task", tmp_path / "dense"
     assert cli.main(["spectrum", "--config", cfg, "--out", str(task)]) == 0
     run = cli.Run("spectrum", payload)
-    ancilla = run.model["ancilla"]
+    ancilla = run.ancilla
     sd = spectral.decompose(ancilla.full_space()[0], run.zero_tol)
     ok = spectral.check_perturbative_limit(sd, ancilla.perturbation_norm(), run.epsilon)
     order = np.lexsort((sd.eigenvalues.imag, sd.eigenvalues.real))
@@ -396,7 +396,7 @@ def test_custom_model_matches_builtin_spectrum(tmp_path):
             ],
         },
     }
-    l0, v = cli.Run("spectrum", cfg_custom).model["ancilla"].full_space()
+    l0, v = cli.Run("spectrum", cfg_custom).ancilla.full_space()
     p = models.SuperradianceParams(n_spins=n, g=0.1, gamma=1.0, omega=0.2)
     m = models.superradiance_model(p)
     assert np.abs(to_dense(l0) - to_dense(m.l0)).max() < 1e-12
@@ -416,6 +416,19 @@ def test_compare_task_small_model(tmp_path):
     header, rows = read_csv(tmp_path / "cmp_compare.csv")
     assert header == ["time", "intensity_exact", "intensity_order2", "intensity_order2plus3"]
     assert len(rows) == 31
+
+
+def test_compare_scales_v_by_the_run_epsilon(tmp_path):
+    # the run's epsilon scales V in every curve: at epsilon 0.5 they are
+    # those of the model with g halved
+    model = {"kind": "superradiance", "n_spins": 4, "g": 0.1, "gamma": 1.0, "omega": 0.2}
+    times = {"t_max": 400.0, "n_points": 41}
+    cfg = write_config(tmp_path, {"model": model, "times": times}, "eps.yaml")
+    half = write_config(tmp_path, {"model": {**model, "g": 0.05}, "times": times}, "half.yaml")
+    assert cli.main(["compare", "--config", cfg, "--epsilon", "0.5", "--out", str(tmp_path / "eps")]) == 0
+    assert cli.main(["compare", "--config", half, "--out", str(tmp_path / "half")]) == 0
+    got, want = (read_columns(tmp_path / f"{name}_compare.csv") for name in ("eps", "half"))
+    assert_columns_match(got, want)
 
 
 def test_ancilla_qrt_task(tmp_path):
@@ -997,9 +1010,9 @@ def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
         assert [d for d, _ in used] == [dim]
         got = read_columns(tmp_path / f"e{i}_trajectory.csv")
         run = cli.Run("evolve", payload)
-        l0, v = run.model["ancilla"].full_space()
-        traj = dynamics.evolve(l0 + run.epsilon * v, superop.to_dense(run.model["rho0"]), run.times)
-        for name, op in run.model["observables"].items():
+        l0, v = run.ancilla.full_space()
+        traj = dynamics.evolve(l0 + run.epsilon * v, superop.to_dense(run.rho0), run.times)
+        for name, op in run.observables.items():
             want = traj.expectation(superop.to_dense(op))
             scale = np.abs(want).max()
             assert np.abs(got[f"re_{name}"] - want.real).max() <= 1e-12 * scale
@@ -1194,7 +1207,7 @@ def test_spectrum_builds_no_sector(tmp_path, monkeypatch):
 
 def test_custom_couplings_model_lives_on_both_factors(tmp_path, monkeypatch):
     model = _EXIT_CODES["custom-couplings"][0]
-    ancilla = cli.Run("evolve", {"model": model}).model["ancilla"]
+    ancilla = cli.Run("evolve", {"model": model}).ancilla
     assert ancilla.dim_s == 2 and ancilla.full_space()[0].shape == (16, 16)
     cfg = write_config(tmp_path, {"model": model, "order": 2})
     assert run_on_backend(monkeypatch, "effective", cfg, tmp_path / "eff", dense=False) == ["sector"]
@@ -1354,7 +1367,7 @@ def test_readme_examples_build_and_run(tmp_path):
     assert len(blocks) == 2
     for i, text in enumerate(blocks):
         cfg = yaml.safe_load(text)
-        l0, v = cli.Run("spectrum", cfg).model["ancilla"].full_space()
+        l0, v = cli.Run("spectrum", cfg).ancilla.full_space()
         assert v.shape == l0.shape
         # written with sorted keys: `flip` now precedes the symbols it names
         path = write_config(tmp_path, cfg, f"readme{i}.yaml")
@@ -1371,7 +1384,7 @@ def test_symbols_resolve_by_name(tmp_path):
         "jumps": [{"rate": 1.0, "operator": "sm"}],
     }
     def l0(m):
-        return cli.Run("spectrum", {"model": m}).model["ancilla"].l0
+        return cli.Run("spectrum", {"model": m}).ancilla.l0
 
     assert np.array_equal(l0(model), l0({**model, "hamiltonian": "sp + sm"}))
 
@@ -1382,8 +1395,9 @@ def test_symbols_resolve_by_name(tmp_path):
         ({"a": {"expr": "2*a"}}, "'a'"),
         ({"a": {"expr": "b"}, "b": {"expr": "sp*a"}, **_QUBIT_SYMBOLS}, "'a'"),
         ({"unused": {"spin": -3}, **_QUBIT_SYMBOLS}, "'unused'"),
+        ({"a": {"expr": "b + $"}, **_QUBIT_SYMBOLS}, "unknown symbol 'b'"),
     ],
-    ids=["self", "through-another", "unused-is-built"],
+    ids=["self", "through-another", "unused-is-built", "unknown-before-bad-character"],
 )
 def test_symbol_definition_errors_exit_2(tmp_path, capsys, symbols, name):
     model = {"kind": "custom", "dimension": 2, "symbols": symbols, "hamiltonian": "sz"}
@@ -1446,19 +1460,23 @@ def test_decoupling_scan_warns_at_rounding_floor(tmp_path, capsys):
     assert len(warned["4"]) == 1 and "epsilon 0.0001 " in warned["4"][0]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the product
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # pytest captures warnings off stderr
 @pytest.mark.parametrize(
     "model",
     [
         {"hamiltonian": "1e999*sz"},
+        {"symbols": {**_QUBIT_SYMBOLS, "y": {"expr": "1e999*sz"}}, "perturbations": ["y"]},
         {"symbols": {**_QUBIT_SYMBOLS, "y": {"matrix": [[0, float("nan")], [0, 0]]}}, "perturbations": ["y"]},
     ],
-    ids=["overflowing-literal", "nan-matrix-entry"],
+    ids=["overflowing-literal", "overflowing-symbol", "nan-matrix-entry"],
 )
 def test_non_finite_operator_exits_2(tmp_path, capsys, model):
+    # inf * 0 in the product is refused by the finite check alone: the
+    # refusal is the one line on stderr, with no RuntimeWarning before it
     cfg = write_config(tmp_path, {"model": {**_CUSTOM_QUBIT, **model}, "output": str(tmp_path / "bad")})
     assert cli.main(["decoupling-scan", "--config", cfg]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:") and "non-finite" in err[0]
 
 
 def _symbol_chain(length, parens=0):

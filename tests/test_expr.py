@@ -128,6 +128,15 @@ def test_first_error_in_reading_order(symbols):
         parse_value("sp + Ip )", symbols)
     with pytest.raises(ExprSyntaxError):
         parse_value("sp + ) bogus", symbols)
+    # tokens are read as the parser reaches them, so a character no token
+    # starts with is reported only where it is read
+    for text, position in [("bogus $", 0), ("bogus + $", 0), ("2i*bogus$", 3)]:
+        with pytest.raises(UnknownSymbolError) as err:
+            parse_value(text, symbols)
+        assert err.value.position == position
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_value("sz + $", symbols)
+    assert err.value.position == 5
 
 
 _PRECEDENCE_TABLE = [
