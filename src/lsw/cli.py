@@ -39,10 +39,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # spectral tasks hold superoperators on the whole space (D x D, stored
-# sparse where they stay sparse), compare holds sector-sized ones and
-# evolve a dense L_A; refuse configs past this size (D, the sector
-# dimension for compare, d_A**2 for evolve) instead of crashing on an
-# allocation
+# sparse where they stay sparse), compare and a scan with declared charges
+# hold sector-sized ones and evolve a dense L_A; refuse configs past this
+# size (D, the largest sector dimension for compare and such a scan, d_A**2
+# for evolve) instead of crashing on an allocation
 SPECTRAL_DIM_LIMIT = 4500
 SPECTRAL_TASKS = ("spectrum", "effective", "decoupling-scan")
 
@@ -58,12 +58,15 @@ MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 FLOOR_ROUNDINGS = 2
 
 
-def _check_task(task, kind, dim_a, dim_s):
+def _check_task(task, kind, dim_a, dim_s, charged=False):
     """The one task check, made from the config before the model's L0 is
     built: ``compare`` runs on the superradiance model alone, ``ancilla-qrt``
     needs a system (d_S > 1), and a spectral task on A (x) S, of
     superoperator dimension (d_A d_S)**2, or ``evolve``, whose dense L_A
-    has dimension d_A**2, is refused past ``SPECTRAL_DIM_LIMIT``."""
+    has dimension d_A**2, is refused past ``SPECTRAL_DIM_LIMIT``.  On a
+    model that declares charges (``charged``) ``decoupling-scan`` runs per
+    sector: here only its dense L_A is checked, and its largest sector by
+    ``AncillaBasis.sectors`` before any sector is built."""
     if task == "compare" and kind != "superradiance":
         raise ValidationError("compare runs on the superradiance model")
     if task == "ancilla-qrt" and dim_s == 1:
@@ -71,7 +74,8 @@ def _check_task(task, kind, dim_a, dim_s):
             f"model kind {kind!r} has no system to reduce to: "
             "ancilla-qrt needs couplings to a system of dimension 2 or more"
         )
-    dim = dim_a**2 if task == "evolve" else (dim_a * dim_s) ** 2
+    per_sector = task == "evolve" or (charged and task == "decoupling-scan")
+    dim = dim_a**2 if per_sector else (dim_a * dim_s) ** 2
     if (task in SPECTRAL_TASKS or task == "evolve") and dim > SPECTRAL_DIM_LIMIT:
         raise ValidationError(
             f"task {task!r}: superoperator dimension {dim} exceeds the spectral "
@@ -356,7 +360,7 @@ def _build_model(run):
     charges = None
     if kind == "superradiance":
         params = _superradiance_params(mcfg)
-        _check_task(run.task, kind, 2, params.n_spins + 1)
+        _check_task(run.task, kind, 2, params.n_spins + 1, charged=True)
         ancilla, rho0, observables = models.superradiance_ancilla(params), None, {}
         charges = models.superradiance_charges(params.n_spins)
         if run.task == "evolve":
@@ -545,15 +549,21 @@ def _task_ancilla_qrt(run):
 def _task_decoupling_scan(run):
     """max_q ||P_q T Q_q|| + max_q ||Q_q T P_q||: L0, V and each S_n keep every
     coherence order q, and Hermiticity maps q to -q with equal norms, so only the
-    q >= 0 holding a zero mode are built (one whole-space sector without charges)."""
+    q >= 0 holding a zero mode are built (one whole-space sector without charges),
+    each refused past ``SPECTRAL_DIM_LIMIT``; every epsilon of a sector in one
+    ``sw.decoupling_blocks`` call."""
     basis = AncillaBasis(run.ancilla, run.charges, run.zero_tol)
     if basis.slow.size == basis.eigenvalues.size:
         raise ValidationError("decoupling-scan: L0 has no fast mode to decouple (zero residual)")
-    blocks = []
-    for sector in basis.sectors([q for q in basis.orders() if q >= 0]):
-        sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
-        blocks.append([sw.decoupling_blocks(sd, gen, e, run.order) for e in run.epsilons])
-    eps, res = np.asarray(run.epsilons), np.max(blocks, axis=0).sum(1)
+    eps, orders, blocks = np.asarray(run.epsilons), basis.orders(), []
+    orders = orders[orders >= 0]
+    # built a few orders at a time, about SPECTRAL_DIM_LIMIT coordinates a pass
+    passes = np.cumsum(basis.dims(orders, SPECTRAL_DIM_LIMIT)) // SPECTRAL_DIM_LIMIT
+    for group in np.split(orders, np.flatnonzero(np.diff(passes)) + 1):
+        for sector in basis.sectors(group):
+            sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
+            blocks.append(sw.decoupling_blocks(sd, gen, eps, run.order))
+    res = np.max(blocks, axis=0).sum(0)
     if not np.all(np.isfinite(res)):
         raise ToleranceNotMetError(f"decoupling residuals {res.tolist()} are not all finite")
     if not np.all(res > 0):

@@ -26,6 +26,7 @@ This module is the one place coherence-order sectors are built: the same
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +60,10 @@ class SpectralData:
     ``right`` is D x m and ``left`` m x D for m coordinates: ndarrays on the
     ``"dense"`` backend (m = D), CSC and CSR on the ``"sector"`` one.
     ``l0_eigen``, ``left @ L0 @ right``, is diag(eigenvalues) up to rounding.
+    ``factors`` is (k, pair, label, basis) on the sector backend: coordinate
+    m is R_k (x) |a><b| for L_A's eigenvector k = k[m] of coherence order
+    label[m] (``basis.q_k``) and pair[m] = a d_S + b; None on the dense one
+    (see :func:`gram_factors`).
     """
 
     l0_eigen: object
@@ -71,6 +76,7 @@ class SpectralData:
     condition: float
     zero_tol: float
     backend: str
+    factors: tuple = None
 
     @property
     def dim(self):
@@ -204,6 +210,12 @@ class AncillaBasis:
         self.model, self.zero_tol = model, zero_tol
         return np.subtract.outer(self.q_a, self.q_a).reshape(-1)
 
+    @cached_property
+    def triangles(self):
+        """The QR triangles of :func:`gram_factors` for every sector: of L_A's
+        eigenvectors per coherence order q_k and side, slow or fast."""
+        return _triangles(self.right, self.left, self.q_k, np.isin(np.arange(self.q_k.size), self.slow))
+
     def coordinates(self, op):
         """A superoperator on A in the basis's coordinates, left @ op @ right."""
         return op if self.right is None else self.left @ op @ self.right
@@ -218,6 +230,24 @@ class AncillaBasis:
         rows, cols = op.nonzero()
         return np.unique(charge[rows] - charge[cols])
 
+    def dims(self, orders, max_dim=np.inf):
+        """The dimension of each coherence order in ``orders``, the number of
+        (k, a, b) with q_k + q_S[a] - q_S[b] = order, counted from the pairs
+        (a, b) per difference of system charges; an order larger than
+        ``max_dim`` raises ValidationError."""
+        orders, q_s = np.asarray(orders), self.q_s
+        hist = np.bincount(q_s - q_s.min())
+        pairs = np.correlate(hist, hist, "full")  # difference d at d + hist.size - 1
+        at = orders[:, None] - self.q_k + hist.size - 1
+        inside = (at >= 0) & (at < pairs.size)
+        dims = np.where(inside, pairs[np.where(inside, at, 0)], 0).sum(1)
+        if dims.max() > max_dim:
+            raise ValidationError(
+                f"charge sector dimension {dims.max()} exceeds the limit {max_dim} "
+                "(reduce the model size)"
+            )
+        return dims
+
     def block(self, orders, max_dim=np.inf):
         """The coherence orders ``orders`` on their stacked coordinates: the
         index (k, a, b) of each, the dimension of each order, and L0 and V
@@ -228,17 +258,12 @@ class AncillaBasis:
         An order larger than ``max_dim`` is refused before anything is built."""
         orders, q_s, q_k = np.asarray(orders), self.q_s, self.q_k
         d_s, n_k = q_s.size, q_k.size
+        dims = self.dims(orders, max_dim)
         # per order and (k, a), the b of charge q_S[a] + q_k - order, ascending
         by_charge = np.argsort(q_s, kind="stable")
         wanted = ((q_s + q_k[:, None]).ravel() - orders[:, None]).ravel()
         lo = np.searchsorted(q_s[by_charge], wanted, "left")
         counts = np.searchsorted(q_s[by_charge], wanted, "right") - lo
-        dims = counts.reshape(orders.size, -1).sum(1)
-        if dims.max() > max_dim:
-            raise ValidationError(
-                f"charge sector dimension {dims.max()} exceeds the limit {max_dim} "
-                "(reduce the model size)"
-            )
         total, size = int(dims.sum()), n_k * d_s * d_s
         ka = np.repeat(np.arange(counts.size) % (n_k * d_s), counts)
         b = by_charge[np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)]
@@ -258,6 +283,7 @@ class AncillaBasis:
         # row m of left is l_k (x) <a b|, column m of right R_k (x) |a><b|: entry
         # (i, j) of R_k is at vec index (i d_S + a) h + j d_S + b, h = d_A d_S
         d_a, d_s = math.isqrt(self.q_k.size), self.q_s.size
+        pair, label = a * d_s + b, self.q_k[k]
         h, vectors = d_a * d_s, []
         for factor in (self.left, self.right.T):
             m, ij, values = row_entries(sp.csr_matrix(factor), k)
@@ -281,6 +307,7 @@ class AncillaBasis:
                 condition=self.condition,
                 zero_tol=self.zero_tol,
                 backend="sector",
+                factors=(k[cut], pair[cut], label[cut], self),
             )
             out.append(ChargeSector(sd, v[cut, cut], index[:, cut], self.right, self.left))
         return out
@@ -387,6 +414,63 @@ def scaled(x, weights, axis):
     return x
 
 
+def _triangles(right, left, label, slow):
+    """The QR triangles of the columns right[:, ks] and of left[ks]^H, keyed
+    (c, s, "right") and (c, s, "left"), for ks the ascending indices of the
+    eigenvectors of label c on side s (slow or fast)."""
+    out = {}
+    for c, s in set(zip(label.tolist(), slow.tolist())):
+        ks = np.flatnonzero((label == c) & (slow == s))
+        out[c, s, "right"] = np.linalg.qr(to_dense(right[:, ks]), mode="r")
+        out[c, s, "left"] = np.linalg.qr(to_dense(left[ks]).conj().T, mode="r")
+    return out
+
+
+def _placed(triangles, key, k, pair, label, coords):
+    """A square F with rows and columns in the order of ``coords``, holding
+    ``triangles[c, *key]`` at the coordinates of each pair of label c, in k
+    order: each pair of label c holds all the eigenvectors of that label on
+    its side."""
+    out = np.zeros((coords.size,) * 2, dtype=complex)
+    label = label[coords]
+    by = np.lexsort((k[coords], pair[coords], label))  # by label, pair, then k
+    for run in np.split(by, np.flatnonzero(np.diff(label[by])) + 1):
+        if run.size:
+            tri = triangles[(label[run[0]], *key)]
+            at = run.reshape(-1, tri.shape[0])  # a row per pair
+            out[at[:, :, None], at[:, None, :]] = tri
+    return out
+
+
+def gram_factors(sd):
+    """Square factors (K, J, M, N) with K^H K = R_s^H R_s, J^H J = L_f L_f^H,
+    M^H M = R_f^H R_f and N^H N = L_s L_s^H for the slow and fast right
+    vectors R_s, R_f (columns of ``right``) and left ones L_s, L_f (rows of
+    ``left``), so that ||R_s X L_f|| = ||K X J^H|| and ||R_f Y L_s|| =
+    ||M Y N^H|| for every X and Y.
+
+    On the sector backend coordinate (k, a, b) is R_k (x) |a><b|
+    (``sd.factors``), so each Gram matrix is block-diagonal over the pairs
+    (a, b), and the block of a pair is the Gram matrix of the L_A
+    eigenvectors it holds on its side: all those of one coherence order q_k
+    (the label).  Its factor is the QR triangle of those d_A**2-long
+    vectors, taken once per label and side for all sectors
+    (``AncillaBasis.triangles``) and placed at every pair of that label.  The
+    dense backend is the case of one pair and one label, its own vectors.
+    No Gram matrix is formed, so nothing squares the eigenvector condition
+    number."""
+    if sd.factors is None:
+        slow, zero = np.isin(np.arange(sd.dim), sd.slow), np.zeros(sd.dim, int)
+        k, pair, label = np.arange(sd.dim), zero, zero
+        triangles = _triangles(sd.right, sd.left, zero, slow)
+    else:
+        k, pair, label, basis = sd.factors
+        triangles = basis.triangles
+    keys = (((True, "right"), sd.slow), ((False, "left"), sd.fast),
+            ((False, "right"), sd.fast), ((True, "left"), sd.slow))
+    return tuple(_placed(triangles, key, k, pair, label, coords) for key, coords in keys)
+
+
 def projectors(sd):
     """Spectral projectors P (slow) and Q = 1 - P; generally non-orthogonal."""
     p, q = (compact(sd.right[:, m] @ sd.left[m, :]) for m in (sd.slow, sd.fast))
@@ -414,12 +498,15 @@ def resolvent_apply(sd, a):
 
 
 def spectral_norm(a):
-    """Largest singular value of a dense or sparse matrix, by a dense SVD; a
-    non-finite entry raises ToleranceNotMetError."""
+    """Largest singular value of a dense or sparse matrix, by a dense SVD, or
+    the array of them for a dense stack of matrices; a non-finite entry raises
+    ToleranceNotMetError."""
     if not all_finite(a):
         raise ToleranceNotMetError("spectral norm of a matrix with non-finite entries")
     a = to_dense(a)
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    if not a.size:
+        return np.zeros(a.shape[:-2]) if a.ndim > 2 else 0.0
+    return np.linalg.norm(a, 2, axis=(-2, -1)) if a.ndim > 2 else float(np.linalg.norm(a, 2))
 
 
 def check_perturbative_limit(sd, v_norm, epsilon):

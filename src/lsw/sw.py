@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .exceptions import NonProductSlowSpaceError, OrderUnavailableError, ToleranceNotMetError
-from .spectral import assemble, blocks, from_eigen, scaled, spectral_norm, to_eigen
+from .spectral import assemble, blocks, from_eigen, gram_factors, scaled, spectral_norm, to_eigen
 from .superop import all_finite, compact, lift, to_dense, trace_functional, vectorize
 
 MAX_ORDER = 8
@@ -97,13 +97,10 @@ class SWGenerator:
 
     @cached_property
     def residual_factors(self):
-        """Triangular factors of qr(R_s) and qr(L_s^H) for the slow vectors
-        R_s, L_s of ``spectral``, and its fast vectors L_f and R_f, taken
-        once for all residuals."""
-        sd = self.spectral
-        slow = (sd.right[:, sd.slow], sd.left[sd.slow, :].conj().T)  # one dense at a time
-        triangles = [np.linalg.qr(to_dense(x), mode="r") for x in slow]
-        return (*triangles, sd.left[sd.fast, :], sd.right[:, sd.fast])
+        """The square factors (K, J, M, N) of ``spectral.gram_factors``, slow
+        or fast sized, that carry the residual's norms from eigen
+        coordinates to the full space; taken once for all residuals."""
+        return gram_factors(self.spectral)
 
     @cached_property
     def l0_blocks(self):
@@ -112,14 +109,19 @@ class SWGenerator:
 
     def total_blocks(self, epsilon, order):
         """The dense blocks (A, B) = (<l_s|S(eps)|r_f>, <l_f|S(eps)|r_s>) of
-        S(eps) = sum_n eps**n S_n through ``order``."""
+        S(eps) = sum_n eps**n S_n through ``order``; stacked along the
+        leading axes for an array of epsilons."""
         if order > self.nmax:
             raise OrderUnavailableError(f"order {order} > computed nmax {self.nmax}")
+        eps = np.asarray(epsilon)
         slow, fast = self.spectral.slow.size, self.spectral.fast.size
-        a, b = np.zeros((slow, fast), dtype=complex), np.zeros((fast, slow), dtype=complex)
+        a = np.zeros(eps.shape + (slow, fast), dtype=complex)
+        b = np.zeros(eps.shape + (fast, slow), dtype=complex)
         for n in range(1, order + 1):
-            a += epsilon**n * to_dense(self.blocks[n - 1][0])
-            b += epsilon**n * to_dense(self.blocks[n - 1][1])
+            # Python's float power: numpy's rounds some eps**n differently
+            power = np.reshape([e**n for e in eps.ravel().tolist()], eps.shape)[..., None, None]
+            a += power * to_dense(self.blocks[n - 1][0])
+            b += power * to_dense(self.blocks[n - 1][1])
         return a, b
 
 
@@ -261,7 +263,9 @@ def decoupling_blocks(sd, gen, epsilon, order):
 
     Builds S(eps) through the requested order and returns the spectral
     norms of P T Q and Q T P, in that order, for
-    T = exp(-S) (L0 + eps V) exp(S) and the V that ``gen`` was built from.
+    T = exp(-S) (L0 + eps V) exp(S) and the V that ``gen`` was built from:
+    two floats for a scalar ``epsilon``, two arrays for an array of them,
+    every epsilon in one pass over stacked matrices.
     In L0's eigen coordinates, each slow/fast block of L0 + eps V is that
     block of ``sd.l0_eigen`` (``gen.l0_blocks``) plus eps times V's
     (``gen.v_blocks``), and S is [[0, A], [B, 0]] with A = <l_s|S|r_f> and
@@ -276,26 +280,31 @@ def decoupling_blocks(sd, gen, epsilon, order):
     one doubling step C = 2 C4^2 - 1, Sh = Sh4 C4, G = Sh4^2 / 2 the rest.
     Only the blocks <l_s|T|r_f> and <l_f|T|r_s> are formed.  With R_s, L_s
     the slow right and left eigenvectors (P = R_s L_s), each off-diagonal
-    block has rank at most slow_dim and its norm comes from a small factor:
+    block has rank at most slow_dim and its norm is that of a slow x fast
+    matrix:
 
-        P T Q = R_s <l_s|T|r_f> L_f,   ||P T Q|| = ||K <l_s|T|r_f> L_f||
-        Q T P = R_f <l_f|T|r_s> L_s,   ||Q T P|| = ||R_f <l_f|T|r_s> M^H||
+        P T Q = R_s <l_s|T|r_f> L_f,   ||P T Q|| = ||K <l_s|T|r_f> J^H||
+        Q T P = R_f <l_f|T|r_s> L_s,   ||Q T P|| = ||M <l_f|T|r_s> N^H||
 
-    where K and M are the triangular factors of qr(R_s) and qr(L_s^H)
-    (``gen.residual_factors``).  No D x D exponential, factorization or SVD
-    is formed.  Returns (inf, inf), without overflow warnings, when exp(+-S)
-    is too large for these products in float64.
+    for the square factors K, J, M, N of the Gram matrices of R_s, L_f^H,
+    R_f and L_s^H (``gen.residual_factors``).  No D-long vector is read and
+    no D x D exponential, factorization or SVD is formed.  An epsilon whose
+    exp(+-S) is too large for these products in float64 gets (inf, inf),
+    without overflow warnings.
     """
-    k = sd.slow_dim
-    a, b = gen.total_blocks(epsilon, order)
+    k, eps = sd.slow_dim, np.asarray(epsilon)
+    e = eps.reshape(-1, 1, 1)
+    a, b = gen.total_blocks(eps.reshape(-1), order)
     l_ss, l_sf, l_fs, l_ff = (
-        _add(l0, v, epsilon) for l0, v in zip(gen.l0_blocks, gen.v_blocks)
+        to_dense(l0) + e * to_dense(v) for l0, v in zip(gen.l0_blocks, gen.v_blocks)
     )
-    r_tri, l_tri, left_f, right_f = gen.residual_factors
+    r_slow, l_fast, r_fast, l_slow = gen.residual_factors
     with np.errstate(over="ignore", invalid="ignore"):
-        zero, one = np.zeros((k, k)), np.eye(k)
-        quarter = expm(np.block([[zero, one], [(a @ b) / 4, zero]]))
-        c4, sh4 = quarter[:k, :k], quarter[:k, k:]
+        one = np.eye(k)
+        generator = np.zeros((e.size, 2 * k, 2 * k), dtype=complex)
+        generator[:, :k, k:], generator[:, k:, :k] = one, (a @ b) / 4
+        quarter = expm(generator)
+        c4, sh4 = quarter[:, :k, :k], quarter[:, :k, k:]
         c, sh, g = 2 * c4 @ c4 - one, sh4 @ c4, sh4 @ sh4 / 2
         sh_a, b_sh, g_a = sh @ a, b @ sh, g @ a
         # <l_s|T|r_f>: the slow rows of exp(-S), through L, into the fast columns of exp(S)
@@ -306,11 +315,12 @@ def decoupling_blocks(sd, gen, epsilon, order):
         cols_s = l_ss @ c + l_sf @ b_sh
         cols_f = l_fs @ c + l_ff @ b_sh
         t_fs = cols_f - b_sh @ cols_s + b @ (g_a @ cols_f)
-        pq_factor = (r_tri @ t_sf) @ left_f  # the slow_dim-sized products first
-        qp_factor = right_f @ (t_fs @ l_tri.conj().T)
-    if not (np.isfinite(pq_factor).all() and np.isfinite(qp_factor).all()):
-        return np.inf, np.inf  # exp(+-S) overflowed: the norms are beyond float64
-    return spectral_norm(pq_factor), spectral_norm(qp_factor)
+        pq_factor = (r_slow @ t_sf) @ l_fast.conj().T
+        qp_factor = r_fast @ (t_fs @ l_slow.conj().T)
+    finite = np.isfinite(pq_factor).all(axis=(1, 2)) & np.isfinite(qp_factor).all(axis=(1, 2))
+    pq_factor[~finite] = qp_factor[~finite] = 0  # exp(+-S) overflowed: beyond float64
+    norms = [np.where(finite, spectral_norm(x), np.inf) for x in (pq_factor, qp_factor)]
+    return tuple(float(x[0]) for x in norms) if eps.ndim == 0 else tuple(norms)
 
 
 @dataclass

@@ -833,22 +833,33 @@ def forbid_full_space(monkeypatch):
     forbid(monkeypatch, "full_space", (qrt.AncillaModel,))
 
 
-@pytest.mark.parametrize("task", ["spectrum", "effective", "decoupling-scan"])
-def test_oversized_spectral_task_refused_before_assembly(tmp_path, capsys, monkeypatch, task):
-    # N=40: D = 4 * 41**2 = 6,724, past SPECTRAL_DIM_LIMIT.  The size check
-    # comes before anything of the full space is built: neither the assembly
-    # method nor `lift` (under every name it is imported as) may run
+@pytest.mark.parametrize(
+    "task, n_spins, message",
+    [
+        ("spectrum", 40, "task 'spectrum': superoperator dimension 6724 exceeds the spectral limit"),
+        ("effective", 40, "task 'effective': superoperator dimension 6724 exceeds the spectral limit"),
+        ("decoupling-scan", 1125, "charge sector dimension 4502 exceeds the limit 4500"),
+    ],
+    ids=["spectrum", "effective", "decoupling-scan"],
+)
+def test_oversized_spectral_task_refused_before_assembly(
+    tmp_path, capsys, monkeypatch, task, n_spins, message
+):
+    # N=40: D = 4 * 41**2 = 6,724, past SPECTRAL_DIM_LIMIT.  The scan runs per
+    # coherence order and is refused by its largest sector, 4N+2 = 4,502 at
+    # N=1125 (N=1124 fits).  The size check comes before anything of the full
+    # space is built: neither the assembly method nor `lift` (under every
+    # name it is imported as) may run
     forbid_full_space(monkeypatch)
     cfg = write_config(
         tmp_path,
         {
-            "model": {"kind": "superradiance", "n_spins": 40, "sqrt_n_g": 0.2},
+            "model": {"kind": "superradiance", "n_spins": n_spins, "sqrt_n_g": 0.2},
             "output": str(tmp_path / "big"),
         },
     )
     assert cli.main([task, "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert f"task {task!r}: superoperator dimension 6724 exceeds the spectral limit" in err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("big*"))
 
 
@@ -1331,7 +1342,9 @@ def test_decoupling_scan_refuses_zero_and_non_finite_residuals(tmp_path, capsys,
     )
     assert cli.main(["decoupling-scan", "--config", cfg]) == 2
     assert "no perturbation" in capsys.readouterr().err
-    monkeypatch.setattr(cli.sw, "decoupling_blocks", lambda *args: (float("nan"), float("nan")))
+    monkeypatch.setattr(
+        cli.sw, "decoupling_blocks", lambda sd, gen, eps, order: (eps * np.nan, eps * np.nan)
+    )
     cfg = write_config(
         tmp_path,
         {"model": {"kind": "random", "seed": 1}, "output": str(tmp_path / "scan")},

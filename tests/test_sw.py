@@ -12,6 +12,7 @@ from conftest import dense_full_space, random_hermitian, u1_symmetric_model
 from lsw import models, qrt, superop, sw
 from lsw.exceptions import NonProductSlowSpaceError, OrderUnavailableError
 from lsw.spectral import (
+    DEFAULT_COND_LIMIT,
     AncillaBasis,
     assemble,
     charge_sector,
@@ -524,6 +525,70 @@ def test_block_engine_matches_naive_terms(kind, seed, pick, nmax, dense_entries)
                 assert got == (0.0, 0.0)
             for g, w in zip(got, want):
                 assert abs(g - w) <= BLOCK_NORM_REL_TOL * w + BLOCK_NORM_ABS_TOL, (g, w)
+
+
+def _wide_factors(sd):
+    """The D-wide residual factors the small ones replace: the QR triangles of
+    R_s and L_s^H, with L_f^H and R_f themselves, in the order of
+    ``SWGenerator.residual_factors``.  ``decoupling_blocks`` then forms the
+    slow x D and D x slow matrices R_s-side K t_sf L_f and R_f t_fs L_s-side
+    and takes their SVDs."""
+    return (
+        np.linalg.qr(to_dense(sd.right[:, sd.slow]), mode="r"),
+        to_dense(sd.left[sd.fast, :]).conj().T,
+        to_dense(sd.right[:, sd.fast]),
+        np.linalg.qr(to_dense(sd.left[sd.slow, :]).conj().T, mode="r"),
+    )
+
+
+def _ill_conditioned_sector(seed):
+    """The whole-space sector of a qubit ancilla whose L_A has eigenvector
+    condition number 4e7, within a factor 2.5 of DEFAULT_COND_LIMIT, coupled
+    to a qubit system.  L_A's fast block [[-1, c], [0, -2]] has the
+    eigenvectors (1, 0) and about (1, -1/c), so c = 2e7; the model's epsilon
+    1/c keeps V's eigen coordinates near 1, as they grow with c."""
+    rng = np.random.default_rng(seed)
+    c = 2e7
+    l_a = np.zeros((4, 4), dtype=complex)
+    l_a[1:, 1:] = [[-1.0, c, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -1.5 + 0.3j]]
+    pairs = [(random_hermitian(rng, 2), random_hermitian(rng, 2)) for _ in range(2)]
+    sector = charge_sector(qrt.AncillaModel(l0=l_a, couplings=pairs, epsilon=1 / c))
+    assert DEFAULT_COND_LIMIT / 10 < sector.spectral.condition < DEFAULT_COND_LIMIT
+    return sector.spectral, sector.v
+
+
+# the small residual factors against the D-wide ones, both applied to the
+# same stacked T blocks: over this test's examples at most 1.6e-16 of the
+# norm on sectors, 1.7e-15 on the dense backend and 1.4e-15 at the
+# condition number 4e7 (where the norms themselves are near 1e-17)
+FACTOR_REL_TOL = 1e-14
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        ["u1-sector", "u1-dense", "superradiance-sector", "superradiance-dense", "ill-conditioned"]
+    ),
+    seed=st.integers(0, 2**16),
+    pick=st.integers(0, 64),
+    nmax=st.integers(1, 6),
+)
+@example(kind="ill-conditioned", seed=0, pick=0, nmax=4)
+@example(kind="superradiance-sector", seed=0, pick=0, nmax=8)
+def test_small_residual_factors_match_the_wide_route(kind, seed, pick, nmax):
+    # K^H K = R_s^H R_s and its like, from L_A's eigenvectors per (a, b) pair
+    # in sectors, against QR triangles and SVDs of the D-wide vectors
+    if kind == "ill-conditioned":
+        sd, v = _ill_conditioned_sector(seed)
+    else:
+        sd, v = _engine_case(kind, seed, pick)
+    gen = generator_terms(sd, v, nmax)
+    eps = np.array([0.1, 0.02])
+    got = decoupling_blocks(sd, gen, eps, nmax)
+    gen.residual_factors = _wide_factors(sd)
+    want = decoupling_blocks(sd, gen, eps, nmax)
+    for g, w in zip(got, want, strict=True):
+        assert np.all(np.abs(g - w) <= FACTOR_REL_TOL * w), (g, w)
 
 
 def test_first_order_vanishes_for_collective_model(superradiance_n2):
