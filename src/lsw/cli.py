@@ -21,6 +21,7 @@ import yaml
 
 from . import dynamics, models, qrt, superop, sw
 from .exceptions import (
+    DefectiveOperatorError,
     DimensionMismatchError,
     LswError,
     NonProductSlowSpaceError,
@@ -57,6 +58,13 @@ MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 # flagged ones at orders 4-8 are 2e-4 to 0.98, above a true floor near 8e-20)
 FLOOR_ROUNDINGS = 2
 
+# the engine's eigen coordinates amplify rounding by about condition**2 of
+# L_A's eigenvectors; compare, effective and decoupling-scan refuse past this
+# estimate of the relative error (an exceptional point of L_A: 4.5e7**2 eps
+# = 0.45 on a driven decaying qubit at Omega = gamma / 8, where the scan's
+# residuals were 14 to 830 times too large; 1.07e-9 at condition 2.2e3)
+EIGEN_ERROR_TOL = 1e-8
+
 
 def _check_task(task, kind, dim_a, dim_s, charged=False):
     """The one task check, made from the config before the model's L0 is
@@ -80,6 +88,19 @@ def _check_task(task, kind, dim_a, dim_s, charged=False):
         raise ValidationError(
             f"task {task!r}: superoperator dimension {dim} exceeds the spectral "
             f"limit {SPECTRAL_DIM_LIMIT} (reduce the model size)"
+        )
+
+
+def _check_condition(condition):
+    """Refuse eigen coordinates of L_A whose rounding error estimate
+    condition**2 * eps exceeds ``EIGEN_ERROR_TOL``: L_A is at or near an
+    exceptional point, where its eigenvectors are nearly parallel."""
+    error = condition**2 * np.finfo(float).eps
+    if not error <= EIGEN_ERROR_TOL:
+        raise DefectiveOperatorError(
+            f"L_A's eigenvector condition number {condition:.3g} gives the error estimate "
+            f"condition**2 * eps = {error:.2g}, above {EIGEN_ERROR_TOL:g}: L_A is at or "
+            "near an exceptional point"
         )
 
 
@@ -427,6 +448,7 @@ def _task_spectrum(run):
 
 def _task_effective(run):
     sector = charge_sector(run.ancilla, None, run.zero_tol)
+    _check_condition(sector.spectral.condition)
     sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
     series = sw.correction_terms(gen, sd, epsilon=run.epsilon)
     paths = [
@@ -493,6 +515,7 @@ def _task_compare(run):
     ancilla = run.ancilla
     n = ancilla.dim_s - 1
     sector = charge_sector(ancilla, run.charges, run.zero_tol, max_dim=SPECTRAL_DIM_LIMIT)
+    _check_condition(sector.spectral.condition)
     sd, v = sector.spectral, sector.v
     if sd.slow_dim != n + 1:
         raise NonProductSlowSpaceError(
@@ -553,6 +576,7 @@ def _task_decoupling_scan(run):
     each refused past ``SPECTRAL_DIM_LIMIT``; every epsilon of a sector in one
     ``sw.decoupling_blocks`` call."""
     basis = AncillaBasis(run.ancilla, run.charges, run.zero_tol)
+    _check_condition(basis.condition)
     if basis.slow.size == basis.eigenvalues.size:
         raise ValidationError("decoupling-scan: L0 has no fast mode to decouple (zero residual)")
     eps, orders, blocks = np.asarray(run.epsilons), basis.orders(), []

@@ -5,9 +5,11 @@ with its one-step propagator ``expm(h G)``, computed once per grid span at
 O(k^3) cost however long the span; otherwise ``expm_multiply`` acts on the
 state with a number of matvecs that grows with ||G||_1 t_max, and at
 least a fixed cost per output point.  The stiffness guard and the
-non-finite check cover both ways.  ``scipy.sparse.linalg`` is imported on
-the ``expm_multiply`` way alone, so a CLI start that never takes it does
-not load it.
+non-finite check cover both ways.  ``expm`` is numpy's scaling and
+squaring, batched over stacks; it also gives ``sw.decoupling_blocks`` its
+exp(+-S), so no module of the package imports ``scipy.linalg``.
+``scipy.sparse.linalg`` is imported on the ``expm_multiply`` way alone, so
+a CLI start that never takes it does not load it.
 
 ``evolve`` is the whole-space reference: it propagates every vec component
 of a state under a full generator.  Coherence-order sectors (Buca &
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from .superop import to_csr, vectorize
@@ -38,9 +39,38 @@ MAX_NORM_TIME = 1e6
 # they took 0.14 / 0.31 s at k=402, 0.32 / 0.40 s at 474, 0.46 / 0.43 s at
 # 502, 0.55 / 0.42 s at 550 and 1.10 / 0.50 s at 698, crossing near k=490:
 # k^3 = 1.18e8 = 2.3e4 * 4,200 + 5e4 * 400.  The N=1000 reduced block
-# (k=1001, scale 35, 401 points) took 1.15 / 0.19 s
+# (k=1001, scale 35, 401 points) took 1.15 / 0.19 s.  Those dense times are
+# scipy.linalg.expm's.  With :func:`expm`, which squares once from k=450 on
+# that sector (scipy's norm estimates skipped the squaring up to k=490),
+# dense / expm_multiply took 0.27 / 0.28 s at k=434 and 0.31 / 0.27 s at
+# 450 and 466, so the crossing now sits near k=440
 DENSE_STEP_RATIO = 2.3e4
 DENSE_STEP_FLOOR = 5e4
+
+# Pade degree m, theta_m, 1 / |c_{2m+1}| of the rounding test and the
+# coefficients b_0..b_m of p_m (Al-Mohy & Higham 2009, Table 3.1, eq. (5.1))
+_PADE_DEGREES = (
+    (3, 1.495585217958292e-2, 100800.0, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, 10059033600.0, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, 4487938430976000.0,
+     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068, 5914384781877411840000.0,
+     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+      110880.0, 3960.0, 90.0, 1.0)),
+    (13, 4.25, 113250775606021113483283660800000000.0,
+     (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+      129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+      40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+)
+# per degree: theta_m, log2(|c_{2m+1}| / u) / 2m for the unit roundoff
+# u = 2^-53, b_0, b_1, and the rows of b_3..b_7 and b_2..b_6 on A^2, A^4,
+# A^6, then (m > 7) those of b_9..b_13 and b_8..b_12, which A^6 multiplies
+_PADE = {
+    m: (theta, (53 - math.log2(c)) / (2 * m), b[0], b[1], np.array([
+        np.pad(row, (0, 3 - len(row))) for row in (b[3:8:2], b[2:7:2], b[9::2], b[8::2])
+    ][: 4 if m > 7 else 2]))
+    for m, theta, c, b in _PADE_DEGREES
+}
 
 
 @dataclass
@@ -74,14 +104,104 @@ def one_norm(g):
     return abs(g).sum(axis=0).max()
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def expm(a):
+    """exp(A) of a square matrix, or of every matrix of a stack (..., n, n).
+
+    Scaling and squaring with a Pade approximant of degree 3, 5, 7, 9 or 13
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009).  The
+    degree and the squarings s come from d_4 = ||A^4||_1^(1/4) and
+    d_6 = ||A^6||_1^(1/6), which bound the higher powers' d_8 <= d_4 and
+    d_10 <= (d_4^4 d_6^6)^(1/10), so a non-normal A is not scaled by its
+    larger ||A||_1; the rounding test ell, from the 1-norm of |A|^(2m+1)
+    (formed only where cheaper bounds leave it open), adds squarings where
+    the approximant's evaluation needs them.  A stack is evaluated at once:
+    one degree, one solve and one squaring loop, with s per matrix.  A
+    matrix with a non-finite entry, or a non-finite ||A^4|| or ||A^6|| (an
+    A too large for float64), gives NaN, and squaring stops where the
+    iterate is no longer finite, all without a warning.
+    """
+    a = np.asarray(a, dtype=np.result_type(a, float))
+    x = a.reshape(-1, *a.shape[-2:])
+    eye = np.eye(x.shape[-1], dtype=x.dtype)
+    even = np.empty((3, *x.shape), x.dtype)  # A^2, A^4, A^6, in place
+    a2, a4, a6 = even
+    np.matmul(x, x, out=a2)
+    np.matmul(a2, a2, out=a4)
+    np.matmul(a4, a2, out=a6)
+    norm1 = np.abs(x).sum(-2).max(-1)
+    norm4, norm6 = np.abs(even[1:]).sum(-2).max(-1)
+    eta = np.maximum(norm4**0.25, norm6 ** (1 / 6))
+    bad = ~np.isfinite(norm1 + eta)
+
+    def squarings(m, log_c, s):
+        # max(s, ell(A, m)), ell = max(ceil(log2(alpha / u) / 2m), 0) for
+        # alpha = || |A|^(2m+1) ||_1 / (||A||_1 / |c_{2m+1}|).  With
+        # B = |A| / ||A||_1, || |A|^(2m+1) || = ||A||^(2m+1) ||B^(2m+1)||, and
+        # ||B^(2m+1)|| <= ||B^2||^m <= 1; the power is formed, as the row
+        # 1^T B (B^2)^m whose largest entry is its 1-norm, only where these
+        # bounds leave ell above s
+        log_c = log_c + np.log2(norm1)
+        if np.all(np.ceil(log_c) <= s):
+            return s
+        absx = np.abs(x) / norm1[:, None, None]
+        square = absx @ absx
+        if np.all(np.ceil(log_c + np.log2(square.sum(-2).max(-1)) / 2) <= s):
+            return s
+        row = np.ones((x.shape[0], 1, x.shape[-1])) @ absx
+        for _ in range(m):
+            row = row @ square
+        ell = np.ceil(np.log2(row.max(-1)[:, 0]) / (2 * m) + log_c)
+        return np.where(ell > s, ell, s)  # NaN (A = 0) gives s
+
+    s, largest = np.zeros(x.shape[0]), eta.max()
+    for m, (theta, log_c, b0, b1, coef) in _PADE.items():
+        if m == 13:
+            s = np.ceil(np.log2(np.maximum(norm4**0.25, norm4**0.1 * norm6**0.1) / theta))
+            s = np.where(bad, 0, squarings(m, log_c, np.where(s > 0, s, 0)))
+        elif largest <= theta and not squarings(m, log_c, s).any():
+            break
+    w = 2.0 ** -s[:, None, None]
+    if s.any():
+        even *= w ** np.array([2, 4, 6])[:, None, None, None]
+    # U = A (b_1 + b_3 A^2 + ...) and V = b_0 + b_2 A^2 + ..., the terms of
+    # degree 8 and up as A^6 times A^2, A^4, A^6.  What is computed lands in
+    # the slots of the powers once they are read, and the combinations are
+    # released before the solve: a fresh temporary of this size costs page
+    # faults on every call
+    combos = (coef @ even.reshape(3, -1)).reshape(-1, *x.shape)
+    combos[0] += b1 * eye
+    combos[1] += b0 * eye
+    if m > 7:
+        combos[:2] += np.matmul(a6, combos[2:], out=even[:2])
+    u = np.matmul(x, combos[0], out=a2)
+    u *= w
+    q = np.subtract(combos[1], u, out=a4)
+    p = np.add(combos[1], u, out=a6)
+    del combos
+    if bad.any():
+        q[bad] = eye  # their result is NaN whatever q is
+    r = np.linalg.solve(q, p)
+    for i in range(int(s.max())):
+        more = (s > i) & np.isfinite(r).all(axis=(-2, -1))
+        if more.all():
+            r = r @ r
+        elif more.any():
+            r[more] = r[more] @ r[more]
+        else:
+            break
+    if bad.any():
+        r[bad] = np.nan
+    return r.reshape(a.shape)
+
+
 def propagate(generator, y0, times):
     """The states exp(t G) y0 at every t in ``times``, as rows, and the stepper.
 
     Exact to double precision for a time-independent generator.  Each grid
-    span steps with the dense propagator ``expm(h G)`` (scaling and
-    squaring, Al-Mohy & Higham 2009) when ``spans * k**3 <=
-    DENSE_STEP_RATIO * ||G||_1 t_max + DENSE_STEP_FLOOR * steps`` for
-    dimension k and ``steps`` output points after t = 0, and by
+    span steps with the dense propagator ``expm(h G)`` (:func:`expm`) when
+    ``spans * k**3 <= DENSE_STEP_RATIO * ||G||_1 t_max + DENSE_STEP_FLOOR *
+    steps`` for dimension k and ``steps`` output points after t = 0, and by
     ``expm_multiply`` (Al-Mohy & Higham 2011) otherwise; the stepper is
     ``"expm"`` or ``"expm_multiply"``.  Either way ||G||_1 t_max above
     ``MAX_NORM_TIME`` is refused and a non-finite state raises.

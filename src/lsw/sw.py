@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 
+from .dynamics import expm
 from .exceptions import NonProductSlowSpaceError, OrderUnavailableError, ToleranceNotMetError
 from .spectral import assemble, blocks, from_eigen, gram_factors, scaled, spectral_norm, to_eigen
 from .superop import all_finite, compact, lift, to_dense, trace_functional, vectorize
@@ -276,8 +276,9 @@ def decoupling_blocks(sd, gen, epsilon, order):
         C = cosh(sqrt X),  Sh = sinh(sqrt X) / sqrt X,  G = (C - 1) / X.
 
     One exponential of the 2 slow_dim x 2 slow_dim matrix [[0, 1], [X/4, 0]]
-    gives C4 = cosh(sqrt(X/4)) and Sh4 = sinh(sqrt(X/4)) / sqrt(X/4), and
-    one doubling step C = 2 C4^2 - 1, Sh = Sh4 C4, G = Sh4^2 / 2 the rest.
+    (``dynamics.expm``, one stacked call for every epsilon) gives
+    C4 = cosh(sqrt(X/4)) and Sh4 = sinh(sqrt(X/4)) / sqrt(X/4), and one
+    doubling step C = 2 C4^2 - 1, Sh = Sh4 C4, G = Sh4^2 / 2 the rest.
     Only the blocks <l_s|T|r_f> and <l_f|T|r_s> are formed.  With R_s, L_s
     the slow right and left eigenvectors (P = R_s L_s), each off-diagonal
     block has rank at most slow_dim and its norm is that of a slow x fast

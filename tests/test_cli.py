@@ -1373,6 +1373,63 @@ def test_decoupling_scan_exits_3_when_the_transform_overflows(tmp_path, capsys):
     assert not list(tmp_path.glob("scan*"))
 
 
+def driven_qubit(omega):
+    # an ancilla qubit driven by omega sx and decaying at rate 1, coupled to a
+    # system qubit by sz (x) sx; at omega = 1/8 two fast eigenvalues of L_A
+    # meet at -3/4 in a Jordan block, a Liouvillian exceptional point
+    parts = (("sp", "plus"), ("sm", "minus"), ("sz", "z"))
+    spin = {name: {"spin": 1, "component": c} for name, c in parts}
+    model = {
+        "kind": "custom",
+        "dimension": 2,
+        "symbols": dict(spin, sx={"expr": "sp + sm"}),
+        "hamiltonian": f"{omega}*sx",
+        "jumps": [{"rate": 1.0, "operator": "sm"}],
+        "couplings": [{"ancilla": "sz", "system": "sx"}],
+    }
+    return {"model": model, "order": 3, "epsilon": 0.02, "epsilons": [0.04, 0.02, 0.01]}
+
+
+def test_exceptional_point_exits_3(tmp_path, capsys):
+    # L_A's eigenvector condition is 4.5e7 there, under decompose's limit, and
+    # the eigen coordinates gave scan residuals 14 to 830 times too large and
+    # split order-3 slow rates; the error estimate cond**2 eps = 0.44 refuses
+    # both tasks, while spectrum, which reads only L_A's eigenvalues, runs
+    cfg = write_config(tmp_path, dict(driven_qubit(0.125), output=str(tmp_path / "ep")))
+    for task in ("effective", "decoupling-scan"):
+        assert cli.main([task, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "exceptional point" in err and "condition number 4.46e+07" in err
+    assert not list(tmp_path.glob("ep*.csv"))
+    assert cli.main(["spectrum", "--config", cfg]) == 0
+
+
+def test_away_from_the_exceptional_point_runs(tmp_path):
+    # at omega = 0.2 (condition 3.2) both tasks run; the residuals are those
+    # the scan wrote before the check existed, to rounding, with slope 4
+    cfg = write_config(tmp_path, dict(driven_qubit(0.2), output=str(tmp_path / "away")))
+    for task in ("effective", "decoupling-scan"):
+        assert cli.main([task, "--config", cfg]) == 0
+    got = read_columns(tmp_path / "away_decoupling.csv")
+    want = [2.0728241720894933e-05, 1.2944399539165623e-06, 8.0885715517125644e-08]
+    np.testing.assert_allclose(got["residual"], want, rtol=1e-9)
+    assert abs(got["fitted_slope"][0] - 4.0) < 1e-3
+
+
+def test_condition_check_covers_the_eigen_coordinate_tasks(tmp_path, capsys, monkeypatch):
+    # with no room for rounding, the three tasks that run the engine in L_A's
+    # eigen coordinates refuse; spectrum, evolve and ancilla-qrt do not check
+    monkeypatch.setattr(cli, "EIGEN_ERROR_TOL", 0.0)
+    model = {"kind": "superradiance", "n_spins": 2, "gamma": 1.0, "omega": 0.2, "g": 1.0}
+    cfg = write_config(tmp_path, {"model": model, "output": str(tmp_path / "run")})
+    codes = {task: cli.main([task, "--config", cfg]) for task in cli.TASKS}
+    assert codes == {
+        "spectrum": 0, "effective": 3, "evolve": 0, "compare": 3, "ancilla-qrt": 0,
+        "decoupling-scan": 3,
+    }
+    assert capsys.readouterr().err.count("exceptional point") == 3
+
+
 def test_readme_examples_build_and_run(tmp_path):
     # the README's config examples go through the one registry unchanged
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

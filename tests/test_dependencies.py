@@ -53,16 +53,54 @@ def test_test_imports_are_declared():
 def test_cli_import_skips_lazy_scipy_modules():
     # only match_eigenvalues needs scipy.optimize, and no CLI task calls it;
     # importing it added about 0.2 s and 17 MB of RSS to every CLI start.
-    # scipy.sparse.linalg loads only where propagate takes expm_multiply
+    # scipy.sparse.linalg loads only where propagate takes expm_multiply.
+    # scipy.linalg is not imported at all: lsw.dynamics.expm is numpy, and
+    # loading scipy.linalg added about 9 MB of RSS to every CLI start
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = (
         "import sys, lsw.cli; print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.optimize', 'scipy.sparse.linalg'))))"
+        " if m.startswith(('scipy.optimize', 'scipy.sparse.linalg', 'scipy.linalg'))))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_exponential_tasks_leave_scipy_linalg_unloaded(tmp_path):
+    # compare on the shipped burst and evolve step densely with expm(h G),
+    # and decoupling-scan takes exp(+-S) from one stacked expm: each runs
+    # lsw.dynamics.expm in a fresh interpreter, and none loads scipy.linalg
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        ("compare", ROOT / "configs" / "burst_compare.yaml"),
+        ("evolve", ROOT / "configs" / "decoupling_scan.yaml"),
+        ("decoupling-scan", ROOT / "configs" / "decoupling_scan.yaml"),
+    ]
+    code = f"""
+import contextlib, io, sys
+from lsw import cli, dynamics, sw
+calls = []
+def counted(expm):
+    def wrapped(a):
+        calls.append(a.shape)
+        return expm(a)
+    return wrapped
+dynamics.expm = counted(dynamics.expm)
+sw.expm = counted(sw.expm)
+for task, config in {[(t, str(c)) for t, c in runs]!r}:
+    before = len(calls)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([task, "--config", config, "--out", {str(tmp_path / "run")!r}])
+    print(task, code, len(calls) > before)
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    lines = proc.stdout.strip().splitlines()
+    assert lines[:-1] == [f"{task} 0 True" for task, _ in runs]
+    assert lines[-1] == "[]"
 
 
 def test_benchmark_traced_layers_resolve(monkeypatch):

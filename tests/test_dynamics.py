@@ -1,4 +1,6 @@
+import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from lsw import dynamics, models
 from lsw.dynamics import (
     DENSE_STEP_FLOOR,
     DENSE_STEP_RATIO,
+    MAX_NORM_TIME,
     emission_intensity,
     evolve,
     min_state_eigenvalue,
@@ -355,3 +358,103 @@ def test_wrong_charge_raises():
         vec_sector(m.ancilla, (-q_e, q_n), rho0)
     with pytest.raises(DimensionMismatchError):
         evolve(m.l0 + m.v, m.electron_steady, np.linspace(0, 1, 3))
+
+
+# ||expm(A) - reference||_1 <= EXPM_TOL u max(1, ||A||_1) ||reference||_1 for
+# the unit roundoff u.  Over 3,000 draws of the kinds below the ratio reached
+# 644 against scipy (a 4 x 4 random real matrix of norm 22) and 351 (a stack
+# slice); those are scipy's own errors: against a 40-digit mpmath exponential
+# the numpy expm was within 8.8 and 0.7 u ||A||_1 there, scipy 634 and 340
+EXPM_TOL = 2048
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def expm_case(kind, n, seed, exponent, complex_):
+    """A matrix or stack of one kind, and its exact exponential where one is
+    known in closed form (None: scipy's is the reference)."""
+    rng = np.random.default_rng(seed)
+    dtype = complex if complex_ else float
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return (x + 1j * rng.standard_normal(shape) if complex_ else x).astype(dtype)
+
+    k = max(1, n // 2)
+    if kind == "random":  # ||A||_1 up to about 250
+        a = draw(n, n)
+        return a * (10.0 ** (0.6 * exponent) / np.abs(a).sum(0).max()), None
+    if kind == "jordan":  # lambda + c N, c up to 1e2: as far from normal as float64 allows
+        lam, c = rng.uniform(-2.0, 1.0), 10.0 ** (exponent / 4 + 1)
+        a = (lam * np.eye(n) + c * np.eye(n, k=1)).astype(dtype)
+        shift = c * np.eye(n, k=1)
+        exact = sum(np.linalg.matrix_power(shift, j) / math.factorial(j) for j in range(n))
+        return a, math.exp(lam) * exact
+    if kind == "stiff":  # a Lindblad generator with ||A||_1 up to MAX_NORM_TIME
+        g = to_dense(models.random_lindblad_model(k + 1, 2, seed).l0)
+        scale = MAX_NORM_TIME ** ((exponent + 4) / 8) / np.abs(g).sum(0).max()
+        return (g * scale).astype(complex), None
+    if kind == "stack":  # [[0, 1], [X / 4, 0]] for ||X||_1 = 1e-4, 1 and up to 1e4
+        a = np.zeros((3, 2 * k, 2 * k), dtype)
+        a[:, :k, k:] = np.eye(k)
+        for i, e in enumerate((-4.0, 0.0, exponent)):
+            x = draw(k, k)
+            a[i, k:, :k] = x * (10.0**e / np.abs(x).sum(0).max()) / 4
+        return a, None
+    if kind == "nilpotent":  # [[0, 1], [0, 0]]: exp = 1 + A
+        a = np.zeros((2 * k, 2 * k), dtype)
+        a[:k, k:] = np.eye(k)
+        return a, np.eye(2 * k) + a
+    return np.zeros((n, n), dtype), np.eye(n)  # zero
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["random", "jordan", "stiff", "stack", "nilpotent", "zero"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    exponent=st.floats(-4.0, 4.0),
+    complex_=st.booleans(),
+)
+def test_expm_matches_scipy(kind, n, seed, exponent, complex_):
+    # the numpy expm against scipy.linalg.expm, or the closed form where there
+    # is one (scipy's triangular branch lost up to 4e-10 on Jordan blocks),
+    # slice by slice of a stack; real input stays real
+    a, exact = expm_case(kind, n, seed, exponent, complex_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dynamics.expm(a)
+    assert got.shape == a.shape and got.dtype == a.dtype
+    for g, x in zip(got.reshape(-1, *a.shape[-2:]), a.reshape(-1, *a.shape[-2:])):
+        want = expm(x) if exact is None else exact
+        bound = EXPM_TOL * UNIT_ROUNDOFF * max(1.0, np.abs(x).sum(0).max())
+        assert np.abs(g - want).sum(0).max() <= bound * np.abs(want).sum(0).max()
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e300, 1e40])
+def test_expm_beyond_float64_is_non_finite_quietly(value):
+    # a non-finite entry, or a matrix whose exponential overflows: the slice
+    # comes out non-finite with no exception or warning, the others as
+    # scipy's, and squaring stops once the iterate is non-finite (at 1e40,
+    # after a few of its 130 squarings), so it costs no more than a few
+    # ordinary exponentials of the stack
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 120, 120)) / 120
+    if np.isfinite(value):
+        a[1] *= value
+    else:
+        a[1, 3, 4] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dynamics.expm(a)
+    assert not np.isfinite(got[1]).all()
+    for i in (0, 2):
+        assert np.abs(got[i] - expm(a[i])).max() < 1e-13
+
+    def seconds(x):
+        start = time.perf_counter()
+        dynamics.expm(x)
+        return time.perf_counter() - start
+
+    ordinary = a.copy()
+    ordinary[1] = 0.0
+    assert min(seconds(a) for _ in range(3)) < 5 * min(seconds(ordinary) for _ in range(3))
