@@ -30,7 +30,7 @@ from .exceptions import (
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators
-from .spectral import AncillaBasis, charge_sector, check_perturbative_limit, decompose
+from .spectral import AncillaBasis, charge_sector, check_perturbative_limit, decompose, hermitian_frame
 from .superop import LindbladSpec, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
@@ -485,23 +485,34 @@ def _task_effective(run):
 
 
 def _task_evolve(run):
-    """The coherence orders of rho0 in L_A's own basis: coordinate (k, a, b),
-    k = i d_A + j, is |i a><j b|, where rho0 and each functional are read."""
+    """The coherence orders of rho0 and rho0^H in L_A's own basis: coordinate
+    (k, a, b), k = i d_A + j, is |i a><j b|, where rho0 and each functional
+    are read.  The block is propagated in its real Hermitian frame F: the
+    generator R = Re(F G F^H) (G maps Hermitian operators to Hermitian ones,
+    so the imaginary part is rounding), the state F y0, real when rho0 is
+    Hermitian, and each functional f read as conj(F) f."""
     rho0, ancilla = run.rho0, run.ancilla
     if rho0 is None:
         raise ValidationError(
             "evolve needs an initial state: a model on A (x) S has no default one"
         )
     basis = AncillaBasis.vec(ancilla, run.charges, run.zero_tol)
-    (k, a, b), _, l0, v = basis.block(basis.orders_of(rho0))
+    orders = basis.orders_of(rho0)
+    (k, a, b), _, l0, v = basis.block(np.union1d(orders, -orders))
     i, j = np.divmod(k, math.isqrt(basis.q_k.size))
     rows, cols = i * ancilla.dim_s + a, j * ancilla.dim_s + b
+    frame = hermitian_frame(rows, cols)
 
-    def at(op, r, c):  # the entries op[r, c], of a dense or a CSR operator
-        return np.asarray(op[r, c]).reshape(-1)
+    def at(op, r, c, f):  # f @ the entries op[r, c], real where exactly so
+        x = f @ np.asarray(op[r, c]).reshape(-1)
+        return x if x.imag.any() else x.real
 
-    states, _ = dynamics.propagate(l0 + run.epsilon * v, at(rho0, rows, cols), run.times)
-    series = [states @ at(op, cols, rows) for op in run.observables.values()]
+    # a copy: .real views the complex entries with a stride, which every
+    # sparse product would first copy
+    generator = (frame @ (l0 + run.epsilon * v) @ frame.conj().T).real.copy()
+    generator.eliminate_zeros()
+    states, _ = dynamics.propagate(generator, at(rho0, rows, cols, frame), run.times)
+    series = [states @ at(op, cols, rows, frame.conj()) for op in run.observables.values()]
     names = list(run.observables)
     header = ["time"] + [f"re_{k}" for k in names] + [f"im_{k}" for k in names]
     columns = [run.times] + [s.real for s in series] + [s.imag for s in series]

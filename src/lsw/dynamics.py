@@ -14,7 +14,8 @@ a CLI start that never takes it does not load it.
 ``evolve`` is the whole-space reference: it propagates every vec component
 of a state under a full generator.  Coherence-order sectors (Buca &
 Prosen, arXiv:1203.0943) are built in :mod:`lsw.spectral` from a model's
-operators; the CLI propagates those blocks with ``propagate`` directly.
+operators; the CLI propagates those blocks, in their real Hermitian frame,
+with ``propagate`` directly.
 """
 
 import math
@@ -43,7 +44,11 @@ MAX_NORM_TIME = 1e6
 # scipy.linalg.expm's.  With :func:`expm`, which squares once from k=450 on
 # that sector (scipy's norm estimates skipped the squaring up to k=490),
 # dense / expm_multiply took 0.27 / 0.28 s at k=434 and 0.31 / 0.27 s at
-# 450 and 466, so the crossing now sits near k=440
+# 450 and 466, so the crossing now sits near k=440.  Those sectors are
+# complex.  The CLI's evolve steps its block in a real frame, where the N=100
+# burst block (k=402, scale 82,857, 201 points) took 0.044 / 1.52 s, against
+# 0.18 / 1.97 s complex, and the N=350 one (k=1402, past the rule's k=1,242
+# at that scale) 2.49 / 2.15 s; the constants were not re-tuned for real blocks
 DENSE_STEP_RATIO = 2.3e4
 DENSE_STEP_FLOOR = 5e4
 
@@ -205,10 +210,15 @@ def propagate(generator, y0, times):
     ``expm_multiply`` (Al-Mohy & Higham 2011) otherwise; the stepper is
     ``"expm"`` or ``"expm_multiply"``.  Either way ||G||_1 t_max above
     ``MAX_NORM_TIME`` is refused and a non-finite state raises.
+
+    The states are float64 when G and y0 are both real (a Hermiticity
+    preserving G in a real Hermitian frame, ``spectral.hermitian_frame``),
+    so the steps are real products; a complex G or y0 gives complex states.
     """
     times = _validate_times(times)
     g = to_csr(generator)
-    y0 = np.asarray(y0, dtype=complex)
+    y0 = np.asarray(y0)
+    y0 = y0.astype(np.result_type(g.dtype, y0.dtype, float), copy=False)
     if g.shape != (y0.size, y0.size):
         raise DimensionMismatchError(
             f"generator of shape {g.shape} does not act on vectors of size {y0.size}"

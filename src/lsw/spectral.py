@@ -21,7 +21,8 @@ columns (:func:`scaled`).  This is the one split: the recursion in
 
 This module is the one place coherence-order sectors are built: the same
 :meth:`AncillaBasis.block` also runs in L_A's own basis |i><j|
-(:meth:`AncillaBasis.vec`), for propagation (the CLI's ``evolve``).
+(:meth:`AncillaBasis.vec`), for propagation (the CLI's ``evolve``), with
+the real Hermitian frame of such a block (:func:`hermitian_frame`).
 """
 
 import math
@@ -341,6 +342,36 @@ class AncillaBasis:
                 "coherence order to others"
             )
         return v
+
+
+def hermitian_frame(rows, cols):
+    """A unitary CSR F, at most two entries a row, for the coordinates
+    m = |rows[m]><cols[m]| of a block of :meth:`AncillaBasis.vec`: F x is real
+    for the coordinates x of a Hermitian operator, and F G F^H is real, up to
+    rounding, for a G that maps Hermitian operators to Hermitian ones.
+
+    The partner of m under conjugation, |cols[m]><rows[m]|, is p.  A
+    self-paired m keeps e_m, and each pair m < p becomes (e_m + e_p) / sqrt2
+    at row m and i (e_m - e_p) / sqrt2 at row p.  A coordinate without its
+    partner (a block of orders not closed under q -> -q) raises
+    ValidationError."""
+    size = max(rows.max(initial=0), cols.max(initial=0)) + 1
+    code, partner = rows * size + cols, cols * size + rows
+    by = np.argsort(code)
+    p = by[np.minimum(np.searchsorted(code[by], partner), code.size - 1)]
+    if not np.array_equal(code[p], partner):
+        raise ValidationError(
+            "the block is not closed under Hermitian conjugation: it holds an "
+            "order q without -q"
+        )
+    m = np.arange(code.size)
+    pair, lo, s = p != m, m < p, math.sqrt(0.5)
+    diag = np.where(pair, np.where(lo, s, -1j * s), 1.0)
+    data = np.concatenate([diag, np.where(lo, s, 1j * s)[pair]])
+    return sp.csr_matrix(
+        (data, (np.concatenate([m, m[pair]]), np.concatenate([m, p[pair]]))),
+        shape=(code.size,) * 2,
+    )
 
 
 def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):

@@ -1006,11 +1006,20 @@ def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
         "initial": "(sp*sm) kron (sp*sm) + 0.3 * (sp kron sm + sm kron sp)",
         "observables": {"ee": "(sp*sm) kron (sp*sm)", "coh": "sp kron sm", "x": "(sp+sm) kron sz"},
     }
+    # a driven qubit from a non-Hermitian initial state: the block's real
+    # frame carries its anti-Hermitian part in the imaginary part of the state
+    qubit = {
+        **_CUSTOM_QUBIT,
+        "hamiltonian": "0.3*(sp + sm) + 0.2*sz",
+        "initial": "sp*sm + 0.3*sp",
+        "observables": {"x": "sp + sm", "coh": "sm"},
+    }
     cases = [
         (mcfg, times, 18),
         ({"kind": "random", "dimension": 4, "seed": 3}, {"t_max": 2.0, "n_points": 21}, 16),
         ({"kind": "decaying-qubit", "omega": 0.2}, {"t_max": 6.0, "n_points": 31}, 4),
         (coupled, {"t_max": 3.0, "n_points": 31}, 16),
+        (qubit, {"t_max": 6.0, "n_points": 31}, 4),
     ]
     for i, (model, grid, dim) in enumerate(cases):
         payload = {"model": model, "times": grid, "epsilon": 0.8}
@@ -1022,12 +1031,18 @@ def test_charge_sector_matches_withheld_charge(tmp_path, monkeypatch):
         got = read_columns(tmp_path / f"e{i}_trajectory.csv")
         run = cli.Run("evolve", payload)
         l0, v = run.ancilla.full_space()
-        traj = dynamics.evolve(l0 + run.epsilon * v, superop.to_dense(run.rho0), run.times)
+        rho0 = superop.to_dense(run.rho0)
+        traj = dynamics.evolve(l0 + run.epsilon * v, rho0, run.times)
         for name, op in run.observables.items():
-            want = traj.expectation(superop.to_dense(op))
+            op = superop.to_dense(op)
+            want = traj.expectation(op)
             scale = np.abs(want).max()
             assert np.abs(got[f"re_{name}"] - want.real).max() <= 1e-12 * scale
             assert np.abs(got[f"im_{name}"] - want.imag).max() <= 1e-12 * scale
+            # a Hermitian observable on a Hermitian state reads a real state
+            # through a real functional: its imaginary part is exactly zero
+            if np.array_equal(rho0, rho0.conj().T) and np.array_equal(op, op.conj().T):
+                assert not got[f"im_{name}"].any()
 
     # compare propagates the sector alone; the full-space route, charge
     # withheld, propagates every component

@@ -24,7 +24,12 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
+from lsw.spectral import AncillaBasis, hermitian_frame
 from lsw.superop import devectorize, lift, to_dense, vectorize
+
+# |Im(F G F^H)| of the real Hermitian frame F, in roundings of max |G| for
+# the whole-space G (at most 0.76 over the draws of the sector test below)
+FRAME_ROUNDINGS = 2
 
 # evolve steps densely when spans * k^3 <= DENSE_STEP_RATIO * ||G||_1 t_max
 # + DENSE_STEP_FLOOR * steps; the tests below pick inputs on both sides of
@@ -211,6 +216,25 @@ def test_one_norm_is_scipys_bit_for_bit(rows, cols, density, seed, cplx):
     assert one_norm(g) == spla.norm(g, 1)
 
 
+@pytest.mark.parametrize("k, stepper", [(12, "expm"), (200, "expm_multiply")])
+def test_real_generator_and_state_propagate_in_float64(k, stepper):
+    # propagate's dtype contract: a real G and a real y0 give float64
+    # states, whichever way it steps, and the same states as the complex
+    # route; a complex y0 under the real G stays complex
+    rng = np.random.default_rng(k)
+    g = sp.random(k, k, density=0.05, random_state=rng, format="csr") - sp.identity(k)
+    y0 = rng.standard_normal(k)
+    times = np.linspace(0.0, 1.0, 5)
+    states, used = dynamics.propagate(g, y0, times)
+    assert used == stepper and states.dtype == np.float64
+    want, used = dynamics.propagate(g.astype(complex), y0.astype(complex), times)
+    assert used == stepper and want.dtype == np.complex128
+    assert np.abs(states - want).max() <= 1e-12 * np.abs(want).max()
+    mixed, used = dynamics.propagate(g, y0 + 1j * y0, times)
+    assert used == stepper and mixed.dtype == np.complex128
+    assert np.abs(mixed - (1 + 1j) * want).max() <= 1e-12 * np.abs(want).max()
+
+
 def expected_stepper(k, scale, spans, steps, floor):
     dense = spans * k**3 <= DENSE_STEP_RATIO * scale + floor * (steps - 1)
     return "expm" if dense else "expm_multiply"
@@ -234,9 +258,11 @@ def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, unifo
     gen = to_dense(sum(model.full_space()))
     charge = np.add.outer(*charges).reshape(-1)
     order = np.subtract.outer(charge, charge)
-    # a positive order-0 part, plus one nonzero order when asked and present
+    # a positive order-0 part, exactly Hermitian, plus one nonzero order
+    # (not Hermitian) when asked and present
     x = rng.standard_normal(order.shape) + 1j * rng.standard_normal(order.shape)
     rho0 = (x @ x.conj().T) * (order == 0)
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
     orders = [0]
     nonzero = np.unique(order[order != 0])
     if two_orders and nonzero.size:
@@ -289,6 +315,36 @@ def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, unifo
         (-np.real(states @ (block.T @ f)), emission_intensity(whole, op, gen)),
     ):
         assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+    # the real Hermitian frame of the orders of rho0 and rho0^H, as the CLI's
+    # evolve takes it: F is unitary, F G F^H real to rounding, and the real
+    # generator carries F y0 (real for a Hermitian rho0) to the reference
+    basis = AncillaBasis.vec(model, charges)
+    both = np.union1d(orders, np.negative(orders))
+    (k, a, b), _, l0, v = basis.block(both)
+    i, j = np.divmod(k, len(q_a))
+    rows, cols = i * len(q_s) + a, j * len(q_s) + b
+    frame = hermitian_frame(rows, cols)
+    if both.size > len(orders):  # rho0's orders alone lack their conjugates
+        _, _, rows_alone, cols_alone = vec_sector(model, charges, rho0)
+        with pytest.raises(ValidationError, match="conjugation"):
+            hermitian_frame(rows_alone, cols_alone)
+    assert np.abs((frame @ frame.conj().T).toarray() - np.eye(k.size)).max() <= 1e-15
+    assert (abs(frame) > 0).sum(axis=1).max() <= 2
+    g = l0 + v
+    rotated = frame @ g @ frame.conj().T
+    assert np.abs(rotated.imag).max() <= FRAME_ROUNDINGS * np.finfo(float).eps * np.abs(gen).max()
+    x0 = frame @ rho0[rows, cols]
+    hermitian = np.array_equal(rho0, rho0.conj().T)
+    assert hermitian == (len(orders) == 1)
+    assert not (hermitian and x0.imag.any())
+    real = rotated.real.copy()
+    with mock.patch.object(dynamics, "DENSE_STEP_FLOOR", floor):
+        xs, used = dynamics.propagate(real, x0.real if hermitian else x0, times)
+    assert xs.dtype == (np.float64 if hermitian else np.complex128)
+    assert used == expected_stepper(k.size, norm(real.toarray()) * times[-1], spans, times.size, floor)
+    at = rows * charge.size + cols
+    assert np.array_equal(np.sort(at), np.flatnonzero(np.isin(order.reshape(-1), both)))
+    assert np.abs(xs @ frame.conj() - reference[:, at]).max() < 1e-10
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
