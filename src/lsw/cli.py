@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 import yaml
 
 from . import dynamics, models, qrt, superop, sw
@@ -30,7 +29,15 @@ from .exceptions import (
 )
 from .expr import parse_operator_expr
 from .operators import spin_operators
-from .spectral import AncillaBasis, charge_sector, check_perturbative_limit, decompose, hermitian_frame
+from .spectral import (
+    AncillaBasis,
+    charge_sector,
+    check_perturbative_limit,
+    decompose,
+    distinct,
+    frame_coordinates,
+    hermitian_frame,
+)
 from .superop import LindbladSpec, lindblad_superop, vectorize
 
 TASKS = ("spectrum", "effective", "evolve", "compare", "ancilla-qrt", "decoupling-scan")
@@ -57,6 +64,13 @@ MAX_SYMBOL_DEPTH = 50  # nested symbol lookups; each recurses through the parser
 # flagged as possible noise (configs/decoupling_scan.yaml: 3.9 at order 3; the
 # flagged ones at orders 4-8 are 2e-4 to 0.98, above a true floor near 8e-20)
 FLOOR_ROUNDINGS = 2
+
+# compare warns where an effective generator has an eigenvalue whose real part
+# exceeds this fraction of its ||.||_1 (a growing mode): 0.0 exactly on every
+# stable shipped and benchmark config (their slow blocks are lower
+# triangular), 0.05 to 0.18 where the order-2+3 one grows (+0.399 at N=8,
+# g=1; +3.78 on configs/decoupling_scan_n24.yaml)
+GROWTH_TOL = 1e-10
 
 # the engine's eigen coordinates amplify rounding by about condition**2 of
 # L_A's eigenvectors; compare, effective and decoupling-scan refuse past this
@@ -371,11 +385,10 @@ def _build_model(run):
     """The one model registry: (ancilla, rho0, observables, charges), the
     AncillaModel, its initial state (None: none on A (x) S), its observables
     by name and the (q_A, q_S) of ``charge_sector`` (None: none declared).
-    Nothing of the full space is assembled here; decoupling-scan's rounding
-    floor calls ``AncillaModel.full_space``.  The task check (``_check_task``)
+    Nothing of the full space is assembled here.  The task check (``_check_task``)
     comes before any L0 is built.  Superradiance's burst state and ``iz``
-    observable are built, as CSR, for evolve alone, the one task that reads
-    them."""
+    observable are built, by ``superop.kron`` (dense when small, CSR when
+    large), for evolve alone, the one task that reads them."""
     mcfg = _shaped("model", run.cfg.get("model"), dict, ("kind",))
     kind = mcfg["kind"]
     charges = None
@@ -386,8 +399,8 @@ def _build_model(run):
         charges = models.superradiance_charges(params.n_spins)
         if run.task == "evolve":
             n = params.n_spins
-            rho0 = sp.kron(*models.superradiance_initial(n), format="csr")
-            observables = {"iz": sp.kron(np.eye(2), models.collective_ops(n)[2], format="csr")}
+            rho0 = superop.kron(*models.superradiance_initial(n))
+            observables = {"iz": superop.kron(np.eye(2), models.collective_ops(n)[2])}
     elif kind == "decaying-qubit":
         _check_task(run.task, kind, 2, 1)
         l0, _ = models.decaying_qubit(
@@ -498,25 +511,36 @@ def _task_evolve(run):
         )
     basis = AncillaBasis.vec(ancilla, run.charges, run.zero_tol)
     orders = basis.orders_of(rho0)
-    (k, a, b), _, l0, v = basis.block(np.union1d(orders, -orders))
+    (k, a, b), _, l0, v = basis.block(distinct(np.concatenate((orders, -orders))))
     i, j = np.divmod(k, math.isqrt(basis.q_k.size))
     rows, cols = i * ancilla.dim_s + a, j * ancilla.dim_s + b
     frame = hermitian_frame(rows, cols)
 
-    def at(op, r, c, f):  # f @ the entries op[r, c], real where exactly so
-        x = f @ np.asarray(op[r, c]).reshape(-1)
+    def at(op, r, c, conj=False):  # F or conj(F) on op[r, c], real where exactly so
+        x = frame_coordinates(rows, cols, np.asarray(op[r, c]).reshape(-1), conj)
         return x if x.imag.any() else x.real
 
     # a copy: .real views the complex entries with a stride, which every
-    # sparse product would first copy
+    # product would first copy; a sparse block drops the entries whose real
+    # part is zero
     generator = (frame @ (l0 + run.epsilon * v) @ frame.conj().T).real.copy()
-    generator.eliminate_zeros()
-    states, _ = dynamics.propagate(generator, at(rho0, rows, cols, frame), run.times)
-    series = [states @ at(op, cols, rows, frame.conj()) for op in run.observables.values()]
+    if not isinstance(generator, np.ndarray):
+        generator.eliminate_zeros()
+    states, _ = dynamics.propagate(generator, at(rho0, rows, cols), run.times)
+    series = [states @ at(op, cols, rows, conj=True) for op in run.observables.values()]
     names = list(run.observables)
     header = ["time"] + [f"re_{k}" for k in names] + [f"im_{k}" for k in names]
     columns = [run.times] + [s.real for s in series] + [s.imag for s in series]
     return [_write_csv(run.out + "_trajectory.csv", header, columns)]
+
+
+def _growth(generator):
+    """The largest real part of the generator's eigenvalues: its diagonal's
+    where it is triangular (eigvals took 0.55 s at N=1000), else eigvals'."""
+    nonzero = generator != 0  # triu and tril copy their input: bools, not complex
+    triangular = not (np.triu(nonzero, 1).any() and np.tril(nonzero, -1).any())
+    eigenvalues = np.diagonal(generator) if triangular else np.linalg.eigvals(generator)
+    return float(eigenvalues.real.max(initial=-np.inf))
 
 
 def _task_compare(run):
@@ -550,8 +574,21 @@ def _task_compare(run):
         return -np.real(states @ (generator.T @ functional))
 
     i_exact = intensity(sd.l0_eigen + run.epsilon * v, y0, f)
-    i_two = intensity(sw.effective_liouvillian(series, 2), y0[slow], f[slow])
-    i_three = intensity(sw.effective_liouvillian(series, 3), y0[slow], f[slow])
+    l_two, l_three = (sw.effective_liouvillian(series, n) for n in (2, 3))
+    i_two = intensity(l_two, y0[slow], f[slow])
+    i_three = intensity(l_three, y0[slow], f[slow])
+    for name, generator in (("2", l_two), ("2+3", l_three)):
+        growth = _growth(generator)
+        if growth > 0 and growth > GROWTH_TOL * abs(generator).sum(0).max(initial=0.0):
+            v_norm = ancilla.perturbation_norm()  # an eigvalsh of H: 2.6 s at N=1000
+            ok = check_perturbative_limit(sd, v_norm, run.epsilon)
+            print(
+                f"warning: the order-{name} effective generator has an eigenvalue with "
+                f"real part {growth:+.3g}, a growing mode: outside the perturbative regime "
+                f"(the gap check {'holds' if ok else 'fails'}: gap {sd.gap:.3g} "
+                f"{'>' if ok else '<='} 2 eps ||V|| = {2 * abs(run.epsilon) * v_norm:.4g})",
+                file=sys.stderr,
+            )
 
     path = _write_csv(
         run.out + "_compare.csv",
@@ -580,6 +617,29 @@ def _task_ancilla_qrt(run):
     ]
 
 
+def _passes(basis, orders):
+    """The orders q >= 0 of ``orders`` in groups of about
+    ``SPECTRAL_DIM_LIMIT`` coordinates, one :meth:`AncillaBasis.block` pass
+    each; an order past the limit is refused before anything is built."""
+    orders = orders[orders >= 0]
+    passes = np.cumsum(basis.dims(orders, SPECTRAL_DIM_LIMIT)) // SPECTRAL_DIM_LIMIT
+    return np.split(orders, np.flatnonzero(np.diff(passes)) + 1)
+
+
+def _one_norms(run, eps):
+    """||L0 + epsilon V||_1 for each epsilon, without the full space: in
+    L_A's own basis |i a><j b| (:meth:`AncillaBasis.vec`) both keep every
+    coherence order, so each column's sum lies within its order's block,
+    and order -q holds the conjugates of order q's columns, with the same
+    absolute sums; the q >= 0 blocks are built in :func:`_passes`."""
+    vec = AncillaBasis.vec(run.ancilla, run.charges, run.zero_tol)
+    norms = np.zeros(eps.size)
+    for group in _passes(vec, vec.orders(every=True)):
+        _, _, l0, v = vec.block(group)
+        norms = np.maximum(norms, [abs(l0 + e * v).sum(0).max() for e in eps])
+    return norms
+
+
 def _task_decoupling_scan(run):
     """max_q ||P_q T Q_q|| + max_q ||Q_q T P_q||: L0, V and each S_n keep every
     coherence order q, and Hermiticity maps q to -q with equal norms, so only the
@@ -590,11 +650,8 @@ def _task_decoupling_scan(run):
     _check_condition(basis.condition)
     if basis.slow.size == basis.eigenvalues.size:
         raise ValidationError("decoupling-scan: L0 has no fast mode to decouple (zero residual)")
-    eps, orders, blocks = np.asarray(run.epsilons), basis.orders(), []
-    orders = orders[orders >= 0]
-    # built a few orders at a time, about SPECTRAL_DIM_LIMIT coordinates a pass
-    passes = np.cumsum(basis.dims(orders, SPECTRAL_DIM_LIMIT)) // SPECTRAL_DIM_LIMIT
-    for group in np.split(orders, np.flatnonzero(np.diff(passes)) + 1):
+    eps, blocks = np.asarray(run.epsilons), []
+    for group in _passes(basis, basis.orders()):
         for sector in basis.sectors(group):
             sd, gen = sector.spectral, sw.generator_terms(sector.spectral, sector.v, run.order)
             blocks.append(sw.decoupling_blocks(sd, gen, eps, run.order))
@@ -606,9 +663,8 @@ def _task_decoupling_scan(run):
     slope = float(np.polyfit(np.log(eps), np.log(res), 1)[0])
     header = ["epsilon", "residual", "fitted_slope"]
     path = _write_csv(run.out + "_decoupling.csv", header, [eps, res, slope])
-    l0, v = run.ancilla.full_space()
-    for e, r in zip(eps, res):
-        floor = FLOOR_ROUNDINGS * np.finfo(float).eps * abs(l0 + e * v).sum(0).max()
+    for e, r, norm in zip(eps, res, _one_norms(run, eps)):
+        floor = FLOOR_ROUNDINGS * np.finfo(float).eps * norm
         if r <= floor:
             msg = f"residual {r:.3g} at epsilon {e:g} is at the rounding floor {floor:.3g}"
             print(f"warning: {msg}; the fitted slope does not measure the order", file=sys.stderr)

@@ -7,9 +7,10 @@ state with a number of matvecs that grows with ||G||_1 t_max, and at
 least a fixed cost per output point.  The stiffness guard and the
 non-finite check cover both ways.  ``expm`` is numpy's scaling and
 squaring, batched over stacks; it also gives ``sw.decoupling_blocks`` its
-exp(+-S), so no module of the package imports ``scipy.linalg``.
-``scipy.sparse.linalg`` is imported on the ``expm_multiply`` way alone, so
-a CLI start that never takes it does not load it.
+exp(+-S), so no module of the package imports ``scipy.linalg``.  A dense
+generator stays dense; ``scipy.sparse`` and ``scipy.sparse.linalg`` are
+imported on the ``expm_multiply`` way alone (``superop.scipy_sparse``), so a
+CLI start that never takes it does not load them.
 
 ``evolve`` is the whole-space reference: it propagates every vec component
 of a state under a full generator.  Coherence-order sectors (Buca &
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
-from .superop import to_csr, vectorize
+from .superop import scipy_sparse, to_csr, to_dense, vectorize
 
 # expm_multiply does not fail on very stiff input, it runs (nearly) forever;
 # propagations with ||G||_1 * t_max above this are refused up front
@@ -103,9 +104,9 @@ def _validate_times(times):
 
 
 def one_norm(g):
-    """||g||_1 of a sparse matrix, its largest absolute column sum: the
-    expression of ``scipy.sparse.linalg.norm(g, 1)``, which stays unimported
-    until ``expm_multiply`` is needed."""
+    """||g||_1 of a dense or sparse matrix, its largest absolute column sum:
+    the expression of ``scipy.sparse.linalg.norm(g, 1)``, which stays
+    unimported until ``expm_multiply`` is needed."""
     return abs(g).sum(axis=0).max()
 
 
@@ -216,7 +217,7 @@ def propagate(generator, y0, times):
     so the steps are real products; a complex G or y0 gives complex states.
     """
     times = _validate_times(times)
-    g = to_csr(generator)
+    g = generator if isinstance(generator, np.ndarray) else to_csr(generator)
     y0 = np.asarray(y0)
     y0 = y0.astype(np.result_type(g.dtype, y0.dtype, float), copy=False)
     if g.shape != (y0.size, y0.size):
@@ -243,15 +244,13 @@ def propagate(generator, y0, times):
     with np.errstate(over="ignore", invalid="ignore"):
         for stop, num in spans:
             if dense:
-                step = expm(g.toarray() * (stop / (num - 1)))
+                step = expm(to_dense(g) * (stop / (num - 1)))
                 for _ in range(num - 1):
                     states.append(step @ states[-1])
             else:
-                import scipy.sparse.linalg as spla
-
                 states.extend(
-                    spla.expm_multiply(
-                        g, states[-1], start=0.0, stop=stop, num=num, endpoint=True
+                    scipy_sparse(linalg=True).expm_multiply(
+                        to_csr(g), states[-1], start=0.0, stop=stop, num=num, endpoint=True
                     )[1:]
                 )
     states = np.array(states)

@@ -12,7 +12,8 @@ L_A's eigenvalues d_S**2 times.  The structured one, :class:`AncillaBasis`
 (:func:`charge_sector` for order 0), serves L0 = L_A (x) 1_S as the model
 declares it: it diagonalizes the block L_A once and builds coherence-order
 sectors (the whole space for trivial charges) from the model's operators,
-with V's blocks and sparse vec-space eigenvectors R_k (x) |a><b|.  In
+with V's blocks and vec-space eigenvectors R_k (x) |a><b|, each stored as
+``superop.from_entries`` assembles it (dense when small, CSR when large).  In
 eigen coordinates the slow/fast split is the four blocks of :func:`blocks`,
 joined by :func:`assemble`, and the fast inverse scales a block's rows or
 columns (:func:`scaled`).  This is the one split: the recursion in
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import superop
 from .exceptions import (
@@ -40,10 +40,20 @@ from .exceptions import (
     ToleranceNotMetError,
     ValidationError,
 )
-from .superop import all_finite, compact, row_entries, to_csr, to_dense
+from .superop import all_finite, compact, from_entries, row_entries, to_dense, values
 
 DEFAULT_ZERO_TOL = 1e-9
 DEFAULT_COND_LIMIT = 1e8
+
+
+def distinct(x):
+    """The distinct values of an array, ascending: ``np.unique`` without its
+    first call's import of ``numpy.ma`` (13-15 ms, numpy 2.4), which scipy
+    no longer loads at start."""
+    x = np.sort(np.ravel(x))
+    keep = np.ones(x.size, bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,9 @@ class SpectralData:
     ``left @ right == identity`` by construction; ``gap`` is the smallest
     modulus among fast eigenvalues (+inf when the fast set is empty).
     ``right`` is D x m and ``left`` m x D for m coordinates: ndarrays on the
-    ``"dense"`` backend (m = D), CSC and CSR on the ``"sector"`` one.
+    ``"dense"`` backend (m = D); on the ``"sector"`` one, as
+    ``superop.from_entries`` stores an m x D matrix, ``left`` and the
+    transpose of ``right`` (CSC when sparse).
     ``l0_eigen``, ``left @ L0 @ right``, is diag(eigenvalues) up to rounding.
     ``factors`` is (k, pair, label, basis) on the sector backend: coordinate
     m is R_k (x) |a><b| for L_A's eigenvector k = k[m] of coherence order
@@ -153,11 +165,12 @@ def _entries(alpha, k, d_s, cols, rows_a, rows_b, values):
 
 def _place(keys, size, rows, cols, data):
     """The entries whose row (of ``size`` whole-space ones) is in their
-    column's sector as a CSR block on the stacked ``keys``, and the others."""
+    column's sector as a block on the stacked ``keys`` (``from_entries``),
+    and the others."""
     rows = keys[cols] - keys[cols] % size + rows
     pos = np.minimum(np.searchsorted(keys, rows), keys.size - 1)
     inside = keys[pos] == rows
-    block = sp.csr_matrix((data[inside], (pos[inside], cols[inside])), shape=(keys.size,) * 2)
+    block = from_entries(data[inside], pos[inside], cols[inside], (keys.size,) * 2)
     return block, (rows[~inside], cols[~inside], data[~inside])
 
 
@@ -173,7 +186,7 @@ class AncillaBasis:
         vec_order = self._declare(model, charges, zero_tol)
         self.q_k = np.empty(sd.dim, dtype=int)
         for k, r in enumerate(sd.right.T):
-            found = np.unique(vec_order[abs(r) > zero_tol * abs(r).max()])
+            found = distinct(vec_order[abs(r) > zero_tol * abs(r).max()])
             if found.size != 1:
                 raise MixedChargeError(
                     f"ancilla eigenvector {k} spans coherence orders {found.tolist()}"
@@ -221,15 +234,17 @@ class AncillaBasis:
         """A superoperator on A in the basis's coordinates, left @ op @ right."""
         return op if self.right is None else self.left @ op @ self.right
 
-    def orders(self):
-        """The orders of the sectors that hold a zero mode of L0, ascending."""
-        return np.unique(np.add.outer(self.q_k[self.slow], np.subtract.outer(self.q_s, self.q_s)))
+    def orders(self, every=False):
+        """The orders of the sectors that hold a zero mode of L0, or with
+        ``every`` of all sectors, ascending."""
+        q_k = self.q_k if every else self.q_k[self.slow]
+        return distinct(np.add.outer(q_k, np.subtract.outer(self.q_s, self.q_s)))
 
     def orders_of(self, op):
         """The coherence orders of an operator's nonzero entries on A (x) S, ascending."""
         charge = np.add.outer(self.q_a, self.q_s).reshape(-1)
         rows, cols = op.nonzero()
-        return np.unique(charge[rows] - charge[cols])
+        return distinct(charge[rows] - charge[cols])
 
     def dims(self, orders, max_dim=np.inf):
         """The dimension of each coherence order in ``orders``, the number of
@@ -252,7 +267,7 @@ class AncillaBasis:
     def block(self, orders, max_dim=np.inf):
         """The coherence orders ``orders`` on their stacked coordinates: the
         index (k, a, b) of each, the dimension of each order, and L0 and V
-        as block-diagonal CSR matrices.
+        as block-diagonal matrices, stored by ``superop.from_entries``.
 
         Coordinate (k, a, b) is c_k (x) |a><b| for L_A's coordinate vector c_k,
         of order q_k + q_S[a] - q_S[b], keyed label * D + (k d_S + a) d_S + b.
@@ -287,10 +302,10 @@ class AncillaBasis:
         pair, label = a * d_s + b, self.q_k[k]
         h, vectors = d_a * d_s, []
         for factor in (self.left, self.right.T):
-            m, ij, values = row_entries(sp.csr_matrix(factor), k)
+            m, ij, entries = row_entries(factor, k)
             i, j = np.divmod(ij, d_a)
             at = (i * d_s + a[m]) * h + j * d_s + b[m]
-            vectors.append(sp.csr_matrix((values, (m, at)), shape=(total, h * h)))
+            vectors.append(from_entries(entries, m, at, (total, h * h)))
         out = []
         for order, start, stop in zip(orders, np.cumsum(dims) - dims, np.cumsum(dims)):
             cut = slice(start, stop)
@@ -300,7 +315,7 @@ class AncillaBasis:
             sd = SpectralData(
                 l0_eigen=l0_eigen[cut, cut],
                 eigenvalues=eigenvalues,
-                right=vectors[1][cut].T,  # CSC
+                right=vectors[1][cut].T,
                 left=vectors[0][cut],
                 slow=np.flatnonzero(is_slow[cut]),
                 fast=fast,
@@ -321,22 +336,21 @@ class AncillaBasis:
         parts = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0, complex))]
         with np.errstate(over="ignore", invalid="ignore"):
             for op_a, op_s in self.model.couplings:
-                s = sp.csr_matrix(op_s, dtype=complex)
+                s = np.asarray(op_s, dtype=complex)
                 alpha_l = self.coordinates(np.kron(op_a, eye_a))
                 alpha_r = self.coordinates(np.kron(eye_a, np.transpose(op_a)))
-                cols, to_a, values = row_entries(s.T.tocsr(), a)  # S[to_a, a]
-                parts.append(_entries(alpha_l, k, d_s, cols, to_a, b[cols], coeff * values))
-                cols, to_b, values = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
-                parts.append(_entries(alpha_r, k, d_s, cols, a[cols], to_b, -coeff * values))
+                cols, to_a, entries = row_entries(s.T, a)  # S[to_a, a]
+                parts.append(_entries(alpha_l, k, d_s, cols, to_a, b[cols], coeff * entries))
+                cols, to_b, entries = row_entries(s, b)  # S^T[to_b, b] = S[b, to_b]
+                parts.append(_entries(alpha_r, k, d_s, cols, a[cols], to_b, -coeff * entries))
             v, (rows, cols, data) = _place(keys, size, *(np.concatenate(p) for p in zip(*parts)))
         if not all_finite(v):
             raise ToleranceNotMetError(
                 "V's block has non-finite entries: epsilon * V exceeds float64"
             )
-        v.eliminate_zeros()  # the entries that cancel across couplings
         _, where = np.unique(rows * keys.size + cols, return_inverse=True)
         leak = np.bincount(where, data.real) + 1j * np.bincount(where, data.imag)
-        if abs(leak).max(initial=0.0) > self.zero_tol * abs(v.data).max(initial=0.0):
+        if abs(leak).max(initial=0.0) > self.zero_tol * abs(values(v)).max(initial=0.0):
             raise ValidationError(
                 "the couplings do not conserve the declared charge: they map a "
                 "coherence order to others"
@@ -344,17 +358,9 @@ class AncillaBasis:
         return v
 
 
-def hermitian_frame(rows, cols):
-    """A unitary CSR F, at most two entries a row, for the coordinates
-    m = |rows[m]><cols[m]| of a block of :meth:`AncillaBasis.vec`: F x is real
-    for the coordinates x of a Hermitian operator, and F G F^H is real, up to
-    rounding, for a G that maps Hermitian operators to Hermitian ones.
-
-    The partner of m under conjugation, |cols[m]><rows[m]|, is p.  A
-    self-paired m keeps e_m, and each pair m < p becomes (e_m + e_p) / sqrt2
-    at row m and i (e_m - e_p) / sqrt2 at row p.  A coordinate without its
-    partner (a block of orders not closed under q -> -q) raises
-    ValidationError."""
+def _frame_rows(rows, cols):
+    """(p, diag, off): row m of :func:`hermitian_frame` is diag[m] e_m +
+    off[m] e_p[m], for the partner p[m] of m (off[m] = 0 where p[m] = m)."""
     size = max(rows.max(initial=0), cols.max(initial=0)) + 1
     code, partner = rows * size + cols, cols * size + rows
     by = np.argsort(code)
@@ -367,11 +373,37 @@ def hermitian_frame(rows, cols):
     m = np.arange(code.size)
     pair, lo, s = p != m, m < p, math.sqrt(0.5)
     diag = np.where(pair, np.where(lo, s, -1j * s), 1.0)
-    data = np.concatenate([diag, np.where(lo, s, 1j * s)[pair]])
-    return sp.csr_matrix(
-        (data, (np.concatenate([m, m[pair]]), np.concatenate([m, p[pair]]))),
-        shape=(code.size,) * 2,
-    )
+    return p, diag, np.where(pair, np.where(lo, s, 1j * s), 0.0)
+
+
+def hermitian_frame(rows, cols):
+    """A unitary F, at most two entries a row, stored by
+    ``superop.from_entries``, for the coordinates
+    m = |rows[m]><cols[m]| of a block of :meth:`AncillaBasis.vec`: F x is real
+    for the coordinates x of a Hermitian operator, and F G F^H is real, up to
+    rounding, for a G that maps Hermitian operators to Hermitian ones.
+
+    The partner of m under conjugation, |cols[m]><rows[m]|, is p.  A
+    self-paired m keeps e_m, and each pair m < p becomes (e_m + e_p) / sqrt2
+    at row m and i (e_m - e_p) / sqrt2 at row p.  A coordinate without its
+    partner (a block of orders not closed under q -> -q) raises
+    ValidationError."""
+    p, diag, off = _frame_rows(rows, cols)
+    m = np.arange(p.size)
+    pair = p != m
+    rows, cols = np.concatenate([m, m[pair]]), np.concatenate([m, p[pair]])
+    return from_entries(np.concatenate([diag, off[pair]]), rows, cols, (p.size,) * 2)
+
+
+def frame_coordinates(rows, cols, x, conj=False):
+    """F x, or conj(F) x, for :func:`hermitian_frame`'s F, from its two
+    entries a row: a two-term sum, so the imaginary parts of a Hermitian
+    operator's coordinates cancel exactly, where a dense product's fused or
+    reordered sums leave rounding."""
+    p, diag, off = _frame_rows(rows, cols)
+    if conj:
+        diag, off = diag.conj(), off.conj()
+    return diag * x + off * x[p]
 
 
 def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf):
@@ -403,27 +435,38 @@ def charge_sector(model, charges=None, zero_tol=DEFAULT_ZERO_TOL, max_dim=np.inf
 
 def to_eigen(sd, a):
     """A superoperator in L0's eigen coordinates: entry (i, j) is <l_i|A|r_j>.
-    ``a`` is taken dense, or on the sector backend as CSR until it is as full
-    as ``superop.compact`` allows."""
-    a = compact(to_csr(a)) if sd.backend == "sector" else to_dense(a)
-    return compact(sd.left @ a @ sd.right)
+    Dense on the dense backend; on the sector one ``a`` and the result are
+    in the storage ``superop.compact`` picks."""
+    if sd.backend == "dense":
+        return sd.left @ to_dense(a) @ sd.right
+    return compact(sd.left @ compact(a) @ sd.right)
+
+
+def _stored(sd, m):
+    """m dense on the dense backend, in ``superop.compact``'s storage on the
+    sector one."""
+    return to_dense(m) if sd.backend == "dense" else compact(m)
 
 
 def from_eigen(sd, a):
-    """The full-space superoperator whose eigen coordinates are ``a``."""
-    return compact(sd.right @ a @ sd.left)
+    """The full-space superoperator whose eigen coordinates are ``a``, stored
+    as :func:`_stored` picks."""
+    return _stored(sd, sd.right @ a @ sd.left)
 
 
 def blocks(sd, a):
-    """The blocks (ss, sf, fs, ff) of an eigen-coordinate matrix, in the
-    storage ``compact`` picks for each: sliced from CSR only where the
-    largest block may stay sparse, else from the dense matrix."""
+    """The blocks (ss, sf, fs, ff) of an eigen-coordinate matrix: dense on
+    the dense backend, and on the sector one in the storage ``compact``
+    picks for each, sliced from a CSR matrix only where the largest block
+    may stay sparse."""
     sides = (sd.slow, sd.fast)
-    if sp.issparse(a) and max(sd.slow.size, sd.fast.size) ** 2 > superop.DENSE_ENTRIES:
-        a = to_csr(a)
-        return tuple(compact(a[rows][:, cols]) for rows in sides for cols in sides)
-    a = to_dense(a)
-    return tuple(a[np.ix_(rows, cols)] for rows in sides for cols in sides)
+    if sd.backend == "dense" or max(sd.slow.size, sd.fast.size) ** 2 <= superop.DENSE_ENTRIES:
+        a = to_dense(a)
+        return tuple(a[np.ix_(rows, cols)] for rows in sides for cols in sides)
+    if isinstance(a, np.ndarray):
+        return tuple(compact(a[np.ix_(rows, cols)]) for rows in sides for cols in sides)
+    a = a.tocsr()
+    return tuple(compact(a[rows][:, cols]) for rows in sides for cols in sides)
 
 
 def assemble(sd, ss=None, sf=None, fs=None, ff=None):
@@ -438,9 +481,9 @@ def assemble(sd, ss=None, sf=None, fs=None, ff=None):
 
 def scaled(x, weights, axis):
     """x with its rows (axis 0) or columns (axis 1) multiplied by ``weights``."""
-    if not sp.issparse(x):
+    if isinstance(x, np.ndarray):
         return x * (weights[:, None] if axis == 0 else weights)
-    x = to_csr(x).copy()
+    x = x.tocsr().copy()
     x.data *= np.repeat(weights, np.diff(x.indptr)) if axis == 0 else weights[x.indices]
     return x
 
@@ -504,7 +547,7 @@ def gram_factors(sd):
 
 def projectors(sd):
     """Spectral projectors P (slow) and Q = 1 - P; generally non-orthogonal."""
-    p, q = (compact(sd.right[:, m] @ sd.left[m, :]) for m in (sd.slow, sd.fast))
+    p, q = (_stored(sd, sd.right[:, m] @ sd.left[m, :]) for m in (sd.slow, sd.fast))
     return Projectors(p=p, q=q)
 
 
@@ -512,7 +555,7 @@ def fast_inverse(sd):
     """Inverse of L0 restricted to the fast space, zero on the slow space."""
     inverse = np.zeros(sd.dim, complex)
     inverse[sd.fast] = 1.0 / sd.eigenvalues[sd.fast]
-    return from_eigen(sd, sp.diags(inverse, format="csr"))
+    return from_eigen(sd, superop.scipy_sparse().diags(inverse, format="csr"))
 
 
 def resolvent_apply(sd, a):

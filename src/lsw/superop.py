@@ -2,6 +2,15 @@
 
 Row-stacking convention throughout: the component i*d + j of vec(rho) is
 rho[i, j], so the map rho -> A rho B has matrix kron(A, B.T).
+
+This module owns the storage rule and is the one place ``scipy.sparse`` is
+imported, on the first CSR matrix it builds (:func:`scipy_sparse`).  A matrix
+assembled from its entries (:func:`from_entries`, :func:`kron`) is a dense
+ndarray up to ``DENSE_LIMIT`` = 2**17 entries (a 362 x 362 matrix) and CSR
+above it; :func:`compact` then moves a block either way for products.
+``lift``, the ``sparse`` superoperator builders, ``spectral.fast_inverse``
+and ``expm_multiply`` stay CSR.  Type checks ask whether a matrix is an
+ndarray, so they need no scipy either.
 """
 
 import math
@@ -9,10 +18,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import DimensionMismatchError, ValidationError
-from .operators import hermitian_basis
 
 # superoperators denser than this are stored dense (entries scale as d**4)
 SPARSE_FILL_THRESHOLD = 0.1
@@ -22,6 +29,14 @@ SPARSE_FILL_THRESHOLD = 0.1
 # alone, while a limit of 16384 made N=64 and N=100 (blocks from 65 x 65)
 # 2.8 and 3.5 times slower: dense products lose the sparsity the terms keep
 DENSE_ENTRIES = 4096
+# matrices assembled from entries are dense up to this many entries, CSR
+# above.  Assembling a k x k matrix of 6k complex entries took 0.11 ms either
+# way at 65,536 entries, and 0.34 ms dense against 0.11 ms CSR at 131,072 (one
+# BLAS thread); importing scipy.sparse took 57-140 ms and 20 MB.  So a task
+# whose few matrices stay under this limit gains the import, and every
+# benchmark task does: its largest, burst16's sector vec-vectors, has 76,296
+# entries, while the N=100 evolve block (161,604) stays CSR
+DENSE_LIMIT = 2**17
 HERM_TOL = 1e-12  # largest entry of H - H^dag accepted for a Hermitian operator
 
 
@@ -39,28 +54,80 @@ def devectorize(v):
     return v.reshape(d, d)
 
 
+def scipy_sparse(linalg=False):
+    """``scipy.sparse``, or with ``linalg`` its ``linalg``, imported on the
+    first call: a task whose matrices all stay dense never loads it (nor
+    ``numpy.random`` and the rest of numpy that scipy's array-API layer
+    imports with it)."""
+    import scipy.sparse
+
+    if linalg:
+        import scipy.sparse.linalg
+    return scipy.sparse.linalg if linalg else scipy.sparse
+
+
 def to_dense(m):
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
+    return np.asarray(m) if isinstance(m, np.ndarray) else m.toarray()
 
 
 def to_csr(m):
-    return m.tocsr() if sp.issparse(m) else sp.csr_matrix(m)
+    return scipy_sparse().csr_matrix(m) if isinstance(m, np.ndarray) else m.tocsr()
+
+
+def values(m):
+    """The stored entries of m: all of a dense m, the ``data`` of a sparse one."""
+    return m if isinstance(m, np.ndarray) else m.data
 
 
 def all_finite(m):
     """Whether every stored entry of m, dense or sparse, is finite."""
-    return bool(np.isfinite(m.data if sp.issparse(m) else m).all())
+    return bool(np.isfinite(values(m)).all())
+
+
+def from_entries(data, rows, cols, shape):
+    """The matrix with ``data`` at (``rows``, ``cols``), repeated positions
+    summed: a dense ndarray up to ``DENSE_LIMIT`` entries, CSR without
+    stored zeros above.  The dense sums run in input order from +0.0, as
+    CSR sums its duplicates and ``toarray`` writes them, so both storages
+    hold the same bits (up to the order of duplicates in a CSR row of more
+    than 16 entries, which scipy's sort may change)."""
+    size = shape[0] * shape[1]
+    if size > DENSE_LIMIT:
+        m = scipy_sparse().csr_matrix((data, (rows, cols)), shape=shape)
+        m.eliminate_zeros()
+        return m
+    data = np.asarray(data)
+    at = np.asarray(rows) * shape[1] + cols
+    if not np.iscomplexobj(data):
+        return np.bincount(at, data, size).reshape(shape)
+    out = np.empty(shape, complex)
+    out.real = np.bincount(at, data.real, size).reshape(shape)
+    out.imag = np.bincount(at, data.imag, size).reshape(shape)
+    return out
+
+
+def kron(a, b):
+    """kron(a, b) of two dense matrices, built from their nonzero entries by
+    :func:`from_entries`."""
+    (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+    rows = np.add.outer(ra * b.shape[0], rb).ravel()
+    cols = np.add.outer(ca * b.shape[1], cb).ravel()
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return from_entries(np.outer(a[ra, ca], b[rb, cb]).ravel(), rows, cols, shape)
 
 
 def compact(m):
-    """m in the cheaper storage for products: dense once it is as full as
-    ``SPARSE_FILL_THRESHOLD``, since sparse products of full matrices cost
-    far more than dense ones, or once it has at most ``DENSE_ENTRIES``
-    entries, where a sparse product's overhead outweighs its savings."""
-    size = m.shape[0] * m.shape[1]
-    if sp.issparse(m) and (size <= DENSE_ENTRIES or m.nnz / size >= SPARSE_FILL_THRESHOLD):
-        return m.toarray()
-    return m
+    """m in the cheaper storage for products, either way: dense once it is as
+    full as ``SPARSE_FILL_THRESHOLD``, since sparse products of full matrices
+    cost far more than dense ones, or once it has at most ``DENSE_ENTRIES``
+    entries, where a sparse product's overhead outweighs its savings; CSR
+    otherwise."""
+    size, dense = m.shape[0] * m.shape[1], isinstance(m, np.ndarray)
+    if size <= DENSE_ENTRIES or (
+        (np.count_nonzero(m) if dense else m.nnz) / size >= SPARSE_FILL_THRESHOLD
+    ):
+        return m if dense else m.toarray()
+    return scipy_sparse().csr_matrix(m) if dense else m
 
 
 def factor_order(dim_a, dim_s):
@@ -77,12 +144,17 @@ def factor_order(dim_a, dim_s):
 
 
 def row_entries(m, rows):
-    """(i, column, value) of every stored entry of row ``rows[i]`` of CSR m,
-    row by row in stored order."""
-    counts = np.diff(m.indptr)[rows]
+    """(i, column, value) of every stored entry of row ``rows[i]`` of m, row
+    by row in stored order: the nonzero ones, by column, of a dense m."""
+    if isinstance(m, np.ndarray):  # its nonzero entries, row-major: CSR's layout
+        r, indices = np.nonzero(m)
+        indptr, data = np.searchsorted(r, np.arange(m.shape[0] + 1)), m[r, indices]
+    else:
+        indptr, indices, data = m.indptr, m.indices, m.data
+    counts = np.diff(indptr)[rows]
     first = np.cumsum(counts) - counts
-    src = np.arange(counts.sum()) + np.repeat(m.indptr[rows] - first, counts)
-    return np.repeat(np.arange(rows.size), counts), m.indices[src], m.data[src]
+    src = np.arange(counts.sum()) + np.repeat(indptr[rows] - first, counts)
+    return np.repeat(np.arange(rows.size), counts), indices[src], data[src]
 
 
 def lift(a, dim_s, vec_cols=True):
@@ -95,7 +167,7 @@ def lift(a, dim_s, vec_cols=True):
     columns c * n + p, and for a fixed pair p both orders increase with c,
     so each row keeps a's sorted columns.
     """
-    a = sp.csr_matrix(a, dtype=complex, copy=True)
+    a = scipy_sparse().csr_matrix(a, dtype=complex, copy=True)
     a.sum_duplicates()
     n = dim_s * dim_s
     order = factor_order(math.isqrt(a.shape[0]), dim_s)
@@ -108,11 +180,12 @@ def lift(a, dim_s, vec_cols=True):
         cols = order[cols]
     indptr = np.concatenate(([0], np.cumsum(np.diff(a.indptr)[rows])))
     shape = (a.shape[0] * n, a.shape[1] * n)
-    return sp.csr_matrix((data, cols, indptr), shape=shape)
+    return scipy_sparse().csr_matrix((data, cols, indptr), shape=shape)
 
 
 def _kron(a, b, sparse=False):
     if sparse:
+        sp = scipy_sparse()
         return sp.kron(sp.csr_matrix(a), sp.csr_matrix(b), format="csr")
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
@@ -202,6 +275,8 @@ def kossakowski_matrix(g):
     this block is Hermitian and positive semidefinite; its smallest
     eigenvalue is the structural diagnostic reported by the CLI.
     """
+    from .operators import hermitian_basis  # operators builds its frame here
+
     g = to_dense(g)
     d = math.isqrt(g.shape[0])
     f = np.array(hermitian_basis(d, traceless=True)).reshape(-1, d, d)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dynamics import expm
 from .exceptions import NonProductSlowSpaceError, OrderUnavailableError, ToleranceNotMetError
@@ -50,9 +49,10 @@ def _add(x, y, coeff=1.0):
     """x + coeff * y for dense or sparse blocks of one shape: dense if either
     is, else in the storage ``compact`` picks."""
     y = y if coeff == 1.0 else coeff * y
-    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):  # skips scipy's type checks
+    dense = isinstance(x, np.ndarray), isinstance(y, np.ndarray)
+    if all(dense):
         return x + y
-    if sp.issparse(x) and sp.issparse(y):
+    if not any(dense):
         return compact(x + y)
     return to_dense(x) + to_dense(y)
 

@@ -12,8 +12,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsw import cli, models, qrt
+from conftest import u1_symmetric_model
+from lsw import cli, models, operators, qrt, spectral, superop
 from lsw.exceptions import (
+    DefectiveOperatorError,
     EmptySlowSpaceError,
     MixedChargeError,
     ToleranceNotMetError,
@@ -116,7 +118,7 @@ def test_vec_basis_refuses_an_l_a_that_mixes_orders():
         AncillaBasis(model, charges)
     index, dims, l0, v = AncillaBasis.vec(model).block([0])
     assert dims.tolist() == [4] and np.array_equal(index[0], np.arange(4))
-    assert np.array_equal(to_dense(l0), model.l0) and v.shape == (4, 4) and v.nnz == 0
+    assert np.array_equal(to_dense(l0), model.l0) and v.shape == (4, 4) and not to_dense(v).any()
 
 
 def test_single_flip_flop_coupling_leaves_the_sector():
@@ -133,16 +135,18 @@ def test_single_flip_flop_coupling_leaves_the_sector():
 @pytest.mark.parametrize("n_spins,stored", [(8, 1152), (16, 4352)])
 def test_cancelled_entries_are_not_stored(n_spins, stored):
     # the flip-flop pairs (sx/2, Ix) and (sy/2, Iy) cancel on about 40% of
-    # the entries they reach; none of those is kept as an explicit zero
+    # the entries they reach; none of those is kept as an explicit zero in
+    # a CSR block (N=16, past superop.DENSE_LIMIT; N=8 is dense)
     v = charge_sector(burst(n_spins, 0.2).ancilla).v
-    assert v.nnz == stored and np.all(v.data != 0)
+    assert np.count_nonzero(to_dense(v)) == stored
+    assert isinstance(v, np.ndarray) or (v.nnz == stored and np.all(v.data != 0))
 
 
 def test_model_without_couplings_has_an_empty_block():
     l0, _ = models.decaying_qubit(gamma=1.0, omega=0.2)
     sector = charge_sector(qrt.AncillaModel(l0=l0, couplings=[]))
     assert sector.spectral.dim == 4 and sector.spectral.slow_dim == 1
-    assert sector.v.shape == (4, 4) and sector.v.nnz == 0
+    assert sector.v.shape == (4, 4) and not to_dense(sector.v).any()
 
 
 def test_non_finite_block_raises_without_warning():
@@ -182,8 +186,8 @@ def test_sectors_tile_the_space(n_spins):
         alone = AncillaBasis(ancilla, charges).sectors([order])[0]
         for name in ("l0_eigen", "right", "left"):
             got, want = getattr(stacked.spectral, name), getattr(alone.spectral, name)
-            assert (got != want).nnz == 0 and got.shape == want.shape
-        assert (stacked.v != alone.v).nnz == 0
+            assert np.array_equal(to_dense(got), to_dense(want))
+        assert np.array_equal(to_dense(stacked.v), to_dense(alone.v))
         assert np.array_equal(stacked.index, alone.index)
         assert np.array_equal(stacked.spectral.eigenvalues, alone.spectral.eigenvalues)
         assert np.array_equal(stacked.spectral.slow, alone.spectral.slow)
@@ -238,3 +242,75 @@ def test_scan_per_order_matches_whole_space_residual(tmp_path_factory, n_spins, 
     # apart, 1.1e-8 relative, on a 5.7e-10 residual at N=6, order 5)
     for r, w in zip(got, want):
         assert abs(r - w) <= max(1e-9 * w, 2e-17), (r, w)
+
+
+def _all_csr_and_default(build):
+    """``build()`` with superop.DENSE_LIMIT 0, where every matrix assembled
+    from entries is CSR (the route before the dense rule), and at the default."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(superop, "DENSE_LIMIT", 0)
+        csr = build()
+    return csr, build()
+
+
+def _assert_same_values(got, want):
+    for g, w in zip(got, want):
+        g, w = to_dense(g), to_dense(w)
+        assert g.shape == w.shape
+        assert np.abs(g - w).max(initial=0.0) <= 1e-13 * max(1.0, np.abs(w).max(initial=0.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    q_a=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    q_s=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_storage_keeps_every_value(q_a, q_s, seed):
+    # the blocks of AncillaBasis.block and .sectors (L0, V and the vec-space
+    # vectors), in eigen coordinates and in L_A's own basis, and both
+    # Hermitian frames hold the same values dense as CSR
+    model, charges, _ = u1_symmetric_model(q_a, q_s, seed)
+    vec = AncillaBasis.vec(model, charges)
+    every = vec.orders(every=True)
+
+    def build():
+        (k, a, b), _, l0, v = AncillaBasis.vec(model, charges).block(every)
+        i, j = np.divmod(k, len(q_a))
+        out = [l0, v, spectral.hermitian_frame(i * len(q_s) + a, j * len(q_s) + b)]
+        out.append(operators.hermitian_frame(len(q_a)))
+        try:
+            basis = AncillaBasis(model, charges)
+            sectors = basis.sectors(basis.orders())
+        except (MixedChargeError, DefectiveOperatorError):  # a draw the eigen route refuses
+            return out
+        out += basis.block(basis.orders())[2:]
+        for s in sectors:
+            out += [s.spectral.l0_eigen, s.v, s.spectral.right, s.spectral.left]
+        return out
+
+    csr, default = _all_csr_and_default(build)
+    assert len(csr) == len(default)
+    assert all(not isinstance(m, np.ndarray) for m in csr)
+    _assert_same_values(default, csr)
+
+
+def test_engine_blocks_keep_their_storage():
+    # the N=32 q=0 sector (130 coordinates) is assembled dense, and
+    # superop.compact gives every engine block the storage the all-CSR
+    # assembly gives it: its fast blocks (97 x 97) stay CSR
+    ancilla, charges = flip_flop(32, g=0.2 / np.sqrt(32))
+
+    def build():
+        sector = charge_sector(ancilla, charges)
+        gen = generator_terms(sector.spectral, sector.v, 3)
+        series = correction_terms(gen, sector.spectral)
+        pairs = [*gen.blocks, *series.blocks]
+        return [sector.v, *gen.v_blocks, *gen.l0_blocks, *(x for pair in pairs for x in pair)]
+
+    csr, default = _all_csr_and_default(build)
+    assert isinstance(default[0], np.ndarray) and not isinstance(csr[0], np.ndarray)
+    kinds = [isinstance(m, np.ndarray) for m in csr[1:]]
+    assert [isinstance(m, np.ndarray) for m in default[1:]] == kinds
+    assert any(kinds) and not all(kinds)
+    _assert_same_values(default, csr)

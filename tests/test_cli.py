@@ -3,10 +3,15 @@ import threading
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import u1_symmetric_model
 
 from lsw import cli, dynamics, models, qrt, spectral, superop, sw
 from lsw.superop import to_dense
@@ -56,9 +61,12 @@ def run_on_backend(monkeypatch, task, cfg, out, dense):
 
     monkeypatch.setattr(spectral.AncillaBasis, "sectors", recorded)
     if dense:
-        monkeypatch.setattr(
-            cli, "AncillaBasis", lambda model, charges, zero_tol: real_basis(model, None, zero_tol)
-        )
+
+        class Whole(real_basis):  # the eigen basis without charges; ``vec`` as it is
+            def __init__(self, model, charges, zero_tol):
+                super().__init__(model, None, zero_tol)
+
+        monkeypatch.setattr(cli, "AncillaBasis", Whole)
     assert cli.main([task, "--config", cfg, "--out", str(out)]) == 0
     monkeypatch.undo()
     return used
@@ -1543,6 +1551,62 @@ def test_decoupling_scan_warns_at_rounding_floor(tmp_path, capsys):
         warned[order] = [line for line in capsys.readouterr().err.splitlines() if "rounding floor" in line]
     assert warned["3"] == []
     assert len(warned["4"]) == 1 and "epsilon 0.0001 " in warned["4"][0]
+
+
+def _full_space_norms(ancilla, eps):
+    """||L0 + epsilon V||_1 for each epsilon, on the assembled full space."""
+    l0, v = ancilla.full_space()
+    return np.array([abs(l0 + e * v).sum(0).max() for e in eps])
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["decoupling_scan.yaml", "decoupling_scan_n24.yaml", "decoupling_scan_n32.yaml",
+     "decoupling_scan_n64.yaml"],
+)
+def test_scan_floor_norm_matches_the_full_space(config):
+    # the rounding floor's ||L0 + eps V||_1 from the vec-basis blocks of the
+    # orders q >= 0, against the full space it no longer assembles
+    shipped = Path(__file__).resolve().parent.parent / "configs" / config
+    run = cli.Run("decoupling-scan", yaml.safe_load(shipped.read_text()))
+    eps = np.asarray(run.epsilons)
+    got, want = cli._one_norms(run, eps), _full_space_norms(run.ancilla, eps)
+    assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    q_a=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    q_s=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_scan_floor_norm_matches_on_u1_models(q_a, q_s, seed):
+    model, charges, _ = u1_symmetric_model(q_a, q_s, seed)
+    eps = np.array([3.0, 0.1, 1e-4])
+    for declared in (charges, None):
+        run = SimpleNamespace(ancilla=model, charges=declared, zero_tol=1e-9)
+        got, want = cli._one_norms(run, eps), _full_space_norms(model, eps)
+        assert np.abs(got - want).max() <= 1e-14 * want.max()
+
+
+def test_compare_warns_outside_the_perturbative_regime(tmp_path, capsys, monkeypatch):
+    # at N=8 and g=1 the order-2+3 generator has an eigenvalue with real part
+    # +0.399 and the gap check fails; the shipped burst's read 0 exactly and
+    # print nothing.  The warning changes neither the exit code nor the CSV
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "burst_compare.yaml"
+    assert cli.main(["compare", "--config", str(shipped), "--out", str(tmp_path / "burst")]) == 0
+    assert capsys.readouterr().err == ""
+    model = {"kind": "superradiance", "n_spins": 8, "g": 1.0, "gamma": 1.0, "omega": 0.2}
+    cfg = write_config(tmp_path, {"model": model, "times": {"t_max": 20.0, "n_points": 11}})
+    assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "warned")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: the order-2+3 effective generator")
+    assert "real part +0.399" in err[0] and "the gap check fails" in err[0]
+    monkeypatch.setattr(cli, "GROWTH_TOL", np.inf)
+    assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
+    assert capsys.readouterr().err == ""
+    quiet, warned = (tmp_path / f"{name}_compare.csv" for name in ("quiet", "warned"))
+    assert quiet.read_bytes() == warned.read_bytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # pytest captures warnings off stderr

@@ -51,16 +51,14 @@ def test_test_imports_are_declared():
 
 
 def test_cli_import_skips_lazy_scipy_modules():
-    # only match_eigenvalues needs scipy.optimize, and no CLI task calls it;
-    # importing it added about 0.2 s and 17 MB of RSS to every CLI start.
-    # scipy.sparse.linalg loads only where propagate takes expm_multiply.
-    # scipy.linalg is not imported at all: lsw.dynamics.expm is numpy, and
-    # loading scipy.linalg added about 9 MB of RSS to every CLI start
+    # import lsw.cli loads no scipy module at all.  scipy.optimize (only
+    # match_eigenvalues, which no CLI task calls) added about 0.2 s and 17 MB;
+    # scipy.linalg about 9 MB (lsw.dynamics.expm is numpy); and scipy.sparse,
+    # through scipy's array-API layer, which imports numpy.f2py, numpy.testing,
+    # numpy.random and numpy.ma, about half of the import's time and 20 MB.
+    # superop.scipy_sparse loads it for the first CSR matrix a task builds
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = (
-        "import sys, lsw.cli; print(sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.optimize', 'scipy.sparse.linalg', 'scipy.linalg'))))"
-    )
+    code = "import sys, lsw.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -68,14 +66,30 @@ def test_cli_import_skips_lazy_scipy_modules():
 
 
 def test_exponential_tasks_leave_scipy_linalg_unloaded(tmp_path):
-    # compare on the shipped burst and evolve step densely with expm(h G),
-    # and decoupling-scan takes exp(+-S) from one stacked expm: each runs
-    # lsw.dynamics.expm in a fresh interpreter, and none loads scipy.linalg
+    # in one fresh interpreter: the four benchmark tasks (compare on the
+    # shipped burst, decoupling-scan and evolve on perfbench's scan8 and
+    # evolve24, ancilla-qrt on random ancillas of dimension 4 and 16) keep
+    # every matrix dense and load no scipy module; compare and evolve step
+    # densely with expm(h G), and decoupling-scan takes exp(+-S) from one
+    # stacked expm, each through lsw.dynamics.expm.  evolve at N=100 (a block
+    # of 402 coordinates, past superop.DENSE_LIMIT) loads scipy.sparse, and
+    # no task loads scipy.linalg
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    qrt = []
+    for dim in (4, 16):
+        path = tmp_path / f"qrt{dim}.yaml"
+        path.write_text(
+            f"model: {{kind: random-ancilla, dimension: {dim}, couplings: 3, system_dimension: 3}}\n"
+        )
+        qrt.append(("ancilla-qrt", path, False))
     runs = [
-        ("compare", ROOT / "configs" / "burst_compare.yaml"),
-        ("evolve", ROOT / "configs" / "decoupling_scan.yaml"),
-        ("decoupling-scan", ROOT / "configs" / "decoupling_scan.yaml"),
+        ("compare", ROOT / "configs" / "burst_compare.yaml", True),
+        ("decoupling-scan", ROOT / "perfbench" / "configs" / "scan8.yaml", True),
+        ("evolve", ROOT / "perfbench" / "configs" / "evolve24.yaml", True),
+        *qrt,
+        ("evolve", ROOT / "configs" / "decoupling_scan.yaml", True),
+        ("decoupling-scan", ROOT / "configs" / "decoupling_scan.yaml", True),
+        ("evolve", ROOT / "configs" / "burst_evolve_n100.yaml", True),
     ]
     code = f"""
 import contextlib, io, sys
@@ -88,18 +102,20 @@ def counted(expm):
     return wrapped
 dynamics.expm = counted(dynamics.expm)
 sw.expm = counted(sw.expm)
-for task, config in {[(t, str(c)) for t, c in runs]!r}:
+for task, config, _ in {[(t, str(c), e) for t, c, e in runs]!r}:
     before = len(calls)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([task, "--config", config, "--out", {str(tmp_path / "run")!r}])
-    print(task, code, len(calls) > before)
+    scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print(task, code, len(calls) > before, "scipy.sparse" in scipy, scipy == [])
 print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     lines = proc.stdout.strip().splitlines()
-    assert lines[:-1] == [f"{task} 0 True" for task, _ in runs]
+    assert lines[:7] == [f"{task} 0 {expm} False True" for task, _, expm in runs[:7]]
+    assert lines[-2] == "evolve 0 True True False"
     assert lines[-1] == "[]"
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import u1_symmetric_model, vec_sector
-from lsw import dynamics, models
+from lsw import dynamics, models, superop
 from lsw.dynamics import (
     DENSE_STEP_FLOOR,
     DENSE_STEP_RATIO,
@@ -24,7 +24,7 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
-from lsw.spectral import AncillaBasis, hermitian_frame
+from lsw.spectral import AncillaBasis, frame_coordinates, hermitian_frame
 from lsw.superop import devectorize, lift, to_dense, vectorize
 
 # |Im(F G F^H)| of the real Hermitian frame F, in roundings of max |G| for
@@ -248,8 +248,17 @@ def expected_stepper(k, scale, spans, steps, floor):
     two_orders=st.booleans(),
     uniform=st.booleans(),
     stepper=st.sampled_from(["expm", "expm_multiply"]),
+    dense_limit=st.sampled_from([0, superop.DENSE_LIMIT]),
 )
-def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, uniform, stepper):
+def test_charge_sector_matches_full_space_expm(
+    q_a, q_s, seed, two_orders, uniform, stepper, dense_limit
+):
+    # DENSE_LIMIT 0 assembles the block and its frame as CSR, the default dense
+    with mock.patch.object(superop, "DENSE_LIMIT", dense_limit):
+        _charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, uniform, stepper)
+
+
+def _charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, uniform, stepper):
     # the block the CLI's evolve propagates (the coherence orders of rho0,
     # built from the operators in L_A's own basis) and whole-space evolve,
     # the reference, both against expm of the whole-space generator; a
@@ -296,7 +305,7 @@ def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, unifo
     # the sector is closed: nothing reaches the other orders
     assert np.abs(np.delete(reference, inside, axis=1)).max(initial=0.0) < 1e-10
     # a sector the generator barely moves may fall below the threshold
-    scale = norm(block.toarray()) * times[-1]
+    scale = norm(to_dense(block)) * times[-1]
     assert used == expected_stepper(inside.size, scale, spans, times.size, floor)
     assert whole.stepper == expected_stepper(order.size, norm(gen) * times[-1], spans, times.size, floor)
     if stepper == "expm_multiply":
@@ -328,12 +337,15 @@ def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, unifo
         _, _, rows_alone, cols_alone = vec_sector(model, charges, rho0)
         with pytest.raises(ValidationError, match="conjugation"):
             hermitian_frame(rows_alone, cols_alone)
-    assert np.abs((frame @ frame.conj().T).toarray() - np.eye(k.size)).max() <= 1e-15
+    assert np.abs(to_dense(frame @ frame.conj().T) - np.eye(k.size)).max() <= 1e-15
     assert (abs(frame) > 0).sum(axis=1).max() <= 2
     g = l0 + v
     rotated = frame @ g @ frame.conj().T
     assert np.abs(rotated.imag).max() <= FRAME_ROUNDINGS * np.finfo(float).eps * np.abs(gen).max()
-    x0 = frame @ rho0[rows, cols]
+    # the CLI reads the state through the frame's two entries a row, where
+    # the imaginary parts of a Hermitian rho0 cancel exactly
+    x0 = frame_coordinates(rows, cols, rho0[rows, cols])
+    assert np.abs(x0 - frame @ rho0[rows, cols]).max() <= 1e-15
     hermitian = np.array_equal(rho0, rho0.conj().T)
     assert hermitian == (len(orders) == 1)
     assert not (hermitian and x0.imag.any())
@@ -341,7 +353,7 @@ def test_charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, unifo
     with mock.patch.object(dynamics, "DENSE_STEP_FLOOR", floor):
         xs, used = dynamics.propagate(real, x0.real if hermitian else x0, times)
     assert xs.dtype == (np.float64 if hermitian else np.complex128)
-    assert used == expected_stepper(k.size, norm(real.toarray()) * times[-1], spans, times.size, floor)
+    assert used == expected_stepper(k.size, norm(to_dense(real)) * times[-1], spans, times.size, floor)
     at = rows * charge.size + cols
     assert np.array_equal(np.sort(at), np.flatnonzero(np.isin(order.reshape(-1), both)))
     assert np.abs(xs @ frame.conj() - reference[:, at]).max() < 1e-10

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_hermitian
-from lsw import models
+from lsw import models, qrt, superop
 from lsw.exceptions import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
     NotPositiveError,
     SingularBlochMatrixError,
 )
-from lsw.operators import hermitian_basis, spin_operators
+from lsw.operators import hermitian_basis, hermitian_frame, spin_operators
 from lsw.qrt import (
     CLOSURE_TOL,
     STABILITY_TOL,
@@ -258,6 +258,35 @@ def test_frame_route_matches_dense_frame_reference(dim, dim_s, n_couplings, seed
     vecs = np.array([vectorize(op) for op in bs.ops])
     gram = (vecs.conj() @ vecs.T).real
     assert np.abs(gram - np.eye(len(vecs))).max() <= 1e-14
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(2, 16), n_couplings=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_index_frame_matches_the_csr_frame(dim, n_couplings, seed):
+    # the frame applied by index arithmetic, against operators.hermitian_frame
+    # as CSR (superop.DENSE_LIMIT 0, the route before the dense rule) and
+    # dense (the default up to d = 19): its coordinates, operators and
+    # generator, and the coefficient matrix, which no storage rule reaches
+    model = models.random_ancilla_model(dim, n_couplings, seed, dim_system=2)
+    x = np.random.default_rng(seed).standard_normal((dim * dim, 3, 2)) @ [1, 1j]
+    frame = qrt._Frame(dim)
+
+    def build():
+        f = hermitian_frame(dim)
+        products = (f.conj() @ x, f.T @ x, (f.conj() @ (f @ model.l0.T).T).real)
+        ops = [a for a, _ in model.couplings]
+        return f, products, coefficient_matrix(close_operator_set(model.l0, ops)).a_matrix
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(superop, "DENSE_LIMIT", 0)
+        csr, csr_products, csr_matrix = build()
+    dense, dense_products, a_matrix = build()
+    assert not isinstance(csr, np.ndarray) and isinstance(dense, np.ndarray)
+    assert np.array_equal(a_matrix, csr_matrix)
+    got = (frame.coords(x), frame.operators(x), frame.generator(model.l0))
+    for g, c, d in zip(got, csr_products, dense_products):
+        for want in (c, d):
+            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_close_operator_set_driven_qubit_bloch_matrix():

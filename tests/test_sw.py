@@ -504,15 +504,19 @@ def _engine_case(kind, seed, pick):
     pick=st.integers(0, 64),
     nmax=st.integers(1, 8),
     dense_entries=st.sampled_from([0, DENSE_ENTRIES]),
+    dense_limit=st.sampled_from([0, superop.DENSE_LIMIT]),
 )
-@example(kind="no-fast-sector", seed=6, pick=0, nmax=3, dense_entries=DENSE_ENTRIES)
-@example(kind="no-fast-dense", seed=6, pick=0, nmax=3, dense_entries=0)
-@example(kind="superradiance-sector", seed=0, pick=7, nmax=8, dense_entries=0)
-@example(kind="u1-dense", seed=1, pick=0, nmax=8, dense_entries=0)
-def test_block_engine_matches_naive_terms(kind, seed, pick, nmax, dense_entries):
+@example(kind="no-fast-sector", seed=6, pick=0, nmax=3, dense_entries=DENSE_ENTRIES, dense_limit=0)
+@example(kind="no-fast-dense", seed=6, pick=0, nmax=3, dense_entries=0, dense_limit=0)
+@example(kind="superradiance-sector", seed=0, pick=7, nmax=8, dense_entries=0, dense_limit=0)
+@example(kind="u1-dense", seed=1, pick=0, nmax=8, dense_entries=0, dense_limit=0)
+def test_block_engine_matches_naive_terms(kind, seed, pick, nmax, dense_entries, dense_limit):
     # DENSE_ENTRIES 0 leaves every block to the fill rule alone, so sparse
-    # and dense blocks meet in the same products
-    with mock.patch.object(superop, "DENSE_ENTRIES", dense_entries):
+    # and dense blocks meet in the same products; DENSE_LIMIT 0 assembles
+    # every sector as CSR, the route before the dense rule
+    with mock.patch.object(superop, "DENSE_ENTRIES", dense_entries), mock.patch.object(
+        superop, "DENSE_LIMIT", dense_limit
+    ):
         sd, v = _engine_case(kind, seed, pick)
         gen = generator_terms(sd, v, nmax)
         series = correction_terms(gen, sd)
