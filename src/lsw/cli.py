@@ -36,6 +36,7 @@ from .spectral import (
     decompose,
     distinct,
     frame_coordinates,
+    frame_generator,
     hermitian_frame,
 )
 from .superop import LindbladSpec, lindblad_superop, vectorize
@@ -500,7 +501,8 @@ def _task_effective(run):
 def _task_evolve(run):
     """The coherence orders of rho0 and rho0^H in L_A's own basis: coordinate
     (k, a, b), k = i d_A + j, is |i a><j b|, where rho0 and each functional
-    are read.  The block is propagated in its real Hermitian frame F: the
+    are read.  The block is propagated in its real Hermitian frame F
+    (``spectral.hermitian_frame``, applied by index arithmetic): the
     generator R = Re(F G F^H) (G maps Hermitian operators to Hermitian ones,
     so the imaginary part is rounding), the state F y0, real when rho0 is
     Hermitian, and each functional f read as conj(F) f."""
@@ -517,15 +519,10 @@ def _task_evolve(run):
     frame = hermitian_frame(rows, cols)
 
     def at(op, r, c, conj=False):  # F or conj(F) on op[r, c], real where exactly so
-        x = frame_coordinates(rows, cols, np.asarray(op[r, c]).reshape(-1), conj)
+        x = frame_coordinates(frame, np.asarray(op[r, c]).reshape(-1), conj)
         return x if x.imag.any() else x.real
 
-    # a copy: .real views the complex entries with a stride, which every
-    # product would first copy; a sparse block drops the entries whose real
-    # part is zero
-    generator = (frame @ (l0 + run.epsilon * v) @ frame.conj().T).real.copy()
-    if not isinstance(generator, np.ndarray):
-        generator.eliminate_zeros()
+    generator = frame_generator(frame, l0 + run.epsilon * v)
     states, _ = dynamics.propagate(generator, at(rho0, rows, cols), run.times)
     series = [states @ at(op, cols, rows, conj=True) for op in run.observables.values()]
     names = list(run.observables)

@@ -213,7 +213,7 @@ def propagate(generator, y0, times):
     ``MAX_NORM_TIME`` is refused and a non-finite state raises.
 
     The states are float64 when G and y0 are both real (a Hermiticity
-    preserving G in a real Hermitian frame, ``spectral.hermitian_frame``),
+    preserving G in a real Hermitian frame, ``spectral.frame_generator``),
     so the steps are real products; a complex G or y0 gives complex states.
     """
     times = _validate_times(times)

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from .superop import from_entries
-
 
 def spin_operators(two_j):
     """Return the ladder and z operators (J+, J-, Jz) for spin j = two_j/2.
@@ -52,63 +50,26 @@ def tensor(*ops):
     return out
 
 
-def frame_parts(dim):
-    """The two kinds of row of :func:`hermitian_frame`, for applying it by
-    index arithmetic: rows 0 to dim - 1 (the normalized identity and the
-    diagonal generalized Gell-Mann matrices) as a real dim x dim block over
-    the diagonal components k (dim + 1), and the pairs i < j
-    (``np.triu_indices``) of rows dim + 2 p, (e_ij + e_ji) / sqrt2, and
-    dim + 2 p + 1, (-i e_ij + i e_ji) / sqrt2.  Row k > 0 of the block holds
-    1, ..., 1, -k over sqrt(k (k + 1)), row 0 is 1 / sqrt(dim)."""
-    k = np.arange(dim)
-    width = np.where(k > 0, k + 1, dim)
-    row = np.repeat(k, width)
-    level = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-    kr = k[row]
-    numer = np.where((kr > 0) & (level == kr), -kr, 1)
-    denom = np.where(kr > 0, np.sqrt(kr * (kr + 1.0)), np.sqrt(dim))
-    i, j = np.triu_indices(dim, 1)
-    block = np.zeros((dim, dim))  # dense at any size: at most d_A**2 entries
-    # times the reciprocal, as numpy's complex division scales: the bits of
-    # each dense basis matrix divided by its norm
-    block[row, level] = numer * (1 / denom)
-    return block, i, j
-
-
-def _frame_entries(dim):
-    """(data, rows, cols) of :func:`hermitian_frame`, row by row."""
-    block, i, j = frame_parts(dim)
-    row, level = np.nonzero(block)
-    r = dim + 2 * np.arange(i.size)
-    rows = np.concatenate((row, np.stack((r, r, r + 1, r + 1), 1).ravel()))
-    pair = (i * dim + j, j * dim + i)
-    cols = np.concatenate((level * (dim + 1), np.stack(pair * 2, 1).ravel()))
-    # numpy's complex-over-real division, as for the block: the -0.0 real
-    # part of -1j / sqrt(2) included
-    pairs = np.tile([1, 1, -1j, 1j], i.size) / np.full(4 * i.size, np.sqrt(2))
-    return np.concatenate((block[row, level], pairs)), rows, cols
-
-
-def hermitian_frame(dim):
-    """The orthonormal Hermitian basis of :func:`hermitian_basis` as the rows
-    of a dim**2 x dim**2 matrix of row-stacked operators, stored by
-    ``superop.from_entries`` (dense up to its limit, CSR above), in its one
-    order (:func:`frame_parts`): the normalized identity, the dim - 1
-    diagonal generalized Gell-Mann matrices, then for each i < j the
-    symmetric and the antisymmetric one.  Diagonal row k > 0 has k + 1
-    nonzeros, the identity dim, every other row 2.  The matrix is unitary.
-    """
-    return from_entries(*_frame_entries(dim), (dim * dim, dim * dim))
-
-
 def hermitian_basis(dim, traceless=True):
-    """Orthonormal Hermitian basis under the Hilbert-Schmidt inner product,
-    the rows of :func:`hermitian_frame` as dense matrices.
+    """Orthonormal Hermitian basis under the Hilbert-Schmidt inner product:
+    the normalized identity, the dim - 1 diagonal generalized Gell-Mann
+    matrices, then for each i < j the symmetric and the antisymmetric one.
 
     With ``traceless=True`` returns the dim**2 - 1 generalized Gell-Mann
     matrices; otherwise prepends the normalized identity.
     """
-    data, rows, cols = _frame_entries(dim)
-    dense = np.zeros((dim**4,), dtype=complex)
-    dense[rows * dim * dim + cols] = data  # assigned, not summed from +0.0: -0.0 stays
-    return list(dense.reshape(-1, dim, dim)[int(traceless) :])
+    basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
+    for k in range(1, dim):
+        d = np.zeros(dim, dtype=complex)
+        d[:k] = 1.0
+        d[k] = -k
+        basis.append(np.diag(d) / np.sqrt(k * (k + 1)))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2)
+            anti = np.zeros((dim, dim), dtype=complex)
+            anti[i, j] = -1j / np.sqrt(2)
+            anti[j, i] = 1j / np.sqrt(2)
+            basis += [sym, anti]
+    return basis[int(traceless) :]

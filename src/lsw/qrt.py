@@ -6,11 +6,12 @@ by the integrated correlation matrix of the ancilla deviations.  The
 quantum regression theorem turns that integral into a linear solve against
 the Bloch matrix of the closed operator set, so no fast-space inverse of
 the full generator is ever needed.  The route runs in the real Hermitian
-frame: a Hermitian operator is its real coordinates over the orthonormal
-basis ``operators.hermitian_frame``, where the generator is a real matrix,
-so the steady state and the closure take real arithmetic, every change of
-frame is index arithmetic on the frame's two kinds of row (:class:`_Frame`),
-and the covariance is formed for the seed columns alone.
+frame: a Hermitian operator is its real coordinates over the pair frame
+``spectral.hermitian_frame`` of every |i><j|, where the generator is a real
+matrix, so the steady state and the closure take real arithmetic, every
+change of frame is index arithmetic (``spectral.frame_coordinates``,
+``frame_operators`` and ``frame_generator``), and the covariance is formed
+for the seed columns alone.
 
 The Bloch matrix M must be stable before it is inverted.  By Lindblad's
 dissipation inequality (Lindblad 1976, Commun. Math. Phys. 48, 119) the
@@ -34,8 +35,15 @@ from .exceptions import (
     SingularBlochMatrixError,
     ValidationError,
 )
-from .operators import frame_parts
-from .spectral import DEFAULT_ZERO_TOL, decompose, fast_inverse
+from .spectral import (
+    DEFAULT_ZERO_TOL,
+    decompose,
+    fast_inverse,
+    frame_coordinates,
+    frame_generator,
+    frame_operators,
+    hermitian_frame,
+)
 from .superop import (
     HERM_TOL,
     devectorize,
@@ -105,71 +113,17 @@ class AncillaModel:
         return lift(self.l0, self.dim_s), self.perturbation()
 
 
-class _Frame:
-    """The Hermitian frame F of ``operators.hermitian_frame``, of dimension
-    d, applied by index arithmetic on its rows (``operators.frame_parts``):
-    its d diagonal rows are one d x d block on the components |k><k|, and
-    each pair i < j holds two rows on |i><j| and |j><i|.  At d = 16 that
-    took 0.7 ms for the frame generator where the CSR frame took 1.8 ms and
-    a dense d**2 x d**2 frame more; there is no d**4 matrix to build."""
-
-    def __init__(self, dim):
-        self.block, i, j = frame_parts(dim)
-        self.diag, self.ij, self.ji = np.arange(dim) * (dim + 1), i * dim + j, j * dim + i
-
-    @staticmethod
-    def _summed(block, x):
-        """block @ x, its products summed one column of the block at a time,
-        left to right as a CSR product sums them: the frame's exact
-        cancellations stay exact (an identity seed has a deviation of exactly
-        zero), which a BLAS product's fused or reordered sums can break."""
-        out = np.multiply.outer(block[:, 0], x[0])
-        for col, row in zip(block.T[1:], x[1:]):
-            out += np.multiply.outer(col, row)
-        return out
-
-    def coords(self, x):
-        """conj(F) x: per column of x (a vec'd operator X), the coordinates
-        Tr(B_m X) over the frame's basis B_m, real for a Hermitian X."""
-        d, s = self.diag.size, math.sqrt(0.5)
-        a, b = x[self.ij], x[self.ji]
-        out = np.empty(x.shape, complex)
-        out[:d] = self._summed(self.block, x[self.diag])
-        out[d::2] = (a + b) * s
-        out[d + 1 :: 2] = (a - b) * (1j * s)
-        return out
-
-    def operators(self, c):
-        """F^T c: per column of c, vec of the operator sum_m c_m B_m."""
-        d, s = self.diag.size, math.sqrt(0.5)
-        sym, anti = c[d::2] * s, c[d + 1 :: 2] * (1j * s)
-        out = np.empty(c.shape, complex)
-        out[self.diag] = self._summed(self.block.T, c[:d])
-        out[self.ij] = sym - anti
-        out[self.ji] = sym + anti
-        return out
-
-    def generator(self, l0):
-        """The real R = conj(F) L0 F^T, from the coordinates W = conj(F) L0
-        of L0's columns and the real part of W's columns combined by F^T."""
-        d, s = self.diag.size, math.sqrt(0.5)
-        w = self.coords(to_dense(l0))
-        a, b = w[:, self.ij], w[:, self.ji]
-        out = np.empty(w.shape)
-        out[:, :d] = self._summed(self.block, w[:, self.diag].real.T).T
-        out[:, d::2] = (a.real + b.real) * s
-        out[:, d + 1 :: 2] = (a.imag - b.imag) * s  # Re((b - a) i s)
-        return out
-
-
 def _frame_generator(l0):
-    """(F, R): the Hermitian frame F (:class:`_Frame`) of L0's dimension and
-    L0 in it, the real R = conj(F) L0 F^T.  Hermitian X has real
-    coordinates x = conj(F) vec X, and L0 maps them by R; R^T is the adjoint
-    generator, since F is unitary and the real Hilbert-Schmidt product is the
-    dot product of coordinates."""
-    frame = _Frame(math.isqrt(np.shape(l0)[0]))
-    return frame, frame.generator(l0)
+    """(F, R): the real Hermitian frame F (``spectral.hermitian_frame``) of
+    every |i><j| of L0's operator space, i d + j in row-stacked order, and
+    L0 in it, the real R = conj(F) L0 F^T.  Hermitian X has real coordinates
+    x = conj(F) vec X (``spectral.frame_coordinates``), and L0 maps them by
+    R; R^T is the adjoint generator, since F is unitary and the real
+    Hilbert-Schmidt product is the dot product of coordinates.  F is applied
+    by index arithmetic, so there is no d**4 matrix to build."""
+    dim = math.isqrt(np.shape(l0)[0])
+    frame = hermitian_frame(*np.divmod(np.arange(dim * dim), dim))
+    return frame, frame_generator(frame, to_dense(l0), conj=True)
 
 
 def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, framed=None):
@@ -179,12 +133,13 @@ def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, framed=None):
     dimension counts the singular values of the frame generator R of
     :func:`_frame_generator`, L0's own since F is unitary, at most
     ``zero_tol * max(1, s_max)`` (the relative rule ``decompose`` applies to
-    eigenvalue moduli).  Tr o L0 = 0 makes R's row 0, the coordinate along
-    1/sqrt(d), zero, so with a one-dimensional kernel R with that row
-    replaced by the trace functional sqrt(d) e_0 is nonsingular and maps the
-    trace-one fixed point to e_0.  Real coordinates give a Hermitian state.
-    Without eigenvectors, ``decompose``'s eigenvector-condition refusal
-    (DefectiveOperatorError) does not apply.
+    eigenvalue moduli).  The trace functional is the sum of the d diagonal
+    coordinates, t = F vec 1; Tr o L0 = 0 makes t^T R = 0, so R's row 0, of
+    |0><0|, is minus the sum of the other diagonal rows, and with a
+    one-dimensional kernel R with that row replaced by t is nonsingular and
+    maps the trace-one fixed point to e_0.  Real coordinates give a
+    Hermitian state.  Without eigenvectors, ``decompose``'s
+    eigenvector-condition refusal (DefectiveOperatorError) does not apply.
 
     ``framed`` is ``_frame_generator(l0)`` when the caller has built it.
     Raises DegenerateSteadyStateError when the kernel is not
@@ -198,10 +153,10 @@ def steady_state(l0, zero_tol=DEFAULT_ZERO_TOL, framed=None):
         raise DegenerateSteadyStateError(f"kernel of the generator has dimension {nullity}")
     # numpy's solve, not scipy's: scipy calls its own bundled LAPACK, whose
     # first call faulted in about 1.3 MB more of library pages
-    e0 = np.eye(1, gen.shape[0])[0]
     bordered = gen.copy()
-    bordered[0] = math.sqrt(math.isqrt(gen.shape[0])) * e0  # Tr X = sqrt(d) x_0
-    sigma = devectorize(frame.operators(np.linalg.solve(bordered, e0)))
+    bordered[0] = frame_coordinates(frame, np.eye(math.isqrt(gen.shape[0])).ravel()).real
+    x = np.linalg.solve(bordered, np.eye(1, gen.shape[0])[0])
+    sigma = devectorize(frame_operators(frame, x))
     low = np.linalg.eigvalsh(sigma).min()
     if low < -PSD_TOL:
         raise NotPositiveError(f"steady state has eigenvalue {low:.3e}")
@@ -249,11 +204,11 @@ def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
 
     means = np.array([np.trace(np.asarray(a) @ sigma).real for a in seed_ops])
     deltas = [np.asarray(a, dtype=complex) - m * np.eye(dim) for a, m in zip(seed_ops, means)]
-    seeds = frame.coords(np.reshape(deltas, (-1, dim * dim)).T).real.T
+    seeds = frame_coordinates(frame, np.reshape(deltas, (-1, dim * dim)).T, True).real.T
     scale = max(np.linalg.norm(seeds, axis=1), default=1.0) or 1.0
 
     basis = np.zeros((dim * dim, dim * dim))
-    basis[0] = frame.coords(vectorize(sigma)).real
+    basis[0] = frame_coordinates(frame, vectorize(sigma), True).real
     basis[0] /= np.linalg.norm(basis[0])
     size = 1
 
@@ -282,10 +237,10 @@ def close_operator_set(l0, seed_ops, zero_tol=DEFAULT_ZERO_TOL):
     # Tr(E_m dA_a sigma) = c_m . (conj(F) vec(dA_a sigma)), for E_m = devec(F^T c_m)
     products = np.reshape([d @ sigma for d in deltas], (-1, dim * dim))
     return BlochSystem(
-        ops=frame.operators(coords.T).T.reshape(-1, dim, dim),
+        ops=frame_operators(frame, coords.T).T.reshape(-1, dim, dim),
         bloch=coords @ gen @ coords.T,
         steady_means=means,
-        seed_covariance=coords @ frame.coords(products.T),
+        seed_covariance=coords @ frame_coordinates(frame, products.T, True),
         seed_coeffs=coords @ seeds.T,
         sigma=sigma,
         seed_count=len(deltas),

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionMismatchError, ValidationError
+from .operators import hermitian_basis
 
 # superoperators denser than this are stored dense (entries scale as d**4)
 SPARSE_FILL_THRESHOLD = 0.1
@@ -275,8 +276,6 @@ def kossakowski_matrix(g):
     this block is Hermitian and positive semidefinite; its smallest
     eigenvalue is the structural diagnostic reported by the CLI.
     """
-    from .operators import hermitian_basis  # operators builds its frame here
-
     g = to_dense(g)
     d = math.isqrt(g.shape[0])
     f = np.array(hermitian_basis(d, traceless=True)).reshape(-1, d, d)

@@ -85,6 +85,23 @@ def vec_sector(model, charges, rho0):
     return l0 + v, np.asarray(rho0[rows, cols]).reshape(-1), rows, cols
 
 
+def dense_frame(rows, cols):
+    """The Hermitian frame of ``spectral.hermitian_frame`` as a dense matrix,
+    built one row at a time from its definition: coordinate m is
+    |rows[m]><cols[m]| and its partner p is |cols[m]><rows[m]|; a self-paired
+    m keeps e_m, and a pair m < p gives (e_m + e_p) / sqrt2 at row m and
+    i (e_m - e_p) / sqrt2 at row p."""
+    rows, cols = np.asarray(rows).tolist(), np.asarray(cols).tolist()
+    where = {rc: m for m, rc in enumerate(zip(rows, cols))}
+    f = np.zeros((len(rows),) * 2, dtype=complex)
+    for m, (r, c) in enumerate(zip(rows, cols)):
+        p = where[c, r]
+        f[m, m] = 1.0 if p == m else np.sqrt(0.5) if m < p else -1j * np.sqrt(0.5)
+        if p != m:
+            f[m, p] = np.sqrt(0.5) if m < p else 1j * np.sqrt(0.5)
+    return f
+
+
 def u1_symmetric_model(q_a, q_s, seed):
     """Random U(1)-symmetric ancilla model, its charges and its rng.
 

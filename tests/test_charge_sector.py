@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import u1_symmetric_model
-from lsw import cli, models, operators, qrt, spectral, superop
+from lsw import cli, models, qrt, spectral, superop
 from lsw.exceptions import (
     DefectiveOperatorError,
     EmptySlowSpaceError,
@@ -268,8 +268,9 @@ def _assert_same_values(got, want):
 )
 def test_dense_storage_keeps_every_value(q_a, q_s, seed):
     # the blocks of AncillaBasis.block and .sectors (L0, V and the vec-space
-    # vectors), in eigen coordinates and in L_A's own basis, and both
-    # Hermitian frames hold the same values dense as CSR
+    # vectors), in eigen coordinates and in L_A's own basis, and the real
+    # generator of the Hermitian frame, from a CSR G and from a dense G,
+    # hold the same values dense as CSR
     model, charges, _ = u1_symmetric_model(q_a, q_s, seed)
     vec = AncillaBasis.vec(model, charges)
     every = vec.orders(every=True)
@@ -277,8 +278,8 @@ def test_dense_storage_keeps_every_value(q_a, q_s, seed):
     def build():
         (k, a, b), _, l0, v = AncillaBasis.vec(model, charges).block(every)
         i, j = np.divmod(k, len(q_a))
-        out = [l0, v, spectral.hermitian_frame(i * len(q_s) + a, j * len(q_s) + b)]
-        out.append(operators.hermitian_frame(len(q_a)))
+        frame = spectral.hermitian_frame(i * len(q_s) + a, j * len(q_s) + b)
+        out = [l0, v, spectral.frame_generator(frame, l0 + v)]
         try:
             basis = AncillaBasis(model, charges)
             sectors = basis.sectors(basis.orders())

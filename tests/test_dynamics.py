@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import u1_symmetric_model, vec_sector
+from conftest import dense_frame, u1_symmetric_model, vec_sector
 from lsw import dynamics, models, superop
 from lsw.dynamics import (
     DENSE_STEP_FLOOR,
@@ -24,7 +24,7 @@ from lsw.dynamics import (
 )
 from lsw.exceptions import DimensionMismatchError, ToleranceNotMetError, ValidationError
 from lsw.operators import spin_operators
-from lsw.spectral import AncillaBasis, frame_coordinates, hermitian_frame
+from lsw.spectral import AncillaBasis, frame_coordinates, frame_generator, hermitian_frame
 from lsw.superop import devectorize, lift, to_dense, vectorize
 
 # |Im(F G F^H)| of the real Hermitian frame F, in roundings of max |G| for
@@ -253,7 +253,7 @@ def expected_stepper(k, scale, spans, steps, floor):
 def test_charge_sector_matches_full_space_expm(
     q_a, q_s, seed, two_orders, uniform, stepper, dense_limit
 ):
-    # DENSE_LIMIT 0 assembles the block and its frame as CSR, the default dense
+    # DENSE_LIMIT 0 assembles the block as CSR, the default dense
     with mock.patch.object(superop, "DENSE_LIMIT", dense_limit):
         _charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, uniform, stepper)
 
@@ -337,26 +337,27 @@ def _charge_sector_matches_full_space_expm(q_a, q_s, seed, two_orders, uniform, 
         _, _, rows_alone, cols_alone = vec_sector(model, charges, rho0)
         with pytest.raises(ValidationError, match="conjugation"):
             hermitian_frame(rows_alone, cols_alone)
-    assert np.abs(to_dense(frame @ frame.conj().T) - np.eye(k.size)).max() <= 1e-15
-    assert (abs(frame) > 0).sum(axis=1).max() <= 2
+    f = dense_frame(rows, cols)  # the frame's definition, as a matrix
+    assert np.abs(f @ f.conj().T - np.eye(k.size)).max() <= 1e-15
+    assert (abs(f) > 0).sum(axis=1).max() <= 2
     g = l0 + v
-    rotated = frame @ g @ frame.conj().T
+    rotated = f @ to_dense(g) @ f.conj().T
     assert np.abs(rotated.imag).max() <= FRAME_ROUNDINGS * np.finfo(float).eps * np.abs(gen).max()
     # the CLI reads the state through the frame's two entries a row, where
     # the imaginary parts of a Hermitian rho0 cancel exactly
-    x0 = frame_coordinates(rows, cols, rho0[rows, cols])
-    assert np.abs(x0 - frame @ rho0[rows, cols]).max() <= 1e-15
+    x0 = frame_coordinates(frame, rho0[rows, cols])
+    assert np.abs(x0 - f @ rho0[rows, cols]).max() <= 1e-15
     hermitian = np.array_equal(rho0, rho0.conj().T)
     assert hermitian == (len(orders) == 1)
     assert not (hermitian and x0.imag.any())
-    real = rotated.real.copy()
+    real = frame_generator(frame, g)
     with mock.patch.object(dynamics, "DENSE_STEP_FLOOR", floor):
         xs, used = dynamics.propagate(real, x0.real if hermitian else x0, times)
     assert xs.dtype == (np.float64 if hermitian else np.complex128)
     assert used == expected_stepper(k.size, norm(to_dense(real)) * times[-1], spans, times.size, floor)
     at = rows * charge.size + cols
     assert np.array_equal(np.sort(at), np.flatnonzero(np.isin(order.reshape(-1), both)))
-    assert np.abs(xs @ frame.conj() - reference[:, at]).max() < 1e-10
+    assert np.abs(xs @ f.conj() - reference[:, at]).max() < 1e-10
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

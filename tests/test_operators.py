@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import dense_frame
 from lsw.operators import (
     hermitian_basis,
-    hermitian_frame,
     spin_operators,
     tensor,
 )
-from lsw.superop import to_dense
+from lsw.spectral import frame_coordinates, hermitian_frame
 
 
 def test_spin_half_matrices():
@@ -98,12 +98,18 @@ def loop_built_basis(dim):
 
 @pytest.mark.parametrize("dim", range(1, 10))
 def test_hermitian_frame_is_the_dense_basis(dim):
-    # the frame holds the dense basis row by row, and the dense basis keeps
+    # the frame of every |i><j| is unitary with at most two entries a row,
+    # and the dense basis has real coordinates in it; the dense basis keeps
     # every bit of the loop-built one, signs of zeros included
-    frame = hermitian_frame(dim)
+    rows, cols = np.divmod(np.arange(dim * dim), dim)
+    frame = dense_frame(rows, cols)
+    assert np.abs(frame @ frame.conj().T - np.eye(dim * dim)).max() <= 1e-15
+    assert np.count_nonzero(frame, axis=1).max() == min(dim, 2)
     dense = np.array(hermitian_basis(dim, traceless=False)).reshape(dim * dim, dim * dim)
-    assert np.array_equal(to_dense(frame), dense)
-    assert np.count_nonzero(to_dense(frame), axis=1).max() == max(dim, 2 if dim > 1 else 1)
+    coords = frame_coordinates(hermitian_frame(rows, cols), dense.T, conj=True)
+    assert np.abs(coords - frame.conj() @ dense.T).max() <= 1e-15
+    assert not coords.imag.any()
+    assert np.abs(coords.real.T @ coords.real - np.eye(dim * dim)).max() <= 1e-14
     want = loop_built_basis(dim)
     assert np.array_equal(dense.view(np.uint64), want.reshape(dim * dim, -1).view(np.uint64))
     traceless = hermitian_basis(dim, traceless=True)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_hermitian
+from conftest import dense_frame, random_hermitian, u1_symmetric_model
 from lsw import models, qrt, superop
 from lsw.exceptions import (
     DegenerateSteadyStateError,
@@ -15,7 +15,7 @@ from lsw.exceptions import (
     NotPositiveError,
     SingularBlochMatrixError,
 )
-from lsw.operators import hermitian_basis, hermitian_frame, spin_operators
+from lsw.operators import hermitian_basis, spin_operators
 from lsw.qrt import (
     CLOSURE_TOL,
     STABILITY_TOL,
@@ -29,7 +29,17 @@ from lsw.qrt import (
     stability_certified,
     steady_state,
 )
-from lsw.spectral import charge_sector, decompose, spectral_norm, to_eigen
+from lsw.spectral import (
+    AncillaBasis,
+    charge_sector,
+    decompose,
+    frame_coordinates,
+    frame_generator,
+    frame_operators,
+    hermitian_frame,
+    spectral_norm,
+    to_eigen,
+)
 from lsw.superop import (
     LindbladSpec,
     devectorize,
@@ -260,33 +270,72 @@ def test_frame_route_matches_dense_frame_reference(dim, dim_s, n_couplings, seed
     assert np.abs(gram - np.eye(len(vecs))).max() <= 1e-14
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(dim=st.integers(2, 16), n_couplings=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_index_frame_matches_the_csr_frame(dim, n_couplings, seed):
-    # the frame applied by index arithmetic, against operators.hermitian_frame
-    # as CSR (superop.DENSE_LIMIT 0, the route before the dense rule) and
-    # dense (the default up to d = 19): its coordinates, operators and
-    # generator, and the coefficient matrix, which no storage rule reaches
-    model = models.random_ancilla_model(dim, n_couplings, seed, dim_system=2)
-    x = np.random.default_rng(seed).standard_normal((dim * dim, 3, 2)) @ [1, 1j]
-    frame = qrt._Frame(dim)
+def _assert_frame_appliers(rows, cols, g, x):
+    """The appliers of ``spectral.hermitian_frame`` on the coordinates
+    |rows[m]><cols[m]|, for a vector and a stack of columns x and a dense or
+    CSR G, against the dense products of the frame's definition."""
+    frame, f = hermitian_frame(rows, cols), dense_frame(rows, cols)
+    dense_g = to_dense(g)
+    pairs = [
+        (frame_coordinates(frame, x), f @ x),
+        (frame_coordinates(frame, x[:, 0]), f @ x[:, 0]),
+        (frame_coordinates(frame, x, conj=True), f.conj() @ x),
+        (frame_operators(frame, x), f.T @ x),
+        (frame_operators(frame, x[:, 0]), f.T @ x[:, 0]),
+    ]
+    for conj, want in ((False, f @ dense_g @ f.conj().T), (True, f.conj() @ dense_g @ f.T)):
+        gen = frame_generator(frame, g, conj)
+        assert isinstance(gen, np.ndarray) == isinstance(g, np.ndarray)
+        if isinstance(gen, np.ndarray):  # not a strided view of complex entries
+            assert gen.flags.c_contiguous and gen.dtype == np.float64
+        pairs.append((to_dense(gen), want.real))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def build():
-        f = hermitian_frame(dim)
-        products = (f.conj() @ x, f.T @ x, (f.conj() @ (f @ model.l0.T).T).real)
-        ops = [a for a, _ in model.couplings]
-        return f, products, coefficient_matrix(close_operator_set(model.l0, ops)).a_matrix
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    dim=st.integers(1, 16),
+    n_couplings=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    q_a=st.lists(st.integers(0, 3), min_size=2, max_size=4),
+    q_s=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+)
+@example(dim=1, n_couplings=1, seed=0, q_a=[0, 1], q_s=[0])
+@example(dim=16, n_couplings=3, seed=7, q_a=[0, 1, 2, 3], q_s=[0, 1, 2])
+def test_index_frame_matches_the_csr_frame(dim, n_couplings, seed, q_a, q_s):
+    # the one Hermitian frame, applied by index arithmetic, against the dense
+    # F of its definition (conftest.dense_frame): on QRT's index set, every
+    # |i><j| of dimension d, with a random G and a random ancilla's L0, and
+    # on an evolve block of a U(1)-symmetric model (orders 0 and +-q) with
+    # its G assembled dense and CSR (superop.DENSE_LIMIT 0, the route before
+    # the dense rule); and the coefficient matrix, which no storage rule reaches
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim * dim, 3, 2)) @ [1, 1j]
+    rows, cols = np.divmod(np.arange(dim * dim), dim)
+    g = rng.standard_normal((dim * dim, dim * dim, 2)) @ [1, 1j]
+    _assert_frame_appliers(rows, cols, g, x)
+    model, charges, _ = u1_symmetric_model(q_a, q_s, seed)
+    basis = AncillaBasis.vec(model, charges)
+    q = rng.choice(basis.orders(every=True))
+    for dense_limit in (0, superop.DENSE_LIMIT):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(superop, "DENSE_LIMIT", dense_limit)
+            (k, a, b), _, l0, v = basis.block(np.unique([0, q, -q]))
+        assert isinstance(l0 + v, np.ndarray) == (dense_limit > 0)
+        i, j = np.divmod(k, len(q_a))
+        y = rng.standard_normal((k.size, 3, 2)) @ [1, 1j]
+        _assert_frame_appliers(i * len(q_s) + a, j * len(q_s) + b, l0 + v, y)
+    if dim == 1:
+        return
+    ancilla = models.random_ancilla_model(dim, n_couplings, seed, dim_system=2)
+    _assert_frame_appliers(rows, cols, ancilla.l0, x)
+    ops = [a for a, _ in ancilla.couplings]
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(superop, "DENSE_LIMIT", 0)
-        csr, csr_products, csr_matrix = build()
-    dense, dense_products, a_matrix = build()
-    assert not isinstance(csr, np.ndarray) and isinstance(dense, np.ndarray)
-    assert np.array_equal(a_matrix, csr_matrix)
-    got = (frame.coords(x), frame.operators(x), frame.generator(model.l0))
-    for g, c, d in zip(got, csr_products, dense_products):
-        for want in (c, d):
-            assert np.abs(g - want).max() <= 1e-13 * np.abs(want).max()
+        csr_matrix = coefficient_matrix(close_operator_set(ancilla.l0, ops)).a_matrix
+    assert np.array_equal(coefficient_matrix(close_operator_set(ancilla.l0, ops)).a_matrix, csr_matrix)
 
 
 def test_close_operator_set_driven_qubit_bloch_matrix():
